@@ -12,7 +12,7 @@ Subcommands map one to one onto library operations:
   theorem5             factor the Wilson sum polynomial, check its factor law
   theorem7             factor a perturbed product, check its factor law
   scan borisov         gcd(L_{d-1} + c, [d]) sweep over degrees
-  scan alt-conjecture  gcd(S_d, D_{d-1}) sweep over degrees
+  scan alt-conjecture  gcd([d], 1 - [d-1] + [d-1][d-2] - ... +- L_{d-1}) sweep
   verify paper         re-run a recorded worked example against frozen values
 
 Exit status is 0 on success, 1 when a reproduction or internal
@@ -631,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     bor.add_argument("--max-degree", type=int, required=True)
     bor.set_defaults(func=cmd_scan)
     alt = ssub.add_parser("alt-conjecture",
-                          help="gcd(S_d, D_{d-1}) for d up to a bound")
+                          help="gcd([d], 1 - [d-1] + [d-1][d-2] - ... "
+                               "+- L_{d-1}) for d up to a bound")
     _add_common(alt)
     alt.add_argument("--max-degree", type=int, required=True)
     alt.set_defaults(func=cmd_scan)

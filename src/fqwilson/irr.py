@@ -126,6 +126,8 @@ def candidate_poly(field: Field, d: int, index: int) -> Poly:
 def iter_monic_irreducibles(field: Field, d: int, start: int = 0, stop=None):
     """Yield PrimeContext for each monic prime of degree d, in
     candidate-index order; [start, stop) restricts the index range."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     q = field.order
     hi = q ** d if stop is None else min(stop, q ** d)
     for index in range(start, hi):
@@ -153,6 +155,8 @@ def _moebius(n: int) -> int:
 
 def count_irreducibles(field: Field, d: int) -> int:
     """Number of monic primes of degree d, by Moebius inversion."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     q = field.order
     total = 0
     e = 1

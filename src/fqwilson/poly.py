@@ -12,9 +12,20 @@ beat schoolbook, and generic schoolbook over extension fields (whose
 polynomials stay short in this package).  ModReducer precomputes a
 Barrett inverse so repeated reductions by a fixed modulus cost two
 multiplies instead of a quadratic division.
+
+Over odd prime fields the hot kernels work on plain int lists and make
+no per-coefficient Field call: addition and negation reduce each
+coefficient inline, Kronecker packing goes through array lanes of 1, 2,
+4 or 8 bytes, and long division (_divrem_prime) subtracts whole rows
+and reduces a slot mod p only when it becomes the leading term.  The
+generic field-call division (_divrem_field) serves extension fields and
+stays as the slow oracle the tests compare against.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from . import _gf2
 from .errors import (
@@ -32,8 +43,13 @@ NEG_INF = float("-inf")
 # arithmetic from allocating gigabyte coefficient vectors
 DEGREE_GUARD = 1 << 18
 
-_KRON_MIN_LEN = 64     # combined length where Kronecker beats schoolbook
+_KRON_MIN_LEN = 16     # combined length where Kronecker beats schoolbook
 _BARRETT_MIN_DEG = 96  # modulus degree where Barrett beats schoolbook
+
+# (byte width, array typecode) for each unsigned lane width the platform
+# offers, narrowest first; Kronecker packing picks the first that fits
+_KRON_LANES = sorted({array(tc).itemsize: tc for tc in "QLIHB"}.items())
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class Poly:
@@ -148,17 +164,27 @@ class Poly:
         a, b = self.codes, other.codes
         if len(a) < len(b):
             a, b = b, a
-        add = self.field.add
+        field = self.field
+        if field.is_prime_field and field.char != 2:
+            p = field.char
+            out = [(x + y) % p for x, y in zip(a, b)]
+            out += a[len(b):]
+            return Poly(field, out)
+        add = field.add
         out = list(a)
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
-        return Poly(self.field, out)
+        return Poly(field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg
-        return Poly(self.field, tuple(neg(c) for c in self.codes))
+        field = self.field
+        if field.is_prime_field and field.char != 2:
+            p = field.char
+            return Poly(field, [-c % p for c in self.codes])
+        neg = field.neg
+        return Poly(field, tuple(neg(c) for c in self.codes))
 
     def __sub__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -289,20 +315,33 @@ def _school_mul_generic(a, b, field):
     return tuple(out)
 
 
+def _kron_lane(min_len: int, p: int):
+    """(byte width, typecode) of the narrowest array lane that holds a
+    convolution sum of min_len products of residues mod p."""
+    maxsum = min_len * (p - 1) * (p - 1)
+    for width, tc in _KRON_LANES:
+        if maxsum < 1 << (8 * width):
+            return width, tc
+    raise BoundExceeded(f"no array lane holds {maxsum}")
+
+
+def _kron_pack(codes, tc) -> int:
+    lanes = array(tc, codes)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
 def _kron_mul(a, b, p):
     # pack coefficients into byte-aligned lanes wide enough that the
     # integer product's lanes carry the exact convolution sums
-    maxsum = min(len(a), len(b)) * (p - 1) * (p - 1)
-    lane = (maxsum.bit_length() + 7) // 8
-    ia = int.from_bytes(b"".join(c.to_bytes(lane, "little") for c in a), "little")
-    ib = int.from_bytes(b"".join(c.to_bytes(lane, "little") for c in b), "little")
-    wide = ia * ib
-    n = len(a) + len(b) - 1
-    raw = wide.to_bytes(lane * n + 8, "little")
-    out = []
-    for i in range(n):
-        out.append(int.from_bytes(raw[lane * i: lane * (i + 1)], "little") % p)
-    return tuple(out)
+    width, tc = _kron_lane(min(len(a), len(b)), p)
+    wide = _kron_pack(a, tc) * _kron_pack(b, tc)
+    lanes = array(tc)
+    lanes.frombytes(wide.to_bytes(width * (len(a) + len(b) - 1), "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return tuple(c % p for c in lanes)
 
 
 # -- division ---------------------------------------------------------
@@ -317,15 +356,50 @@ def divrem(a: Poly, b: Poly):
     db = len(b.codes) - 1
     if len(a.codes) - 1 < db:
         return Poly.zero(field), a
-    if field.is_prime_field and field.char == 2:
-        q, r = _gf2.divmod_(_pack2(a.codes), _pack2(b.codes))
-        return Poly(field, _unpack2(q)), Poly(field, _unpack2(r))
+    if field.is_prime_field:
+        if field.char == 2:
+            q, r = _gf2.divmod_(_pack2(a.codes), _pack2(b.codes))
+            return Poly(field, _unpack2(q)), Poly(field, _unpack2(r))
+        q, r = _divrem_prime(a.codes, b.codes, field.char)
+    else:
+        q, r = _divrem_field(a.codes, b.codes, field)
+    return Poly(field, q), Poly(field, r)
+
+
+def _divrem_prime(a, b, p):
+    """Long division of code sequences over F_p, deg a >= deg b.
+
+    Slots accumulate unreduced ints; a slot is reduced mod p when it
+    becomes the leading term, and the remainder once at the end.  The
+    negated divisor row is kept in [0, p), so the slots stay
+    non-negative and, for small p, mostly inside the interpreter's
+    cache of small ints, which saves allocations.
+    """
+    db = len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    neg_row = [-c % p for c in b[:db]]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for off in range(len(a) - 1 - db, -1, -1):
+        top = off + db
+        q = rem[top] % p
+        if q == 0:
+            continue
+        if lead_inv != 1:
+            q = q * lead_inv % p
+        quot[off] = q
+        rem[off:top] = [x + q * y for x, y in zip(rem[off:top], neg_row)]
+    return quot, [c % p for c in rem[:db]]
+
+
+def _divrem_field(a, b, field):
+    """Long division of code sequences through Field calls, deg a >= deg b."""
     mul = field.mul
     sub = field.sub
-    lead_inv = field.inv(b.codes[-1])
-    rem = list(a.codes)
-    quot = [0] * (len(a.codes) - db)
-    bc = b.codes
+    db = len(b) - 1
+    lead_inv = field.inv(b[-1])
+    rem = list(a)
+    quot = [0] * (len(a) - db)
     for top in range(len(rem) - 1, db - 1, -1):
         c = rem[top]
         if c == 0:
@@ -334,9 +408,9 @@ def divrem(a: Poly, b: Poly):
         quot[top - db] = q
         off = top - db
         for j in range(db + 1):
-            if bc[j]:
-                rem[off + j] = sub(rem[off + j], mul(q, bc[j]))
-    return Poly(field, quot), Poly(field, rem[:db])
+            if b[j]:
+                rem[off + j] = sub(rem[off + j], mul(q, b[j]))
+    return quot, rem[:db]
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

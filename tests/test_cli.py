@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fqwilson
 from fqwilson.cli import main
 from fqwilson.survey import resume
 
@@ -134,6 +138,21 @@ def test_bad_field_exits_2(capsys):
     _, err = run(capsys, ["primes", "list", "--field", "6", "--degree", "2"],
                  expect=2)
     assert "not a prime power" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_primes_list_nonpositive_degree_exits_2(degree):
+    # a real process, so an escaping exception would show as a traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fqwilson.cli", "primes", "list",
+         "--field", "3", "--degree", degree],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: degree must be at least 1\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_unparseable_poly_exits_2(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -8,6 +9,10 @@ from fqwilson.gf import default_modulus, make_extension, make_prime_field
 from fqwilson.poly import (
     ModReducer,
     Poly,
+    _divrem_field,
+    _kron_lane,
+    _kron_mul,
+    _school_mul_prime,
     divrem,
     embed,
     eval_poly,
@@ -32,6 +37,40 @@ def rand_poly(field, degree, rng):
     codes = [rng.randrange(field.order) for _ in range(degree)]
     codes.append(rng.randrange(1, field.order))
     return Poly(field, codes)
+
+
+ODD_PRIMES = (3, 5, 7, 101, 251)
+
+
+def rand_codes(p, n, rng):
+    return tuple(rng.randrange(p) for _ in range(n))
+
+
+def lane_edge(width, p):
+    """Largest operand length whose convolution sums fit in width bytes."""
+    return ((1 << (8 * width)) - 1) // ((p - 1) * (p - 1))
+
+
+def check_divrem_oracle(field, a, b):
+    p = field.char
+    q, r = divrem(Poly(field, a), Poly(field, b))
+    if len(a) >= len(b):
+        slow_q, slow_r = _divrem_field(a, b, field)
+        assert (q, r) == (Poly(field, slow_q), Poly(field, slow_r))
+    assert q * Poly(field, b) + r == Poly(field, a)
+    assert r.is_zero or r.degree < len(b) - 1
+    assert all(0 <= c < p for c in q.codes + r.codes)
+
+
+def check_addsub_oracle(field, a, b):
+    n = max(len(a), len(b))
+    pa, pb = Poly(field, a), Poly(field, b)
+    ea = a + (0,) * (n - len(a))
+    eb = b + (0,) * (n - len(b))
+    assert pa + pb == Poly(field, [field.add(x, y) for x, y in zip(ea, eb)])
+    assert pa - pb == Poly(field, [field.add(x, field.neg(y))
+                                   for x, y in zip(ea, eb)])
+    assert -pa == Poly(field, [field.neg(x) for x in a])
 
 
 def test_format_parse_round_trip_exhaustive():
@@ -120,6 +159,14 @@ def test_divrem_invariant():
         assert r.is_zero or r.degree < b.degree
     with pytest.raises(DivisionByZero):
         divrem(a, Poly.zero(field))
+    # the plain-int F_p division against the field-call route
+    for p in ODD_PRIMES:
+        field = make_prime_field(p)
+        for _ in range(40):
+            a = rand_poly(field, rng.randrange(0, 150), rng).codes
+            b = rand_poly(field, rng.randrange(0, 60), rng).codes
+            check_divrem_oracle(field, a, b)
+            check_divrem_oracle(field, a, (1,) + b)
 
 
 def test_floordiv_mod_agree_with_divrem():
@@ -151,6 +198,16 @@ def test_gcd_properties():
         assert (a % g).is_zero and (b % g).is_zero
         m = rand_poly(field, 2, rng).monic()
         assert gcd(a * m, b * m) == gcd(a, b) * m
+    for p in ODD_PRIMES:  # longer operands, through the plain-int kernels
+        field = make_prime_field(p)
+        for _ in range(20):
+            h = rand_poly(field, rng.randrange(0, 20), rng)
+            a = rand_poly(field, rng.randrange(0, 60), rng) * h
+            b = rand_poly(field, rng.randrange(0, 60), rng) * h
+            g = gcd(a, b)
+            assert g.is_monic
+            assert (a % g).is_zero and (b % g).is_zero
+            assert (g % h.monic()).is_zero
 
 
 def test_field_mismatch_between_polys():
@@ -254,3 +311,121 @@ def test_monic_and_scale():
     assert f.monic().scale(field(3)) == f
     with pytest.raises(DivisionByZero):
         Poly.zero(field).monic()
+
+
+# -- plain-int F_p kernels against their slow routes --------------------
+
+
+def test_kron_lane_widths():
+    # each width is the narrowest lane that holds the sums at its edge
+    seen = set()
+    for p in ODD_PRIMES:
+        for width in (1, 2, 4):
+            edge = lane_edge(width, p)
+            if edge:
+                assert _kron_lane(edge, p)[0] == width
+                assert _kron_lane(edge + 1, p)[0] > width
+                seen.add(width)
+    assert seen == {1, 2, 4}
+    assert _kron_lane(lane_edge(4, 251) + 1, 251)[0] == 8
+    for length, p in ((1, 3), (64, 3), (64, 251), (lane_edge(4, 251) + 1, 251)):
+        width, tc = _kron_lane(length, p)  # 1-, 2-, 4- and 8-byte lanes
+        assert array(tc).itemsize == width
+
+
+def test_kron_mul_matches_schoolbook_at_lane_edges():
+    rng = random.Random(11)
+    for p, width in ((3, 1), (5, 1), (7, 1), (101, 2), (251, 2)):
+        edge = lane_edge(width, p)
+        for m in {max(edge - 1, 1), edge, edge + 1}:
+            for n in (m, m + 9):
+                a = rand_codes(p, m, rng)
+                b = rand_codes(p, n, rng)
+                assert _kron_mul(a, b, p) == _school_mul_prime(a, b, p)
+                full = (p - 1,) * m, (p - 1,) * n
+                assert _kron_mul(*full, p) == _school_mul_prime(*full, p)
+
+
+def test_kron_mul_full_lanes_closed_form():
+    # all-(p-1) operands put the largest possible sum in the middle
+    # lanes; (p-1)^2 = 1 mod p, so coefficient k is the overlap count.
+    # Lengths straddle the 2-, 4- and 8-byte lane edges, where the
+    # schoolbook oracle is too slow.
+    for p, width in ((3, 2), (5, 2), (7, 2), (251, 4)):
+        for m in (lane_edge(width, p), lane_edge(width, p) + 1):
+            n = m + 3
+            got = _kron_mul((p - 1,) * m, (p - 1,) * n, p)
+            assert len(got) == m + n - 1
+            for k in range(m + n - 1):
+                assert got[k] == (min(k, m - 1) - max(0, k - n + 1) + 1) % p
+
+
+def test_kron_mul_matches_schoolbook_fixed_seed():
+    rng = random.Random(5)
+    for p in ODD_PRIMES:
+        for _ in range(40):
+            a = rand_codes(p, rng.randrange(1, 200), rng)
+            b = rand_codes(p, rng.randrange(1, 200), rng)
+            assert _kron_mul(a, b, p) == _school_mul_prime(a, b, p)
+
+
+def test_prime_add_sub_neg_match_field_calls_fixed_seed():
+    rng = random.Random(23)
+    for p in ODD_PRIMES:
+        field = make_prime_field(p)
+        for _ in range(40):
+            a = rand_codes(p, rng.randrange(0, 40), rng)
+            b = rand_codes(p, rng.randrange(0, 40), rng)
+            check_addsub_oracle(field, a, b)
+        check_addsub_oracle(field, (1, 2), (p - 1, p - 2))  # cancels to zero
+
+
+def _codes(st, p, max_size):
+    return st.lists(st.integers(0, p - 1), max_size=max_size).map(tuple)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_kron_mul_matches_schoolbook_property(p):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    operand = _codes(st, p, 160).filter(bool)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(operand, operand)
+    def check(a, b):
+        assert _kron_mul(a, b, p) == _school_mul_prime(a, b, p)
+
+    check()
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_prime_divrem_and_gcd_property(p):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(p)
+    divisor = st.tuples(_codes(st, p, 40), st.integers(1, p - 1))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(_codes(st, p, 120), divisor)
+    def check(a, b):
+        b = b[0] + (b[1],)
+        check_divrem_oracle(field, a, b)
+        g = gcd(Poly(field, a), Poly(field, b))
+        assert g.is_monic
+        assert (Poly(field, a) % g).is_zero and (Poly(field, b) % g).is_zero
+
+    check()
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_prime_add_sub_neg_property(p):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(p)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(_codes(st, p, 40), _codes(st, p, 40))
+    def check(a, b):
+        check_addsub_oracle(field, a, b)
+
+    check()
