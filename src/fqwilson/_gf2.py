@@ -179,18 +179,6 @@ class Reducer:
         return self.reduce(sqr(a))
 
 
-def powmod(a: int, e: int, f: int) -> int:
-    red = Reducer(f)
-    a = red.reduce(a)
-    result = 1
-    while e:
-        if e & 1:
-            result = red.mulmod(result, a)
-        a = red.sqrmod(a)
-        e >>= 1
-    return result
-
-
 def is_irreducible(f: int) -> bool:
     """Rabin's test, specialised to GF(2) with packed squarings."""
     n = deg(f)

@@ -7,9 +7,14 @@ their product.  F_d = (-1)^d D_d / L_d plays the role of (N-1)! for a
 prime of degree d: the Wilson congruence asks whether F_d = -1 holds
 modulo the square of the prime rather than just the prime.
 
-Everything here is exact except F_mod, which evaluates F_d modulo a
-given polynomial through the recurrences without ever forming the
-gigantic exact numerator.
+CarlitzCache holds the exact quantities.  CarlitzChain holds the same
+quantities reduced by one ModReducer: a single Frobenius chain
+x -> x^q yields the brackets, and L, D, the alternating sums
+T_m = 1 - [m] T_(m-1) and F_d = +-(D_0 ... D_(d-1))^(q-1) are folds
+over it, each extended lazily and at most once per index.  Every
+residue check in the package (CarlitzCache.F_mod, the survey tables,
+the gcd scans) goes through it, so giant numerators are never formed
+when only a residue is needed.
 """
 
 from __future__ import annotations
@@ -86,22 +91,8 @@ class CarlitzCache:
         return out
 
     def F_mod(self, d: int, modulus: Poly) -> Poly:
-        """F_d reduced mod the given polynomial, via the recurrences
-        D_0 = 1, D_n = [n] D_{n-1}^q and F_d = +-(D_0 ... D_{d-1})^(q-1)."""
-        field = self.field
-        q = field.order
-        red = ModReducer(modulus)
-        t = Poly.t(field)
-        x = red.reduce(t)
-        acc = Poly.one(field)
-        d_cur = Poly.one(field)
-        for _ in range(d):
-            acc = red.mulmod(acc, red.powmod(d_cur, q - 1))
-            x = red.powmod(x, q)
-            d_cur = red.mulmod(x - red.reduce(t), red.powmod(d_cur, q))
-        if d % 2 and field.char != 2:
-            acc = -acc
-        return acc
+        """F_d reduced mod the given polynomial, through CarlitzChain."""
+        return CarlitzChain(ModReducer(modulus)).F(d)
 
     def wilson_sum_poly(self, d: int) -> Poly:
         """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
@@ -122,13 +113,93 @@ class CarlitzCache:
 
     def perturbation(self, kind: str, d: int, c) -> Poly:
         """L_{d-1} - c or D_{d-1} + (-1)^d c, for nonzero c."""
-        field = self.field
-        cc = field(c)
-        if cc.code == 0:
-            raise ZeroC("perturbations require a nonzero constant")
-        if kind == "L_minus_c":
-            return self.L(d - 1) - Poly.constant(field, cc)
-        if kind == "D_plus_sign_c":
-            term = Poly.constant(field, cc if d % 2 == 0 else -cc)
-            return self.D(d - 1) + term
-        raise ValueError(f"unknown perturbation kind {kind!r}")
+        return _perturbation(self, kind, d, c)
+
+
+def _perturbation(chain, kind: str, d: int, c) -> Poly:
+    # shared by CarlitzCache and CarlitzChain: it needs only L, D and field
+    field = chain.field
+    cc = field(c)
+    if cc.code == 0:
+        raise ZeroC("perturbations require a nonzero constant")
+    if kind == "L_minus_c":
+        return chain.L(d - 1) - Poly.constant(field, cc)
+    if kind == "D_plus_sign_c":
+        term = Poly.constant(field, cc if d % 2 == 0 else -cc)
+        return chain.D(d - 1) + term
+    raise ValueError(f"unknown perturbation kind {kind!r}")
+
+
+class CarlitzChain:
+    """The Carlitz quantities reduced by a fixed ModReducer.
+
+    One Frobenius chain x_m = t^(q^m) mod the modulus gives the
+    brackets [m] = x_m - x_0.  L_m = [m] L_(m-1), D_m = [m] D_(m-1)^q,
+    the alternating sums T_m = 1 - [m] T_(m-1) and the products
+    (D_0 ... D_(d-1))^(q-1) behind F_d are folds over the brackets.
+    Each sequence is extended on first demand and kept, so a caller
+    pays only for the quantities and indices it asks for, and asking
+    again for a larger index continues where the chain stopped.
+    """
+
+    def __init__(self, red: ModReducer):
+        self.red = red
+        self.field = red.field
+        one = red.reduce(Poly.one(self.field))
+        self._t = red.reduce(Poly.t(self.field))
+        self._x = self._t  # x_m for the largest m with [m] computed
+        self._brackets = [None]  # [m] at index m; there is no [0]
+        self._L = [one]
+        self._D = [one]
+        self._T = [one]
+        self._F = [one]  # (D_0 ... D_(d-1))^(q-1) at index d, unsigned
+
+    @staticmethod
+    def _extend(seq: list, m: int, step) -> Poly:
+        """seq[m], appending step(n) for each missing index n first."""
+        if m < 0:
+            raise ValueError(f"chain index {m} is negative")
+        while len(seq) <= m:
+            seq.append(step(len(seq)))
+        return seq[m]
+
+    def _next_bracket(self, m: int) -> Poly:
+        # brackets are appended in index order, so _x is x_(m-1) here
+        self._x = self.red.powmod(self._x, self.field.order)
+        return self._x - self._t
+
+    def bracket(self, m: int) -> Poly:
+        if m < 1:
+            raise ValueError("[n] is defined for n >= 1")
+        return self._extend(self._brackets, m, self._next_bracket)
+
+    def L(self, m: int) -> Poly:
+        seq = self._L
+        return self._extend(
+            seq, m, lambda n: self.red.mulmod(seq[n - 1], self.bracket(n)))
+
+    def D(self, m: int) -> Poly:
+        seq, red, q = self._D, self.red, self.field.order
+        return self._extend(
+            seq, m,
+            lambda n: red.mulmod(self.bracket(n), red.powmod(seq[n - 1], q)))
+
+    def T(self, m: int) -> Poly:
+        """1 - [m] + [m][m-1] - ... + (-1)^m L_m, by T_m = 1 - [m] T_(m-1)."""
+        seq = self._T
+        return self._extend(
+            seq, m, lambda n: seq[0] - self.red.mulmod(self.bracket(n), seq[n - 1]))
+
+    def F(self, d: int) -> Poly:
+        """F_d = (-1)^d D_d / L_d = +-(D_0 ... D_(d-1))^(q-1), reduced."""
+        seq, red, q = self._F, self.red, self.field.order
+        out = self._extend(
+            seq, d,
+            lambda n: red.mulmod(seq[n - 1], red.powmod(self.D(n - 1), q - 1)))
+        if d % 2 and self.field.char != 2:
+            out = -out
+        return out
+
+    def perturbation(self, kind: str, d: int, c) -> Poly:
+        """L_(d-1) - c or D_(d-1) + (-1)^d c, reduced, for nonzero c."""
+        return _perturbation(self, kind, d, c)

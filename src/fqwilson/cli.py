@@ -36,7 +36,12 @@ from .congruence import (
     wilson_suite,
 )
 from .deriv import MIXED_LABELS, delta, fermat_quotient, fermat_quotient_iter, mixed
-from .errors import EquivalenceViolation, FqwilsonError, TheoremViolation
+from .errors import (
+    EquivalenceViolation,
+    FqwilsonError,
+    SchemaVersionMismatch,
+    TheoremViolation,
+)
 from .factor import factorize, trial_division
 from .gf import parse_field
 from .irr import PrimeContext, count_irreducibles, is_irreducible, iter_monic_irreducibles
@@ -48,6 +53,8 @@ from .survey import (
     jsonl_document,
     persist,
     perturbation_divisor_scan,
+    record_key,
+    resume,
     special_primes_by_form,
     survey_degree,
     theorem5_report,
@@ -203,17 +210,30 @@ def cmd_factor(args) -> int:
 def cmd_survey(args) -> int:
     field = _field(args)
     seed = _resolve_seed(args)
-    rec = survey_degree(
-        field,
-        args.degree,
-        seed=seed,
-        jobs=args.jobs,
-        full_suites=args.full_suites,
-        def_budget=args.budget,
-        multiplicities=not args.no_multiplicities,
-    )
-    if args.out:
-        persist([rec], args.out, seed=seed, append=args.append)
+    rec = None
+    if args.out and args.append and os.path.exists(args.out):
+        # resume: a record already stored for this key is reused as is
+        header, stored = resume(args.out)
+        if header.get("seed") != seed:
+            raise SchemaVersionMismatch(
+                f"line 1: file seed {header.get('seed')!r} does not match "
+                f"seed {seed}"
+            )
+        rec = stored.get(record_key(field.descriptor(), args.degree))
+        if rec is not None:
+            rec.validate(field)
+    if rec is None:
+        rec = survey_degree(
+            field,
+            args.degree,
+            seed=seed,
+            jobs=args.jobs,
+            full_suites=args.full_suites,
+            def_budget=args.budget,
+            multiplicities=not args.no_multiplicities,
+        )
+        if args.out:
+            persist([rec], args.out, seed=seed, append=args.append)
     lines = [
         f"field {rec.field_descriptor} degree {rec.degree}: "
         f"{rec.prime_count} primes",

@@ -17,8 +17,6 @@ Each follows by expanding a + P^(k+1)*s under the operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import FieldMismatch
 from .gf import FieldElement
 from .irr import PrimeContext
@@ -142,41 +140,3 @@ def mixed(label: str, ctx: PrimeContext):
         q2 = fermat_quotient_mod(t, ctx, 2)
         return delta_at_theta(q2, ctx, 1)
     raise ValueError(f"unknown mixed label {label!r}")
-
-
-@dataclass
-class DerivReport:
-    """All three derivative families of one input at one prime."""
-
-    context: PrimeContext
-    input: Poly
-    values: dict = dc_field(default_factory=dict)
-
-    def to_json(self):
-        out = {
-            "prime": str(self.context.prime),
-            "field": self.context.prime.field.descriptor(),
-            "input": str(self.input),
-            "values": {},
-        }
-        for key, val in self.values.items():
-            if isinstance(val, FieldElement):
-                out["values"][key] = {"element": val.code}
-            else:
-                out["values"][key] = {"poly": str(val)}
-        return out
-
-
-def deriv_report(ctx: PrimeContext, a: Poly, max_order: int = 2) -> DerivReport:
-    """Usual, Fermat-quotient and difference-quotient derivatives of a
-    up to the requested order; Fermat quotients are reported mod P."""
-    report = DerivReport(context=ctx, input=a)
-    cur = a
-    for i in range(1, max_order + 1):
-        cur = cur.derivative()
-        report.values[f"D^{i}"] = cur
-    for i in range(1, max_order + 1):
-        report.values[f"Q^{i} mod P"] = fermat_quotient_iter(a, ctx, i, k=1)
-    for i in range(1, max_order + 1):
-        report.values[f"delta^{i} at theta"] = delta_at_theta(a, ctx, i)
-    return report

@@ -40,7 +40,7 @@ class Field:
 
     __slots__ = (
         "char", "order", "base", "degree", "modulus_codes",
-        "_mul_table", "_fold_rows", "_pth_map", "height",
+        "_mul_table", "_fold_rows", "height",
     )
 
     def __init__(self, char, order, base, degree, modulus_codes):
@@ -52,7 +52,6 @@ class Field:
         self.modulus_codes = modulus_codes
         self._mul_table = None
         self._fold_rows = None
-        self._pth_map = None
         self.height = 0 if base is None else base.height + 1
 
     # -- identity -----------------------------------------------------
@@ -230,12 +229,6 @@ class Field:
     def pth_root(self, a: int) -> int:
         """Unique p-th root; the inverse of the Frobenius x -> x^p."""
         return self.pow(a, self.order // self.char)
-
-    def pth_power_map(self) -> list[int]:
-        """code -> code^p, cached; used for coefficientwise Frobenius."""
-        if self._pth_map is None:
-            self._pth_map = [self.pow(c, self.char) for c in range(self.order)]
-        return self._pth_map
 
     # -- internals ----------------------------------------------------
 
@@ -443,19 +436,6 @@ def default_modulus(p: int, k: int):
         if is_irreducible(cand):
             return cand
     raise Reducible(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
-
-
-def frobenius(x: FieldElement, i: int, base_order: int) -> FieldElement:
-    """x raised to the base_order^i power."""
-    field = x.field
-    o = base_order
-    while o < field.order:
-        o *= base_order
-    if o != field.order:
-        raise FieldMismatch(
-            f"{base_order} is not a subfield order of F_{field.order}"
-        )
-    return FieldElement(field, field.pow(x.code, base_order ** i))
 
 
 def _format_codes(codes) -> str:

@@ -44,7 +44,7 @@ NEG_INF = float("-inf")
 DEGREE_GUARD = 1 << 18
 
 _KRON_MIN_LEN = 16     # combined length where Kronecker beats schoolbook
-_BARRETT_MIN_DEG = 96  # modulus degree where Barrett beats schoolbook
+_BARRETT_MIN_DEG = 24  # modulus degree where Barrett beats schoolbook over F_p
 
 # (byte width, array typecode) for each unsigned lane width the platform
 # offers, narrowest first; Kronecker packing picks the first that fits
@@ -481,19 +481,6 @@ def synth_div(f: Poly, x):
     return Poly(ef, out), FieldElement(ef, acc)
 
 
-def taylor_shift(f: Poly, c) -> Poly:
-    """f(t + c), by collecting synthetic remainders at c."""
-    if isinstance(c, int):
-        c = f.field(c)
-    ef = _eval_field(f, c)
-    g = Poly(ef, f.codes)
-    out = []
-    while not g.is_zero:
-        g, r = synth_div(g, c)
-        out.append(r.code)
-    return Poly(ef, out)
-
-
 def q_power_expand(f: Poly, d: int, base_order=None) -> Poly:
     """f raised to the Q = base_order**d power, Q a power of the
     characteristic, for f with coefficients fixed by x -> x^base_order.
@@ -533,11 +520,6 @@ def embed(f: Poly, ext: Field) -> Poly:
     return Poly(ext, f.codes)
 
 
-def map_codes(f: Poly, fn) -> Poly:
-    """Apply a code-level function to every coefficient."""
-    return Poly(f.field, tuple(fn(c) for c in f.codes))
-
-
 # -- modular contexts -------------------------------------------------
 
 
@@ -545,14 +527,17 @@ class ModReducer:
     """Reduction context for a fixed nonzero modulus.
 
     Over F_2 it delegates to the packed-int Barrett reducer; over
-    other fields it keeps a Newton-grown power series inverse of the
-    reversed modulus once the degree justifies it, and falls back to
-    plain long division for small moduli.
+    odd prime fields it keeps a Newton-grown power series inverse of
+    the reversed modulus once the degree justifies it, and falls back
+    to plain long division for small moduli.  Extension fields always
+    use long division: their products are schoolbook, so Barrett's two
+    multiplies cost more than one division (2-4x at modulus degrees
+    16-128 over F_4, F_9 and F_625).
     """
 
     __slots__ = ("modulus", "field", "_mode", "_packed", "_rm", "_rinv", "_prec")
 
-    def __init__(self, modulus: Poly, barrett=None):
+    def __init__(self, modulus: Poly):
         if modulus.is_zero:
             raise DivisionByZero("zero modulus")
         if not modulus.is_monic:
@@ -565,10 +550,7 @@ class ModReducer:
             self._packed = _gf2.Reducer(_pack2(modulus.codes))
             return
         self._packed = None
-        use_barrett = (
-            barrett if barrett is not None else modulus.degree >= _BARRETT_MIN_DEG
-        )
-        if use_barrett and modulus.degree >= 2:
+        if field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
             self._mode = "barrett"
             self._rm = Poly(field, tuple(reversed(modulus.codes)))
             self._rinv = Poly.one(field)  # rm(0) = 1 since modulus is monic
@@ -641,10 +623,6 @@ def _trunc(f: Poly, k: int) -> Poly:
     if len(f.codes) <= k:
         return f
     return Poly(f.field, f.codes[:k])
-
-
-def powmod(a: Poly, e: int, m: Poly) -> Poly:
-    return ModReducer(m).powmod(a, e)
 
 
 # -- text form --------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Everything here orchestrates the lower modules over whole families of
 primes.  Giant Carlitz quantities are never formed exactly when a
-check only needs a residue: L_(d-1) and D_(d-1) are rebuilt modulo a
-small prime power through their bracket recurrences ([n] = t^(q^n)-t,
-L_n = [n] L_(n-1), D_n = [n] D_(n-1)^q), which costs O(d) modular
-multiplications per prime instead of a division of astronomically
-large polynomials.
+check only needs a residue: L_(d-1), D_(d-1) and the alternating sums
+come from a carlitz.CarlitzChain modulo a small prime power, which
+costs O(d) modular multiplications per prime instead of a division of
+astronomically large polynomials.  The gcd scans keep one chain per
+prime for the whole range of degrees.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .carlitz import CarlitzCache, monic_polys
+from .carlitz import CarlitzCache, CarlitzChain, monic_polys
 from .congruence import (
     coefficient_characterization,
     is_special_wilson,
@@ -50,44 +50,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# -- modular Carlitz chains -------------------------------------------
-
-
-def _brackets_mod(red: ModReducer, field: Field, n: int):
-    """[1], ..., [n] reduced by red, via one Frobenius chain."""
-    q = field.order
-    x0 = red.reduce(Poly.t(field))
-    x = x0
-    out = []
-    for _ in range(n):
-        x = red.powmod(x, q)
-        out.append(x - x0)
-    return out
-
-
-def _L_mod(red: ModReducer, field: Field, n: int) -> Poly:
-    acc = Poly.one(field)
-    for b in _brackets_mod(red, field, n):
-        acc = red.mulmod(acc, b)
-    return acc
-
-
-def _D_mod(red: ModReducer, field: Field, n: int) -> Poly:
-    q = field.order
-    acc = Poly.one(field)
-    for b in _brackets_mod(red, field, n):
-        acc = red.mulmod(b, red.powmod(acc, q))
-    return acc
-
-
-def _perturbation_mod(red: ModReducer, field: Field, kind: str, d: int, c):
-    """(L_(d-1) - c) or (D_(d-1) + (-1)^d c) reduced by red."""
-    if kind == "L_minus_c":
-        return _L_mod(red, field, d - 1) - c
-    if kind == "D_plus_sign_c":
-        signed = c if d % 2 == 0 else -c
-        return _D_mod(red, field, d - 1) + signed
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+# -- valuations -------------------------------------------------------
 
 
 def _capped_valuation(f_mod: Poly, prime: Poly, cap: int) -> int:
@@ -99,6 +62,11 @@ def _capped_valuation(f_mod: Poly, prime: Poly, cap: int) -> int:
 
 
 # -- survey records ----------------------------------------------------
+
+
+def record_key(field_descriptor: str, degree: int) -> str:
+    """The key under which persisted files store a degree's record."""
+    return f"{field_descriptor}|{degree}"
 
 
 @dataclass
@@ -118,7 +86,7 @@ class SurveyRecord:
 
     @property
     def key(self) -> str:
-        return f"{self.field_descriptor}|{self.degree}"
+        return record_key(self.field_descriptor, self.degree)
 
     def validate(self, field: Field):
         p = field.char
@@ -306,13 +274,11 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
             l_tab, d_tab = {}, {}
             for text in plist:
                 prime = by_text[text]
-                red = ModReducer(prime ** (cap + 1))
+                chain = CarlitzChain(ModReducer(prime ** (cap + 1)))
                 l_tab[text] = _capped_valuation(
-                    _perturbation_mod(red, field, "L_minus_c", d, c_el),
-                    prime, cap)
+                    chain.perturbation("L_minus_c", d, c_el), prime, cap)
                 d_tab[text] = _capped_valuation(
-                    _perturbation_mod(red, field, "D_plus_sign_c", d, c_el),
-                    prime, cap)
+                    chain.perturbation("D_plus_sign_c", d, c_el), prime, cap)
             tables["L_minus_c"][c_code] = l_tab
             tables["D_plus_sign_c"][c_code] = d_tab
         if p > 2:
@@ -320,8 +286,8 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
                 prime = by_text[text]
                 # the derivative of a residue mod P^(cap+2) pins the
                 # derivative of L itself mod P^(cap+1)
-                red = ModReducer(prime ** (cap + 2))
-                ws = -_L_mod(red, field, d - 1).derivative()
+                chain = CarlitzChain(ModReducer(prime ** (cap + 2)))
+                ws = -chain.L(d - 1).derivative()
                 ws_red = divrem(ws, prime ** (cap + 1))[1]
                 tables["wilson_sum"][text] = _capped_valuation(ws_red, prime, cap)
     t2 = time.perf_counter()
@@ -385,7 +351,7 @@ def perturbation_divisor_scan(field: Field, d: int, targets, cap=None):
 
     targets is an iterable of (kind, c) pairs.  Every degree-d prime
     is enumerated once; each requested perturbation is reduced mod the
-    prime through the bracket chains, and divisors get a capped
+    prime through a CarlitzChain, and divisors get a capped
     valuation.  Returns {"prime_count": n, "divisors": {(kind, c_code):
     {prime text: valuation}}}.
     """
@@ -396,37 +362,20 @@ def perturbation_divisor_scan(field: Field, d: int, targets, cap=None):
             raise ZeroC("c must be a nonzero field constant")
     if cap is None:
         cap = field.char + 2
-    need_l = any(kind == "L_minus_c" for kind, _ in targets)
-    need_d = any(kind == "D_plus_sign_c" for kind, _ in targets)
     divisors = {(kind, c.code): {} for kind, c in targets}
     n = 0
     for ctx in iter_monic_irreducibles(field, d):
         n += 1
         prime = ctx.prime
-        red = ModReducer(prime)
-        brackets = _brackets_mod(red, field, d - 1)
-        l_res = d_res = None
-        if need_l:
-            l_res = Poly.one(field)
-            for b in brackets:
-                l_res = red.mulmod(l_res, b)
-        if need_d:
-            d_res = Poly.one(field)
-            for b in brackets:
-                d_res = red.mulmod(b, red.powmod(d_res, field.order))
+        chain = CarlitzChain(ModReducer(prime))
         big = None
         for kind, c in targets:
-            if kind == "L_minus_c":
-                res = l_res - c
-            else:
-                res = d_res + (c if d % 2 == 0 else -c)
-            if not res.is_zero:
+            if not chain.perturbation(kind, d, c).is_zero:
                 continue
             if big is None:
-                big = ModReducer(prime ** (cap + 1))
-            full = _perturbation_mod(big, field, kind, d, c)
+                big = CarlitzChain(ModReducer(prime ** (cap + 1)))
             divisors[(kind, c.code)][str(prime)] = _capped_valuation(
-                full, prime, cap)
+                big.perturbation(kind, d, c), prime, cap)
     return {"prime_count": n, "divisors": divisors}
 
 
@@ -664,6 +613,15 @@ def _divisors(d: int):
     return [e for e in range(1, d + 1) if d % e == 0]
 
 
+def _prime_chains(field, e, chains_by_degree):
+    """(prime, CarlitzChain mod prime) for the degree-e primes, built on
+    first request and kept, so each chain extends across all d."""
+    if e not in chains_by_degree:
+        chains_by_degree[e] = [(ctx.prime, CarlitzChain(ModReducer(ctx.prime)))
+                               for ctx in iter_monic_irreducibles(field, e)]
+    return chains_by_degree[e]
+
+
 def _scan_gcd_product(field, matched):
     g = Poly.one(field)
     for prime in matched:
@@ -683,19 +641,14 @@ def borisov_scan(field: Field, d_max: int) -> list:
         raise ValueError("d_max must be at least 2")
     p = field.char
     q = field.order
-    primes_by_degree = {}
+    chains_by_degree = {}
     findings = []
     for d in range(2, d_max + 1):
         matched = {c: [] for c in range(1, q)}
         for e in _divisors(d):
-            if e not in primes_by_degree:
-                primes_by_degree[e] = [ctx.prime for ctx
-                                       in iter_monic_irreducibles(field, e)]
-            for prime in primes_by_degree[e]:
-                red = ModReducer(prime)
-                l_res = Poly.one(field)
-                for b in _brackets_mod(red, field, d - 1):
-                    l_res = red.mulmod(l_res, b)
+            for prime, chain in _prime_chains(field, e, chains_by_degree):
+                red = chain.red
+                l_res = chain.L(d - 1)
                 for c in range(1, q):
                     if (l_res + FieldElement(field, c)).is_zero:
                         # verify the hit divides both operands
@@ -727,10 +680,10 @@ def borisov_scan(field: Field, d_max: int) -> list:
 def alt_gcd_conjecture_scan(field: Field, d_max: int) -> list:
     """gcd([d], 1 - [d-1] + [d-1][d-2] - ... + (-1)^(d-1) L_(d-1)).
 
-    The alternating sum is built per prime by the nested recurrence
-    T_m = 1 - [m] T_(m-1).  Findings with p not dividing d would be
-    counterexamples to an open conjecture: they are reported with a
-    flag, never raised on.
+    The alternating sum is read per prime from a chain mod the prime,
+    by the nested recurrence T_m = 1 - [m] T_(m-1).  Findings with p
+    not dividing d would be counterexamples to an open conjecture: they
+    are reported with a flag, never raised on.
     """
     p = field.char
     if p == 2:
@@ -738,20 +691,13 @@ def alt_gcd_conjecture_scan(field: Field, d_max: int) -> list:
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     q = field.order
-    primes_by_degree = {}
+    chains_by_degree = {}
     findings = []
     for d in range(2, d_max + 1):
         matched = []
         for e in _divisors(d):
-            if e not in primes_by_degree:
-                primes_by_degree[e] = [ctx.prime for ctx
-                                       in iter_monic_irreducibles(field, e)]
-            for prime in primes_by_degree[e]:
-                red = ModReducer(prime)
-                acc = Poly.one(field)
-                for b in _brackets_mod(red, field, d - 1):
-                    acc = Poly.one(field) - red.mulmod(b, acc)
-                if acc.is_zero:
+            for prime, chain in _prime_chains(field, e, chains_by_degree):
+                if chain.T(d - 1).is_zero:
                     matched.append(prime)
         if matched:
             findings.append(ScanFinding(
@@ -873,19 +819,3 @@ def resume(path):
             raise SchemaVersionMismatch(f"line {n}: {exc}") from exc
         records[rec.key] = rec
     return header, records
-
-
-def records_to_csv(records) -> str:
-    """Count table: one row per (field, degree), one column per c."""
-    records = sorted(records, key=lambda r: (r.field_descriptor, r.degree))
-    c_codes = sorted({c for rec in records for c in rec.special_primes})
-    header = ["q", "d", "primes", "wilson"] + [f"special_c{c}" for c in c_codes]
-    lines = [",".join(header)]
-    for rec in records:
-        field = parse_field(rec.field_descriptor)
-        row = [str(field.order), str(rec.degree), str(rec.prime_count),
-               str(len(rec.wilson_primes))]
-        for c in c_codes:
-            row.append(str(len(rec.special_primes.get(c, []))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

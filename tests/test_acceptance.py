@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from fqwilson.carlitz import CarlitzCache
+from fqwilson.carlitz import CarlitzCache, CarlitzChain
 from fqwilson.congruence import (
     classify_base,
     is_special_wilson,
@@ -35,8 +35,6 @@ from fqwilson.irr import (
 )
 from fqwilson.poly import ModReducer, Poly, divrem, embed, eval_poly, parse_poly
 from fqwilson.survey import (
-    _D_mod,
-    _L_mod,
     borisov_scan,
     perturbation_divisor_scan,
     special_primes_by_form,
@@ -301,11 +299,12 @@ def test_criterion_10_oracle_equivalences(capfd):
                 for k in (1, 2):
                     mod = prime ** k
                     red = ModReducer(mod)
+                    chain = CarlitzChain(red)
                     if cache.F_mod(d, mod) != divrem(cache.F(d), mod)[1]:
                         ok = False
-                    if _L_mod(red, field, d) != red.reduce(cache.L(d)):
+                    if chain.L(d) != red.reduce(cache.L(d)):
                         ok = False
-                    if _D_mod(red, field, d) != red.reduce(cache.D(d)):
+                    if chain.D(d) != red.reduce(cache.D(d)):
                         ok = False
             checks[f"F{q}: modular Carlitz chains match exact reductions"] = ok
 

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
-from fqwilson.carlitz import CarlitzCache, monic_polys
+from fqwilson.carlitz import CarlitzCache, CarlitzChain, monic_polys
 from fqwilson.errors import BoundExceeded, ZeroC
 from fqwilson.gf import make_prime_field
 from fqwilson.irr import iter_monic_irreducibles
-from fqwilson.poly import Poly, divrem, exact_div, parse_poly
+from fqwilson.poly import ModReducer, Poly, divrem, exact_div, parse_poly
 
 # fields small enough that every identity below is checked exactly
 GRID = [(2, 6), (3, 4), (4, 3), (5, 2)]
@@ -92,6 +94,45 @@ def test_f_is_minus_one_mod_every_prime():
             minus_one = -Poly.one(field)
             for ctx in iter_monic_irreducibles(field, d):
                 assert cache.F_mod(d, ctx.prime) == minus_one, str(ctx.prime)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_chain_matches_exact_reductions(q):
+    field = field_of(q)
+    cache = CarlitzCache(field)
+    one = Poly.one(field)
+    alt = [one]  # T_m = 1 - [m] T_(m-1), formed exactly
+    for m in range(1, 5):
+        alt.append(one - cache.bracket(m) * alt[-1])
+    # exact F_4 over F_9 divides a degree-26244 D_4 by L_4 through
+    # extension-field calls, too slow for this test
+    f_max = 3 if q == 9 else 4
+    for degree in (2, 3):
+        for ctx in itertools.islice(iter_monic_irreducibles(field, degree), 2):
+            for modulus in (ctx.prime, ctx.prime * ctx.prime):
+                chain = CarlitzChain(ModReducer(modulus))
+                # the first request runs the chain out of index order:
+                # F pulls D and the brackets, and L and T continue them
+                chain.F(f_max)
+                for m in range(5):
+                    where = (q, str(modulus), m)
+                    if m:
+                        assert chain.bracket(m) == \
+                            divrem(cache.bracket(m), modulus)[1], where
+                    assert chain.L(m) == divrem(cache.L(m), modulus)[1], where
+                    assert chain.D(m) == divrem(cache.D(m), modulus)[1], where
+                    assert chain.T(m) == divrem(alt[m], modulus)[1], where
+                    if m <= f_max:
+                        assert chain.F(m) == divrem(cache.F(m), modulus)[1], where
+
+
+def test_chain_rejects_bad_indices():
+    chain = CarlitzChain(ModReducer(parse_poly("t^2+1", make_prime_field(3))))
+    with pytest.raises(ValueError):
+        chain.bracket(0)
+    for quantity in (chain.L, chain.D, chain.T, chain.F):
+        with pytest.raises(ValueError):
+            quantity(-1)
 
 
 def test_wilson_sum_routes_agree():

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import fqwilson
+from fqwilson import cli
 from fqwilson.cli import main
 from fqwilson.survey import resume
 
@@ -209,14 +210,27 @@ def test_survey_json_is_the_persisted_document(capsys, tmp_path):
 # ----------------------------------------------------------- persistence
 
 
-def test_survey_append_and_seed_mismatch(capsys, tmp_path):
+def test_survey_append_and_seed_mismatch(capsys, tmp_path, monkeypatch):
     path = tmp_path / "sweep.jsonl"
     run(capsys, ["survey", "--field", "3", "--degree", "1",
                  "--out", str(path)])
-    run(capsys, ["survey", "--field", "3", "--degree", "2",
-                 "--out", str(path), "--append"])
+    argv = ["survey", "--field", "3", "--degree", "2",
+            "--out", str(path), "--append"]
+    first, _ = run(capsys, argv)
     _, records = resume(path)
     assert set(records) == {"3|1", "3|2"}
+
+    # a repeated --append run resumes the stored record: same stdout,
+    # no recomputation and still one record per key
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("survey recomputed a stored record")
+
+    monkeypatch.setattr(cli, "survey_degree", no_recompute)
+    again, _ = run(capsys, argv)
+    assert again == first
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
+    assert {json.loads(line)["degree"] for line in lines[1:]} == {1, 2}
 
     _, err = run(capsys, ["survey", "--field", "3", "--degree", "3",
                           "--out", str(path), "--append", "--seed", "5"],

@@ -5,10 +5,8 @@ import pytest
 
 from fqwilson.deriv import (
     MIXED_LABELS,
-    DerivReport,
     delta,
     delta_at_theta,
-    deriv_report,
     derivative_mod,
     fermat_quotient,
     fermat_quotient_iter,
@@ -160,18 +158,3 @@ def test_field_mismatch_between_base_and_prime():
         fermat_quotient(Poly.t(make_prime_field(2)), ctx)
     with pytest.raises(FieldMismatch):
         fermat_quotient_mod(Poly.t(make_prime_field(2)), ctx, 1)
-
-
-def test_deriv_report_shape():
-    field = make_prime_field(3)
-    ctx = PrimeContext.for_prime(parse_poly("t^3+2*t+2", field))
-    rep = deriv_report(ctx, Poly.t(field))
-    assert isinstance(rep, DerivReport)
-    data = rep.to_json()
-    assert data["prime"] == "t^3+2*t+2"
-    for i in (1, 2):
-        assert f"D^{i}" in data["values"]
-        assert f"Q^{i} mod P" in data["values"]
-        assert f"delta^{i} at theta" in data["values"]
-    # a second run is byte-identical
-    assert deriv_report(ctx, Poly.t(field)).to_json() == data

@@ -6,7 +6,6 @@ from fqwilson.errors import DivisionByZero, FieldMismatch, NotPrime
 from fqwilson.gf import (
     FieldElement,
     default_modulus,
-    frobenius,
     make_extension,
     make_prime_field,
     parse_field,
@@ -74,16 +73,6 @@ def test_pth_root_inverts_pth_power():
             field = make_extension(field, default_modulus(p, k))
         for a in field.elements():
             assert FieldElement(field, field.pth_root((a ** p).code)) == a
-        table = field.pth_power_map()
-        assert sorted(table) == list(range(field.order))  # bijection
-
-
-def test_frobenius_is_q_power():
-    field = make_extension(make_prime_field(3), default_modulus(3, 3))
-    for a in itertools.islice(field.elements(), 27):
-        assert frobenius(a, 1, 3) == a ** 3
-        assert frobenius(a, 2, 3) == a ** 9
-        assert frobenius(a, 3, 3) == a  # full orbit in F_27
 
 
 def test_default_modulus_is_irreducible():

@@ -19,12 +19,9 @@ from fqwilson.poly import (
     exact_div,
     format_poly,
     gcd,
-    map_codes,
     parse_poly,
-    powmod,
     q_power_expand,
     synth_div,
-    taylor_shift,
 )
 
 
@@ -239,15 +236,6 @@ def test_eval_and_synth_div():
             + Poly.constant(field, val) == f
 
 
-def test_taylor_shift():
-    field = make_prime_field(5)
-    f = parse_poly("t^3+4*t+1", field)
-    g = taylor_shift(f, field(2))
-    for code in range(5):
-        x = field(code)
-        assert eval_poly(g, x) == eval_poly(f, x + field(2))
-
-
 def test_q_power_expand_matches_pow():
     for p in (2, 3):
         field = make_prime_field(p)
@@ -273,8 +261,9 @@ def test_embed_eval_consistency():
 
 def test_mod_reducer_matches_plain_reduction():
     rng = random.Random(13)
-    field = make_prime_field(3)
-    for mod_deg in (4, 40, 120):  # spans the Barrett switch-over
+    # F_3 degrees span the Barrett switch-over; F_2 runs the packed reducer
+    for p, mod_deg in ((3, 4), (3, 40), (3, 120), (2, 5)):
+        field = make_prime_field(p)
         m = rand_poly(field, mod_deg, rng).monic()
         red = ModReducer(m)
         for _ in range(6):
@@ -289,19 +278,6 @@ def test_mod_reducer_matches_plain_reduction():
             naive = (naive * base) % m
         assert red.powmod(base, e) == naive
         assert red.powmod(base, 0) == Poly.one(field)
-
-
-def test_powmod_helper():
-    field = make_prime_field(2)
-    m = parse_poly("t^5+t^2+1", field)
-    a = parse_poly("t^3+t", field)
-    assert powmod(a, 31, m) == (a ** 31) % m
-
-
-def test_map_codes():
-    field = make_prime_field(3)
-    f = parse_poly("t^2+2*t+1", field)
-    assert map_codes(f, lambda c: (2 * c) % 3) == parse_poly("2*t^2+t+2", field)
 
 
 def test_monic_and_scale():

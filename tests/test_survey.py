@@ -23,7 +23,6 @@ from fqwilson.survey import (
     jsonl_document,
     persist,
     perturbation_divisor_scan,
-    records_to_csv,
     resume,
     special_primes_by_form,
     survey_degree,
@@ -210,15 +209,6 @@ def test_resume_reports_line_numbers(tmp_path):
         resume(path)
 
 
-def test_records_to_csv_golden():
-    recs = [survey_degree(F3, d) for d in (2, 3)]
-    assert records_to_csv(recs) == (
-        "q,d,primes,wilson,special_c1,special_c2\n"
-        "3,2,3,0,0,0\n"
-        "3,3,8,2,0,2\n"
-    )
-
-
 # -------------------------------------------------------- special by form
 
 
@@ -329,6 +319,14 @@ def test_alt_gcd_conjecture_scan():
     findings = alt_gcd_conjecture_scan(F3, 6)
     assert [f.d for f in findings] == [6]
     assert not findings[0].violates_expectation
+    # each reported gcd is the literal Euclid gcd of [d] and the exact
+    # alternating sum 1 - [d-1] + [d-1][d-2] - ... +- L_(d-1)
+    cache = CarlitzCache(F3)
+    for hit in findings:
+        alt = Poly.one(F3)
+        for m in range(1, hit.d):
+            alt = Poly.one(F3) - cache.bracket(m) * alt
+        assert gcd(cache.bracket(hit.d), alt) == hit.gcd
     assert alt_gcd_conjecture_scan(F5, 4) == []
     with pytest.raises(ValueError):
         alt_gcd_conjecture_scan(F2, 4)
