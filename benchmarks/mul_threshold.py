@@ -1,4 +1,6 @@
-"""Locate the schoolbook/Kronecker and schoolbook/Barrett crossovers.
+"""Locate the schoolbook/Kronecker and schoolbook/Barrett crossovers,
+and the slow-multiplication count after which extension fields build
+their log/antilog tables.
 
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the combined operand length reaches _KRON_MIN_LEN, and ModReducer
@@ -11,20 +13,32 @@ interpreter, hardware or kernel changes.  The reduction sweep reduces
 a dividend of degree 2n-2, the product of two residues, by a monic
 modulus of degree n.
 
+The extension-field sweep times one slow product (Field._ext_mul) and
+one full table build (primitive-element search, exp walk, log and Zech
+fill) per residue field, averaged over the first few moduli of each
+order.  A field that builds after order // N slow products has spent
+about as much on them as the build costs when N = ext_mul time / build
+time per element; gf._TABLE_TRIGGER is that N, rounded.
+
 Usage:
     python3 benchmarks/mul_threshold.py
     python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
+    python3 benchmarks/mul_threshold.py --chars   # extension fields only
 """
 
 import argparse
 import random
+import time
 import timeit
 
-from fqwilson import poly
-from fqwilson.gf import make_prime_field
+from fqwilson import gf, poly
+from fqwilson.gf import make_extension, make_prime_field
+from fqwilson.irr import iter_monic_irreducibles
 from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
 
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
+TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
+TABLE_MODULI = 8  # moduli averaged per field order
 
 
 def time_once(fn, args, repeat, number):
@@ -68,6 +82,44 @@ def reduce_sweep(p, degrees, rng, repeat, number):
     return rows
 
 
+def table_sweep(p, k, rng, repeat, pairs=2000):
+    """(mean _ext_mul seconds, mean build seconds per element) over the
+    first TABLE_MODULI residue fields of order p^k."""
+    base = make_prime_field(p)
+    primes = []
+    for ctx in iter_monic_irreducibles(base, k):
+        primes.append(ctx.prime)
+        if len(primes) == TABLE_MODULI:
+            break
+    mul_s = build_s = 0.0
+    for prime in primes:
+        field = make_extension(base, prime)
+        # operands >= 2 take the slow route whether tables exist or not
+        ops = [(rng.randrange(2, field.order), rng.randrange(2, field.order))
+               for _ in range(pairs)]
+        mul_s += time_once(lambda: [field._ext_mul(a, b) for a, b in ops],
+                           (), repeat, 1) / pairs
+        builds = []
+        for _ in range(repeat):
+            fresh = make_extension(base, prime)
+            t0 = time.perf_counter()
+            fresh._build_tables()
+            builds.append(time.perf_counter() - t0)
+        build_s += min(builds) / (field.order - 1)
+    return mul_s / len(primes), build_s / len(primes)
+
+
+def report_tables(rows):
+    print("table build, extension fields  (ext_mul us, build us/element, "
+          "ext_mul / build-step)")
+    for order, mul_s, step_s in rows:
+        print(f"  F_{order:<5d}  {mul_s * 1e6:9.2f}  {step_s * 1e6:9.2f}  "
+              f"{mul_s / step_s:6.2f}")
+    print(f"  gf._TABLE_TRIGGER = {gf._TABLE_TRIGGER}: tables after "
+          f"order // {gf._TABLE_TRIGGER} slow products")
+    print()
+
+
 def first_crossover(rows):
     # first size from which the second kernel never loses again
     for i, (n, old, new) in enumerate(rows):
@@ -91,7 +143,7 @@ def report(title, size, rows, winner):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--chars", type=int, nargs="+", default=[3, 5, 101],
+    ap.add_argument("--chars", type=int, nargs="*", default=[3, 5, 101],
                     help="prime characteristics to sweep (default: 3 5 101)")
     ap.add_argument("--max-len", type=int, default=192,
                     help="largest combined operand length (default: 192)")
@@ -114,6 +166,9 @@ def main(argv=None):
         report(f"reduce, char {p}", "modulus degree",
                reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat, args.number),
                "barrett")
+    rng = random.Random(args.seed)
+    report_tables([(p ** k, *table_sweep(p, k, rng, args.repeat))
+                   for p, k in TABLE_FIELDS])
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from .survey import (
     perturbation_divisor_scan,
     record_key,
     resume,
+    skips_definition,
     special_primes_by_form,
     survey_degree,
     theorem5_report,
@@ -212,7 +213,8 @@ def cmd_survey(args) -> int:
     seed = _resolve_seed(args)
     rec = None
     if args.out and args.append and os.path.exists(args.out):
-        # resume: a record already stored for this key is reused as is
+        # resume: a record stored for this key by a run with the same
+        # table and budget options is reused as is
         header, stored = resume(args.out)
         if header.get("seed") != seed:
             raise SchemaVersionMismatch(
@@ -220,6 +222,10 @@ def cmd_survey(args) -> int:
                 f"seed {seed}"
             )
         rec = stored.get(record_key(field.descriptor(), args.degree))
+        if rec is not None and not rec.made_with(
+                field, multiplicities=not args.no_multiplicities,
+                def_skipped=skips_definition(field, args.degree, args.budget)):
+            rec = None
         if rec is not None:
             rec.validate(field)
     if rec is None:

@@ -10,13 +10,39 @@ positional encoding of the recursive coefficient vector, least
 significant level first.  Prime-field codes are plain residues, and a
 subfield element keeps the same code in every extension above it, so
 embeddings along the tower are the identity on codes.
+
+Extension-field products start on the slow route: _ext_mul splits both
+codes into digits, multiplies them as polynomials over the base and
+folds the top half back with the modulus.  A field of order at most
+2^16 counts those slow multiplications, and once the count reaches
+order // _TABLE_TRIGGER it builds log/antilog (Zech) tables (Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 1990): exp, the
+powers of a primitive element alpha, stored twice over so a sum of two
+logs needs no reduction; log, its inverse; and, in odd characteristic,
+zech[i] = log(1 + alpha^i), or -1 where 1 + alpha^i = 0.  From then on
+mul, inv and pow are lookups, add is exp[la + zech[lb - la]], and neg
+adds log(-1) = (q-1)/2; characteristic 2 keeps XOR for add.  The
+trigger keeps fields that do little arithmetic (most residue fields of
+a survey) from paying for tables, and by then the slow products spent
+are within a factor of two of the build cost: benchmarks/mul_threshold.py
+measures one _ext_mul at 2-6 times the build cost per element over
+F_625 and F_2187.  The primitive element is the first of x + c, then
+x^2 + bx + c, ... that passes the test g^((q-1)/r) != 1 for each prime
+r | q-1 (powers by _ext_mul).  Over a prime base the exp walk then
+multiplies by it in plain-int digits (for x + c, one shift and fold
+per step); towers walk by _ext_mul.  _ext_mul and the digit-wise
+_digit_add/_digit_neg stay as the slow oracle the tests compare the
+tables against.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DivisionByZero, FieldMismatch, NotMonic, NotPrime, Reducible
 
-_MUL_TABLE_MAX_ORDER = 256
+_TABLE_MAX_ORDER = 1 << 16  # larger fields stay on _ext_mul
+_TABLE_TRIGGER = 4  # build tables after order // 4 slow multiplications
 _MAX_TOWER_HEIGHT = 2
 
 _prime_field_cache: dict[int, "Field"] = {}
@@ -40,7 +66,7 @@ class Field:
 
     __slots__ = (
         "char", "order", "base", "degree", "modulus_codes",
-        "_mul_table", "_fold_rows", "height",
+        "_fold_rows", "height", "_countdown", "_exp", "_log", "_zech", "_half",
     )
 
     def __init__(self, char, order, base, degree, modulus_codes):
@@ -50,9 +76,16 @@ class Field:
         # degree is the extension degree over base; 1 for prime fields
         self.degree = degree
         self.modulus_codes = modulus_codes
-        self._mul_table = None
         self._fold_rows = None
         self.height = 0 if base is None else base.height + 1
+        # slow multiplications left before the tables pay for themselves;
+        # fields without tables start below zero and never reach it
+        if base is not None and order <= _TABLE_MAX_ORDER:
+            self._countdown = max(1, order // _TABLE_TRIGGER)
+        else:
+            self._countdown = -1
+        self._exp = self._log = self._zech = None
+        self._half = 0
 
     # -- identity -----------------------------------------------------
 
@@ -62,6 +95,8 @@ class Field:
         return self.base._key() + (self.modulus_codes,)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Field) and self._key() == other._key()
 
     def __hash__(self):
@@ -157,51 +192,60 @@ class Field:
             return (a + b) % self.char
         if self.char == 2:
             return a ^ b
-        base = self.base
-        bo = base.order
-        out = 0
-        pos = 1
-        while a or b:
-            a, da = divmod(a, bo)
-            b, db = divmod(b, bo)
-            out += base.add(da, db) * pos
-            pos *= bo
-        return out
+        log = self._log
+        if log is None:
+            return self._digit_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.base is None:
             return -a % self.char
-        if self.char == 2:
+        if self.char == 2 or not a:
             return a
-        base = self.base
-        bo = base.order
-        out = 0
-        pos = 1
-        while a:
-            a, da = divmod(a, bo)
-            out += base.neg(da) * pos
-            pos *= bo
-        return out
+        log = self._log
+        if log is None:
+            return self._digit_neg(a)
+        return self._exp[log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         if self.base is None:
             return (a - b) % self.char
         if self.char == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        log = self._log
+        if log is None:
+            return self._digit_add(a, self._digit_neg(b))
+        if not b:
+            return a
+        lb = log[b] + self._half
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
             return a * b % self.char
         if a == 0 or b == 0:
             return 0
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
         if a == 1:
             return b
         if b == 1:
             return a
-        table = self._table()
-        if table is not None:
-            return table[a][b]
+        self._countdown -= 1
+        if self._countdown == 0:
+            self._build_tables()
+            return self._exp[self._log[a] + self._log[b]]
         return self._ext_mul(a, b)
 
     def inv(self, a: int) -> int:
@@ -209,6 +253,8 @@ class Field:
             raise DivisionByZero("inverse of zero")
         if self.base is None:
             return pow(a, self.char - 2, self.char)
+        if self._log is not None:
+            return self._exp[-self._log[a]]
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -217,6 +263,8 @@ class Field:
             e = -e
         if a == 0:
             return 1 if e == 0 else 0
+        if self._log is not None:
+            return self._exp[self._log[a] * e % (self.order - 1)]
         e %= self.order - 1
         result = 1
         while e:
@@ -232,15 +280,98 @@ class Field:
 
     # -- internals ----------------------------------------------------
 
-    def _table(self):
-        if self.order > _MUL_TABLE_MAX_ORDER:
-            return None
-        if self._mul_table is None:
-            self._mul_table = [
-                [self._ext_mul(i, j) if i and j else 0 for j in range(self.order)]
-                for i in range(self.order)
-            ]
-        return self._mul_table
+    def _digit_add(self, a: int, b: int) -> int:
+        base = self.base
+        bo = base.order
+        out = 0
+        pos = 1
+        while a or b:
+            a, da = divmod(a, bo)
+            b, db = divmod(b, bo)
+            out += base.add(da, db) * pos
+            pos *= bo
+        return out
+
+    def _digit_neg(self, a: int) -> int:
+        base = self.base
+        bo = base.order
+        out = 0
+        pos = 1
+        while a:
+            a, da = divmod(a, bo)
+            out += base.neg(da) * pos
+            pos *= bo
+        return out
+
+    def _ext_pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._ext_mul(result, a)
+            e >>= 1
+            if e:
+                a = self._ext_mul(a, a)
+        return result
+
+    def _is_primitive(self, g: int) -> bool:
+        n = self.order - 1
+        return all(self._ext_pow(g, n // r) != 1 for r in _prime_factors(n))
+
+    def _build_tables(self):
+        n = self.order - 1
+        g = next(g for g in self._generator_candidates() if self._is_primitive(g))
+        if self.base.is_prime_field:
+            exp = self._walk_digits(g)
+        else:
+            exp = [1]
+            for _ in range(n - 1):
+                exp.append(self._ext_mul(exp[-1], g))
+        log = [-1] * self.order  # log[0] is never read as a logarithm
+        for i, v in enumerate(exp):
+            log[v] = i
+        if self.char != 2:
+            # 1 + alpha^i: add one to the lowest base-p digit of the code
+            p = self.char
+            zech = [log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp]
+            # doubled, so any index in (-2n, 2n) lands on its residue mod n
+            self._zech = zech + zech
+            self._half = n // 2
+        self._exp = exp + exp
+        self._log = log
+
+    def _generator_candidates(self):
+        # x + c, x^2 + b*x + c, ... first: a scalar multiple a*h gets the
+        # same verdict as h whenever base.order - 1 divides every
+        # (q - 1)/r, so trying it mostly repeats a test; then every code
+        b = self.base.order
+        for j in range(1, self.degree):
+            yield from range(b ** j, 2 * b ** j)
+        yield from range(1, self.order)
+
+    def _walk_digits(self, g: int) -> list[int]:
+        # [g^0, ..., g^(q-2)] over a prime base in plain-int digits:
+        # v*g by Horner over the digits of g, each step a shift of the
+        # digits plus top times x^k (one of the precomputed folds); for
+        # g = x + c that is one shift-fold plus c times the old digits
+        p = self.char
+        row = self._fold()[0] if self.degree > 1 else ()
+        folds = [[t * r for r in row] for t in range(p)]
+        weights = [p ** i for i in range(self.degree)]
+        gd = self.digits(g)
+        while not gd[-1]:
+            gd.pop()
+        high = gd.pop()
+        v = [1] + [0] * (self.degree - 1)
+        exp = []
+        for _ in range(self.order - 1):
+            exp.append(sum(map(operator.mul, v, weights)))
+            acc = v if high == 1 else [high * d % p for d in v]
+            for c in reversed(gd):
+                # zip stops at k: the top digit leaves the shift
+                acc = [(s + f + c * d) % p
+                       for s, f, d in zip([0, *acc], folds[acc[-1]], v)]
+            v = acc
+        return exp
 
     def _fold(self):
         # rows[j] holds the coefficients of x^(k+j) reduced mod the modulus
@@ -298,7 +429,7 @@ class FieldElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return other.code
             if self.field.is_extension_of(other.field):
                 return other.code
@@ -452,6 +583,21 @@ def _format_codes(codes) -> str:
             var = "t" if e == 1 else f"t^{e}"
             terms.append(var if c == 1 else f"{c}*{var}")
     return "+".join(terms) if terms else "0"
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _prime_power(n: int):

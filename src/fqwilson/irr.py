@@ -6,24 +6,10 @@ from dataclasses import dataclass
 
 from . import _gf2
 from .errors import NotMonic, Reducible
-from .gf import Field, FieldElement, make_extension
+from .gf import Field, FieldElement, _prime_factors, make_extension
 from .poly import ModReducer, Poly, _pack2, gcd
 
 _ROOT_SCAN_MAX_ORDER = 64
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -126,9 +126,7 @@ class Poly:
         lc = self.lead_code
         if lc == 1:
             return self
-        inv = self.field.inv(lc)
-        mul = self.field.mul
-        return Poly(self.field, tuple(mul(c, inv) for c in self.codes))
+        return self._scale_code(self.field.inv(lc))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -150,7 +148,7 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def _check_field(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(
                 f"polynomials over F{self.field.order} and F{other.field.order}"
             )
@@ -202,8 +200,15 @@ class Poly:
             return Poly(self.field, ())
         if code == 1:
             return self
-        mul = self.field.mul
-        return Poly(self.field, tuple(mul(x, code) for x in self.codes))
+        return self._scale_code(code)
+
+    def _scale_code(self, code: int) -> "Poly":
+        field = self.field
+        if field.is_prime_field:
+            p = field.char
+            return Poly(field, [x * code % p for x in self.codes])
+        mul = field.mul
+        return Poly(field, tuple(mul(x, code) for x in self.codes))
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -265,6 +270,8 @@ class Poly:
     def derivative(self) -> "Poly":
         field = self.field
         p = field.char
+        if field.is_prime_field:
+            return Poly(field, [c * j % p for j, c in enumerate(self.codes)][1:])
         mul = field.mul
         out = []
         for j in range(1, len(self.codes)):
@@ -597,25 +604,29 @@ class ModReducer:
         return self.reduce(a * b)
 
     def powmod(self, a: Poly, e: int) -> Poly:
+        """a^e reduced, by left-to-right square-and-multiply: one
+        squaring per exponent bit below the top one and one product per
+        set bit among them (e = 3 costs two products)."""
         if e < 0:
             raise ValueError("negative exponents are not supported mod a polynomial")
+        if e == 0:
+            return Poly.one(self.field)
+        bits = bin(e)[3:]  # the exponent bits below the leading one
         if self._mode == "gf2":
-            pa = self._packed.reduce(_pack2(a.codes))
-            result = 1
             red = self._packed
-            while e:
-                if e & 1:
+            pa = red.reduce(_pack2(a.codes))
+            result = pa
+            for bit in bits:
+                result = red.sqrmod(result)
+                if bit == "1":
                     result = red.mulmod(result, pa)
-                pa = red.sqrmod(pa)
-                e >>= 1
             return Poly(self.field, _unpack2(result))
         a = self.reduce(a)
-        result = Poly.one(self.field)
-        while e:
-            if e & 1:
+        result = a
+        for bit in bits:
+            result = self.reduce(result * result)
+            if bit == "1":
                 result = self.reduce(result * a)
-            a = self.reduce(a * a)
-            e >>= 1
         return result
 
 

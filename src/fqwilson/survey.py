@@ -88,6 +88,27 @@ class SurveyRecord:
     def key(self) -> str:
         return record_key(self.field_descriptor, self.degree)
 
+    def made_with(self, field: Field, *, multiplicities: bool,
+                  def_skipped: bool) -> bool:
+        """Whether survey_degree with these options yields this record.
+
+        Records store no options, so the tables decide: without
+        multiplicities (or below degree 2) all three are empty; with
+        them each special prime's c has an L and a D row and, for
+        p > 2, each Wilson prime has a wilson_sum entry.
+        """
+        if self.def_skipped != def_skipped:
+            return False
+        specials, wilson = set(), set()
+        if multiplicities and self.degree >= 2:
+            specials = {c for c, primes in self.special_primes.items() if primes}
+            if field.char > 2:
+                wilson = set(self.wilson_primes)
+        tables = self.multiplicities
+        return (set(tables.get("L_minus_c", ())) == specials
+                and set(tables.get("D_plus_sign_c", ())) == specials
+                and set(tables.get("wilson_sum", ())) == wilson)
+
     def validate(self, field: Field):
         p = field.char
         d = self.degree
@@ -210,6 +231,13 @@ def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def):
     return rows
 
 
+def skips_definition(field: Field, d: int, def_budget) -> bool:
+    """Whether survey_degree drops the definition route: q^d is above
+    def_budget and p > 2 (characteristic 2 has no other route)."""
+    return (def_budget is not None and field.order ** d > def_budget
+            and field.char > 2)
+
+
 def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
                   full_suites: bool = False, def_budget=None,
                   multiplicities: bool = True) -> SurveyRecord:
@@ -226,8 +254,7 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
         raise ValueError("degree must be at least 1")
     t0 = time.perf_counter()
     p = field.char
-    skip_def = (def_budget is not None and field.order ** d > def_budget
-                and p > 2)
+    skip_def = skips_definition(field, d, def_budget)
     descriptor = field.descriptor()
 
     if jobs <= 1:

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotPrime
 from fqwilson.gf import (
+    _TABLE_TRIGGER,
     FieldElement,
     default_modulus,
     make_extension,
@@ -11,7 +13,7 @@ from fqwilson.gf import (
     parse_field,
 )
 from fqwilson.irr import is_irreducible
-from fqwilson.poly import parse_poly
+from fqwilson.poly import Poly, parse_poly
 
 
 def test_prime_field_matches_integers_mod_p():
@@ -151,3 +153,158 @@ def test_digits_round_trip():
     field = make_extension(make_prime_field(3), default_modulus(3, 2))
     for code in range(field.order):
         assert field.undigits(field.digits(code)) == code
+
+
+
+# -- log/antilog (Zech) tables against the slow oracle ------------------
+
+F3 = make_prime_field(3)
+F5 = make_prime_field(5)
+
+
+def quadratic_tower(base):
+    """base[y]/(y^2 + c1*y + c0) for the first irreducible quadratic."""
+    for c0, c1 in itertools.product(range(1, base.order), range(base.order)):
+        cand = Poly(base, (c0, c1, 1))
+        if is_irreducible(cand):
+            return make_extension(base, cand)
+    raise AssertionError("no irreducible quadratic")  # pragma: no cover
+
+
+# each builds its tables by a different route: walking x, walking some
+# x + c or a larger-degree element, XOR addition, or _ext_mul steps
+SMALL_TABLE_FIELDS = {
+    "F_4, char 2": lambda: parse_field("4"),
+    "F_9, x not primitive": lambda: parse_field("9"),
+    "F_16, char 2": lambda: parse_field("16"),
+    "F_16 over F_4, tower": lambda: quadratic_tower(parse_field("4")),
+    "F_25, x not primitive": lambda: parse_field("25"),
+    "F_27, x primitive": lambda: parse_field("27"),
+    "F_27, no x + c primitive":
+        lambda: make_extension(F3, parse_poly("t^3+2*t+2", F3)),
+    "F_81 over F_9, tower": lambda: quadratic_tower(parse_field("9")),
+}
+F625_FIELDS = {
+    "F_625, x not primitive": lambda: parse_field("625"),
+    "F_625, no x + c primitive":
+        lambda: make_extension(F5, parse_poly("t^4+3", F5)),
+}
+ALL_TABLE_FIELDS = {**SMALL_TABLE_FIELDS, **F625_FIELDS}
+
+
+def x_plus_c_primitive(field):
+    p = field.char
+    return [c for c in range(p) if field._is_primitive(field.gen_code + c)]
+
+
+def test_table_fields_cover_each_build_route():
+    fields = {label: make() for label, make in ALL_TABLE_FIELDS.items()}
+    assert 0 in x_plus_c_primitive(fields["F_27, x primitive"])
+    for label in ("F_9, x not primitive", "F_25, x not primitive",
+                  "F_625, x not primitive"):
+        assert 0 not in x_plus_c_primitive(fields[label])
+    for label in ("F_27, no x + c primitive", "F_625, no x + c primitive"):
+        assert x_plus_c_primitive(fields[label]) == []
+    for label in ("F_16 over F_4, tower", "F_81 over F_9, tower"):
+        assert not fields[label].base.is_prime_field
+    assert fields["F_81 over F_9, tower"].order == 81
+
+
+def check_against_oracle(field, elements, pairs):
+    n = field.order - 1
+    for a in elements:
+        if field.char == 2:
+            assert field.neg(a) == a
+        else:
+            assert field.neg(a) == field._digit_neg(a)
+        if not a:
+            continue
+        inv = field.inv(a)
+        assert field._ext_mul(a, inv) == 1
+        for e in (0, 1, 2, 5, n - 1, n, n + 3):
+            assert field.pow(a, e) == field._ext_pow(a, e)
+            assert field.pow(a, -e) == field._ext_pow(inv, e)
+    for a, b in pairs:
+        assert field.mul(a, b) == (field._ext_mul(a, b) if a and b else 0)
+        if field.char == 2:
+            assert field.add(a, b) == field.sub(a, b) == a ^ b
+        else:
+            assert field.add(a, b) == field._digit_add(a, b)
+            assert field.sub(a, b) == field._digit_add(a, field._digit_neg(b))
+
+
+@pytest.mark.parametrize("label", SMALL_TABLE_FIELDS)
+def test_tables_match_oracle_exhaustive(label):
+    field = SMALL_TABLE_FIELDS[label]()
+    field._build_tables()
+    codes = range(field.order)
+    check_against_oracle(field, codes, itertools.product(codes, repeat=2))
+
+
+@pytest.mark.parametrize("label", F625_FIELDS)
+def test_tables_match_oracle_random_f625(label):
+    field = F625_FIELDS[label]()
+    field._build_tables()
+    rng = random.Random(625)
+    elements = [0, 1] + [rng.randrange(field.order) for _ in range(60)]
+    pairs = [(rng.randrange(field.order), rng.randrange(field.order))
+             for _ in range(4000)]
+    check_against_oracle(field, elements, pairs + [(a, a) for a in elements])
+
+
+@pytest.mark.parametrize("label", ALL_TABLE_FIELDS)
+def test_log_and_exp_are_inverse_bijections(label):
+    field = ALL_TABLE_FIELDS[label]()
+    field._build_tables()
+    q = field.order
+    n = q - 1
+    exp, log = field._exp, field._log
+    assert len(exp) == 2 * n and exp[:n] == exp[n:]
+    assert sorted(exp[:n]) == list(range(1, q))
+    assert [log[exp[i]] for i in range(n)] == list(range(n))
+    g = exp[1]
+    assert all(exp[i + 1] == field._ext_mul(exp[i], g) for i in range(n))
+    if field.char == 2:
+        assert field._zech is None
+        return
+    zech = field._zech
+    assert len(zech) == 2 * n and zech[:n] == zech[n:]
+    for i in range(n):
+        one_plus = field._digit_add(1, exp[i])
+        assert (zech[i] == -1) if one_plus == 0 else exp[zech[i]] == one_plus
+
+
+def test_tables_wait_for_the_trigger():
+    field = parse_field("625")
+    x = field.gen_code
+    for _ in range(field.order // _TABLE_TRIGGER - 1):
+        field.mul(x, x)
+        field.add(x, x)
+        field.mul(x, 1)  # products with 0 or 1 are not slow
+    assert field._log is None
+    field.mul(x, x)
+    assert field._log is not None
+    assert field.mul(x, x) == field._ext_mul(x, x)
+
+
+def test_prime_fields_and_fields_above_the_cap_build_no_tables():
+    big = parse_field("5^7")  # 78125 > 2^16
+    assert big.order > 1 << 16
+    g = big.gen_code
+    a = 1
+    for _ in range(big.order // _TABLE_TRIGGER + 1):
+        a = big.mul(a, g)
+    assert big._log is None
+    assert a == big._ext_pow(g, big.order // _TABLE_TRIGGER + 1)
+    f3 = make_prime_field(3)
+    for _ in range(10):
+        f3.mul(2, 2)
+    assert f3._log is None
+
+
+def test_field_equality_fast_path_and_keys():
+    f9 = parse_field("9")
+    assert f9 == f9
+    assert f9 == parse_field("9") and f9 is not parse_field("9")
+    assert f9 != parse_field("9:t^2+2*t+2")
+    assert f9 != make_prime_field(3) and f9 != "9"

@@ -405,3 +405,67 @@ def test_prime_add_sub_neg_property(p):
         check_addsub_oracle(field, a, b)
 
     check()
+
+
+def test_prime_monic_scale_derivative_match_field_calls():
+    rng = random.Random(29)
+    for p in ODD_PRIMES:
+        field = make_prime_field(p)
+        mul = field.mul
+        for _ in range(20):
+            f = rand_poly(field, rng.randrange(0, 30), rng)
+            c = rng.randrange(1, p)
+            inv = field.inv(f.lead_code)
+            assert f.monic() == Poly(field, [mul(x, inv) for x in f.codes])
+            assert f.scale(field(c)) == Poly(field, [mul(x, c) for x in f.codes])
+            assert f.derivative() == Poly(
+                field, [mul(x, j % p) for j, x in enumerate(f.codes)][1:])
+
+
+def _mod_reducers():
+    """(reducer, base) pairs covering the school, Barrett, packed GF(2)
+    and extension-field modes."""
+    rng = random.Random(31)
+    f4 = make_extension(make_prime_field(2), default_modulus(2, 2))
+    for field, deg in ((make_prime_field(3), 4), (make_prime_field(5), 3),
+                       (make_prime_field(3), 30), (make_prime_field(2), 5),
+                       (f4, 3)):
+        red = ModReducer(rand_poly(field, deg, rng).monic())
+        yield red, red.reduce(rand_poly(field, deg + 3, rng))
+
+
+def test_powmod_matches_plain_power():
+    for red, a in _mod_reducers():
+        q = red.field.order
+        d = red.modulus.degree
+        exps = (0, 1, 2, 3, q, q ** 2 if d > 8 else q ** d)
+        for e in exps:
+            assert red.powmod(a, e) == red.reduce(a ** e)
+
+
+def test_powmod_product_count(monkeypatch):
+    # left-to-right: one squaring and one product for e = 3
+    from fqwilson import _gf2
+
+    calls = []
+    for cls, names in ((ModReducer, ("reduce",)),
+                       (_gf2.Reducer, ("mulmod", "sqrmod"))):
+        for name in names:
+            orig = getattr(cls, name)
+
+            def counted(self, *args, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    for red, a in _mod_reducers():
+        calls.clear()
+        red.powmod(a, 3)
+        if red.field.order == 2:
+            assert calls == ["sqrmod", "mulmod"]
+        else:
+            assert calls == ["reduce"] * 3  # the initial reduction, then 2
+        calls.clear()
+        red.powmod(a, 625)  # 9 squarings and 4 products below the top bit
+        products = len(calls) - (red.field.order != 2)
+        assert products == 13

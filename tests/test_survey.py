@@ -364,3 +364,32 @@ def test_fq_distribution_budget():
         fq_distribution(ctx, 3, budget=1)
     with pytest.raises(ValueError):
         fq_distribution(ctx, 0)
+
+
+def test_append_recomputes_record_made_with_other_options(tmp_path, capsys,
+                                                           monkeypatch):
+    from fqwilson.cli import main
+
+    monkeypatch.delenv("CARLITZ_SEED", raising=False)
+
+    def survey(*extra):
+        assert main(["survey", "--field", "3", "--degree", "3", *extra]) == 0
+        return capsys.readouterr().out
+
+    fresh = survey()
+    assert "mult L_minus_c c=2: " in fresh
+    assert "mult D_plus_sign_c c=2: " in fresh
+    path = str(tmp_path / "sweep.jsonl")
+    bare = survey("--no-multiplicities", "--out", path)
+    assert "mult L_minus_c" not in bare
+    assert survey("--out", path, "--append") == fresh
+    assert survey("--no-multiplicities", "--out", path, "--append") == bare
+    # a budget that skips the definition route is another option set
+    skipped = survey("--budget", "10", "--out", path, "--append")
+    assert skipped == fresh + "def condition skipped (bound)\n"
+    _, stored = resume(path)
+    assert stored["3|3"].def_skipped
+    # the latest record of each option set is reused, not appended again
+    lines = len(open(path).read().splitlines())
+    assert survey("--budget", "10", "--out", path, "--append") == skipped
+    assert len(open(path).read().splitlines()) == lines
