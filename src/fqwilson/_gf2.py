@@ -13,6 +13,8 @@ modulus) so repeated powmod steps cost two multiplies each.
 
 from __future__ import annotations
 
+from .gf import _prime_factors
+
 _MUL_LANE_CUTOVER = 2048  # bits; below this shift-xor wins
 
 # byte -> its 16-byte spread (each bit moved to its own 16-bit lane)
@@ -190,18 +192,7 @@ def is_irreducible(f: int) -> bool:
         return False  # divisible by t
     if bin(f).count("1") % 2 == 0:
         return False  # divisible by t+1
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    checkpoints = sorted({n // r for r in primes})
+    checkpoints = sorted({n // r for r in _prime_factors(n)})
     red = Reducer(f)
     h = 2  # the polynomial t
     done = 0

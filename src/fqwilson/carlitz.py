@@ -21,20 +21,8 @@ from __future__ import annotations
 
 from .errors import BoundExceeded, ZeroC
 from .gf import Field
+from .irr import monic_polys
 from .poly import DEGREE_GUARD, ModReducer, Poly, exact_div, q_power_expand
-
-
-def monic_polys(field: Field, degree: int):
-    """All monic polynomials of the given degree, in code order."""
-    q = field.order
-    for index in range(q ** degree):
-        codes = []
-        m = index
-        for _ in range(degree):
-            m, r = divmod(m, q)
-            codes.append(r)
-        codes.append(1)
-        yield Poly(field, tuple(codes))
 
 
 class CarlitzCache:

@@ -247,9 +247,7 @@ def wilson_multiplicity(ctx: PrimeContext) -> int:
     cap = field.char + 2
     cache = CarlitzCache(field)
     r = cache.F_mod(ctx.degree, prime ** (cap + 1)) + Poly.one(field)
-    if r.is_zero:
-        return cap
-    return min(valuation(r, prime), cap)
+    return _capped_valuation(r, prime, cap)
 
 
 def coefficient_characterization(prime: Poly) -> bool:
@@ -300,3 +298,11 @@ def valuation(f: Poly, prime: Poly) -> int:
             return k
         cur = quot
         k += 1
+
+
+def _capped_valuation(f_mod: Poly, prime: Poly, cap: int) -> int:
+    # f_mod must be the operand reduced mod prime^(cap+1); a zero
+    # residue therefore means valuation at least cap+1, reported cap.
+    if f_mod.is_zero:
+        return cap
+    return min(valuation(f_mod, prime), cap)

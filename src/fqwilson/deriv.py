@@ -99,9 +99,8 @@ def delta_at_theta(a: Poly, ctx: PrimeContext, i: int) -> FieldElement:
     return eval_poly(delta(a, ctx, i), ctx.theta)
 
 
-def derivative_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:
-    """(da/dt) mod P^k computed from a mod P^(k+1)."""
-    prime = _prime_for(a, ctx)
+def derivative_mod(a: Poly, prime: Poly, k: int) -> Poly:
+    """(da/dt) mod prime^k computed from a mod prime^(k+1)."""
     r = divrem(a, prime ** (k + 1))[1]
     return divrem(r.derivative(), prime ** k)[1]
 

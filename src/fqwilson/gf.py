@@ -48,19 +48,6 @@ _MAX_TOWER_HEIGHT = 2
 _prime_field_cache: dict[int, "Field"] = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class Field:
     """A prime field or a tower extension with a fixed modulus."""
 
@@ -514,7 +501,7 @@ def make_prime_field(p: int) -> Field:
     """The prime field F_p; p is checked by trial division."""
     if p in _prime_field_cache:
         return _prime_field_cache[p]
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     field = Field(char=p, order=p, base=None, degree=1, modulus_codes=None)
     _prime_field_cache[p] = field
@@ -552,21 +539,9 @@ def default_modulus(p: int, k: int):
     Candidates t^k + c_{k-1} t^{k-1} + ... + c_0 are ordered by the
     tuple (c_{k-1}, ..., c_0), i.e. by the integer sum c_i p^i.
     """
-    field = make_prime_field(p)
-    from .irr import is_irreducible
-    from .poly import Poly
+    from .irr import is_irreducible, monic_polys
 
-    for n in range(p ** k):
-        codes = []
-        m = n
-        for _ in range(k):
-            m, r = divmod(m, p)
-            codes.append(r)
-        codes.append(1)
-        cand = Poly(field, tuple(codes))
-        if is_irreducible(cand):
-            return cand
-    raise Reducible(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
+    return next(f for f in monic_polys(make_prime_field(p), k) if is_irreducible(f))
 
 
 def _format_codes(codes) -> str:
@@ -601,22 +576,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _prime_power(n: int):
-    if n < 2:
+    """(p, k) with n = p^k for a prime p and k >= 1."""
+    factors = _prime_factors(n)
+    if len(factors) != 1:
         raise ValueError(f"{n} is not a prime power")
-    p = n
-    for f in range(2, n + 1):
-        if f * f > n:
-            break
-        if n % f == 0:
-            p = f
-            break
-    k = 0
-    m = n
-    while m % p == 0 and m > 1:
-        m //= p
+    p = factors[0]
+    k = 1
+    while p ** k != n:
         k += 1
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
     return p, k
 
 
@@ -631,8 +598,10 @@ def parse_field(descriptor: str) -> Field:
     if "^" in text:
         ps, ks = text.split("^", 1)
         p, k = int(ps), int(ks)
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
+        if k < 1:
+            raise ValueError(f"extension degree {k} must be at least 1")
     else:
         p, k = _prime_power(int(text))
     base = make_prime_field(p)

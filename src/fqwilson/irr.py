@@ -96,17 +96,23 @@ class PrimeContext:
         return f"PrimeContext({self.prime})"
 
 
-def candidate_poly(field: Field, d: int, index: int) -> Poly:
-    """The index-th monic degree-d polynomial, counted with the
-    constant coefficient as the least significant digit."""
+def monic_polys(field: Field, d: int, start: int = 0, stop=None):
+    """The monic polynomials of degree d in candidate-index order.
+
+    Index sum c_i q^i runs over the coefficients below the leading 1,
+    the constant term as the least significant digit; [start, stop)
+    restricts the index range.
+    """
     q = field.order
-    codes = []
-    m = index
-    for _ in range(d):
-        m, r = divmod(m, q)
-        codes.append(r)
-    codes.append(1)
-    return Poly(field, tuple(codes))
+    hi = q ** d if stop is None else min(stop, q ** d)
+    for index in range(start, hi):
+        codes = []
+        m = index
+        for _ in range(d):
+            m, r = divmod(m, q)
+            codes.append(r)
+        codes.append(1)
+        yield Poly(field, tuple(codes))
 
 
 def iter_monic_irreducibles(field: Field, d: int, start: int = 0, stop=None):
@@ -114,29 +120,18 @@ def iter_monic_irreducibles(field: Field, d: int, start: int = 0, stop=None):
     candidate-index order; [start, stop) restricts the index range."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    q = field.order
-    hi = q ** d if stop is None else min(stop, q ** d)
-    for index in range(start, hi):
-        if d > 1 and index % q == 0:
+    for cand in monic_polys(field, d, start, stop):
+        if d > 1 and cand.codes[0] == 0:
             continue  # constant term zero, divisible by t
-        cand = candidate_poly(field, d, index)
         if is_irreducible(cand):
             yield PrimeContext.for_prime(cand)
 
 
 def _moebius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    factors = _prime_factors(n)
+    if any(n % (r * r) == 0 for r in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def count_irreducibles(field: Field, d: int) -> int:

@@ -13,13 +13,14 @@ polynomials stay short in this package).  ModReducer precomputes a
 Barrett inverse so repeated reductions by a fixed modulus cost two
 multiplies instead of a quadratic division.
 
-Over odd prime fields the hot kernels work on plain int lists and make
-no per-coefficient Field call: addition and negation reduce each
-coefficient inline, Kronecker packing goes through array lanes of 1, 2,
-4 or 8 bytes, and long division (_divrem_prime) subtracts whole rows
-and reduces a slot mod p only when it becomes the leading term.  The
-generic field-call division (_divrem_field) serves extension fields and
-stays as the slow oracle the tests compare against.
+Over every prime field addition and negation reduce each coefficient
+inline.  Over odd prime fields the other hot kernels also work on plain
+int lists and make no per-coefficient Field call: Kronecker packing goes
+through array lanes of 1, 2, 4 or 8 bytes, and long division
+(_divrem_prime) subtracts whole rows and reduces a slot mod p only when
+it becomes the leading term.  The generic field-call division
+(_divrem_field) serves extension fields and stays as the slow oracle
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         field = self.field
-        if field.is_prime_field and field.char != 2:
+        if field.is_prime_field:
             p = field.char
             out = [(x + y) % p for x, y in zip(a, b)]
             out += a[len(b):]
@@ -178,7 +179,7 @@ class Poly:
 
     def __neg__(self):
         field = self.field
-        if field.is_prime_field and field.char != 2:
+        if field.is_prime_field:
             p = field.char
             return Poly(field, [-c % p for c in self.codes])
         neg = field.neg

@@ -18,15 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .carlitz import CarlitzCache, CarlitzChain, monic_polys
+from .carlitz import CarlitzCache, CarlitzChain
 from .congruence import (
+    _capped_valuation,
     coefficient_characterization,
     is_special_wilson,
-    valuation,
     wilson_suite,
 )
+from .deriv import derivative_mod
 from .errors import (
-    BudgetExceeded,
     EquivalenceViolation,
     SchemaVersionMismatch,
     TheoremViolation,
@@ -39,8 +39,9 @@ from .irr import (
     count_irreducibles,
     is_irreducible,
     iter_monic_irreducibles,
+    monic_polys,
 )
-from .poly import ModReducer, Poly, divrem, embed, eval_poly
+from .poly import ModReducer, Poly
 
 SCHEMA = "fqwilson.survey/1"
 
@@ -48,17 +49,6 @@ SCHEMA = "fqwilson.survey/1"
 def canonical_json(obj) -> str:
     """The one JSON shape used everywhere bytes must be reproducible."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# -- valuations -------------------------------------------------------
-
-
-def _capped_valuation(f_mod: Poly, prime: Poly, cap: int) -> int:
-    # f_mod must be the operand reduced mod prime^(cap+1); a zero
-    # residue therefore means valuation at least cap+1, reported cap.
-    if f_mod.is_zero:
-        return cap
-    return min(valuation(f_mod, prime), cap)
 
 
 # -- survey records ----------------------------------------------------
@@ -314,9 +304,8 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
                 # the derivative of a residue mod P^(cap+2) pins the
                 # derivative of L itself mod P^(cap+1)
                 chain = CarlitzChain(ModReducer(prime ** (cap + 2)))
-                ws = -chain.L(d - 1).derivative()
-                ws_red = divrem(ws, prime ** (cap + 1))[1]
-                tables["wilson_sum"][text] = _capped_valuation(ws_red, prime, cap)
+                ws = -derivative_mod(chain.L(d - 1), prime, cap + 1)
+                tables["wilson_sum"][text] = _capped_valuation(ws, prime, cap)
     t2 = time.perf_counter()
 
     record = SurveyRecord(
@@ -735,44 +724,6 @@ def alt_gcd_conjecture_scan(field: Field, d_max: int) -> list:
                 violates_expectation=(d % p != 0),
             ))
     return findings
-
-
-# -- distribution ------------------------------------------------------
-
-
-def fq_distribution(ctx: PrimeContext, degree_bound: int,
-                    budget: int = 1 << 22) -> dict:
-    """Histogram of Q(a)(theta) over monic a of degree < degree_bound.
-
-    Uses the closed form Q(a)(theta) = -a'(theta) / P'(theta), read
-    off by differentiating a^(q^d) - a = P Q at theta.  Exploratory
-    output for the distribution question; nothing is asserted.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be at least 1")
-    field = ctx.prime.field
-    n_bases = sum(field.order ** e for e in range(degree_bound))
-    if ctx.norm * n_bases > budget:
-        raise BudgetExceeded(
-            f"q^d * bases = {ctx.norm * n_bases} exceeds budget {budget}"
-        )
-    E = ctx.residue_field
-    dp_at = eval_poly(embed(ctx.prime.derivative(), E), ctx.theta)
-    factor = -FieldElement(E, E.inv(dp_at.code))
-    counts = {}
-    for e in range(degree_bound):
-        for a in monic_polys(field, e):
-            av = eval_poly(embed(a.derivative(), E), ctx.theta)
-            code = (av * factor).code
-            counts[code] = counts.get(code, 0) + 1
-    return {
-        "field": field.descriptor(),
-        "prime": str(ctx.prime),
-        "residue_field_order": ctx.norm,
-        "degree_bound": degree_bound,
-        "total": n_bases,
-        "counts": dict(sorted(counts.items())),
-    }
 
 
 # -- persistence -------------------------------------------------------

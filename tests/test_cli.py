@@ -135,10 +135,15 @@ def test_scan_no_findings(capsys):
 # ------------------------------------------------------------ exit codes
 
 
-def test_bad_field_exits_2(capsys):
-    _, err = run(capsys, ["primes", "list", "--field", "6", "--degree", "2"],
+@pytest.mark.parametrize("descriptor,message", [
+    ("6", "6 is not a prime power"),
+    ("2^-1", "extension degree -1 must be at least 1"),
+    ("2^0", "extension degree 0 must be at least 1"),
+], ids=["6", "2^-1", "2^0"])
+def test_bad_field_exits_2(capsys, descriptor, message):
+    _, err = run(capsys, ["primes", "list", "--field", descriptor, "--degree", "2"],
                  expect=2)
-    assert "not a prime power" in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("degree", ["0", "-1"])

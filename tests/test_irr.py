@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from fqwilson.errors import NotMonic, Reducible
-from fqwilson.gf import make_prime_field
+from fqwilson.gf import _prime_factors, _prime_power, make_prime_field, parse_field
 from fqwilson.irr import (
     PrimeContext,
-    candidate_poly,
+    _moebius,
     count_irreducibles,
     is_irreducible,
     iter_monic_irreducibles,
+    monic_polys,
 )
 from fqwilson.poly import Poly, divrem, embed, eval_poly, parse_poly
 
@@ -73,11 +74,36 @@ def test_iteration_windows_partition():
     assert pieces == whole
 
 
-def test_candidate_poly_enumerates_monics():
-    field = make_prime_field(3)
-    d = 2
-    seen = {str(candidate_poly(field, d, i)) for i in range(field.order ** d)}
-    assert seen == {str(f) for f in monics(field, d)}
+@pytest.mark.parametrize("q,d", [(2, 0), (2, 5), (3, 3), (4, 2)])
+def test_monic_polys_enumerates_monics(q, d):
+    field = parse_field(str(q))
+    whole = list(monic_polys(field, d))
+    # every monic exactly once, ordered with the constant term as the
+    # least significant digit
+    assert whole == sorted(monics(field, d), key=lambda f: f.codes[::-1])
+    total = q ** d
+    for step in (1, 7):
+        pieces = []
+        for lo in range(0, total, step):
+            pieces.extend(monic_polys(field, d, lo, lo + step))
+        assert pieces == whole
+    assert list(monic_polys(field, d, 1, total + 5)) == whole[1:]
+
+
+def test_prime_factor_helpers_match_trial_division():
+    n_max = 2000
+    primes = [m for m in range(2, n_max) if all(m % f for f in range(2, m))]
+    powers = {p ** k: (p, k) for p in primes for k in range(1, 12) if p ** k < n_max}
+    for n in range(1, n_max):
+        factors = [p for p in primes if n % p == 0]
+        assert _prime_factors(n) == factors
+        if n in powers:
+            assert _prime_power(n) == powers[n]
+        else:
+            with pytest.raises(ValueError):
+                _prime_power(n)
+        squarefree = all(n % (p * p) for p in factors)
+        assert _moebius(n) == ((-1) ** len(factors) if squarefree else 0)
 
 
 def test_prime_context_theta_is_root():

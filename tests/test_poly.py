@@ -347,13 +347,13 @@ def test_kron_mul_matches_schoolbook_fixed_seed():
 
 def test_prime_add_sub_neg_match_field_calls_fixed_seed():
     rng = random.Random(23)
-    for p in ODD_PRIMES:
+    for p in ODD_PRIMES + (2,):
         field = make_prime_field(p)
         for _ in range(40):
             a = rand_codes(p, rng.randrange(0, 40), rng)
             b = rand_codes(p, rng.randrange(0, 40), rng)
             check_addsub_oracle(field, a, b)
-        check_addsub_oracle(field, (1, 2), (p - 1, p - 2))  # cancels to zero
+        check_addsub_oracle(field, (1, p - 1), (p - 1, 1))  # cancels to zero
 
 
 def _codes(st, p, max_size):
@@ -393,7 +393,7 @@ def test_prime_divrem_and_gcd_property(p):
     check()
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES)
+@pytest.mark.parametrize("p", (2,) + ODD_PRIMES)
 def test_prime_add_sub_neg_property(p):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

@@ -2,24 +2,21 @@ import json
 
 import pytest
 
-from fqwilson.carlitz import CarlitzCache, monic_polys
+from fqwilson.carlitz import CarlitzCache
 from fqwilson.congruence import wilson_suite
-from fqwilson.deriv import fermat_quotient
 from fqwilson.errors import (
-    BudgetExceeded,
     SchemaVersionMismatch,
     TheoremViolation,
     ZeroC,
 )
 from fqwilson.gf import make_prime_field, parse_field
-from fqwilson.irr import PrimeContext, count_irreducibles, iter_monic_irreducibles
-from fqwilson.poly import Poly, embed, eval_poly, gcd, parse_poly
+from fqwilson.irr import count_irreducibles, iter_monic_irreducibles
+from fqwilson.poly import Poly, gcd, parse_poly
 from fqwilson.survey import (
     SurveyRecord,
     alt_gcd_conjecture_scan,
     borisov_scan,
     canonical_json,
-    fq_distribution,
     jsonl_document,
     persist,
     perturbation_divisor_scan,
@@ -330,40 +327,6 @@ def test_alt_gcd_conjecture_scan():
     assert alt_gcd_conjecture_scan(F5, 4) == []
     with pytest.raises(ValueError):
         alt_gcd_conjecture_scan(F2, 4)
-
-
-# ----------------------------------------------------------- distribution
-
-
-def test_fq_distribution_frozen():
-    ctx = PrimeContext.for_prime(parse_poly("t^2+t+1", F2))
-    hist = fq_distribution(ctx, 3)
-    assert hist["total"] == 7
-    assert hist["counts"] == {0: 3, 1: 4}
-    hist = fq_distribution(ctx, 2)
-    assert hist["total"] == 3
-    assert hist["counts"] == {0: 1, 1: 2}
-
-
-def test_fq_distribution_matches_exact_quotient():
-    ctx = PrimeContext.for_prime(parse_poly("t^2+1", F3))
-    hist = fq_distribution(ctx, 3)
-    assert sum(hist["counts"].values()) == hist["total"]
-    counts = {}
-    for e in range(3):
-        for a in monic_polys(F3, e):
-            val = eval_poly(embed(fermat_quotient(a, ctx), ctx.residue_field),
-                            ctx.theta)
-            counts[val.code] = counts.get(val.code, 0) + 1
-    assert counts == hist["counts"]
-
-
-def test_fq_distribution_budget():
-    ctx = PrimeContext.for_prime(parse_poly("t^2+t+1", F2))
-    with pytest.raises(BudgetExceeded):
-        fq_distribution(ctx, 3, budget=1)
-    with pytest.raises(ValueError):
-        fq_distribution(ctx, 0)
 
 
 def test_append_recomputes_record_made_with_other_options(tmp_path, capsys,
