@@ -20,10 +20,16 @@ order.  A field that builds after order // N slow products has spent
 about as much on them as the build costs when N = ext_mul time / build
 time per element; gf._TABLE_TRIGGER is that N, rounded.
 
+The GF(2) sweep (--gf2, in place of the others) times the carry-less
+shift-xor product against the 16-bit-lane product (_gf2._lane_mul) on
+two packed operands of equal bit length; _gf2.mul switches to the lanes
+once the shorter operand passes _gf2._MUL_LANE_CUTOVER bits.
+
 Usage:
     python3 benchmarks/mul_threshold.py
     python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
     python3 benchmarks/mul_threshold.py --chars   # extension fields only
+    python3 benchmarks/mul_threshold.py --gf2
 """
 
 import argparse
@@ -31,7 +37,7 @@ import random
 import time
 import timeit
 
-from fqwilson import gf, poly
+from fqwilson import _gf2, gf, poly
 from fqwilson.gf import make_extension, make_prime_field
 from fqwilson.irr import iter_monic_irreducibles
 from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
@@ -39,6 +45,7 @@ from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
 TABLE_MODULI = 8  # moduli averaged per field order
+GF2_BITS = (512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384)
 
 
 def time_once(fn, args, repeat, number):
@@ -79,6 +86,27 @@ def reduce_sweep(p, degrees, rng, repeat, number):
             raise AssertionError(f"reducers disagree at char {p}, degree {n}")
         rows.append((n, time_once(school.reduce, (f,), repeat, number),
                      time_once(barrett.reduce, (f,), repeat, number)))
+    return rows
+
+
+def shift_xor_mul(a, b):
+    """_gf2.mul with the lane product switched off."""
+    saved = _gf2._MUL_LANE_CUTOVER
+    _gf2._MUL_LANE_CUTOVER = max(a.bit_length(), b.bit_length())
+    try:
+        return _gf2.mul(a, b)
+    finally:
+        _gf2._MUL_LANE_CUTOVER = saved
+
+
+def gf2_sweep(rng, repeat, number):
+    rows = []
+    for bits in GF2_BITS:
+        a, b = (rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
+        if shift_xor_mul(a, b) != _gf2._lane_mul(a, b):
+            raise AssertionError(f"GF(2) products disagree at {bits} bits")
+        rows.append((bits, time_once(shift_xor_mul, (a, b), repeat, number),
+                     time_once(_gf2._lane_mul, (a, b), repeat, number)))
     return rows
 
 
@@ -128,11 +156,11 @@ def first_crossover(rows):
     return None
 
 
-def report(title, size, rows, winner):
-    print(f"{title}  ({size}, schoolbook us, {winner} us)")
+def report(title, size, rows, winner, loser="schoolbook"):
+    print(f"{title}  ({size}, {loser} us, {winner} us)")
     for n, old, new in rows:
         mark = f"  <-- {winner} wins" if new < old else ""
-        print(f"  {n:4d}  {old * 1e6:9.2f}  {new * 1e6:9.2f}{mark}")
+        print(f"  {n:5d}  {old * 1e6:9.2f}  {new * 1e6:9.2f}{mark}")
     cross = first_crossover(rows)
     if cross is None:
         print("  no stable crossover in range")
@@ -154,7 +182,17 @@ def main(argv=None):
                     help="timeit repeats, best is kept (default: 5)")
     ap.add_argument("--number", type=int, default=200,
                     help="operations per timing sample (default: 200)")
+    ap.add_argument("--gf2", action="store_true",
+                    help="sweep GF(2) products from 512 to 16384 bits instead; "
+                         "timing samples hold --number / 20 products")
     args = ap.parse_args(argv)
+
+    if args.gf2:
+        report("mul, GF(2)", "bits per operand",
+               gf2_sweep(random.Random(args.seed), args.repeat,
+                         max(1, args.number // 20)), "lane", "shift-xor")
+        print(f"_gf2._MUL_LANE_CUTOVER = {_gf2._MUL_LANE_CUTOVER} bits")
+        return
 
     lengths = range(args.step, args.max_len + 1, args.step)
     for p in args.chars:

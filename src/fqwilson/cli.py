@@ -183,7 +183,7 @@ def cmd_carlitz(args) -> int:
         "field": field.descriptor(),
         "what": what,
         "n": n,
-        "degree": value.degree,
+        "degree": None if value.is_zero else value.degree,
         "poly": str(value),
     }
     _emit(args, payload, [f"degree {value.degree}", str(value)])

@@ -11,7 +11,7 @@ rather than a quietly wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .carlitz import CarlitzCache
 from .deriv import (

@@ -37,10 +37,6 @@ class BoundExceeded(FqwilsonError):
     """An exact computation was refused because it exceeds a guard."""
 
 
-class BudgetExceeded(BoundExceeded):
-    """A survey or histogram would exceed its work budget."""
-
-
 class ZeroC(FqwilsonError):
     """A perturbation constant must be a nonzero field element."""
 

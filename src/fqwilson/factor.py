@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import FqwilsonError, NotDivisible
+from .errors import FqwilsonError
 from .gf import FieldElement
 from .irr import is_irreducible
 from .poly import ModReducer, Poly, divrem, exact_div, gcd
@@ -230,7 +230,7 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
                 acc = v
                 m = d * _log2_order(field)
                 for _ in range(m - 1):
-                    v = red.mulmod(v, v)
+                    v = red.powmod(v, 2)
                     acc = acc + v
                 cand = gcd(acc, g)
             else:

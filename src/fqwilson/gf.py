@@ -96,13 +96,6 @@ class Field:
     def is_prime_field(self) -> bool:
         return self.base is None
 
-    @property
-    def tower(self):
-        """(degree, modulus codes) pairs from the prime field upward."""
-        if self.base is None:
-            return []
-        return self.base.tower + [(self.degree, self.modulus_codes)]
-
     def descriptor(self) -> str:
         if self.base is None:
             return str(self.char)
@@ -618,7 +611,3 @@ def parse_field(descriptor: str) -> Field:
                 f"modulus degree {modulus.degree} does not match extension degree {k}"
             )
     return make_extension(base, modulus)
-
-
-def field_descriptor(field: Field) -> str:
-    return field.descriptor()

@@ -101,8 +101,10 @@ def monic_polys(field: Field, d: int, start: int = 0, stop=None):
 
     Index sum c_i q^i runs over the coefficients below the leading 1,
     the constant term as the least significant digit; [start, stop)
-    restricts the index range.
+    restricts the index range, whose bounds may not be negative.
     """
+    if start < 0 or (stop is not None and stop < 0):
+        raise ValueError("candidate indices must be non-negative")
     q = field.order
     hi = q ** d if stop is None else min(stop, q ** d)
     for index in range(start, hi):

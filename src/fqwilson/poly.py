@@ -9,9 +9,10 @@ Multiplication dispatches on the coefficient field: packed-int
 carry-less arithmetic over F_2, Kronecker substitution into machine
 integers for other small prime fields once operands are long enough to
 beat schoolbook, and generic schoolbook over extension fields (whose
-polynomials stay short in this package).  ModReducer precomputes a
-Barrett inverse so repeated reductions by a fixed modulus cost two
-multiplies instead of a quadratic division.
+polynomials stay short in this package).  Over odd prime fields
+ModReducer precomputes a Barrett inverse so repeated reductions by a
+fixed modulus cost two multiplies instead of a quadratic division; over
+F_2 it reduces by shift-xor division of packed ints.
 
 Over every prime field addition and negation reduce each coefficient
 inline.  Over odd prime fields the other hot kernels also work on plain
@@ -114,10 +115,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self.codes) and self.codes[-1] == 1
-
-    @property
-    def constant_code(self) -> int:
-        return self.codes[0] if self.codes else 0
 
     def coeff(self, i: int) -> FieldElement:
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
@@ -534,11 +531,12 @@ def embed(f: Poly, ext: Field) -> Poly:
 class ModReducer:
     """Reduction context for a fixed nonzero modulus.
 
-    Over F_2 it delegates to the packed-int Barrett reducer; over
-    odd prime fields it keeps a Newton-grown power series inverse of
-    the reversed modulus once the degree justifies it, and falls back
-    to plain long division for small moduli.  Extension fields always
-    use long division: their products are schoolbook, so Barrett's two
+    Over F_2 it keeps the modulus as one packed int and reduces by
+    shift-xor long division (_gf2.mod_).  Over odd prime fields it
+    keeps a Newton-grown power series inverse of the reversed modulus
+    (Barrett) once the degree justifies it, and falls back to plain
+    long division for small moduli.  Extension fields always use long
+    division: their products are schoolbook, so Barrett's two
     multiplies cost more than one division (2-4x at modulus degrees
     16-128 over F_4, F_9 and F_625).
     """
@@ -553,9 +551,9 @@ class ModReducer:
         self.modulus = modulus
         self.field = modulus.field
         field = modulus.field
-        if field.is_prime_field and field.char == 2 and modulus.degree >= 1:
+        if field.is_prime_field and field.char == 2:
             self._mode = "gf2"
-            self._packed = _gf2.Reducer(_pack2(modulus.codes))
+            self._packed = _pack2(modulus.codes)
             return
         self._packed = None
         if field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
@@ -583,7 +581,7 @@ class ModReducer:
 
     def reduce(self, f: Poly) -> Poly:
         if self._mode == "gf2":
-            return Poly(self.field, _unpack2(self._packed.reduce(_pack2(f.codes))))
+            return Poly(self.field, _unpack2(_gf2.mod_(_pack2(f.codes), self._packed)))
         m = self.modulus
         n = m.degree
         if f.degree < n:
@@ -614,13 +612,13 @@ class ModReducer:
             return Poly.one(self.field)
         bits = bin(e)[3:]  # the exponent bits below the leading one
         if self._mode == "gf2":
-            red = self._packed
-            pa = red.reduce(_pack2(a.codes))
+            m = self._packed
+            pa = _gf2.mod_(_pack2(a.codes), m)
             result = pa
             for bit in bits:
-                result = red.sqrmod(result)
+                result = _gf2.mod_(_gf2.sqr(result), m)
                 if bit == "1":
-                    result = red.mulmod(result, pa)
+                    result = _gf2.mod_(_gf2.mul(result, pa), m)
             return Poly(self.field, _unpack2(result))
         a = self.reduce(a)
         result = a

@@ -48,7 +48,7 @@ SCHEMA = "fqwilson.survey/1"
 
 def canonical_json(obj) -> str:
     """The one JSON shape used everywhere bytes must be reproducible."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # -- survey records ----------------------------------------------------

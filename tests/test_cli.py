@@ -146,19 +146,32 @@ def test_bad_field_exits_2(capsys, descriptor, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("degree", ["0", "-1"])
-def test_primes_list_nonpositive_degree_exits_2(degree):
-    # a real process, so an escaping exception would show as a traceback
+def _cli_process(*argv):
+    """Run the CLI as a real process, so that an escaping exception
+    would show as a traceback on stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fqwilson.cli", "primes", "list",
-         "--field", "3", "--degree", degree],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "fqwilson.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_primes_list_nonpositive_degree_exits_2(degree):
+    proc = _cli_process("primes", "list", "--field", "3", "--degree", degree)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: degree must be at least 1\n"
-    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bound", (["--start", "-9"], ["--stop", "-1"]))
+def test_primes_list_negative_index_exits_2(bound):
+    proc = _cli_process("primes", "list", "--field", "3", "--degree", "2",
+                        "--json", *bound)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: candidate indices must be non-negative\n"
 
 
 def test_unparseable_poly_exits_2(capsys):
@@ -199,6 +212,17 @@ def test_json_outputs_parse_and_repeat(capsys):
     assert data["unanimous"] is True
     second, _ = run(capsys, argv)
     assert second == first
+
+
+def test_zero_result_json_is_strict(capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    argv = ["carlitz", "compute", "--field", "3", "--what", "L", "--n", "3",
+            "--mod", "t"]
+    data = json.loads(run(capsys, argv + ["--json"])[0], parse_constant=reject)
+    assert data["degree"] is None and data["poly"] == "0"
+    assert run(capsys, argv)[0] == "degree -inf\n0\n"
 
 
 def test_survey_json_is_the_persisted_document(capsys, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from fqwilson.errors import FqwilsonError
 from fqwilson.factor import (
-    Factorization,
     distinct_degree_split,
     equal_degree_split,
     factorize,

@@ -90,6 +90,16 @@ def test_monic_polys_enumerates_monics(q, d):
     assert list(monic_polys(field, d, 1, total + 5)) == whole[1:]
 
 
+@pytest.mark.parametrize("start,stop", [(-9, None), (0, -1), (-3, 5)])
+def test_monic_polys_rejects_negative_indices(start, stop):
+    # floor division would map a negative index onto a real candidate
+    field = parse_field("3")
+    with pytest.raises(ValueError, match="non-negative"):
+        next(monic_polys(field, 2, start, stop))
+    with pytest.raises(ValueError, match="non-negative"):
+        list(iter_monic_irreducibles(field, 2, start, stop))
+
+
 def test_prime_factor_helpers_match_trial_division():
     n_max = 2000
     primes = [m for m in range(2, n_max) if all(m % f for f in range(2, m))]

@@ -10,8 +10,10 @@ from fqwilson.poly import (
     ModReducer,
     Poly,
     _divrem_field,
+    _divrem_prime,
     _kron_lane,
     _kron_mul,
+    _pack2,
     _school_mul_prime,
     divrem,
     embed,
@@ -280,6 +282,52 @@ def test_mod_reducer_matches_plain_reduction():
         assert red.powmod(base, 0) == Poly.one(field)
 
 
+def _mod2_oracle(a, m):
+    """a mod m over F_2 by tuple-form long division, independent of the
+    packed kernels."""
+    return a if len(a) < len(m) else _divrem_prime(a, m, 2)[1]
+
+
+@pytest.mark.parametrize("mod_deg", (1, 5, 64, 700, 2100))
+def test_gf2_mod_reducer_matches_tuple_oracle(mod_deg):
+    # degree 2100 sends products past the 2,048-bit lane cutover
+    rng = random.Random(mod_deg)
+    field = make_prime_field(2)
+    m = rand_poly(field, mod_deg, rng).monic()
+    red = ModReducer(m)
+
+    def oracle(codes):
+        return Poly(field, _mod2_oracle(codes, m.codes))
+
+    for _ in range(3):
+        a = rand_poly(field, rng.randrange(0, 2 * mod_deg + 2), rng)
+        b = rand_poly(field, mod_deg - 1, rng)
+        assert red.reduce(a) == oracle(a.codes)
+        assert red.mulmod(red.reduce(a), b) == oracle(
+            _school_mul_prime(red.reduce(a).codes, b.codes, 2))
+    base = red.reduce(rand_poly(field, mod_deg + 3, rng))
+    naive = oracle((1,))
+    for e in range(1, 14):
+        naive = oracle(_school_mul_prime(naive.codes, base.codes, 2))
+        if e in (1, 2, 3, 6, 13):
+            assert red.powmod(base, e) == naive
+
+
+def test_gf2_mod_matches_divmod_and_tuple_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from fqwilson import _gf2
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(_codes(st, 2, 200), _codes(st, 2, 80).map(lambda c: c + (1,)))
+    def check(a, f):
+        pa, pf = _pack2(a), _pack2(f)
+        assert _gf2.mod_(pa, pf) == _gf2.divmod_(pa, pf)[1] == _pack2(
+            _mod2_oracle(a, f))
+
+    check()
+
+
 def test_monic_and_scale():
     field = make_prime_field(5)
     f = parse_poly("3*t^2+1", field)
@@ -448,21 +496,19 @@ def test_powmod_product_count(monkeypatch):
     from fqwilson import _gf2
 
     calls = []
-    for cls, names in ((ModReducer, ("reduce",)),
-                       (_gf2.Reducer, ("mulmod", "sqrmod"))):
-        for name in names:
-            orig = getattr(cls, name)
+    for owner, name in ((ModReducer, "reduce"), (_gf2, "sqr"), (_gf2, "mul")):
+        orig = getattr(owner, name)
 
-            def counted(self, *args, _orig=orig, _name=name):
-                calls.append(_name)
-                return _orig(self, *args)
+        def counted(*args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(*args)
 
-            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for red, a in _mod_reducers():
         calls.clear()
         red.powmod(a, 3)
         if red.field.order == 2:
-            assert calls == ["sqrmod", "mulmod"]
+            assert calls == ["sqr", "mul"]
         else:
             assert calls == ["reduce"] * 3  # the initial reduction, then 2
         calls.clear()
