@@ -20,10 +20,15 @@ order.  A field that builds after order // N slow products has spent
 about as much on them as the build costs when N = ext_mul time / build
 time per element; gf._TABLE_TRIGGER is that N, rounded.
 
-The GF(2) sweep (--gf2, in place of the others) times the carry-less
+The GF(2) sweeps (--gf2, in place of the others) time the carry-less
 shift-xor product against the 16-bit-lane product (_gf2._lane_mul) on
 two packed operands of equal bit length; _gf2.mul switches to the lanes
-once the shorter operand passes _gf2._MUL_LANE_CUTOVER bits.
+once the shorter operand passes _gf2._MUL_LANE_CUTOVER bits.  Then, for
+each modulus degree n, on a dense and on a trinomial modulus, they time
+n reductions by shift-xor division (_gf2.mod_) against one byte-table
+build plus n table reductions (what a Rabin test or a Frobenius chain
+of n squarings pays); each dividend is the square of a random residue.
+_gf2.TableReducer uses the table from modulus degree _gf2._TABLE_MIN_DEG.
 
 Usage:
     python3 benchmarks/mul_threshold.py
@@ -45,7 +50,10 @@ from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
 TABLE_MODULI = 8  # moduli averaged per field order
-GF2_BITS = (512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384)
+GF2_BITS = (16, 24, 32, 48, 64, 96, 128, 256, 512, 768, 1024, 1536, 2048, 3072,
+            4096, 6144, 8192, 12288, 16384)
+GF2_REDUCE_DEGREES = (8, 12, 16, 24, 32, 40, 48, 64, 96, 128, 192, 256, 512,
+                      1024, 2048)
 
 
 def time_once(fn, args, repeat, number):
@@ -107,6 +115,39 @@ def gf2_sweep(rng, repeat, number):
             raise AssertionError(f"GF(2) products disagree at {bits} bits")
         rows.append((bits, time_once(shift_xor_mul, (a, b), repeat, number),
                      time_once(_gf2._lane_mul, (a, b), repeat, number)))
+    return rows
+
+
+def gf2_reducer(m, table):
+    """_gf2.TableReducer(m) forced onto the byte table or onto mod_."""
+    saved = _gf2._TABLE_MIN_DEG
+    _gf2._TABLE_MIN_DEG = 0 if table else m.bit_length()
+    try:
+        return _gf2.TableReducer(m)
+    finally:
+        _gf2._TABLE_MIN_DEG = saved
+
+
+def gf2_reduce_sweep(rng, repeat, trinomial):
+    rows = []
+    for n in GF2_REDUCE_DEGREES:
+        if trinomial:
+            m = 1 << n | 1 << rng.randrange(1, n) | 1
+        else:
+            m = 1 << n | rng.getrandbits(n) | 1
+        squares = [_gf2.sqr(rng.getrandbits(n)) for _ in range(n)]
+        if ([gf2_reducer(m, True)(x) for x in squares]
+                != [_gf2.mod_(x, m) for x in squares]):
+            raise AssertionError(f"GF(2) reducers disagree at degree {n}")
+
+        def run(table):
+            reduce = gf2_reducer(m, table)
+            for x in squares:
+                reduce(x)
+
+        # per reduction, the table's build spread over its n uses
+        rows.append((n, time_once(run, (False,), repeat, 1) / n,
+                     time_once(run, (True,), repeat, 1) / n))
     return rows
 
 
@@ -183,8 +224,9 @@ def main(argv=None):
     ap.add_argument("--number", type=int, default=200,
                     help="operations per timing sample (default: 200)")
     ap.add_argument("--gf2", action="store_true",
-                    help="sweep GF(2) products from 512 to 16384 bits instead; "
-                         "timing samples hold --number / 20 products")
+                    help="sweep GF(2) products from 16 to 16384 bits and "
+                         "reductions by moduli of degree 8 to 2048 instead; "
+                         "product samples hold --number / 20 products")
     args = ap.parse_args(argv)
 
     if args.gf2:
@@ -192,6 +234,14 @@ def main(argv=None):
                gf2_sweep(random.Random(args.seed), args.repeat,
                          max(1, args.number // 20)), "lane", "shift-xor")
         print(f"_gf2._MUL_LANE_CUTOVER = {_gf2._MUL_LANE_CUTOVER} bits")
+        print()
+        for kind in ("dense", "trinomial"):
+            report(f"reduce n squares + build, GF(2), {kind} moduli",
+                   "modulus degree",
+                   gf2_reduce_sweep(random.Random(args.seed), args.repeat,
+                                    kind == "trinomial"),
+                   "table", "shift-xor")
+        print(f"_gf2._TABLE_MIN_DEG = {_gf2._TABLE_MIN_DEG}")
         return
 
     lengths = range(args.step, args.max_len + 1, args.step)

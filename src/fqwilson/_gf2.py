@@ -1,40 +1,46 @@
 """Polynomials over GF(2) packed into Python ints.
 
 Bit i of the integer is the coefficient of t^i, so the zero polynomial
-is 0 and deg(f) = f.bit_length() - 1.  All functions here are free
-functions on ints; the Poly layer packs and unpacks at its boundary.
+is 0 and deg(f) = f.bit_length() - 1.  Everything here works on ints;
+the Poly layer packs and unpacks at its boundary.  Bits are spread and
+gathered in bulk through the int's base-2 text or its bytes, with
+translate and slicing, so no Python loop runs per bit (base 2 is exempt
+from the int/str digit limit).
 
 Multiplication uses carry-less shift-xor for small operands and a
 Kronecker-style substitution into 16-bit lanes for large ones, riding
-on CPython's subquadratic big-int multiply.  Reduction is shift-xor
-long division (mod_): Barrett division, two lane products per call,
-measured slower than it at every size from 16 to 65,536 bits.
+on CPython's subquadratic big-int multiply; the lanes are spread and
+read back with bytes slicing and translate.  Squaring interleaves zero
+bits by joining one 2-byte chunk per byte.
+
+Reduction by a fixed modulus m of degree n >= _TABLE_MIN_DEG goes
+through TableReducer(m), which works like table-driven CRC: a 256-entry
+table holds, for each byte k, the multiple of m whose 8 bits above
+t^n read k, so one lookup, shift and XOR clears the top 8 bits of a
+dividend.  Below that degree, and for one-shot divisions (gcd), it is
+shift-xor long division (mod_), which stays as the oracle.  Barrett
+division, two lane products per call, was measured slower than mod_
+at every size from 16 to 65,536 bits.
 """
 
 from __future__ import annotations
 
 from .gf import _prime_factors
 
-_MUL_LANE_CUTOVER = 2048  # bits; below this shift-xor wins
+# Both constants come from `benchmarks/mul_threshold.py --gf2`: over
+# four runs the lane product overtook shift-xor between 48 and 256 bits
+# per operand, and a table build plus n reductions overtook n mod_
+# calls between modulus degrees 32 and 48 (dense and trinomial moduli).
+_MUL_LANE_CUTOVER = 128  # bits; up to this shift-xor wins
+_TABLE_MIN_DEG = 40  # modulus degree from which TableReducer builds a table
 
-# byte -> its 16-byte spread (each bit moved to its own 16-bit lane)
-_SPREAD = []
-for _b in range(256):
-    _acc = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _acc |= 1 << (16 * _i)
-    _SPREAD.append(_acc.to_bytes(16, "little"))
-
-# byte -> squared spread (bit i -> bit 2i), for cheap squaring
-_SQR = []
-for _b in range(256):
-    _acc = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _acc |= 1 << (2 * _i)
-    _SQR.append(_acc)
-del _b, _acc, _i
+# ASCII binary digit -> byte 0 or 1
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# a 16-bit product lane's low byte -> ASCII digit of its parity
+_LANE_PARITY = bytes(b"01"[b & 1] for b in range(256))
+# byte -> its squared spread (bit i -> bit 2i) as 2 little-endian bytes
+_SQR = [sum(1 << 2 * i for i in range(8) if b >> i & 1).to_bytes(2, "little")
+        for b in range(256)]
 
 
 def deg(f: int) -> int:
@@ -59,9 +65,10 @@ def mul(a: int, b: int) -> int:
 
 def _spread16(a: int) -> int:
     """Place each bit of a into its own 16-bit lane."""
-    nbytes = (a.bit_length() + 7) // 8
-    raw = a.to_bytes(nbytes, "little")
-    return int.from_bytes(b"".join(_SPREAD[byte] for byte in raw), "little")
+    bits = format(a, "b")[::-1].encode().translate(_DIGIT_TO_BIT)
+    lanes = bytearray(2 * len(bits))
+    lanes[::2] = bits
+    return int.from_bytes(lanes, "little")
 
 
 def _lane_mul(a: int, b: int) -> int:
@@ -79,26 +86,14 @@ def _lane_mul(a: int, b: int) -> int:
         lo = a & ((1 << half) - 1)
         return _lane_mul(lo, b) ^ (_lane_mul(a >> half, b) << half)
     wide = _spread16(a) * _spread16(b)
-    nlanes = la + lb - 1
-    raw = wide.to_bytes(2 * nlanes + 4, "little")
-    out = 0
-    for i in range(nlanes):
-        if raw[2 * i] & 1:
-            out |= 1 << i
-    return out
+    low_bytes = wide.to_bytes(2 * (la + lb - 1), "little")[::2]
+    return int(low_bytes.translate(_LANE_PARITY)[::-1], 2)
 
 
 def sqr(f: int) -> int:
     """f(t)^2 = f(t^2): interleave zero bits."""
-    if not f:
-        return 0
-    nbytes = (f.bit_length() + 7) // 8
-    raw = f.to_bytes(nbytes, "little")
-    out = 0
-    for i, byte in enumerate(raw):
-        if byte:
-            out |= _SQR[byte] << (16 * i)
-    return out
+    raw = f.to_bytes((f.bit_length() + 7) // 8, "little")
+    return int.from_bytes(b"".join(map(_SQR.__getitem__, raw)), "little")
 
 
 def divmod_(a: int, b: int):
@@ -120,6 +115,47 @@ def mod_(a: int, b: int) -> int:
     return a
 
 
+def _byte_table(m: int) -> list:
+    """table[k] is the multiple of m (deg m = n) whose bits n..n+7 read
+    k and whose higher bits are 0, that is k*t^n + (k*t^n mod m).  It
+    is linear in k, so 8 mod_ calls and 248 XORs build it."""
+    n = deg(m)
+    table = [0] * 256
+    for j in range(8):
+        top = 1 << (n + j)
+        table[1 << j] = top ^ mod_(top, m)
+    for k in range(3, 256):
+        low = k & -k
+        if k != low:
+            table[k] = table[low] ^ table[k ^ low]
+    return table
+
+
+class TableReducer:
+    """Callable a -> a mod m for a fixed nonzero m: by byte table from
+    degree _TABLE_MIN_DEG, by mod_ below it."""
+
+    __slots__ = ("m", "n", "table")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.n = deg(m)
+        self.table = _byte_table(m) if self.n >= _TABLE_MIN_DEG else None
+
+    def __call__(self, a: int) -> int:
+        table = self.table
+        if table is None:
+            return mod_(a, self.m)
+        n = self.n
+        # invariant: the bits from n + s + 8 up are 0, so the byte
+        # above n + s indexes the table
+        s = a.bit_length() - n - 8
+        while s > 0:
+            a ^= table[a >> (n + s)] << s
+            s -= 8
+        return a ^ table[a >> n]
+
+
 def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mod_(a, b)
@@ -138,14 +174,15 @@ def is_irreducible(f: int) -> bool:
     if bin(f).count("1") % 2 == 0:
         return False  # divisible by t+1
     checkpoints = sorted({n // r for r in _prime_factors(n)})
+    reduce = TableReducer(f)
     h = 2  # the polynomial t
     done = 0
     for cp in checkpoints:
         for _ in range(cp - done):
-            h = mod_(sqr(h), f)
+            h = reduce(sqr(h))
         done = cp
         if gcd(h ^ 2, f) != 1:
             return False
     for _ in range(n - done):
-        h = mod_(sqr(h), f)
+        h = reduce(sqr(h))
     return h == 2

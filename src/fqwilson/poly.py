@@ -12,14 +12,22 @@ beat schoolbook, and generic schoolbook over extension fields (whose
 polynomials stay short in this package).  Over odd prime fields
 ModReducer precomputes a Barrett inverse so repeated reductions by a
 fixed modulus cost two multiplies instead of a quadratic division; over
-F_2 it reduces by shift-xor division of packed ints.
+F_2 it reduces packed ints by a per-modulus byte table (_gf2.TableReducer)
+once the modulus degree reaches _gf2._TABLE_MIN_DEG, and by shift-xor
+division below that.
 
-Over every prime field addition and negation reduce each coefficient
-inline.  Over odd prime fields the other hot kernels also work on plain
-int lists and make no per-coefficient Field call: Kronecker packing goes
-through array lanes of 1, 2, 4 or 8 bytes, and long division
-(_divrem_prime) subtracts whole rows and reduces a slot mod p only when
-it becomes the leading term.  The generic field-call division
+Over F_2 a Poly keeps its tuple form and crosses into the packed
+kernels through _pack2/_unpack2, which convert via the int's base-2
+text, one byte per coefficient translated in bulk, with no Python loop
+per coefficient; addition is one XOR of packed ints and negation is the
+identity.
+
+Over odd prime fields addition and negation reduce each coefficient
+inline, and the other hot kernels also work on plain int lists and
+make no per-coefficient Field call: Kronecker packing goes through
+array lanes of 1, 2, 4 or 8 bytes, and long division (_divrem_prime)
+subtracts whole rows and reduces a slot mod p only when it becomes the
+leading term.  The generic field-call division
 (_divrem_field) serves extension fields and stays as the slow oracle
 the tests compare against.
 """
@@ -52,6 +60,10 @@ _BARRETT_MIN_DEG = 24  # modulus degree where Barrett beats schoolbook over F_p
 # offers, narrowest first; Kronecker packing picks the first that fits
 _KRON_LANES = sorted({array(tc).itemsize: tc for tc in "QLIHB"}.items())
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# F_2 code (byte 0 or 1) <-> ASCII binary digit, for _pack2/_unpack2
+_CODE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TO_CODE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Poly:
@@ -161,6 +173,8 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         field = self.field
+        if field.order == 2:
+            return Poly(field, _unpack2(_pack2(a) ^ _pack2(b)))
         if field.is_prime_field:
             p = field.char
             out = [(x + y) % p for x, y in zip(a, b)]
@@ -176,6 +190,8 @@ class Poly:
 
     def __neg__(self):
         field = self.field
+        if field.order == 2:
+            return self
         if field.is_prime_field:
             p = field.char
             return Poly(field, [-c % p for c in self.codes])
@@ -282,17 +298,17 @@ class Poly:
 
 
 def _pack2(codes) -> int:
-    acc = 0
-    for i, c in enumerate(codes):
-        if c:
-            acc |= 1 << i
-    return acc
+    """The packed GF(2) int of F_2 codes: bit i is codes[i]."""
+    if not codes:
+        return 0
+    return int(bytes(codes[::-1]).translate(_CODE_TO_DIGIT), 2)
 
 
 def _unpack2(packed: int):
+    """The F_2 codes of a packed GF(2) int, without trailing zeros."""
     if not packed:
         return ()
-    return tuple(1 if packed >> i & 1 else 0 for i in range(packed.bit_length()))
+    return tuple(format(packed, "b")[::-1].encode().translate(_DIGIT_TO_CODE))
 
 
 def _school_mul_prime(a, b, p):
@@ -532,8 +548,9 @@ class ModReducer:
     """Reduction context for a fixed nonzero modulus.
 
     Over F_2 it keeps the modulus as one packed int and reduces by
-    shift-xor long division (_gf2.mod_).  Over odd prime fields it
-    keeps a Newton-grown power series inverse of the reversed modulus
+    _gf2.TableReducer: a 256-entry byte table from degree _gf2._TABLE_MIN_DEG,
+    shift-xor long division below it.  Over odd prime fields it keeps a
+    Newton-grown power series inverse of the reversed modulus
     (Barrett) once the degree justifies it, and falls back to plain
     long division for small moduli.  Extension fields always use long
     division: their products are schoolbook, so Barrett's two
@@ -541,7 +558,7 @@ class ModReducer:
     16-128 over F_4, F_9 and F_625).
     """
 
-    __slots__ = ("modulus", "field", "_mode", "_packed", "_rm", "_rinv", "_prec")
+    __slots__ = ("modulus", "field", "_mode", "_mod2", "_rm", "_rinv", "_prec")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -553,9 +570,8 @@ class ModReducer:
         field = modulus.field
         if field.is_prime_field and field.char == 2:
             self._mode = "gf2"
-            self._packed = _pack2(modulus.codes)
+            self._mod2 = _gf2.TableReducer(_pack2(modulus.codes))
             return
-        self._packed = None
         if field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
             self._mode = "barrett"
             self._rm = Poly(field, tuple(reversed(modulus.codes)))
@@ -580,12 +596,12 @@ class ModReducer:
         self._rinv, self._prec = inv, k
 
     def reduce(self, f: Poly) -> Poly:
-        if self._mode == "gf2":
-            return Poly(self.field, _unpack2(_gf2.mod_(_pack2(f.codes), self._packed)))
         m = self.modulus
         n = m.degree
         if f.degree < n:
             return f
+        if self._mode == "gf2":
+            return Poly(self.field, _unpack2(self._mod2(_pack2(f.codes))))
         if self._mode == "school":
             return divrem(f, m)[1]
         k = f.degree - n
@@ -612,13 +628,13 @@ class ModReducer:
             return Poly.one(self.field)
         bits = bin(e)[3:]  # the exponent bits below the leading one
         if self._mode == "gf2":
-            m = self._packed
-            pa = _gf2.mod_(_pack2(a.codes), m)
+            mod = self._mod2
+            pa = mod(_pack2(a.codes))
             result = pa
             for bit in bits:
-                result = _gf2.mod_(_gf2.sqr(result), m)
+                result = mod(_gf2.sqr(result))
                 if bit == "1":
-                    result = _gf2.mod_(_gf2.mul(result, pa), m)
+                    result = mod(_gf2.mul(result, pa))
             return Poly(self.field, _unpack2(result))
         a = self.reduce(a)
         result = a
@@ -656,7 +672,10 @@ def format_poly(f: Poly, var: str = "t") -> str:
 
 
 def parse_poly(text: str, field: Field, var: str = "t") -> Poly:
-    """Parse '2*t^3+t+1' or a '[c0,c1,...]' code list."""
+    """Parse '2*t^3+t+1' or a '[c0,c1,...]' code list.
+
+    Malformed input raises ValueError naming the bad term or list item.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -666,14 +685,22 @@ def parse_poly(text: str, field: Field, var: str = "t") -> Poly:
         inner = s[1:-1].strip()
         if not inner:
             return Poly.zero(field)
-        return Poly.from_codes(field, [int(tok) for tok in inner.split(",")])
+        codes = []
+        for i, tok in enumerate(inner.split(",")):
+            try:
+                codes.append(int(tok))
+            except ValueError:
+                raise ValueError(f"bad item {tok.strip()!r} at position {i} "
+                                 f"of code list {text!r}") from None
+        return Poly.from_codes(field, codes)
     s = s.replace(" ", "")
-    # split into signed terms
+    # split into signed terms; a sign right after '^' or '*' stays in its
+    # term, which then fails as a whole
     terms = []
     buf = ""
     sign = 1
     for ch in s:
-        if ch in "+-" and buf:
+        if ch in "+-" and buf and buf[-1] not in "^*":
             terms.append((sign, buf))
             sign = 1 if ch == "+" else -1
             buf = ""
@@ -687,29 +714,26 @@ def parse_poly(text: str, field: Field, var: str = "t") -> Poly:
     terms.append((sign, buf))
     acc = Poly.zero(field)
     for sign, term in terms:
-        if "*" in term:
-            cs, vs = term.split("*", 1)
-            coeff = field(int(cs))
-        elif term.startswith(var):
-            coeff = field.one
-            vs = term
-        elif var in term:
-            cs, vs = term.split(var, 1)
-            coeff = field(int(cs))
-            vs = var + vs
-        else:
-            coeff = field(int(term))
-            vs = ""
-        if vs:
-            if vs == var:
-                e = 1
-            elif vs.startswith(var + "^"):
-                e = int(vs[len(var) + 1:])
-            else:
-                raise ValueError(f"bad term {term!r}")
+        cs, star, vs = term.partition("*")
+        if not star:
+            i = term.find(var)
+            cs, vs = (term, "") if i < 0 else (term[:i], term[i:])
+        if vs == var:
+            e = 1
+        elif vs.startswith(var + "^"):
+            e = _term_digits(vs[len(var) + 1:], term)
+        elif vs or star:
+            raise ValueError(f"bad term {term!r}")
         else:
             e = 0
+        coeff = field(_term_digits(cs, term)) if cs or star else field.one
         if sign < 0:
             coeff = -coeff
         acc = acc + Poly.monomial(field, e, coeff)
     return acc
+
+
+def _term_digits(digits: str, term: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad term {term!r}")
+    return int(digits)

@@ -174,6 +174,20 @@ def test_primes_list_negative_index_exits_2(bound):
     assert proc.stderr == "error: candidate indices must be non-negative\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2*", "bad term '2*'"),
+    ("t^", "bad term 't^'"),
+    ("t^-1", "bad term 't^-1'"),
+    ("[1,1,]", "bad item '' at position 2 of code list '[1,1,]'"),
+    ("[1,,1]", "bad item '' at position 1 of code list '[1,,1]'"),
+])
+def test_malformed_poly_names_bad_term_and_exits_2(text, message):
+    proc = _cli_process("factor", "--field", "3", "--poly", text)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_unparseable_poly_exits_2(capsys):
     _, err = run(capsys, ["factor", "--field", "3",
                           "--poly", "(t+1)*(t^3+2*t+2)"], expect=2)

@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 from array import array
 
 import pytest
 
+from fqwilson import _gf2
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotDivisible
 from fqwilson.gf import default_modulus, make_extension, make_prime_field
 from fqwilson.poly import (
@@ -15,6 +17,7 @@ from fqwilson.poly import (
     _kron_mul,
     _pack2,
     _school_mul_prime,
+    _unpack2,
     divrem,
     embed,
     eval_poly,
@@ -290,7 +293,8 @@ def _mod2_oracle(a, m):
 
 @pytest.mark.parametrize("mod_deg", (1, 5, 64, 700, 2100))
 def test_gf2_mod_reducer_matches_tuple_oracle(mod_deg):
-    # degree 2100 sends products past the 2,048-bit lane cutover
+    # degrees 1 and 5 reduce by mod_, the others by the byte table;
+    # at 700 and 2100, products take the lane route
     rng = random.Random(mod_deg)
     field = make_prime_field(2)
     m = rand_poly(field, mod_deg, rng).monic()
@@ -316,7 +320,6 @@ def test_gf2_mod_reducer_matches_tuple_oracle(mod_deg):
 def test_gf2_mod_matches_divmod_and_tuple_oracle():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    from fqwilson import _gf2
 
     @hyp.settings(max_examples=100, deadline=None)
     @hyp.given(_codes(st, 2, 200), _codes(st, 2, 80).map(lambda c: c + (1,)))
@@ -493,8 +496,6 @@ def test_powmod_matches_plain_power():
 
 def test_powmod_product_count(monkeypatch):
     # left-to-right: one squaring and one product for e = 3
-    from fqwilson import _gf2
-
     calls = []
     for owner, name in ((ModReducer, "reduce"), (_gf2, "sqr"), (_gf2, "mul")):
         orig = getattr(owner, name)
@@ -515,3 +516,131 @@ def test_powmod_product_count(monkeypatch):
         red.powmod(a, 625)  # 9 squarings and 4 products below the top bit
         products = len(calls) - (red.field.order != 2)
         assert products == 13
+
+
+# -- GF(2) bytes-level boundary, lanes and table reducer --------------
+
+
+def _pack2_bit_loop(codes):
+    acc = 0
+    for i, c in enumerate(codes):
+        if c:
+            acc |= 1 << i
+    return acc
+
+
+def _unpack2_bit_loop(packed):
+    if not packed:
+        return ()
+    return tuple(1 if packed >> i & 1 else 0 for i in range(packed.bit_length()))
+
+
+def _shift_xor_mul(a, b):
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b * low
+        a ^= low
+    return acc
+
+
+def test_pack2_unpack2_match_bit_loops():
+    # base-2 text is exempt from the int/str digit limit, which stays at
+    # its default here: a decimal string of 4,301 digits is refused
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(ValueError):
+        int("1" * 4301)
+    field = make_prime_field(2)
+    rng = random.Random(41)
+    for n in (0, 1, 7, 8, 9, 2047, 2048, 2049, 4300, 4301, 4302, 9000, 20000):
+        for codes in (tuple(rng.randrange(2) for _ in range(n)), (1,) * n, (0,) * n):
+            packed = _pack2(codes)
+            assert packed == _pack2_bit_loop(codes) == _pack2(list(codes))
+            assert _unpack2(packed) == _unpack2_bit_loop(packed)
+            assert Poly(field, _unpack2(packed)) == Poly(field, codes)
+
+
+def test_gf2_ring_ops_match_tuple_oracle_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(2)
+    # lengths up to 600 send products past the lane cutover
+    divisor = _codes(st, 2, 300).map(lambda c: c + (1,))
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(_codes(st, 2, 600), _codes(st, 2, 600), divisor)
+    def check(a, b, d):
+        pa, pb, pd = Poly(field, a), Poly(field, b), Poly(field, d)
+        check_addsub_oracle(field, a, b)
+        assert -pa is pa
+        prod = _school_mul_prime(a, b, 2) if a and b else ()
+        assert pa * pb == Poly(field, prod)
+        q, r = divmod(pa, pd)
+        if len(a) >= len(d):
+            oq, orem = _divrem_prime(a, d, 2)
+            assert (q, r) == (Poly(field, oq), Poly(field, orem))
+        else:
+            assert (q, r) == (Poly.zero(field), pa)
+        x, y = a, d
+        while Poly(field, y):
+            x, y = y, _mod2_oracle(x, Poly(field, y).codes)
+        assert gcd(pa, pd) == Poly(field, x)
+
+    check()
+
+
+def test_gf2_sqr_matches_mul():
+    rng = random.Random(43)
+    cut = _gf2._MUL_LANE_CUTOVER
+    for n in (0, 1, 7, 8, 9, cut - 1, cut, cut + 1, 2049, 16383):
+        a = rng.getrandbits(n) | (1 << (n - 1) if n else 0)
+        assert _gf2.sqr(a) == _gf2.mul(a, a) == _shift_xor_mul(a, a)
+    codes = tuple(rng.randrange(2) for _ in range(300)) + (1,)
+    square = _school_mul_prime(codes, codes, 2)
+    assert _gf2.sqr(_pack2(codes)) == _pack2(square)
+
+
+def test_gf2_lane_mul_matches_shift_xor_at_edges():
+    rng = random.Random(47)
+    cut = _gf2._MUL_LANE_CUTOVER
+    for la, lb in ((cut, cut), (cut + 1, cut + 1), (cut + 1, 5000),
+                   (1, cut + 1)):
+        a = rng.getrandbits(la - 1) | 1 << (la - 1)
+        b = rng.getrandbits(lb - 1) | 1 << (lb - 1)
+        assert _gf2._lane_mul(a, b) == _gf2.mul(a, b) == _shift_xor_mul(a, b)
+    split = 1 << 16
+    for n in (split - 1, split, split + 1):
+        # a sparse operand keeps the shift-xor oracle cheap
+        a = 1 << (n - 1) | sum(1 << rng.randrange(n) for _ in range(40))
+        b = rng.getrandbits(n - 1) | 1 << (n - 1)
+        assert _gf2._lane_mul(a, b) == _shift_xor_mul(a, b)
+        # all-ones operands fill the widest lane with n terms, and
+        # (1 + t + ... + t^(n-1))^2 = 1 + t^2 + ... + t^(2n-2)
+        ones = (1 << n) - 1
+        assert _gf2._lane_mul(ones, ones) == int("10" * (n - 1) + "1", 2)
+
+
+@pytest.mark.parametrize("kind", ("dense", "trinomial"))
+def test_gf2_table_reducer_matches_mod(kind, monkeypatch):
+    rng = random.Random(53)
+    lo = _gf2._TABLE_MIN_DEG
+    mod = _gf2.mod_
+    for n in (1, 2, lo - 1, lo, lo + 1, 16382):
+        if kind == "trinomial" and n > 1:
+            m = 1 << n | 1 << rng.randrange(1, n) | 1
+        else:
+            m = 1 << n | rng.getrandbits(n)
+        dividends = [0, 1, m, m ^ 1, rng.getrandbits(n)]
+        dividends += [rng.getrandbits(k) | 1 << (k - 1) for k in
+                      (n + 1, n + 7, n + 8, n + 9, 2 * n - 1, 2 * n + 20)]
+        dividends.append(_gf2.sqr(rng.getrandbits(n)))
+        expected = [mod(x, m) for x in dividends]
+        reduce = _gf2.TableReducer(m)
+        assert (reduce.table is None) == (n < lo)
+        if reduce.table is not None:
+            assert all(t >> n == k and mod(t, m) == 0
+                       for k, t in enumerate(reduce.table))
+            # the table route makes no mod_ call once built
+            monkeypatch.setattr(_gf2, "mod_", None)
+        assert [reduce(x) for x in dividends] == expected
+        monkeypatch.setattr(_gf2, "mod_", mod)
