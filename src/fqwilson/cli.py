@@ -550,6 +550,16 @@ def _add_common(sub, *, field=True, seed=False, json_flag=True):
                          help="canonical JSON instead of tables")
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fqwilson",
@@ -622,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey = top.add_parser("survey", help="sweep all primes of one degree")
     _add_common(survey, seed=True)
     survey.add_argument("--degree", type=int, required=True)
-    survey.add_argument("--jobs", type=int, default=1)
+    survey.add_argument("--jobs", type=_jobs, default=1)
     survey.add_argument("--full-suites", action="store_true",
                         help="run every equivalent condition on every prime")
     survey.add_argument("--budget", type=int, default=None,
@@ -669,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--case", required=True,
                        choices=["q3d6", "q2d14", "artin-schreier", "q3d9"])
     paper.add_argument("--seed", type=int, default=None)
-    paper.add_argument("--jobs", type=int, default=1)
+    paper.add_argument("--jobs", type=_jobs, default=1)
     paper.add_argument("--extended", action="store_true",
                        help="include the long-running tier")
     paper.add_argument("--max-trial-degree", type=int, default=None)

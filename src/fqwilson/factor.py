@@ -4,9 +4,11 @@ The full pipeline is squarefree decomposition (Yun's algorithm with
 the characteristic-p p-th-root correction), distinct-degree splitting
 with blocked gcds, then Cantor-Zassenhaus equal-degree splitting with
 a deterministic random stream, so identical inputs and seeds always
-produce identical transcripts.  trial_division stages out the primes
-of small degree only, which is how the large perturbed quantities are
-probed without paying for their complete factorizations.
+produce identical transcripts.  trial_division is the same pipeline
+with the distinct-degree scan capped at a degree bound: it stages out
+the primes of small degree only, which is how the large perturbed
+quantities are probed without paying for their complete
+factorizations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from .errors import FqwilsonError
 from .gf import FieldElement
 from .irr import is_irreducible
-from .poly import ModReducer, Poly, divrem, exact_div, gcd
+from .poly import ModReducer, Poly, exact_div, gcd
 
 _DDF_BLOCK = 16
 _COFACTOR_CHECK_MAX_DEG = 4096
@@ -147,8 +149,10 @@ def distinct_degree_split(f: Poly, max_degree=None):
     Returns (buckets, cofactor): buckets is a list of (i, product of
     the primes of degree i dividing f) in ascending i, and cofactor is
     the unsplit remainder when max_degree cut the scan short (None
-    when the split is complete).  Blocks of Frobenius steps share one
-    gcd; a hit replays the block one step at a time.
+    when the split is complete).  The last bucket may be one prime of
+    degree above max_degree, claimed once no smaller factor can remain.
+    Blocks of Frobenius steps share one gcd; a hit replays the block
+    one step at a time.
     """
     field = f.field
     q = field.order
@@ -254,93 +258,69 @@ def _log2_order(field) -> int:
     return m
 
 
-def factorize(f: Poly, seed: int = 0, verify_irreducible: bool = True) -> Factorization:
-    """Complete factorization into monic primes with multiplicities.
+def _split(f: Poly, max_degree, seed: int):
+    """(unit, sorted ((prime, mult), ...), monic cofactor or None).
 
-    Every base is re-verified irreducible by default; callers on hot
-    paths that only need the reconstruction guarantee can opt out.
+    Squarefree parts go through distinct-degree splitting capped at
+    max_degree (uncapped when None), then equal-degree splitting.  A
+    part's unsplit remainder, and a bucket the distinct-degree early
+    exit claims above max_degree, join the cofactor raised to the
+    part's multiplicity.
     """
     if f.is_zero:
         raise FqwilsonError("cannot factor the zero polynomial")
-    field = f.field
     unit, parts = squarefree_decomposition(f)
     found = []
+    rest = []
     for g, mult in parts:
-        buckets, cofactor = distinct_degree_split(g)
-        if cofactor is not None:  # pragma: no cover - complete split has none
-            raise FqwilsonError("distinct-degree split left a cofactor")
+        buckets, left = distinct_degree_split(g, max_degree)
+        if left is not None:
+            rest.append(left ** mult)
         for d, prod in buckets:
+            if max_degree is not None and d > max_degree:
+                rest.append(prod ** mult)
+                continue
             for prime in equal_degree_split(prod, d, seed=seed):
                 found.append((prime, mult))
     found.sort(key=lambda fm: _factor_key(fm[0]))
-    result = Factorization(unit=unit, factors=tuple(found))
-    if verify_irreducible:
-        for base, _ in result.factors:
-            if not is_irreducible(base):
-                raise FqwilsonError(f"factor {base} failed the irreducibility check")
+    cofactor = None
+    for r in rest:
+        cofactor = r if cofactor is None else cofactor * r
+    return unit, tuple(found), cofactor
+
+
+def factorize(f: Poly, seed: int = 0) -> Factorization:
+    """Complete factorization into monic primes with multiplicities;
+    every base is re-verified irreducible."""
+    unit, factors, _ = _split(f, None, seed)
+    result = Factorization(unit=unit, factors=factors)
+    for base, _ in factors:
+        if not is_irreducible(base):
+            raise FqwilsonError(f"factor {base} failed the irreducibility check")
     if result.value() != f:
         raise FqwilsonError("factorization does not multiply back to the input")
     return result
 
 
-def trial_division(
-    f: Poly,
-    max_degree: int,
-    seed: int = 0,
-    cofactor_check_max_degree: int = _COFACTOR_CHECK_MAX_DEG,
-) -> Factorization:
+def trial_division(f: Poly, max_degree: int, seed: int = 0) -> Factorization:
     """Extract every prime factor of degree <= max_degree.
 
-    Primes of degree i are found through gcd with t^(q^i) - t, split
-    apart, then divided out to their exact multiplicity.  The returned
-    cofactor keeps whatever is left; it is marked irreducible when
-    that is free (degree bound) or cheap enough to test.
+    The same pipeline as factorize with the distinct-degree scan
+    capped at max_degree.  The returned cofactor keeps whatever is
+    left; it is marked irreducible when that is free (degree bound) or
+    cheap enough to test, up to degree _COFACTOR_CHECK_MAX_DEG.
     """
-    if f.is_zero:
-        raise FqwilsonError("cannot factor the zero polynomial")
-    field = f.field
-    q = field.order
-    unit = FieldElement(field, f.lead_code)
-    f_cur = f.monic()
-    t = Poly.t(field)
-    found = []
-    red = ModReducer(f_cur) if f_cur.degree > 0 else None
-    h = red.reduce(t) if red else None
-    for i in range(1, max_degree + 1):
-        if f_cur.degree <= 0:
-            break
-        if 2 * i > f_cur.degree:
-            # no factors of degree < i remain, so f_cur is irreducible;
-            # claim it as a factor when it fits the requested bound
-            if f_cur.degree <= max_degree:
-                found.append((f_cur, 1))
-                f_cur = Poly.one(field)
-            break
-        h = red.powmod(h, q)
-        g = gcd(h - t, f_cur)
-        if g.degree <= 0:
-            continue
-        for prime in equal_degree_split(g, i, seed=seed):
-            mult = 0
-            while True:
-                quot, rem = divrem(f_cur, prime)
-                if not rem.is_zero:
-                    break
-                f_cur = quot
-                mult += 1
-            found.append((prime, mult))
-        if f_cur.degree > 0:
-            red = ModReducer(f_cur)
-            h = red.reduce(h)
-    found.sort(key=lambda fm: _factor_key(fm[0]))
-    if f_cur.degree <= 0:
-        return Factorization(unit=unit, factors=tuple(found))
-    if f_cur.degree <= 2 * max_degree + 1:
+    if max_degree < 0:
+        raise ValueError(f"trial division bound must be non-negative, got {max_degree}")
+    unit, factors, cofactor = _split(f, max_degree, seed)
+    if cofactor is None:
+        return Factorization(unit=unit, factors=factors)
+    if cofactor.degree <= 2 * max_degree + 1:
         flag = True  # any factorization would need a part of degree <= max_degree
-    elif f_cur.degree <= cofactor_check_max_degree:
-        flag = is_irreducible(f_cur)
+    elif cofactor.degree <= _COFACTOR_CHECK_MAX_DEG:
+        flag = is_irreducible(cofactor)
     else:
         flag = "unchecked"
     return Factorization(
-        unit=unit, factors=tuple(found), cofactor=f_cur, cofactor_irreducible=flag
+        unit=unit, factors=factors, cofactor=cofactor, cofactor_irreducible=flag
     )

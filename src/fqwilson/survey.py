@@ -242,12 +242,15 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     t0 = time.perf_counter()
     p = field.char
     skip_def = skips_definition(field, d, def_budget)
     descriptor = field.descriptor()
 
-    if jobs <= 1:
+    jobs = min(jobs, os.cpu_count() or 1)  # a pool forks all its workers
+    if jobs == 1:
         rows = _survey_chunk(descriptor, d, 0, field.order ** d,
                              full_suites, skip_def)
     else:

@@ -188,6 +188,27 @@ def test_malformed_poly_names_bad_term_and_exits_2(text, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_negative_trial_degree_exits_2():
+    proc = _cli_process("factor", "--field", "3", "--poly", "t^4+t+2",
+                        "--max-trial-degree", "-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: trial division bound must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("survey", "--field", "3", "--degree", "3", "--jobs", "0"),
+    ("survey", "--field", "3", "--degree", "3", "--jobs", "-4"),
+    ("verify", "paper", "--case", "q3d9", "--jobs", "0"),
+], ids=["survey-0", "survey--4", "verify-0"])
+def test_jobs_below_one_exits_2(argv):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"error: argument --jobs: must be at least 1, got {argv[-1]}\n")
+
+
 def test_unparseable_poly_exits_2(capsys):
     _, err = run(capsys, ["factor", "--field", "3",
                           "--poly", "(t+1)*(t^3+2*t+2)"], expect=2)

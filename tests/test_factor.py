@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fqwilson import factor
 from fqwilson.errors import FqwilsonError
 from fqwilson.factor import (
     distinct_degree_split,
@@ -12,7 +13,7 @@ from fqwilson.factor import (
     squarefree_decomposition,
     trial_division,
 )
-from fqwilson.gf import make_prime_field
+from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import is_irreducible, iter_monic_irreducibles
 from fqwilson.poly import Poly, divrem, gcd, parse_poly
 
@@ -23,7 +24,8 @@ def monics(field, degree):
 
 
 def oracle_factor(f, primes_by_degree):
-    """Greedy division by enumerated primes in canonical order."""
+    """Greedy division by enumerated primes in canonical order:
+    (sorted (prime text, mult) pairs, monic leftover)."""
     out = []
     cur = f.monic()
     for d in sorted(primes_by_degree):
@@ -36,8 +38,7 @@ def oracle_factor(f, primes_by_degree):
                 cur, mult = q, mult + 1
             if mult:
                 out.append((str(prime), mult))
-    assert cur.degree == 0
-    return sorted(out)
+    return sorted(out), cur
 
 
 @pytest.mark.parametrize("p,dmax", [(2, 5), (3, 4)])
@@ -49,7 +50,8 @@ def test_factorize_matches_enumeration_oracle(p, dmax):
         for f in monics(field, d):
             fac = factorize(f)
             got = sorted((str(b), m) for b, m in fac.factors)
-            assert got == oracle_factor(f, primes), str(f)
+            want, left = oracle_factor(f, primes)
+            assert got == want and left.degree == 0, str(f)
             assert fac.value() == f
             assert fac.is_complete
 
@@ -163,7 +165,8 @@ def test_trial_division_degree_bound_implies_irreducible_cofactor():
     assert fac.cofactor_irreducible is True
 
 
-def test_trial_division_unchecked_cofactor():
+def test_trial_division_unchecked_cofactor(monkeypatch):
+    monkeypatch.setattr(factor, "_COFACTOR_CHECK_MAX_DEG", 10)
     field = make_prime_field(2)
     rng = random.Random(0)
 
@@ -177,14 +180,53 @@ def test_trial_division_unchecked_cofactor():
 
     big = random_prime(40) * random_prime(41)
     small = parse_poly("t^2+t+1", field)
-    fac = trial_division(small * big, 2, cofactor_check_max_degree=10)
+    fac = trial_division(small * big, 2)
     assert [(str(b), m) for b, m in fac.factors] == [(str(small), 1)]
     assert fac.cofactor_irreducible == "unchecked"
     assert fac.value() == small * big
 
 
-def test_factorize_verify_flag_output_identical():
-    field = make_prime_field(3)
-    f = parse_poly("t^7+2*t^4+t+1", field)
-    assert factorize(f, verify_irreducible=True).to_json() == \
-        factorize(f, verify_irreducible=False).to_json()
+@pytest.mark.parametrize("descriptor,max_deg", [("2", 10), ("3", 7), ("4", 6), ("9", 4)])
+def test_trial_division_matches_greedy_oracle(descriptor, max_deg):
+    """Every bound k from 0 to deg f, on non-squarefree inputs with a
+    p-th-power or square part: the factors and multiplicities are the greedy
+    division by enumerated primes of degree <= k, the cofactor is its
+    leftover, and a True/False flag agrees with Rabin's test."""
+    field = parse_field(descriptor)
+    q, p = field.order, field.char
+    primes = {d: [ctx.prime for ctx in iter_monic_irreducibles(field, d)]
+              for d in range(1, max_deg + 1)}
+    rng = random.Random(descriptor)
+
+    def random_poly(degree):
+        return Poly(field, [rng.randrange(q) for _ in range(degree)]
+                    + [rng.randrange(1, q)])
+
+    flags = set()
+    for i in range(8):
+        e = p if i % 2 else 2  # a p-th power, or a square when p > 2
+        f = random_poly(rng.randint(1, max_deg // e)) ** e
+        if f.degree < max_deg:
+            # a prime that outlasts small bounds: of the largest degree
+            # left in the first four cases, of a random one after that
+            room = max_deg - f.degree
+            f = f * rng.choice(primes[room if i < 4 else rng.randint(1, room)])
+        while True:
+            g = random_poly(rng.randint(1, 2)) ** rng.randint(1, 2)
+            if f.degree + g.degree > max_deg:
+                break
+            f = f * g
+        for k in range(f.degree + 1):
+            fac = trial_division(f, k)
+            want, left = oracle_factor(
+                f, {d: primes[d] for d in range(1, k + 1)})
+            assert sorted((str(b), m) for b, m in fac.factors) == want, (str(f), k)
+            assert fac.value() == f
+            if left.degree == 0:
+                assert fac.is_complete
+                continue
+            assert fac.cofactor == left
+            assert fac.cofactor_irreducible == is_irreducible(left), (str(f), k)
+            flags.add(fac.cofactor_irreducible)
+    assert flags == {True, False}  # both flag routes were exercised
+

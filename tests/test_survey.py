@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from fqwilson import survey
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.congruence import wilson_suite
 from fqwilson.errors import (
@@ -101,6 +103,44 @@ def test_survey_jobs_deterministic():
     two = survey_degree(F3, 4, jobs=2)
     assert one == two
     assert canonical_json(one.to_json()) == canonical_json(two.to_json())
+
+
+def test_survey_jobs_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records max_workers and
+        runs each chunk at submit, so no process is started."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 3)
+    want = canonical_json(survey_degree(F3, 4, jobs=1).to_json())
+    for jobs in (2, 3, 5000):
+        assert canonical_json(survey_degree(F3, 4, jobs=jobs).to_json()) == want
+    assert pools == [2, 3, 3]
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
+    assert canonical_json(survey_degree(F3, 4, jobs=5000).to_json()) == want
+    assert pools == [2, 3, 3]  # an unknown CPU count runs in-process
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_survey_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        survey_degree(F3, 2, jobs=jobs)
 
 
 def test_validate_catches_tampering():
