@@ -13,15 +13,26 @@ Modular correctness notes used throughout, for monic P:
   - knowing a mod P^(k+1) determines (da/dt) mod P^k;
   - knowing a mod P^2 determines the difference quotient at theta.
 Each follows by expanding a + P^(k+1)*s under the operation.
+
+The modular Fermat quotient raises nothing to the power q^d.  It rests
+on two identities:
+  (1) composition: every coefficient c in F_q or E has c^(q^d) = c, so
+      a^(q^d) = a(T) mod P^(k+1) with T = t^(q^d) mod P^(k+1); T is one
+      powmod of t per prime and precision, memoized on the context, and
+      a(T) is a Horner evaluation;
+  (2) digit planes: Q is E-linear, since c^(q^d) = c for c in E, so for
+      a = sum_j x^j a_j over E = F_q[x]/P with each a_j in F_q[t],
+      Q(a) = sum_j x^j Q(a_j), and no product in E is formed.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .errors import FieldMismatch
 from .gf import FieldElement
 from .irr import PrimeContext
 from .poly import (
-    ModReducer,
     Poly,
     divrem,
     embed,
@@ -37,36 +48,55 @@ MIXED_LABELS = (
 
 
 def _prime_for(a: Poly, ctx: PrimeContext) -> Poly:
-    """The context prime, embedded into the coefficient field of a."""
+    """The context prime over the coefficient field of a, which must be
+    the prime's own field or the residue field."""
     if a.field == ctx.prime.field:
         return ctx.prime
-    if a.field.is_extension_of(ctx.prime.field):
+    if a.field == ctx.residue_field:
         return embed(ctx.prime, a.field)
     raise FieldMismatch(
-        f"polynomial over F{a.field.order} does not fit prime over "
-        f"F{ctx.prime.field.order}"
+        f"polynomial over {a.field!r} fits neither the prime's field "
+        f"{ctx.prime.field!r} nor its residue field {ctx.residue_field!r}"
     )
 
 
 def fermat_quotient(a: Poly, ctx: PrimeContext) -> Poly:
-    """(a^(q^d) - a) / P exactly, for a with coefficients in F_q."""
-    up = q_power_expand(a, ctx.degree)
-    return exact_div(up - a, ctx.prime)
+    """(a^(q^d) - a) / P exactly, for a over F_q or the residue field.
+
+    Both fields are fixed by x -> x^(q^d), so the power is exponent
+    spreading by the norm q^d.
+    """
+    prime = _prime_for(a, ctx)
+    return exact_div(q_power_expand(a, 1, ctx.norm) - a, prime)
 
 
 def fermat_quotient_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:
     """Q(a) mod P^k without forming the exact quotient.
 
-    Works verbatim when a has coefficients in the residue field E:
-    every value of a at a root of P lies in E = F_(q^d), which is
-    fixed by x -> x^(q^d), so P still divides a^(q^d) - a.
+    Over F_q this is (a(T) - a)/P with T = t^(q^d) mod P^(k+1), by the
+    composition identity (1); over the residue field E it is taken
+    plane by plane over F_q, by the digit-plane identity (2).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    prime = _prime_for(a, ctx)
-    red = ModReducer(prime ** (k + 1))
-    r = red.powmod(a, ctx.norm) - red.reduce(a)
-    return exact_div(r, prime)
+    base = ctx.prime.field
+    if a.field != base:
+        _prime_for(a, ctx)  # rejects all but the residue field
+        ext = a.field
+        planes = zip(*(ext.digits(c) for c in a.codes))
+        quots = [fermat_quotient_mod(Poly(base, plane), ctx, k).codes
+                 for plane in planes]
+        return Poly(ext, [ext.undigits(digs)
+                          for digs in zip_longest(*quots, fillvalue=0)])
+    red, frob = ctx.frobenius(k + 1)
+    a = red.reduce(a)
+    acc = Poly(base, a.codes[-1:])
+    for c in reversed(a.codes[:-1]):
+        acc = acc * frob
+        if c:
+            acc = acc + Poly(base, (c,))
+        acc = red.reduce(acc)
+    return exact_div(acc - a, ctx.prime)
 
 
 def fermat_quotient_iter(a: Poly, ctx: PrimeContext, i: int, k=None) -> Poly:

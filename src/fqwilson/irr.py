@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import _gf2
@@ -69,6 +70,10 @@ class PrimeContext:
     residue_field: Field
     theta: FieldElement
     norm: int
+    # m -> (ModReducer mod prime^m, t^norm mod prime^m); a memo, so it
+    # takes no part in equality, hashing or the repr
+    _frobenius: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def for_prime(cls, prime: Poly) -> "PrimeContext":
@@ -91,6 +96,23 @@ class PrimeContext:
             theta=theta,
             norm=base.order ** d,
         )
+
+    def frobenius(self, m: int):
+        """(reducer mod prime^m, T = t^norm mod prime^m), memoized per m.
+
+        T costs one powmod of t; when T is already held at a higher
+        exponent, the one at m is its reduction instead.
+        """
+        hit = self._frobenius.get(m)
+        if hit is None:
+            red = ModReducer(self.prime ** m)
+            higher = [n for n in self._frobenius if n > m]
+            if higher:
+                frob = red.reduce(self._frobenius[min(higher)][1])
+            else:
+                frob = red.powmod(Poly.t(self.prime.field), self.norm)
+            hit = self._frobenius[m] = (red, frob)
+        return hit
 
     def __repr__(self):
         return f"PrimeContext({self.prime})"

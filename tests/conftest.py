@@ -5,6 +5,15 @@ import pytest
 from fqwilson.gf import default_modulus, make_extension, make_prime_field
 from fqwilson.survey import survey_degree, theorem7_report
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # a fixed example sequence, so a property failure reproduces on rerun
+    settings.register_profile("fqwilson", derandomize=True, deadline=None)
+    settings.load_profile("fqwilson")
+
 
 @pytest.fixture(scope="session")
 def f2():

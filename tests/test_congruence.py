@@ -17,7 +17,7 @@ from fqwilson.congruence import (
 from fqwilson.errors import FieldMismatch, ZeroC
 from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import PrimeContext, iter_monic_irreducibles
-from fqwilson.poly import Poly, parse_poly
+from fqwilson.poly import ModReducer, Poly, parse_poly
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -107,6 +107,25 @@ def test_wilson_skip_def():
         assert partial.skipped == ("def",)
         assert partial.marker == "skipped (bound)"
         assert partial.holds == full.holds
+
+
+@pytest.mark.parametrize("field,text", [(F3, "t^3+2*t+2"), (F5, "t^4+t^2+2")])
+def test_wilson_suite_powers_only_t(monkeypatch, field, text):
+    # the eight Fermat quotients compose with a memoized t^(q^d) and
+    # raise no operand of their own to a power; the definition route
+    # (Carlitz chain powmods) is skipped, it is its own independent route
+    ctx = PrimeContext.for_prime(parse_poly(text, field))
+    operands = []
+    real = ModReducer.powmod
+
+    def counting(self, a, e):
+        operands.append(a)
+        return real(self, a, e)
+
+    monkeypatch.setattr(ModReducer, "powmod", counting)
+    assert wilson_suite(ctx, skip_def=True).unanimous
+    assert 1 <= len(operands) <= 2
+    assert all(a == Poly.t(field) for a in operands)
 
 
 WILSON_COUNTS_Q3 = {1: 3, 2: 0, 3: 2, 4: 6, 5: 0, 6: 15}

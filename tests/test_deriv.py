@@ -14,9 +14,17 @@ from fqwilson.deriv import (
     mixed,
 )
 from fqwilson.errors import FieldMismatch
-from fqwilson.gf import make_prime_field
+from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import PrimeContext, iter_monic_irreducibles
-from fqwilson.poly import ModReducer, Poly, divrem, embed, eval_poly, parse_poly
+from fqwilson.poly import (
+    ModReducer,
+    Poly,
+    divrem,
+    embed,
+    eval_poly,
+    exact_div,
+    parse_poly,
+)
 
 
 def all_polys(field, max_degree):
@@ -49,6 +57,96 @@ def test_fermat_quotient_mod_matches_exact():
                 for a in itertools.islice(all_polys(field, 3), 0, None, 7):
                     exact = divrem(fermat_quotient(a, ctx), modulus)[1]
                     assert fermat_quotient_mod(a, ctx, k) == exact
+
+
+def sample_contexts(field, d, count=3):
+    return list(itertools.islice(iter_monic_irreducibles(field, d), 0, None, 7))[:count]
+
+
+def rand_poly(field, deg, rng):
+    return Poly(field, [rng.randrange(field.order) for _ in range(deg + 1)])
+
+
+def powmod_quotient(a, prime, norm, k):
+    """The oracle: Q(a) mod P^k by one powmod of a to the norm."""
+    red = ModReducer(prime ** (k + 1))
+    return exact_div(red.powmod(a, norm) - red.reduce(a), prime)
+
+
+ORACLE_FIELDS = ("2", "3", "4", "5", "9")
+
+
+@pytest.mark.parametrize("descriptor", ORACLE_FIELDS)
+def test_fermat_quotient_mod_matches_powmod_oracle(descriptor):
+    # composition a(t^(q^d)) against the direct power, over F_q and,
+    # plane by plane, over the residue field against the embedded prime;
+    # k runs downward so lower precisions reuse the memoized Frobenius
+    field = parse_field(descriptor)
+    rng = random.Random(field.order)
+    for d in (1, 2, 3):
+        for ctx in sample_contexts(field, d):
+            ext = ctx.residue_field
+            prime_e = embed(ctx.prime, ext)
+            for k in (3, 2, 1):
+                for _ in range(3):
+                    a = rand_poly(field, (k + 1) * d + 2, rng)
+                    assert fermat_quotient_mod(a, ctx, k) == \
+                        powmod_quotient(a, ctx.prime, ctx.norm, k)
+                if d > 1:
+                    a = rand_poly(ext, (k + 1) * d + 1, rng)
+                    assert fermat_quotient_mod(a, ctx, k) == \
+                        powmod_quotient(a, prime_e, ctx.norm, k)
+
+
+def test_frobenius_memo_matches_direct_power_and_hides_from_identity():
+    field = make_prime_field(3)
+    text = "t^3+2*t+2"
+    t = Poly.t(field)
+    ctx = PrimeContext.for_prime(parse_poly(text, field))
+    fresh = PrimeContext.for_prime(parse_poly(text, field))
+    ctx.frobenius(4)  # m = 2 and 3 below are reductions of this T
+    for m in (2, 3, 4):
+        want = ModReducer(ctx.prime ** m).powmod(t, ctx.norm)
+        assert ctx.frobenius(m)[1] == want
+        assert PrimeContext.for_prime(ctx.prime).frobenius(m)[1] == want
+    assert ctx.frobenius(2) is ctx.frobenius(2)
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+
+
+@pytest.mark.parametrize("descriptor,d", [("3", 2), ("3", 3), ("5", 2), ("4", 2)])
+def test_fermat_quotient_exact_over_residue_field(descriptor, d):
+    field = parse_field(descriptor)
+    rng = random.Random(d)
+    for ctx in sample_contexts(field, d, count=2):
+        ext = ctx.residue_field
+        prime_e = embed(ctx.prime, ext)
+        for deg in (0, 1, 3):
+            a = rand_poly(ext, deg, rng)
+            quot = fermat_quotient(a, ctx)
+            assert prime_e * quot == a ** ctx.norm - a
+            for k in (1, 2):
+                assert fermat_quotient_mod(a, ctx, k) == \
+                    divrem(quot, prime_e ** k)[1]
+
+
+def test_fermat_quotient_mod_is_linear_over_residue_field():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ctxs = [PrimeContext.for_prime(parse_poly(text, make_prime_field(q)))
+            for q, text in ((3, "t^2+1"), (3, "t^3+2*t+2"), (5, "t^2+2"))]
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from(ctxs), st.integers(1, 2), st.data())
+    def check(ctx, k, data):
+        ext = ctx.residue_field
+        codes = st.lists(st.integers(0, ext.order - 1), max_size=3 * ctx.degree + 2)
+        a = Poly(ext, data.draw(codes))
+        b = Poly(ext, data.draw(codes))
+        c = ext(data.draw(st.integers(0, ext.order - 1)))
+        assert fermat_quotient_mod(a + b * c, ctx, k) == \
+            fermat_quotient_mod(a, ctx, k) + fermat_quotient_mod(b, ctx, k) * c
+
+    check()
 
 
 def test_fermat_quotient_mod_requires_positive_precision():
@@ -158,3 +256,18 @@ def test_field_mismatch_between_base_and_prime():
         fermat_quotient(Poly.t(make_prime_field(2)), ctx)
     with pytest.raises(FieldMismatch):
         fermat_quotient_mod(Poly.t(make_prime_field(2)), ctx, 1)
+
+
+@pytest.mark.parametrize("text", ["t+1", "t^2+t+2"])
+def test_fermat_quotient_rejects_foreign_extension(text):
+    # F_9 = F_3[x]/(x^2+1) extends F_3 but is not the residue field of
+    # either prime, so no route may treat its coefficients as fixed
+    f3, f9 = make_prime_field(3), parse_field("9")
+    ctx = PrimeContext.for_prime(parse_poly(text, f3))
+    assert ctx.residue_field != f9
+    a = parse_poly("2*t+5", f9)
+    for route in (lambda: fermat_quotient_mod(a, ctx, 1),
+                  lambda: fermat_quotient(a, ctx)):
+        with pytest.raises(FieldMismatch) as err:
+            route()
+        assert repr(f9) in str(err.value) and repr(f3) in str(err.value)

@@ -1,5 +1,5 @@
 import json
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -135,6 +135,29 @@ def test_survey_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
     assert canonical_json(survey_degree(F3, 4, jobs=5000).to_json()) == want
     assert pools == [2, 3, 3]  # an unknown CPU count runs in-process
+
+
+def test_survey_chunks_through_a_real_pool(monkeypatch):
+    # one worker whatever os.cpu_count() says, so _survey_chunk, its
+    # arguments and its rows cross a real process boundary on any machine
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        futures = [pool.submit(survey._survey_chunk, "3", 4, lo, lo + 27, True, False)
+                   for lo in (0, 27, 54)]
+        pooled = [row for fut in futures for row in fut.result(timeout=120)]
+    assert pooled == survey._survey_chunk("3", 4, 0, 81, True, False)
+
+    pools = []
+
+    def one_worker(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=1)
+
+    want = canonical_json(survey_degree(F3, 4, full_suites=True).to_json())
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", one_worker)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+    got = survey_degree(F3, 4, jobs=2, full_suites=True)
+    assert canonical_json(got.to_json()) == want
+    assert pools == [2]
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
