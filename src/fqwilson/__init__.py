@@ -5,8 +5,8 @@ with fast modular arithmetic (poly), prime enumeration (irr), full and
 partial factorization (factor), the Carlitz quantities [n], L_n, D_n
 and their perturbations (carlitz), three arithmetic derivatives
 (deriv), the equivalent congruence conditions defining Wieferich and
-Wilson primes (congruence), exhaustive degree surveys with reporting
-(survey), and a command line front end (cli).
+Wilson primes (congruence), degree surveys and reports (survey), the
+recorded examples (recorded), and a command line front end (cli).
 """
 
 from .errors import FqwilsonError

@@ -24,18 +24,10 @@ JSON.  The seed falls back to the CARLITZ_SEED environment variable.
 import argparse
 import os
 import sys
-from collections import Counter
 
-from . import __version__
+from . import __version__, recorded
 from .carlitz import CarlitzCache
-from .congruence import (
-    classify_base,
-    is_special_wilson,
-    wieferich_suite,
-    wilson_multiplicity,
-    wilson_suite,
-)
-from .deriv import MIXED_LABELS, delta, fermat_quotient, fermat_quotient_iter, mixed
+from .congruence import classify_base, wieferich_suite, wilson_suite
 from .errors import (
     EquivalenceViolation,
     FqwilsonError,
@@ -44,8 +36,9 @@ from .errors import (
 )
 from .factor import factorize, trial_division
 from .gf import parse_field
-from .irr import PrimeContext, count_irreducibles, is_irreducible, iter_monic_irreducibles
-from .poly import ModReducer, Poly, divrem, parse_poly, eval_poly, embed
+from .irr import PrimeContext, count_irreducibles, iter_monic_irreducibles
+from .irr import is_irreducible  # noqa: F401  (perfbench/tests looks it up here)
+from .poly import divrem, parse_poly
 from .survey import (
     alt_gcd_conjecture_scan,
     borisov_scan,
@@ -69,10 +62,6 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("CARLITZ_SEED", "0"))
 
 
-def _field(args):
-    return parse_field(args.field)
-
-
 def _emit(args, payload, human_lines):
     if getattr(args, "json", False):
         print(canonical_json(payload))
@@ -85,21 +74,11 @@ def _bool(v) -> str:
     return "true" if v else "false"
 
 
-def _degree_multiset(pairs) -> str:
-    """Render [(degree, mult), ...] as e.g. '1^4x3 6x15 18x2'."""
-    cnt = Counter((int(d), int(m)) for d, m in pairs)
-    parts = []
-    for (deg, mult), n in sorted(cnt.items()):
-        stem = str(deg) if mult == 1 else f"{deg}^{mult}"
-        parts.append(f"{stem}x{n}")
-    return " ".join(parts)
-
-
 # -- plain subcommands -------------------------------------------------
 
 
 def cmd_primes_list(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     ctxs = iter_monic_irreducibles(field, args.degree, args.start, args.stop)
     texts = [str(ctx.prime) for ctx in ctxs]
     if args.start == 0 and args.stop is None:
@@ -120,7 +99,7 @@ def cmd_primes_list(args) -> int:
 
 
 def cmd_check(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     prime = parse_poly(args.prime, field)
     ctx = PrimeContext.for_prime(prime)
     if args.kind == "wieferich":
@@ -144,7 +123,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify_base(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     base = parse_poly(args.base, field)
     cls = classify_base(base)
     lines = [f"class: {cls.tag}"]
@@ -157,7 +136,7 @@ def cmd_classify_base(args) -> int:
 
 
 def cmd_carlitz(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     cache = CarlitzCache(field)
     what, n = args.what, args.n
     modulus = parse_poly(args.mod, field) if args.mod is not None else None
@@ -191,7 +170,7 @@ def cmd_carlitz(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     f = parse_poly(args.poly, field)
     seed = _resolve_seed(args)
     if args.max_trial_degree is not None:
@@ -209,7 +188,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     seed = _resolve_seed(args)
     rec = None
     if args.out and args.append and os.path.exists(args.out):
@@ -270,11 +249,11 @@ def cmd_survey(args) -> int:
 
 
 def cmd_theorem5(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
     lines = [
         f"wilson sum, degree {rep.degree}: polynomial degree {rep.poly_degree}",
-        f"factors: {_degree_multiset(rep.factor_degrees)}",
+        f"factors: {recorded.degree_multiset(rep.factor_degrees)}",
         f"degree-{rep.degree} factors = wilson primes "
         f"({len(rep.wilson_primes)}), multiplicities "
         + " ".join(f"{t}:{m}" for t, m in sorted(rep.degree_d_multiplicities.items())),
@@ -284,7 +263,7 @@ def cmd_theorem5(args) -> int:
 
 
 def cmd_theorem7(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     rep = theorem7_report(
         field,
         args.degree,
@@ -300,7 +279,7 @@ def cmd_theorem7(args) -> int:
     ]
     for side in (rep.L, rep.D):
         entry = f"{side.kind}: degree {side.poly_degree}, " \
-                f"factors {_degree_multiset(side.factor_degrees) or '-'}"
+                f"factors {recorded.degree_multiset(side.factor_degrees) or '-'}"
         if side.cofactor_degree is not None:
             entry += f", cofactor degree {side.cofactor_degree}"
         lines.append(entry)
@@ -314,7 +293,7 @@ def cmd_theorem7(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    field = _field(args)
+    field = parse_field(args.field)
     if args.kind == "borisov":
         findings = borisov_scan(field, args.max_degree)
     else:
@@ -338,198 +317,36 @@ def cmd_scan(args) -> int:
 # -- worked-example reproduction ---------------------------------------
 
 
-class _Verifier:
-    """Collects labelled comparisons and renders them uniformly."""
-
-    def __init__(self):
-        self.checks = []
-
-    def check(self, label, got, want):
-        self.checks.append({"label": label, "got": got, "want": want,
-                            "ok": got == want})
-
-    def note(self, text):
-        self.checks.append({"note": text})
-
-    @property
-    def ok(self) -> bool:
-        return all(c.get("ok", True) for c in self.checks)
-
-    def lines(self):
-        out = []
-        for c in self.checks:
-            if "note" in c:
-                out.append(f"note: {c['note']}")
-            elif c["ok"]:
-                out.append(f"ok: {c['label']} = {c['got']}")
-            else:
-                out.append(f"MISMATCH: {c['label']}: expected {c['want']}, "
-                           f"got {c['got']}")
-        n_real = sum("ok" in c for c in self.checks)
-        n_bad = sum(not c.get("ok", True) for c in self.checks)
-        if n_bad:
-            out.append(f"FAILED: {n_bad} of {n_real} checks")
-        else:
-            out.append(f"all {n_real} checks passed")
-        return out
-
-    def payload(self, case):
-        return {"case": case, "ok": self.ok,
-                "checks": [{k: _jsonable(v) for k, v in c.items()}
-                           for c in self.checks]}
-
-
-def _jsonable(v):
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in sorted(v.items())}
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    return str(v)
-
-
-def _verify_q3d6(v, seed, jobs):
-    field = parse_field("3")
-    rec = survey_degree(field, 6, seed=seed, jobs=jobs, full_suites=True)
-    special_total = sum(len(t) for t in rec.special_primes.values())
-    v.check("counts (primes, special, wilson)",
-            (rec.prime_count, special_total, len(rec.wilson_primes)),
-            (116, 6, 15))
-    v.check("special primes per c",
-            {c: len(t) for c, t in sorted(rec.special_primes.items())},
-            {1: 3, 2: 3})
-    v.check("15-condition suites unanimous on every prime",
-            rec.suite_agreement, True)
-
-    rep5 = theorem5_report(field, 6, seed=seed)
-    v.check("wilson sum degree", rep5.poly_degree, 360)
-    v.check("wilson sum factors", _degree_multiset(rep5.factor_degrees),
-            "1^4x3 2x3 6x15 18x2 20x3 24x3 28x3")
-    v.check("wilson sum degree-6 factor set size", len(rep5.degree_d_multiplicities), 15)
-
-    for c, dp in ((1, 2), (2, 1)):
-        rep7 = theorem7_report(field, 6, c, mode="full", seed=seed)
-        v.check(f"L_5-{c} degree", rep7.L.poly_degree, 363)
-        v.check(f"L_5-{c} factors", _degree_multiset(rep7.L.factor_degrees),
-                "6^2x3 14x3 95x3")
-        derivs = sorted({str(parse_poly(text, field).derivative())
-                         for text in rep7.special_primes})
-        v.check(f"L_5-{c} degree-6 factor derivative", derivs, [str(dp)])
-        v.check(f"D_5 side multiplicities at c={c}",
-                sorted(rep7.D.degree_d_multiplicities.values()), [1, 1, 1])
-
-
-def _verify_q2d14(v, seed, jobs, extended, max_trial_degree):
-    field = parse_field("2")
-    rec = survey_degree(field, 14, seed=seed, jobs=jobs)
-    special = rec.special_primes.get(1, [])
-    v.check("counts (primes, special)", (rec.prime_count, len(special)),
-            (1161, 12))
-    lm = rec.multiplicities.get("L_minus_c", {}).get(1, {})
-    v.check("L-side multiplicities", sorted(lm.values()), [1] * 12)
-    dm = rec.multiplicities.get("D_plus_sign_c", {}).get(1, {})
-    v.check("D-side multiplicities", sorted(dm.values()), [1] * 12)
-    if not extended:
-        return
-    bound = max_trial_degree if max_trial_degree is not None else 22
-    cache = CarlitzCache(field)
-    pert = cache.perturbation("L_minus_c", 14, 1)
-    v.check("L_13+1 degree", pert.degree, 16382)
-    fac = trial_division(pert, bound, seed=seed)
-    v.check(f"factors of degree <= {bound}", _degree_multiset(
-        [(b.degree, m) for b, m in fac.factors]), "14x12 22x1")
-    v.check("degree-14 factor set", sorted(str(b) for b, m in fac.factors
-                                           if b.degree == 14), sorted(special))
-    rest = factorize(fac.cofactor, seed=seed)
-    v.check("remaining factor degrees", _degree_multiset(
-        [(b.degree, m) for b, m in rest.factors]), "128x1 1156x2 2246x2 9260x1")
-    total = sum(b.degree * m for b, m in fac.factors)
-    total += sum(b.degree * m for b, m in rest.factors)
-    v.check("degree bookkeeping", total, 16382)
-    v.note("the published figure 8192 for the largest remaining factor is "
-           "inconsistent: verified degrees sum to 16382 with largest "
-           "factor 9260")
-
-
-def _verify_artin_schreier(v, extended):
-    for p in (3, 5):
-        field = parse_field(str(p))
-        t = Poly.t(field)
-        for m in range(1, p):
-            prime = t ** p - t - Poly.constant(field, m)
-            name = f"t^{p}-t-{m}"
-            v.check(f"{name} irreducible", is_irreducible(prime), True)
-            ctx = PrimeContext.for_prime(prime)
-            suite = wilson_suite(ctx)
-            v.check(f"{name} wilson suite", (suite.holds, suite.unanimous,
-                                             len(suite.verdicts)),
-                    (True, True, 15))
-            v.check(f"{name} wilson multiplicity >= {p - 1}",
-                    wilson_multiplicity(ctx) >= p - 1, True)
-            v.check(f"{name} special with c={p - 1}",
-                    is_special_wilson(ctx, field(p - 1)), True)
-
-            ext = ctx.residue_field
-            shift = Poly.t(ext) - Poly.constant(ext, ctx.theta)
-            v.check(f"{name} first difference quotient",
-                    delta(prime, ctx, 1) == shift ** (p - 1) - Poly.one(ext),
-                    True)
-            v.check(f"{name} second difference quotient",
-                    delta(prime, ctx, 2) == shift ** (p - 2), True)
-
-            q1 = fermat_quotient(t, ctx)
-            expansion = Poly.zero(field)
-            for i in range(p):
-                expansion = expansion + prime ** (p ** i - 1)
-            v.check(f"{name} fermat quotient expansion", q1 == expansion, True)
-            v.check(f"{name} fermat quotient at theta",
-                    eval_poly(embed(q1, ext), ctx.theta) == ext.one, True)
-            v.check(f"{name} mixed conditions all vanish",
-                    all(_vanishes(mixed(label, ctx)) for label in MIXED_LABELS),
-                    True)
-            if extended and p == 3:
-                red = ModReducer(prime)
-                for order in (2, 3):
-                    exact = fermat_quotient_iter(t, ctx, order)
-                    ladder = fermat_quotient_iter(t, ctx, order, k=1)
-                    v.check(f"{name} iterated quotient order {order}, "
-                            "exact vs modular ladder",
-                            red.reduce(exact) == red.reduce(ladder), True)
-
-
-def _vanishes(value) -> bool:
-    if isinstance(value, Poly):
-        return value.is_zero
-    return not bool(value)
-
-
-def _verify_q3d9(v):
-    field = parse_field("3")
-    six = special_primes_by_form(field, 9, 1)
-    v.check("special primes at c=1", len(six), 6)
-    v.check("special primes at c=-1", len(special_primes_by_form(field, 9, 2)), 0)
-    scan = perturbation_divisor_scan(field, 9,
-                                     [("L_minus_c", 1), ("L_minus_c", 2)])
-    v.check("degree-9 prime count", scan["prime_count"], 2184)
-    hits = scan["divisors"][("L_minus_c", 1)]
-    v.check("degree-9 divisors of L_8-1", sorted(hits),
-            sorted(str(f) for f in six))
-    v.check("degree-9 divisors of L_8+1",
-            sorted(scan["divisors"][("L_minus_c", 2)]), [])
-
-
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
-    v = _Verifier()
+    v = recorded.Verifier()
     if args.case == "q3d6":
-        _verify_q3d6(v, seed, args.jobs)
+        field = parse_field("3")
+        recorded.q3d6_census(v, survey_degree(field, 6, seed=seed, jobs=args.jobs,
+                                              full_suites=True))
+        recorded.q3d6_wilson_sum(v, theorem5_report(field, 6, seed=seed))
+        for c in (1, 2):
+            recorded.q3d6_perturbation(
+                v, theorem7_report(field, 6, c, mode="full", seed=seed))
     elif args.case == "q2d14":
-        _verify_q2d14(v, seed, args.jobs, args.extended, args.max_trial_degree)
+        field = parse_field("2")
+        rec = survey_degree(field, 14, seed=seed, jobs=args.jobs)
+        recorded.q2d14_census(v, rec)
+        if args.extended:
+            pert = CarlitzCache(field).perturbation("L_minus_c", 14, 1)
+            fac = trial_division(pert, recorded.Q2D14_TRIAL_DEGREE, seed=seed)
+            recorded.l13_trial_division(v, pert, fac, rec.special_primes.get(1, []))
+            recorded.l13_remaining(v, fac, factorize(fac.cofactor, seed=seed))
     elif args.case == "artin-schreier":
-        _verify_artin_schreier(v, args.extended)
+        for p in (3, 5):
+            for m in range(1, p):
+                recorded.artin_schreier_prime(v, p, m, args.extended)
     else:
-        _verify_q3d9(v)
+        field = parse_field("3")
+        recorded.q3d9_scan(v, special_primes_by_form(field, 9, 1),
+                           special_primes_by_form(field, 9, 2),
+                           perturbation_divisor_scan(
+                               field, 9, [("L_minus_c", 1), ("L_minus_c", 2)]))
     _emit(args, v.payload(args.case), [f"case {args.case}"] + v.lines())
     return 0 if v.ok else 1
 
@@ -540,7 +357,7 @@ def cmd_verify(args) -> int:
 def _add_common(sub, *, field=True, seed=False, json_flag=True):
     if field:
         sub.add_argument("--field", required=True,
-                         help="field descriptor: p, q, p^k, or q:modulus")
+                         help="field: p, q, p^k, q:modulus, or a tower base/modulus")
     if seed:
         sub.add_argument("--seed", type=int, default=None,
                          help="seed for randomized splitting "
@@ -682,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--jobs", type=_jobs, default=1)
     paper.add_argument("--extended", action="store_true",
                        help="include the long-running tier")
-    paper.add_argument("--max-trial-degree", type=int, default=None)
     paper.add_argument("--json", action="store_true")
     paper.set_defaults(func=cmd_verify)
 

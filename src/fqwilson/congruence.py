@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carlitz import CarlitzCache
-from .deriv import (
-    MIXED_LABELS,
-    delta_at_theta,
-    fermat_quotient_iter,
-    fermat_quotient_mod,
-    mixed,
-)
+from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
 from .gf import FieldElement
 from .irr import PrimeContext
@@ -172,23 +166,33 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
         fval = cache.F_mod(ctx.degree, prime * prime)
         verdicts["def"] = fval == -Poly.one(field)
 
-    d2 = prime.derivative().derivative()
+    # each shared quantity is computed once: P', Q(t) mod P^2 and P^[1]
+    dp = prime.derivative()
+    d2 = dp.derivative()
     verdicts["i"] = d2.is_zero
     verdicts["i'"] = divrem(d2, prime)[1].is_zero
     verdicts["i''"] = _is_zero_at_theta(d2, ctx)
 
-    q2 = fermat_quotient_iter(t, ctx, 2, k=1)
+    qt = fermat_quotient_mod(t, ctx, 2)
+    q2 = fermat_quotient_mod(qt, ctx, 1)
     verdicts["ii"] = q2.is_zero
     verdicts["ii'"] = _is_zero_at_theta(q2, ctx)
 
-    verdicts["iii"] = delta_at_theta(prime, ctx, 2) == ctx.residue_field(0)
+    zero = ctx.residue_field(0)
+    p1 = delta(prime, ctx, 1)
+    verdicts["iii"] = delta_at_theta(p1, ctx, 1) == zero
 
-    for lab in MIXED_LABELS:
-        val = mixed(lab, ctx)
-        if isinstance(val, Poly):
-            verdicts[lab] = val.is_zero
-        else:
-            verdicts[lab] = val == val.field(0)
+    # the eight mixed second derivatives, in MIXED_LABELS order
+    dqt = divrem(qt.derivative(), prime)[1]
+    verdicts["i-ii"] = dqt.is_zero
+    verdicts["i-ii'"] = _is_zero_at_theta(dqt, ctx)
+    qdp = fermat_quotient_mod(dp, ctx, 1)
+    verdicts["ii-i"] = qdp.is_zero
+    verdicts["ii-i'"] = _is_zero_at_theta(qdp, ctx)
+    verdicts["i-iii"] = eval_poly(p1.derivative(), ctx.theta) == zero
+    verdicts["iii-i"] = delta_at_theta(dp, ctx, 1) == zero
+    verdicts["ii-iii"] = eval_poly(fermat_quotient_mod(p1, ctx, 1), ctx.theta) == zero
+    verdicts["iii-ii"] = delta_at_theta(qt, ctx, 1) == zero
 
     suite = ConditionSuite(context=ctx, kind="wilson", verdicts=verdicts,
                            skipped=skipped,

@@ -134,38 +134,3 @@ def derivative_mod(a: Poly, prime: Poly, k: int) -> Poly:
     r = divrem(a, prime ** (k + 1))[1]
     return divrem(r.derivative(), prime ** k)[1]
 
-
-def mixed(label: str, ctx: PrimeContext):
-    """One of the eight mixed second-derivative quantities.
-
-    Returns a Poly for the mod-P conditions and a FieldElement for
-    the at-theta conditions; in every case the Wilson property of the
-    prime is equivalent to the returned value being zero.
-    """
-    prime = ctx.prime
-    t = Poly.t(prime.field)
-    if label == "i-ii":
-        q2 = fermat_quotient_mod(t, ctx, 2)
-        return divrem(q2.derivative(), prime)[1]
-    if label == "i-ii'":
-        q2 = fermat_quotient_mod(t, ctx, 2)
-        return eval_poly(embed(divrem(q2.derivative(), prime)[1], ctx.residue_field),
-                         ctx.theta)
-    if label == "ii-i":
-        return fermat_quotient_mod(prime.derivative(), ctx, 1)
-    if label == "ii-i'":
-        qd = fermat_quotient_mod(prime.derivative(), ctx, 1)
-        return eval_poly(embed(qd, ctx.residue_field), ctx.theta)
-    if label == "i-iii":
-        p1 = delta(prime, ctx, 1)
-        return eval_poly(p1.derivative(), ctx.theta)
-    if label == "iii-i":
-        return delta_at_theta(prime.derivative(), ctx, 1)
-    if label == "ii-iii":
-        p1 = delta(prime, ctx, 1)
-        q1 = fermat_quotient_mod(p1, ctx, 1)
-        return eval_poly(q1, ctx.theta)
-    if label == "iii-ii":
-        q2 = fermat_quotient_mod(t, ctx, 2)
-        return delta_at_theta(q2, ctx, 1)
-    raise ValueError(f"unknown mixed label {label!r}")

@@ -68,10 +68,6 @@ class Factorization:
             out = out * self.cofactor
         return out
 
-    @property
-    def is_complete(self) -> bool:
-        return self.cofactor is None
-
     def degrees(self):
         """Multiset of factor degrees as a sorted tuple, with multiplicity."""
         out = []

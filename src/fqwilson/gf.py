@@ -581,10 +581,19 @@ def _prime_power(n: int):
 
 
 def parse_field(descriptor: str) -> Field:
-    """Build a field from 'p', 'q', 'p^k', or 'q:modulus' text."""
+    """Build a field from 'p', 'q', 'p^k', or 'q:modulus' text, or a
+    tower 'base/modulus' with the modulus over the base, as written by
+    Field.descriptor."""
     from .poly import parse_poly
 
     text = descriptor.strip()
+    if "/" in text:
+        base_text, mod_text = text.rsplit("/", 1)
+        base = parse_field(base_text)
+        modulus = parse_poly(mod_text, base)
+        if modulus.degree < 2:
+            raise ValueError(f"tower modulus {modulus} must have degree at least 2")
+        return make_extension(base, modulus)
     mod_text = None
     if ":" in text:
         text, mod_text = text.split(":", 1)

@@ -365,13 +365,13 @@ def special_primes_by_form(field: Field, d: int, c) -> list:
     return out
 
 
-def perturbation_divisor_scan(field: Field, d: int, targets, cap=None):
+def perturbation_divisor_scan(field: Field, d: int, targets):
     """Which degree-d primes divide which perturbations, by residues.
 
     targets is an iterable of (kind, c) pairs.  Every degree-d prime
     is enumerated once; each requested perturbation is reduced mod the
-    prime through a CarlitzChain, and divisors get a capped
-    valuation.  Returns {"prime_count": n, "divisors": {(kind, c_code):
+    prime through a CarlitzChain, and divisors get a valuation capped
+    at p+2.  Returns {"prime_count": n, "divisors": {(kind, c_code):
     {prime text: valuation}}}.
     """
     targets = [(kind, field(c) if not isinstance(c, FieldElement) else c)
@@ -379,8 +379,7 @@ def perturbation_divisor_scan(field: Field, d: int, targets, cap=None):
     for _, c in targets:
         if not c:
             raise ZeroC("c must be a nonzero field constant")
-    if cap is None:
-        cap = field.char + 2
+    cap = field.char + 2
     divisors = {(kind, c.code): {} for kind, c in targets}
     n = 0
     for ctx in iter_monic_irreducibles(field, d):
@@ -408,7 +407,6 @@ class Theorem5Report:
     wilson_primes: list
     factor_degrees: list
     degree_d_multiplicities: dict
-    factorization: object = dc_field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -462,7 +460,6 @@ def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
         wilson_primes=sorted(wilson),
         factor_degrees=[[base.degree, mult] for base, mult in fac.factors],
         degree_d_multiplicities=degree_d,
-        factorization=fac,
     )
 
 
@@ -477,7 +474,6 @@ class PerturbationSide:
     cofactor_degree: object = None
     cofactor_irreducible: object = None
     note: str = ""
-    factorization: object = dc_field(default=None, repr=False, compare=False)
 
     def to_json(self):
         out = {
@@ -567,7 +563,6 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
                 poly_degree=poly.degree,
                 factor_degrees=[[b.degree, m] for b, m in fac.factors],
                 degree_d_multiplicities=mults,
-                factorization=fac,
             )
         _check_theorem7_sides(field, d, special_texts,
                               sides["L_minus_c"].degree_d_multiplicities,
@@ -616,7 +611,6 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
                          if l_fac.cofactor is not None else None),
         cofactor_irreducible=l_fac.cofactor_irreducible,
         note=f"trial division to degree {max_degree}",
-        factorization=l_fac,
     )
     return Theorem7Report(
         field_descriptor=field.descriptor(), degree=d, c=c.code,

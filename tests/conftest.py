@@ -3,7 +3,7 @@ import time
 import pytest
 
 from fqwilson.gf import default_modulus, make_extension, make_prime_field
-from fqwilson.survey import survey_degree, theorem7_report
+from fqwilson.survey import survey_degree, theorem5_report, theorem7_report
 
 try:
     from hypothesis import settings
@@ -48,6 +48,11 @@ def q3d6_record(f3):
 @pytest.fixture(scope="session")
 def q2d14_record(f2):
     return survey_degree(f2, 14)
+
+
+@pytest.fixture(scope="session")
+def q3d6_wilson_sum(f3):
+    return theorem5_report(f3, 6)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 Each test prints a single "[criterion NN] PASS" or "[criterion NN] FAIL"
 line directly to the terminal (bypassing capture), then asserts on the
-named sub-checks so a failure names exactly what broke.
+named sub-checks so a failure names exactly what broke.  Criteria that
+reproduce a recorded example run the same checks as `verify paper`,
+from fqwilson.recorded, and add their own wall-clock bounds.
 """
 
 import itertools
@@ -11,34 +13,17 @@ import time
 import pytest
 
 from fqwilson.carlitz import CarlitzCache, CarlitzChain
-from fqwilson.congruence import (
-    classify_base,
-    is_special_wilson,
-    wieferich_suite,
-    wilson_multiplicity,
-    wilson_suite,
-)
-from fqwilson.deriv import (
-    MIXED_LABELS,
-    delta,
-    fermat_quotient,
-    fermat_quotient_mod,
-    mixed,
-)
+from fqwilson import recorded
+from fqwilson.congruence import classify_base, wieferich_suite, wilson_suite
+from fqwilson.deriv import fermat_quotient, fermat_quotient_mod
 from fqwilson.factor import factorize, trial_division
 from fqwilson.gf import parse_field
-from fqwilson.irr import (
-    PrimeContext,
-    count_irreducibles,
-    is_irreducible,
-    iter_monic_irreducibles,
-)
-from fqwilson.poly import ModReducer, Poly, divrem, embed, eval_poly, parse_poly
+from fqwilson.irr import count_irreducibles, iter_monic_irreducibles
+from fqwilson.poly import ModReducer, Poly, divrem
 from fqwilson.survey import (
     borisov_scan,
     perturbation_divisor_scan,
     special_primes_by_form,
-    theorem5_report,
 )
 
 
@@ -54,8 +39,13 @@ def run_criterion(capfd, num, body):
     assert not failed, f"criterion {num:02d}: {failed}"
 
 
-def degree_pairs(factor_degrees):
-    return sorted((int(d), int(m)) for d, m in factor_degrees)
+def recorded_checks(checks, check, *objects):
+    """Run one check of fqwilson.recorded and file each of its verdicts
+    under its label; returns the Verifier, which also holds its notes."""
+    v = recorded.Verifier()
+    check(v, *objects)
+    checks.update((c["label"], c["ok"]) for c in v.checks if "label" in c)
+    return v
 
 
 def all_polys(field, max_degree):
@@ -66,11 +56,7 @@ def all_polys(field, max_degree):
 def test_criterion_01_q3d6_census(capfd, q3d6_record):
     def body(checks):
         rec = q3d6_record
-        checks["116 primes"] = rec.prime_count == 116
-        checks["6 special primes, 3 per c"] = {
-            c: len(v) for c, v in rec.special_primes.items()} == {1: 3, 2: 3}
-        checks["15 wilson primes"] = len(rec.wilson_primes) == 15
-        checks["full suites unanimous"] = rec.suite_agreement
+        recorded_checks(checks, recorded.q3d6_census, rec)
         checks["under 30 seconds"] = rec.timing["total_s"] < 30
     run_criterion(capfd, 1, body)
 
@@ -78,12 +64,7 @@ def test_criterion_01_q3d6_census(capfd, q3d6_record):
 def test_criterion_02_q2d14_census(capfd, q2d14_record):
     def body(checks):
         rec = q2d14_record
-        checks["1161 primes"] = rec.prime_count == 1161
-        checks["12 special primes at c=1"] = len(rec.special_primes[1]) == 12
-        lm = rec.multiplicities["L_minus_c"].get(1, {})
-        dm = rec.multiplicities["D_plus_sign_c"].get(1, {})
-        checks["L-side valuations all 1"] = sorted(lm.values()) == [1] * 12
-        checks["D-side valuations all 1"] = sorted(dm.values()) == [1] * 12
+        recorded_checks(checks, recorded.q2d14_census, rec)
         checks["under 10 seconds"] = rec.timing["total_s"] < 10
     run_criterion(capfd, 2, body)
 
@@ -91,40 +72,24 @@ def test_criterion_02_q2d14_census(capfd, q2d14_record):
 def test_criterion_03_perturbed_factorizations(capfd, q3d6_perturbations):
     def body(checks):
         reports, elapsed = q3d6_perturbations
-        field = parse_field("3")
-        expected_l = [(6, 2)] * 3 + [(14, 1)] * 3 + [(95, 1)] * 3
-        for c, deriv in ((1, "2"), (2, "1")):
+        for c in (1, 2):
             rep = reports[c]
+            recorded_checks(checks, recorded.q3d6_perturbation, rep)
             name = f"L_5-{c}"
-            checks[f"{name} degree 363"] = rep.L.poly_degree == 363
-            checks[f"{name} factor degrees 6^2 x3, 14 x3, 95 x3"] = \
-                degree_pairs(rep.L.factor_degrees) == sorted(expected_l)
-            checks[f"{name}: three special primes"] = \
-                len(rep.special_primes) == 3
+            checks[f"{name}: {recorded.Q3D6_SPECIAL_PER_C[c]} special primes"] = \
+                len(rep.special_primes) == recorded.Q3D6_SPECIAL_PER_C[c]
             checks[f"{name} degree-6 factors match the special primes"] = \
                 sorted(rep.L.degree_d_multiplicities) == rep.special_primes
-            derivs = {str(parse_poly(t, field).derivative())
-                      for t in rep.special_primes}
-            checks[f"{name} special primes all have derivative {deriv}"] = \
-                derivs == {deriv}
-            checks[f"D_5 side at c={c}: simple degree-6 factors"] = \
-                sorted(rep.D.degree_d_multiplicities.values()) == [1, 1, 1]
         checks["under 2 minutes"] = elapsed < 120
     run_criterion(capfd, 3, body)
 
 
-def test_criterion_04_wilson_sum_factorization(capfd, f3, q3d6_record):
+def test_criterion_04_wilson_sum_factorization(capfd, q3d6_wilson_sum, q3d6_record):
     def body(checks):
-        rep = theorem5_report(f3, 6)
-        checks["polynomial degree 360"] = rep.poly_degree == 360
-        expected = ([(1, 4)] * 3 + [(2, 1)] * 3 + [(6, 1)] * 15
-                    + [(18, 1)] * 2 + [(20, 1)] * 3 + [(24, 1)] * 3
-                    + [(28, 1)] * 3)
-        checks["factor degrees 1^4 x3, 2 x3, 6 x15, 18 x2, 20 x3, 24 x3, 28 x3"] = \
-            degree_pairs(rep.factor_degrees) == sorted(expected)
-        checks["degree-6 factors are the 15 wilson primes"] = \
-            rep.wilson_primes == sorted(q3d6_record.wilson_primes) \
-            and len(rep.degree_d_multiplicities) == 15
+        rep = q3d6_wilson_sum
+        recorded_checks(checks, recorded.q3d6_wilson_sum, rep)
+        checks["degree-6 factors are the wilson primes"] = \
+            rep.wilson_primes == sorted(q3d6_record.wilson_primes)
     run_criterion(capfd, 4, body)
 
 
@@ -159,40 +124,8 @@ def test_criterion_05_equivalence_grids(capfd):
 def test_criterion_06_artin_schreier_family(capfd):
     def body(checks):
         for p in (3, 5):
-            field = parse_field(str(p))
-            t = Poly.t(field)
             for m in range(1, p):
-                prime = t ** p - t - Poly.constant(field, m)
-                name = f"t^{p}-t-{m}"
-                checks[f"{name} irreducible"] = is_irreducible(prime)
-                ctx = PrimeContext.for_prime(prime)
-                suite = wilson_suite(ctx)
-                checks[f"{name} wilson, 15 conditions unanimous"] = (
-                    suite.holds and suite.unanimous
-                    and len(suite.verdicts) == 15)
-                checks[f"{name} multiplicity at least {p - 1}"] = \
-                    wilson_multiplicity(ctx) >= p - 1
-                checks[f"{name} special for c={p - 1}"] = \
-                    is_special_wilson(ctx, p - 1)
-                ext = ctx.residue_field
-                shift = Poly.t(ext) - Poly.constant(ext, ctx.theta)
-                checks[f"{name} first difference quotient"] = \
-                    delta(prime, ctx, 1) == shift ** (p - 1) - Poly.one(ext)
-                checks[f"{name} second difference quotient"] = \
-                    delta(prime, ctx, 2) == shift ** (p - 2)
-                q1 = fermat_quotient(t, ctx)
-                expansion = Poly.zero(field)
-                for i in range(p):
-                    expansion = expansion + prime ** (p ** i - 1)
-                checks[f"{name} fermat quotient closed form"] = q1 == expansion
-                checks[f"{name} fermat quotient is 1 at theta"] = \
-                    eval_poly(embed(q1, ext), ctx.theta) == ext.one
-                vanish = []
-                for label in MIXED_LABELS:
-                    val = mixed(label, ctx)
-                    vanish.append(val.is_zero if isinstance(val, Poly)
-                                  else not val)
-                checks[f"{name} all mixed conditions vanish"] = all(vanish)
+                recorded_checks(checks, recorded.artin_schreier_prime, p, m)
     run_criterion(capfd, 6, body)
 
 
@@ -246,22 +179,15 @@ def test_criterion_09_special_prime_existence(capfd, f2, f3):
         f4 = parse_field("4")
         checks["no special primes over F2 at degree 8"] = \
             special_primes_by_form(f2, 8, 1) == []
-        checks["none over F3 at degree 9 for c=-1"] = \
-            special_primes_by_form(f3, 9, 2) == []
         checks["none over F4 at degree 4 for c=1"] = \
             special_primes_by_form(f4, 4, 1) == []
         checks["none over F3 at degree 12 for either c"] = (
             special_primes_by_form(f3, 12, 1) == []
             and special_primes_by_form(f3, 12, 2) == [])
-        six = [str(f) for f in special_primes_by_form(f3, 9, 1)]
-        checks["six special primes over F3 at degree 9, c=1"] = len(six) == 6
-        scan = perturbation_divisor_scan(
-            f3, 9, [("L_minus_c", 1), ("L_minus_c", 2)])
-        checks["2184 degree-9 primes scanned"] = scan["prime_count"] == 2184
-        checks["exactly the six divide L_8-1"] = \
-            sorted(scan["divisors"][("L_minus_c", 1)]) == sorted(six)
-        checks["no degree-9 prime divides L_8+1"] = \
-            scan["divisors"][("L_minus_c", 2)] == {}
+        recorded_checks(
+            checks, recorded.q3d9_scan, special_primes_by_form(f3, 9, 1),
+            special_primes_by_form(f3, 9, 2),
+            perturbation_divisor_scan(f3, 9, [("L_minus_c", 1), ("L_minus_c", 2)]))
     run_criterion(capfd, 9, body)
 
 
@@ -339,28 +265,18 @@ def test_criterion_10_oracle_equivalences(capfd):
 @pytest.mark.extended
 def test_criterion_11_q2d14_extended(capfd, f2):
     def body(checks):
-        cache = CarlitzCache(f2)
-        pert = cache.perturbation("L_minus_c", 14, 1)
-        checks["perturbation degree 16382"] = pert.degree == 16382
+        pert = CarlitzCache(f2).perturbation("L_minus_c", 14, 1)
         t0 = time.perf_counter()
-        fac = trial_division(pert, 22)
+        fac = trial_division(pert, recorded.Q2D14_TRIAL_DEGREE)
         trial_s = time.perf_counter() - t0
-        checks["trial division to degree 22 under 5 minutes"] = trial_s < 300
-        checks["12 degree-14 primes and one degree-22 prime"] = \
-            degree_pairs((b.degree, m) for b, m in fac.factors) == \
-            [(14, 1)] * 12 + [(22, 1)]
-        special = {str(f) for f in special_primes_by_form(f2, 14, 1)}
-        checks["degree-14 factors are the constant-derivative primes"] = \
-            {str(b) for b, _ in fac.factors if b.degree == 14} == special
-        rest = factorize(fac.cofactor)
-        checks["remaining factor degrees 128, 1156 x2, 2246 x2, 9260"] = \
-            degree_pairs((b.degree, m) for b, m in rest.factors) == \
-            [(128, 1), (1156, 1), (1156, 1), (2246, 1), (2246, 1), (9260, 1)]
-        total = sum(b.degree * m for b, m in fac.factors)
-        total += sum(b.degree * m for b, m in rest.factors)
-        checks["factor degrees sum to 16382"] = total == 16382
+        checks[f"trial division to degree {recorded.Q2D14_TRIAL_DEGREE} "
+               "under 5 minutes"] = trial_s < 300
+        special = [str(f) for f in special_primes_by_form(f2, 14, 1)]
+        recorded_checks(checks, recorded.l13_trial_division, pert, fac, special)
+        v = recorded_checks(checks, recorded.l13_remaining, fac,
+                            factorize(fac.cofactor))
         with capfd.disabled():
-            print("[criterion 11] note: the published largest-factor degree "
-                  "8192 is inconsistent with the verified factorization; "
-                  "the degrees sum to 16382 with largest factor 9260")
+            for c in v.checks:
+                if "note" in c:
+                    print(f"[criterion 11] note: {c['note']}")
     run_criterion(capfd, 11, body)

@@ -209,6 +209,14 @@ def test_jobs_below_one_exits_2(argv):
         f"error: argument --jobs: must be at least 1, got {argv[-1]}\n")
 
 
+def test_verify_has_no_trial_degree_flag():
+    proc = _cli_process("verify", "paper", "--case", "q3d9",
+                        "--max-trial-degree", "22")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --max-trial-degree 22" in proc.stderr
+
+
 def test_unparseable_poly_exits_2(capsys):
     _, err = run(capsys, ["factor", "--field", "3",
                           "--poly", "(t+1)*(t^3+2*t+2)"], expect=2)
@@ -333,6 +341,54 @@ def test_verify_q3d9(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_q3d6_and_q2d14(capsys, monkeypatch, q3d6_record, q2d14_record,
+                               q3d6_wilson_sum, q3d6_perturbations):
+    # the census and the reports are the session fixtures the acceptance
+    # gate checks, so only the composition of the verify cases runs here
+    def survey(field, d, *, seed, jobs, full_suites=False):
+        assert (seed, jobs) == (0, 1)
+        return {("3", 6, True): q3d6_record,
+                ("2", 14, False): q2d14_record}[field.descriptor(), d, full_suites]
+
+    def theorem5(field, d, seed):
+        assert (field.descriptor(), d, seed) == ("3", 6, 0)
+        return q3d6_wilson_sum
+
+    def theorem7(field, d, c, mode, seed):
+        assert (field.descriptor(), d, mode, seed) == ("3", 6, "full", 0)
+        return q3d6_perturbations[0][c]
+
+    monkeypatch.setattr(cli, "survey_degree", survey)
+    monkeypatch.setattr(cli, "theorem5_report", theorem5)
+    monkeypatch.setattr(cli, "theorem7_report", theorem7)
+    out, _ = run(capsys, ["verify", "paper", "--case", "q3d6"])
+    assert out == (
+        "case q3d6\n"
+        "ok: counts (primes, special, wilson) = (116, 6, 15)\n"
+        "ok: special primes per c = {1: 3, 2: 3}\n"
+        "ok: 15-condition suites unanimous on every prime = True\n"
+        "ok: wilson sum degree = 360\n"
+        "ok: wilson sum factors = 1^4x3 2x3 6x15 18x2 20x3 24x3 28x3\n"
+        "ok: wilson sum degree-6 factor set size = 15\n"
+        "ok: L_5-1 degree = 363\n"
+        "ok: L_5-1 factors = 6^2x3 14x3 95x3\n"
+        "ok: L_5-1 degree-6 factor derivative = ['2']\n"
+        "ok: D_5 side multiplicities at c=1 = [1, 1, 1]\n"
+        "ok: L_5-2 degree = 363\n"
+        "ok: L_5-2 factors = 6^2x3 14x3 95x3\n"
+        "ok: L_5-2 degree-6 factor derivative = ['1']\n"
+        "ok: D_5 side multiplicities at c=2 = [1, 1, 1]\n"
+        "all 14 checks passed\n")
+    out, _ = run(capsys, ["verify", "paper", "--case", "q2d14"])
+    ones = ", ".join(["1"] * 12)
+    assert out == (
+        "case q2d14\n"
+        "ok: counts (primes, special) = (1161, 12)\n"
+        f"ok: L-side multiplicities = [{ones}]\n"
+        f"ok: D-side multiplicities = [{ones}]\n"
+        "all 3 checks passed\n")
+
+
 def test_verify_json_payload(capsys):
     out, _ = run(capsys, ["verify", "paper", "--case", "artin-schreier",
                           "--json"])
@@ -340,3 +396,98 @@ def test_verify_json_payload(capsys):
     assert data["case"] == "artin-schreier"
     assert data["ok"] is True
     assert len(data["checks"]) == 54
+
+
+# ------------------------------------------------------------------ fuzz
+
+FUZZ_FIELDS = ("2", "3", "4", "5", "9", "2^2", "4:t^2+t+1", "4/t^2+t+2",
+               "4:t^2+t+1/t^2+t+2", "9/t^2+t+3")
+# not a prime power, a bad exponent, a bad or reducible modulus, a
+# modulus on a prime field, empty parts, a tower above the height cap
+MALFORMED_FIELDS = (
+    "6", "1", "0", "-3", "2^0", "2^-1", "6^2", "x", "", "4:t^3+t+1",
+    "4:t^2+1", "3:t^2+1", "4/t+1", "4/t^2+1", "4/", "/t^2+t+2", "4:",
+    "4:t^2+t+1/t^2+t+2/t^2+t+1",
+)
+
+
+def _fuzz_argv(st):
+    """Argument vectors over every subcommand, sized so that an example
+    runs well under a second."""
+    valid = st.sampled_from(FUZZ_FIELDS)
+    field = st.one_of(valid, valid, st.sampled_from(MALFORMED_FIELDS))
+    degree = st.sampled_from(("-1", "0", "1", "2", "3", "x", "2.5"))
+    small = st.sampled_from(("-1", "0", "1", "2", "x"))
+    poly = st.sampled_from(("t", "t+1", "t^2+1", "t^3+2*t+2", "2*t^2+3",
+                            "[1,0,1]", "0", "1", "2*", "t^", "[1,,1]", ""))
+    junk = st.one_of(st.just([]), st.just([]), st.lists(
+        st.sampled_from(("--bogus", "--json", "-x", "--field", "7", "", "--",
+                         "--seed", "-1")), min_size=1, max_size=2))
+
+    def cmd(*parts):
+        return st.tuples(*parts).map(
+            lambda ps: [w for p in ps for w in ((p,) if isinstance(p, str) else p)])
+
+    def opt(flag, values):
+        return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+    def flag(name):
+        return st.sampled_from(((), (name,)))
+
+    commands = st.one_of(
+        cmd(st.just("primes"), st.just("list"), st.just("--field"), field,
+            st.just("--degree"), degree, opt("--start", small),
+            opt("--stop", small), flag("--json")),
+        cmd(st.just("check"), st.just("wieferich"), st.just("--field"), field,
+            st.just("--prime"), poly, st.just("--base"), poly,
+            flag("--all-conditions")),
+        cmd(st.just("check"), st.just("wilson"), st.just("--field"), field,
+            st.just("--prime"), poly, flag("--skip-def"),
+            flag("--all-conditions")),
+        cmd(st.just("classify-base"), st.just("--field"), field,
+            st.just("--base"), poly),
+        cmd(st.just("carlitz"), st.just("compute"), st.just("--field"), field,
+            st.just("--what"),
+            st.sampled_from(("bracket", "L", "D", "F", "wilson-sum",
+                             "perturbation", "nope")),
+            st.just("--n"), small, opt("--c", small),
+            opt("--kind", st.sampled_from(("L_minus_c", "D_plus_sign_c", "x"))),
+            opt("--mod", poly)),
+        cmd(st.just("factor"), st.just("--field"), field, st.just("--poly"),
+            poly, opt("--max-trial-degree", small), opt("--seed", small)),
+        cmd(st.just("survey"), st.just("--field"), field, st.just("--degree"),
+            degree, opt("--jobs", st.sampled_from(("1", "0", "-1", "x"))),
+            flag("--full-suites"), opt("--budget", small),
+            flag("--no-multiplicities")),
+        cmd(st.just("theorem5"), st.just("--field"), field,
+            st.just("--degree"), degree),
+        cmd(st.just("theorem7"), st.just("--field"), field,
+            st.just("--degree"), small, st.just("--c"), small,
+            opt("--mode", st.sampled_from(("full", "partial", "x"))),
+            opt("--max-trial-degree", small)),
+        cmd(st.just("scan"), st.sampled_from(("borisov", "alt-conjecture")),
+            st.just("--field"), field, st.just("--max-degree"), degree),
+        cmd(st.just("verify"), st.just("paper"), st.just("--case"),
+            st.sampled_from(("artin-schreier", "q3d5", "")),
+            flag("--json")),
+    )
+    return st.tuples(commands, junk).map(lambda pair: pair[0] + pair[1])
+
+
+def test_cli_fuzz_exit_codes(capsys):
+    # an exception escaping main() is what a user would see as a
+    # traceback; argparse's usage errors leave through SystemExit(2)
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(_fuzz_argv(hyp.strategies))
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+
+    check()

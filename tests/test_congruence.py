@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fqwilson import congruence, deriv
 from fqwilson.congruence import (
     WIEFERICH_LABELS,
     WILSON_LABELS,
@@ -111,7 +112,7 @@ def test_wilson_skip_def():
 
 @pytest.mark.parametrize("field,text", [(F3, "t^3+2*t+2"), (F5, "t^4+t^2+2")])
 def test_wilson_suite_powers_only_t(monkeypatch, field, text):
-    # the eight Fermat quotients compose with a memoized t^(q^d) and
+    # the Fermat quotients compose with a memoized t^(q^d) and
     # raise no operand of their own to a power; the definition route
     # (Carlitz chain powmods) is skipped, it is its own independent route
     ctx = PrimeContext.for_prime(parse_poly(text, field))
@@ -126,6 +127,29 @@ def test_wilson_suite_powers_only_t(monkeypatch, field, text):
     assert wilson_suite(ctx, skip_def=True).unanimous
     assert 1 <= len(operands) <= 2
     assert all(a == Poly.t(field) for a in operands)
+
+
+@pytest.mark.parametrize("field,text", [(F3, "t^3+2*t+2"), (F5, "t^4+t^2+2")])
+def test_wilson_suite_computes_each_shared_quantity_once(monkeypatch, field, text):
+    # Q(t) mod P^2 feeds five conditions, Q(P') mod P two and P^[1] three
+    ctx = PrimeContext.for_prime(parse_poly(text, field))
+    calls = []
+
+    def counting(name, real):
+        def wrapper(a, ctx, k):
+            calls.append((name, a, k))
+            return real(a, ctx, k)
+        return wrapper
+
+    for name in ("fermat_quotient_mod", "delta"):
+        wrapper = counting(name, getattr(deriv, name))
+        monkeypatch.setattr(deriv, name, wrapper)
+        monkeypatch.setattr(congruence, name, wrapper)
+    assert wilson_suite(ctx, skip_def=True).unanimous
+    prime = ctx.prime
+    assert calls.count(("fermat_quotient_mod", Poly.t(field), 2)) == 1
+    assert calls.count(("fermat_quotient_mod", prime.derivative(), 1)) == 1
+    assert sum(name == "delta" and a == prime for name, a, _ in calls) == 1
 
 
 WILSON_COUNTS_Q3 = {1: 3, 2: 0, 3: 2, 4: 6, 5: 0, 6: 15}

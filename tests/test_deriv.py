@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fqwilson.congruence import wilson_suite
 from fqwilson.deriv import (
     MIXED_LABELS,
     delta,
@@ -11,7 +12,6 @@ from fqwilson.deriv import (
     fermat_quotient,
     fermat_quotient_iter,
     fermat_quotient_mod,
-    mixed,
 )
 from fqwilson.errors import FieldMismatch
 from fqwilson.gf import make_prime_field, parse_field
@@ -232,22 +232,14 @@ def test_delta_zero_order_is_value():
     assert delta_at_theta(a, ctx, 0) == eval_poly(a, field(2))
 
 
-def _is_zero(value):
-    if isinstance(value, Poly):
-        return value.is_zero
-    return not value
-
-
 def test_mixed_labels_complete_and_wilson_linked():
     assert len(MIXED_LABELS) == 8
     field = make_prime_field(3)
-    wilson = PrimeContext.for_prime(parse_poly("t^3+2*t+2", field))
-    plain = PrimeContext.for_prime(parse_poly("t^3+t^2+2", field))
+    wilson = wilson_suite(PrimeContext.for_prime(parse_poly("t^3+2*t+2", field)))
+    plain = wilson_suite(PrimeContext.for_prime(parse_poly("t^3+t^2+2", field)))
     for label in MIXED_LABELS:
-        assert _is_zero(mixed(label, wilson)), label
-        assert not _is_zero(mixed(label, plain)), label
-    with pytest.raises(ValueError):
-        mixed("nope", wilson)
+        assert wilson.verdicts[label], label
+        assert not plain.verdicts[label], label
 
 
 def test_field_mismatch_between_base_and_prime():

@@ -53,7 +53,7 @@ def test_factorize_matches_enumeration_oracle(p, dmax):
             want, left = oracle_factor(f, primes)
             assert got == want and left.degree == 0, str(f)
             assert fac.value() == f
-            assert fac.is_complete
+            assert fac.cofactor is None
 
 
 def test_factorize_nonmonic_unit():
@@ -151,7 +151,7 @@ def test_trial_division_partial_contract():
 
     # bound high enough to finish completely
     full = trial_division(f, 5)
-    assert full.is_complete
+    assert full.cofactor is None
     assert full.degrees() == (2, 2, 3, 5)
 
 
@@ -223,10 +223,62 @@ def test_trial_division_matches_greedy_oracle(descriptor, max_deg):
             assert sorted((str(b), m) for b, m in fac.factors) == want, (str(f), k)
             assert fac.value() == f
             if left.degree == 0:
-                assert fac.is_complete
+                assert fac.cofactor is None
                 continue
             assert fac.cofactor == left
             assert fac.cofactor_irreducible == is_irreducible(left), (str(f), k)
             flags.add(fac.cofactor_irreducible)
     assert flags == {True, False}  # both flag routes were exercised
 
+
+
+@pytest.mark.parametrize("descriptor", ("4", "9", "625", "4:t^2+t+1/t^2+t+2"))
+def test_factorize_value_property_over_extensions(descriptor):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = parse_field(descriptor)
+    nonzero = st.tuples(st.lists(st.integers(0, field.order - 1), max_size=9),
+                        st.integers(1, field.order - 1))
+
+    @hyp.settings(max_examples=50, deadline=None)
+    @hyp.given(nonzero)
+    def check(pair):
+        f = Poly(field, pair[0] + [pair[1]])
+        fac = factorize(f)
+        assert fac.value() == f
+        assert all(b.is_monic and is_irreducible(b) for b, _ in fac.factors)
+
+    check()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_factorize_matches_sympy(p):
+    # an independent oracle: sympy's factorization over GF(p), whose
+    # symmetric coefficients are mapped to codes in [0, p) and made monic
+    sympy = pytest.importorskip("sympy")
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(p)
+    t = sympy.symbols("t")
+    nonzero = st.tuples(st.lists(st.integers(0, p - 1), max_size=12),
+                        st.integers(1, p - 1)).map(
+        lambda pair: Poly(field, pair[0] + [pair[1]]))
+
+    def monic_codes(coeffs):
+        codes = [c % p for c in reversed(coeffs)]
+        inv = pow(codes[-1], -1, p)
+        return tuple(c * inv % p for c in codes)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(nonzero, nonzero)
+    def check(a, b):
+        f = a * b * b  # repeated factors whenever b is not constant
+        fac = factorize(f)
+        unit, factors = sympy.Poly(f.codes[::-1], t, modulus=p).factor_list()
+        want = sorted((monic_codes(g.all_coeffs()), m) for g, m in factors)
+        assert sorted((base.codes, m) for base, m in fac.factors) == want
+        for g, m in factors:
+            unit = unit * g.all_coeffs()[0] ** m
+        assert fac.unit.code == f.lead_code == int(unit) % p
+
+    check()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fqwilson.errors import DivisionByZero, FieldMismatch, NotPrime
+from fqwilson.errors import DivisionByZero, FieldMismatch, NotPrime, Reducible
 from fqwilson.gf import (
     _TABLE_TRIGGER,
     FieldElement,
@@ -89,6 +89,13 @@ def test_parse_field_round_trip():
     for text in ("2", "3", "4", "5", "8", "9", "25", "2^2", "3^2"):
         field = parse_field(text)
         assert parse_field(field.descriptor()) == field
+    # height-2 towers: F_16 over F_4 and F_81 over F_9
+    for base_text, mod_text in (("4", "t^2+t+2"), ("9", "t^2+t+3")):
+        base = parse_field(base_text)
+        tower = make_extension(base, parse_poly(mod_text, base))
+        assert tower.descriptor() == f"{base.descriptor()}/{mod_text}"
+        assert parse_field(tower.descriptor()) == tower
+        assert parse_field(f"{base_text}/{mod_text}") == tower
 
 
 def test_parse_field_explicit_modulus():
@@ -104,6 +111,12 @@ def test_parse_field_explicit_modulus():
         parse_field("6")  # not a prime power
     with pytest.raises(NotPrime):
         parse_field("6^2")
+    with pytest.raises(ValueError):
+        parse_field("4/t+1")  # a tower modulus needs degree at least 2
+    with pytest.raises(Reducible):
+        parse_field("4/t^2+1")
+    with pytest.raises(FieldMismatch):
+        parse_field("4/t^2+t+2/t^2+t+1")  # above the tower height cap
 
 
 def test_field_mismatch_raises():

@@ -7,7 +7,7 @@ import pytest
 
 from fqwilson import _gf2
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotDivisible
-from fqwilson.gf import default_modulus, make_extension, make_prime_field
+from fqwilson.gf import default_modulus, make_extension, make_prime_field, parse_field
 from fqwilson.poly import (
     ModReducer,
     Poly,
@@ -585,6 +585,43 @@ def test_gf2_ring_ops_match_tuple_oracle_property():
         while Poly(field, y):
             x, y = y, _mod2_oracle(x, Poly(field, y).codes)
         assert gcd(pa, pd) == Poly(field, x)
+
+    check()
+
+
+# extension fields of each kind: char 2, odd char, order above the
+# table cap, and a height-2 tower
+EXTENSION_FIELDS = ("4", "9", "625", "4:t^2+t+1/t^2+t+2")
+
+
+def ext_polys(st, field, max_size, nonzero=False):
+    codes = st.lists(st.integers(0, field.order - 1), max_size=max_size)
+    if nonzero:
+        codes = st.tuples(codes, st.integers(1, field.order - 1)).map(
+            lambda pair: pair[0] + [pair[1]])
+    return codes.map(lambda c: Poly(field, c))
+
+
+@pytest.mark.parametrize("descriptor", EXTENSION_FIELDS)
+def test_extension_ring_divrem_gcd_property(descriptor):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = parse_field(descriptor)
+    zero, one = Poly.zero(field), Poly.one(field)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(ext_polys(st, field, 12), ext_polys(st, field, 12),
+               ext_polys(st, field, 8, nonzero=True))
+    def check(a, b, d):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + d == a + (b + d) and (a * b) * d == a * (b * d)
+        assert a * (b + d) == a * b + a * d
+        assert a + zero == a and a * one == a and a + (-a) == zero
+        assert a - b == a + (-b)
+        q, r = divrem(a, d)
+        assert q * d + r == a and (r.is_zero or r.degree < d.degree)
+        g = gcd(a, d)
+        assert g.is_monic and (a % g).is_zero and (d % g).is_zero
 
     check()
 

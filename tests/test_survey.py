@@ -208,6 +208,16 @@ def test_sweep_invariants_f4_deep(d):
     assert rec.prime_count == count_irreducibles(field, d)
 
 
+def test_survey_over_a_tower_field():
+    # each survey chunk re-parses the field from its descriptor, which
+    # for F_16 over F_4 is the tower form base/modulus; primes of higher
+    # degree would need residue fields above the tower height cap
+    field = parse_field("4:t^2+t+1/t^2+t+2")
+    rec = survey_degree(field, 1)
+    assert rec.field_descriptor == field.descriptor()
+    assert rec.prime_count == count_irreducibles(field, 1) == 16
+
+
 # ------------------------------------------------------------ persistence
 
 
