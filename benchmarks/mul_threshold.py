@@ -4,14 +4,15 @@ their log/antilog tables.
 
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the combined operand length reaches _KRON_MIN_LEN, and ModReducer
-switches from long division to Barrett reduction once the modulus
-degree reaches _BARRETT_MIN_DEG.  This script times each pair of
-kernels head to head on random dense operands over a few odd prime
-fields and reports the first size from which the faster kernel keeps
-winning, so the constants in poly.py can be re-checked after
-interpreter, hardware or kernel changes.  The reduction sweep reduces
-a dividend of degree 2n-2, the product of two residues, by a monic
-modulus of degree n.
+over prime fields of characteristic 5 or more switches from long
+division to Barrett reduction once the modulus degree reaches
+_BARRETT_MIN_DEG.  This script times each pair of kernels head to head
+on random dense operands over a few odd prime fields and reports the
+first size from which the faster kernel keeps winning, so the
+constants in poly.py can be re-checked after interpreter, hardware or
+kernel changes.  The reduction sweep reduces a dividend of degree
+2n-2, the product of two residues, by a monic modulus of degree n; it
+skips characteristic 3, whose ModReducer runs on the _gf3 planes.
 
 The extension-field sweep times one slow product (Field._ext_mul) and
 one full table build (primitive-element search, exp walk, log and Zech
@@ -30,11 +31,23 @@ build plus n table reductions (what a Rabin test or a Frobenius chain
 of n squarings pays); each dividend is the square of a random residue.
 _gf2.TableReducer uses the table from modulus degree _gf2._TABLE_MIN_DEG.
 
+The F_3 sweeps (--gf3, in place of the others) time the product on the
+two bit planes (_gf3.mul) against _kron_mul on code tuples at equal
+operand lengths, once on packed operands, as ModReducer's packed mode
+multiplies, and once with packing and unpacking included, as a Poly
+product would pay; Poly.__mul__ over F_3 keeps _kron_mul unless the
+second column wins.  Then, for each modulus degree n, they time n
+reductions by plane long division (_gf3.mod_) against one Barrett
+set-up (mu = t^(2n-1) div m) plus n Barrett reductions on the planes;
+each dividend is the square of a random residue.  _gf3.Reducer uses
+Barrett from modulus degree _gf3._BARRETT_MIN_DEG.
+
 Usage:
     python3 benchmarks/mul_threshold.py
     python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
     python3 benchmarks/mul_threshold.py --chars   # extension fields only
     python3 benchmarks/mul_threshold.py --gf2
+    python3 benchmarks/mul_threshold.py --gf3
 """
 
 import argparse
@@ -42,7 +55,7 @@ import random
 import time
 import timeit
 
-from fqwilson import _gf2, gf, poly
+from fqwilson import _gf2, _gf3, gf, poly
 from fqwilson.gf import make_extension, make_prime_field
 from fqwilson.irr import iter_monic_irreducibles
 from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
@@ -54,6 +67,10 @@ GF2_BITS = (16, 24, 32, 48, 64, 96, 128, 256, 512, 768, 1024, 1536, 2048, 3072,
             4096, 6144, 8192, 12288, 16384)
 GF2_REDUCE_DEGREES = (8, 12, 16, 24, 32, 40, 48, 64, 96, 128, 192, 256, 512,
                       1024, 2048)
+GF3_LENGTHS = (4, 8, 14, 20, 32, 48, 63, 64, 96, 128, 192, 256, 384, 512, 1024,
+               2048)
+GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 192,
+                      256, 324, 512)
 
 
 def time_once(fn, args, repeat, number):
@@ -151,6 +168,72 @@ def gf2_reduce_sweep(rng, repeat, trinomial):
     return rows
 
 
+def gf3_mul_sweep(rng, repeat, number):
+    rows = []
+    for n in GF3_LENGTHS:
+        a, b = (tuple(rng.randrange(3) for _ in range(n - 1)) + (rng.randrange(1, 3),)
+                for _ in range(2))
+        pa, pb = _gf3.pack(a), _gf3.pack(b)
+        if _gf3.unpack(_gf3.mul(pa, pb)) != _kron_mul(a, b, 3):
+            raise AssertionError(f"F_3 products disagree at length {n}")
+
+        def converted():
+            return _gf3.unpack(_gf3.mul(_gf3.pack(a), _gf3.pack(b)))
+
+        rows.append((n, time_once(_kron_mul, (a, b, 3), repeat, number),
+                     time_once(_gf3.mul, (pa, pb), repeat, number),
+                     time_once(converted, (), repeat, number)))
+    return rows
+
+
+def gf3_reducer(m, barrett):
+    """_gf3.Reducer(m) forced onto Barrett or onto mod_."""
+    saved = _gf3._BARRETT_MIN_DEG
+    _gf3._BARRETT_MIN_DEG = 0 if barrett else _gf3.deg(m) + 1
+    try:
+        return _gf3.Reducer(m)
+    finally:
+        _gf3._BARRETT_MIN_DEG = saved
+
+
+def gf3_reduce_sweep(rng, repeat):
+    rows = []
+    for n in GF3_REDUCE_DEGREES:
+        m = _gf3.pack([rng.randrange(3) for _ in range(n)] + [1])
+        squares = [_gf3.sqr(_gf3.pack([rng.randrange(3) for _ in range(n)]))
+                   for _ in range(n)]
+        barrett = gf3_reducer(m, True)
+        if [barrett(x) for x in squares] != [_gf3.mod_(x, m) for x in squares]:
+            raise AssertionError(f"F_3 reducers disagree at degree {n}")
+
+        def run(use_barrett):
+            reduce = gf3_reducer(m, use_barrett)
+            for x in squares:
+                reduce(x)
+
+        # per reduction, the Barrett set-up spread over its n uses
+        rows.append((n, time_once(run, (False,), repeat, 1) / n,
+                     time_once(run, (True,), repeat, 1) / n))
+    return rows
+
+
+def report_gf3_mul(rows):
+    print("mul, F_3  (length per operand, kronecker us, planes us, "
+          "planes with pack/unpack us)")
+    for n, kron, planes, converted in rows:
+        mark = "  <-- planes win" if planes < kron else ""
+        if converted < kron:
+            mark += ", also with conversion"
+        print(f"  {n:5d}  {kron * 1e6:9.2f}  {planes * 1e6:9.2f}  "
+              f"{converted * 1e6:9.2f}{mark}")
+    for title, col in (("packed", 2), ("with conversion", 3)):
+        cross = first_crossover([(row[0], row[1], row[col]) for row in rows])
+        where = "no stable crossover in range" if cross is None else \
+            f"stable crossover at length ~{cross}"
+        print(f"  planes {title}: {where}")
+    print()
+
+
 def table_sweep(p, k, rng, repeat, pairs=2000):
     """(mean _ext_mul seconds, mean build seconds per element) over the
     first TABLE_MODULI residue fields of order p^k."""
@@ -227,7 +310,24 @@ def main(argv=None):
                     help="sweep GF(2) products from 16 to 16384 bits and "
                          "reductions by moduli of degree 8 to 2048 instead; "
                          "product samples hold --number / 20 products")
+    ap.add_argument("--gf3", action="store_true",
+                    help="sweep F_3 plane products against _kron_mul from "
+                         "length 4 to 2048 and plane reductions by moduli of "
+                         "degree 4 to 512 instead; product samples hold "
+                         "--number / 20 products")
     args = ap.parse_args(argv)
+
+    if args.gf3:
+        report_gf3_mul(gf3_mul_sweep(random.Random(args.seed), args.repeat,
+                                     max(1, args.number // 20)))
+        print(f"_gf3._LANE8_MAX_LEN = {_gf3._LANE8_MAX_LEN} (8-bit lanes "
+              f"below it, 16-bit lanes from it)")
+        print()
+        report("reduce n squares + Barrett set-up, F_3", "modulus degree",
+               gf3_reduce_sweep(random.Random(args.seed), args.repeat),
+               "barrett", "long division")
+        print(f"_gf3._BARRETT_MIN_DEG = {_gf3._BARRETT_MIN_DEG}")
+        return
 
     if args.gf2:
         report("mul, GF(2)", "bits per operand",
@@ -251,9 +351,10 @@ def main(argv=None):
         rng = random.Random(args.seed)
         report(f"mul, char {p}", "combined length",
                mul_sweep(p, lengths, rng, args.repeat, args.number), "kronecker")
-        report(f"reduce, char {p}", "modulus degree",
-               reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat, args.number),
-               "barrett")
+        if p != 3:  # F_3 reduces on the _gf3 planes: see --gf3
+            report(f"reduce, char {p}", "modulus degree",
+                   reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
+                                args.number), "barrett")
     rng = random.Random(args.seed)
     report_tables([(p ** k, *table_sweep(p, k, rng, args.repeat))
                    for p, k in TABLE_FIELDS])

@@ -9,27 +9,38 @@ Multiplication dispatches on the coefficient field: packed-int
 carry-less arithmetic over F_2, Kronecker substitution into machine
 integers for other small prime fields once operands are long enough to
 beat schoolbook, and generic schoolbook over extension fields (whose
-polynomials stay short in this package).  Over odd prime fields
-ModReducer precomputes a Barrett inverse so repeated reductions by a
-fixed modulus cost two multiplies instead of a quadratic division; over
-F_2 it reduces packed ints by a per-modulus byte table (_gf2.TableReducer)
-once the modulus degree reaches _gf2._TABLE_MIN_DEG, and by shift-xor
-division below that.
+polynomials stay short in this package).  Over F_2 and F_3 ModReducer
+keeps its modulus packed and reduces in the packed kernel (_gf2,
+_gf3), where powmod also squares and multiplies, converting once per
+call: over F_2 by a per-modulus byte table (_gf2.TableReducer) once
+the modulus degree reaches _gf2._TABLE_MIN_DEG and by shift-xor
+division below that, over F_3 by Barrett division on two bit planes
+(_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and by plane long division
+below that.  Over
+prime fields of characteristic 5 or more it precomputes a Barrett
+inverse of the reversed modulus from _BARRETT_MIN_DEG, so repeated
+reductions cost two multiplies instead of a quadratic division.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _pack2/_unpack2, which convert via the int's base-2
 text, one byte per coefficient translated in bulk, with no Python loop
 per coefficient; addition is one XOR of packed ints and negation is the
-identity.
+identity.  Over F_3 it likewise keeps its tuple form, and divrem and
+gcd cross into _gf3's planes (the positions of the 1s and of the 2s)
+through _gf3.pack/_gf3.unpack.
 
 Over odd prime fields addition and negation reduce each coefficient
 inline, and the other hot kernels also work on plain int lists and
 make no per-coefficient Field call: Kronecker packing goes through
 array lanes of 1, 2, 4 or 8 bytes, and long division (_divrem_prime)
 subtracts whole rows and reduces a slot mod p only when it becomes the
-leading term.  The generic field-call division
-(_divrem_field) serves extension fields and stays as the slow oracle
-the tests compare against.
+leading term.  Over F_3, _divrem_prime stays only as the oracle the
+tests compare the planes against, while Poly
+products keep _kron_mul: with packing and unpacking paid, the plane
+product wins only from about 1,024 coefficients per operand
+(`benchmarks/mul_threshold.py --gf3`).  The generic
+field-call division (_divrem_field) serves extension fields and stays
+as the slow oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from . import _gf2
+from . import _gf2, _gf3
 from .errors import (
     BoundExceeded,
     CoefficientsNotInFixedField,
@@ -54,7 +65,7 @@ NEG_INF = float("-inf")
 DEGREE_GUARD = 1 << 18
 
 _KRON_MIN_LEN = 16     # combined length where Kronecker beats schoolbook
-_BARRETT_MIN_DEG = 24  # modulus degree where Barrett beats schoolbook over F_p
+_BARRETT_MIN_DEG = 24  # modulus degree where Barrett beats schoolbook, p >= 5
 
 # (byte width, array typecode) for each unsigned lane width the platform
 # offers, narrowest first; Kronecker packing picks the first that fits
@@ -381,6 +392,9 @@ def divrem(a: Poly, b: Poly):
         if field.char == 2:
             q, r = _gf2.divmod_(_pack2(a.codes), _pack2(b.codes))
             return Poly(field, _unpack2(q)), Poly(field, _unpack2(r))
+        if field.char == 3:
+            q, r = _gf3.divmod_(_gf3.pack(a.codes), _gf3.pack(b.codes))
+            return Poly(field, _gf3.unpack(q)), Poly(field, _gf3.unpack(r))
         q, r = _divrem_prime(a.codes, b.codes, field.char)
     else:
         q, r = _divrem_field(a.codes, b.codes, field)
@@ -448,6 +462,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if field.is_prime_field and field.char == 2:
         g = _gf2.gcd(_pack2(a.codes), _pack2(b.codes))
         return Poly(field, _unpack2(g))
+    if field.is_prime_field and field.char == 3:
+        g = _gf3.gcd(_gf3.pack(a.codes), _gf3.pack(b.codes))
+        return Poly(field, _gf3.unpack(g))
     while not b.is_zero:
         a, b = b, divrem(a, b)[1]
     if a.is_zero:
@@ -544,21 +561,35 @@ def embed(f: Poly, ext: Field) -> Poly:
 # -- modular contexts -------------------------------------------------
 
 
+# Prime fields with a packed kernel: char -> (kernel module, pack,
+# unpack, reducer class).  Each module has sqr and mul on its packed
+# form, and reducer(packed monic modulus) is a callable reduction.
+_PACKED = {
+    2: (_gf2, _pack2, _unpack2, _gf2.TableReducer),
+    3: (_gf3, _gf3.pack, _gf3.unpack, _gf3.Reducer),
+}
+
+
 class ModReducer:
     """Reduction context for a fixed nonzero modulus.
 
-    Over F_2 it keeps the modulus as one packed int and reduces by
-    _gf2.TableReducer: a 256-entry byte table from degree _gf2._TABLE_MIN_DEG,
-    shift-xor long division below it.  Over odd prime fields it keeps a
-    Newton-grown power series inverse of the reversed modulus
-    (Barrett) once the degree justifies it, and falls back to plain
-    long division for small moduli.  Extension fields always use long
-    division: their products are schoolbook, so Barrett's two
-    multiplies cost more than one division (2-4x at modulus degrees
-    16-128 over F_4, F_9 and F_625).
+    Over F_2 and F_3 it keeps the modulus packed and reduces in the
+    packed kernel, where powmod also squares and multiplies, converting
+    once per call: over F_2 by _gf2.TableReducer (a 256-entry byte
+    table from degree _gf2._TABLE_MIN_DEG, shift-xor long division
+    below it), over F_3 by _gf3.Reducer (Barrett division on the two
+    bit planes from degree _gf3._BARRETT_MIN_DEG, plane long division
+    below it).  Over larger
+    prime fields it keeps a Newton-grown power series inverse of the
+    reversed modulus (Barrett) once the degree reaches _BARRETT_MIN_DEG,
+    and falls back to plain long division for small moduli.  Extension
+    fields always use long division: their products are schoolbook, so
+    Barrett's two multiplies cost more than one division (2-4x at
+    modulus degrees 16-128 over F_4, F_9 and F_625).
     """
 
-    __slots__ = ("modulus", "field", "_mode", "_mod2", "_rm", "_rinv", "_prec")
+    __slots__ = ("modulus", "field", "_mode", "_kernel", "_pack", "_unpack",
+                 "_red", "_rm", "_rinv", "_prec")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -568,9 +599,10 @@ class ModReducer:
         self.modulus = modulus
         self.field = modulus.field
         field = modulus.field
-        if field.is_prime_field and field.char == 2:
-            self._mode = "gf2"
-            self._mod2 = _gf2.TableReducer(_pack2(modulus.codes))
+        if field.is_prime_field and field.char in _PACKED:
+            self._mode = "packed"
+            self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
+            self._red = reducer(self._pack(modulus.codes))
             return
         if field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
             self._mode = "barrett"
@@ -600,8 +632,8 @@ class ModReducer:
         n = m.degree
         if f.degree < n:
             return f
-        if self._mode == "gf2":
-            return Poly(self.field, _unpack2(self._mod2(_pack2(f.codes))))
+        if self._mode == "packed":
+            return Poly(self.field, self._unpack(self._red(self._pack(f.codes))))
         if self._mode == "school":
             return divrem(f, m)[1]
         k = f.degree - n
@@ -627,15 +659,15 @@ class ModReducer:
         if e == 0:
             return Poly.one(self.field)
         bits = bin(e)[3:]  # the exponent bits below the leading one
-        if self._mode == "gf2":
-            mod = self._mod2
-            pa = mod(_pack2(a.codes))
+        if self._mode == "packed":
+            kernel, red = self._kernel, self._red
+            pa = red(self._pack(a.codes))
             result = pa
             for bit in bits:
-                result = mod(_gf2.sqr(result))
+                result = red(kernel.sqr(result))
                 if bit == "1":
-                    result = mod(_gf2.mul(result, pa))
-            return Poly(self.field, _unpack2(result))
+                    result = red(kernel.mul(result, pa))
+            return Poly(self.field, self._unpack(result))
         a = self.reduce(a)
         result = a
         for bit in bits:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
@@ -254,6 +253,10 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
         rows = _survey_chunk(descriptor, d, 0, field.order ** d,
                              full_suites, skip_def)
     else:
+        # imported here: the pool module costs start-up time of every
+        # command, and most runs never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         total = field.order ** d
         step = -(-total // jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -157,6 +157,18 @@ def _cli_process(*argv):
     return proc
 
 
+def test_import_leaves_process_pool_unloaded():
+    # the pool module is imported only when a survey starts workers
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    code = ("import sys, fqwilson.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_primes_list_nonpositive_degree_exits_2(degree):
     proc = _cli_process("primes", "list", "--field", "3", "--degree", degree)

@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from fqwilson import _gf2
+from fqwilson import _gf2, _gf3, poly
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotDivisible
 from fqwilson.gf import default_modulus, make_extension, make_prime_field, parse_field
 from fqwilson.poly import (
@@ -266,7 +266,8 @@ def test_embed_eval_consistency():
 
 def test_mod_reducer_matches_plain_reduction():
     rng = random.Random(13)
-    # F_3 degrees span the Barrett switch-over; F_2 runs the packed reducer
+    # F_3 degrees span the plane Barrett switch-over; F_2 runs the packed
+    # reducer
     for p, mod_deg in ((3, 4), (3, 40), (3, 120), (2, 5)):
         field = make_prime_field(p)
         m = rand_poly(field, mod_deg, rng).monic()
@@ -474,13 +475,15 @@ def test_prime_monic_scale_derivative_match_field_calls():
 
 
 def _mod_reducers():
-    """(reducer, base) pairs covering the school, Barrett, packed GF(2)
-    and extension-field modes."""
+    """(reducer, base) pairs covering the school and Barrett modes over
+    F_5 and F_7, the packed GF(2) and F_3 modes (F_3 on both sides of
+    the plane Barrett cutover) and the extension-field mode."""
     rng = random.Random(31)
     f4 = make_extension(make_prime_field(2), default_modulus(2, 2))
-    for field, deg in ((make_prime_field(3), 4), (make_prime_field(5), 3),
-                       (make_prime_field(3), 30), (make_prime_field(2), 5),
-                       (f4, 3)):
+    f2, f3, f5, f7 = (make_prime_field(p) for p in (2, 3, 5, 7))
+    barrett = poly._BARRETT_MIN_DEG
+    for field, deg in ((f3, 4), (f5, 3), (f3, _gf3._BARRETT_MIN_DEG + 2),
+                       (f5, barrett + 6), (f7, barrett + 2), (f2, 5), (f4, 3)):
         red = ModReducer(rand_poly(field, deg, rng).monic())
         yield red, red.reduce(rand_poly(field, deg + 3, rng))
 
@@ -495,9 +498,11 @@ def test_powmod_matches_plain_power():
 
 
 def test_powmod_product_count(monkeypatch):
-    # left-to-right: one squaring and one product for e = 3
+    # left-to-right: one squaring and one product for e = 3; the packed
+    # kernels count their own products, the tuple modes their reductions
     calls = []
-    for owner, name in ((ModReducer, "reduce"), (_gf2, "sqr"), (_gf2, "mul")):
+    for owner, name in ((ModReducer, "reduce"), (_gf2, "sqr"), (_gf2, "mul"),
+                        (_gf3, "sqr"), (_gf3, "mul")):
         orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, _name=name):
@@ -505,17 +510,24 @@ def test_powmod_product_count(monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(owner, name, counted)
+    modes = set()
     for red, a in _mod_reducers():
+        packed = red.field.order in (2, 3)
+        modes.add((red.field.order, red._mode))
         calls.clear()
         red.powmod(a, 3)
-        if red.field.order == 2:
+        if packed:
             assert calls == ["sqr", "mul"]
         else:
             assert calls == ["reduce"] * 3  # the initial reduction, then 2
         calls.clear()
         red.powmod(a, 625)  # 9 squarings and 4 products below the top bit
-        products = len(calls) - (red.field.order != 2)
+        if packed:
+            assert calls.count("sqr") == 9 and calls.count("mul") == 4
+        products = len(calls) - (not packed)
         assert products == 13
+    assert {(2, "packed"), (3, "packed"), (5, "barrett"), (7, "barrett"),
+            (5, "school"), (4, "school")} <= modes
 
 
 # -- GF(2) bytes-level boundary, lanes and table reducer --------------
@@ -681,3 +693,163 @@ def test_gf2_table_reducer_matches_mod(kind, monkeypatch):
             monkeypatch.setattr(_gf2, "mod_", None)
         assert [reduce(x) for x in dividends] == expected
         monkeypatch.setattr(_gf2, "mod_", mod)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_barrett_reduce_matches_long_division_property(p):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(p)
+    lo = poly._BARRETT_MIN_DEG
+    modulus = st.integers(lo, lo + 40).flatmap(
+        lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)).map(
+        lambda c: tuple(c) + (1,))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(modulus, _codes(st, p, 200))
+    def check(m, a):
+        red = ModReducer(Poly(field, m))
+        assert red._mode == "barrett"
+        expected = _divrem_prime(a, m, p)[1] if len(a) >= len(m) else a
+        assert red.reduce(Poly(field, a)) == Poly(field, expected)
+
+    check()
+
+
+# -- bit-sliced F_3 kernels against the tuple oracles -------------------
+
+
+def _f3_codes(st, min_size=0, max_size=140):
+    """F_3 code tuples with zero, constants and either leading code."""
+    return st.lists(st.integers(0, 2), min_size=min_size,
+                    max_size=max_size).map(tuple)
+
+
+def _f3_nonzero(st, max_size=140):
+    return st.tuples(_f3_codes(st, max_size=max_size), st.integers(1, 2)).map(
+        lambda pair: pair[0] + (pair[1],))
+
+
+def _strip(codes):
+    return Poly(make_prime_field(3), codes).codes
+
+
+def _f3_euclid(a, b):
+    """Monic gcd by tuple-form long division."""
+    while _strip(b):
+        b = _strip(b)
+        a, b = b, (_divrem_prime(a, b, 3)[1] if len(a) >= len(b) else a)
+    a = _strip(a)
+    return tuple(2 * c % 3 for c in a) if a and a[-1] == 2 else a
+
+
+def test_gf3_pack_add_sub_neg_match_tuple_oracle_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(3)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(_f3_codes(st), _f3_codes(st))
+    def check(a, b):
+        pa, pb = _gf3.pack(a), _gf3.pack(b)
+        assert pa[0] & pa[1] == 0
+        assert _gf3.unpack(pa) == _strip(a)
+        assert _gf3.pack(list(a)) == pa
+        assert _gf3.deg(pa) == len(_strip(a)) - 1
+        for kernel, op in ((_gf3.add, Poly.__add__), (_gf3.sub, Poly.__sub__)):
+            assert _gf3.unpack(kernel(pa, pb)) == op(Poly(field, a),
+                                                     Poly(field, b)).codes
+        assert _gf3.unpack(_gf3.neg(pa)) == (-Poly(field, a)).codes
+
+    check()
+
+
+@pytest.mark.parametrize("split", (None, 40))
+def test_gf3_mul_matches_schoolbook_property(split, monkeypatch):
+    # lengths up to 140 cross the 8-/16-bit lane switch at 64; with the
+    # split lowered to 40 the shorter operand is halved, recursively
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    if split is not None:
+        monkeypatch.setattr(_gf3, "_LANE16_MAX_LEN", split)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(_f3_codes(st), _f3_codes(st))
+    def check(a, b):
+        expected = _strip(_school_mul_prime(a, b, 3)) if a and b else ()
+        pa, pb = _gf3.pack(a), _gf3.pack(b)
+        assert _gf3.unpack(_gf3.mul(pa, pb)) == expected
+        assert _gf3.unpack(_gf3.sqr(pa)) == (
+            _strip(_school_mul_prime(a, a, 3)) if a else ())
+
+    check()
+
+
+def test_gf3_mul_full_lanes_closed_form():
+    # all-2 operands put the largest sum, 4 per overlapping pair, in the
+    # middle lanes; 4 = 1 mod 3, so coefficient k is the overlap count.
+    # Lengths straddle the 8-bit lane edge and the 2^14 split.
+    for m in (_gf3._LANE8_MAX_LEN - 1, _gf3._LANE8_MAX_LEN,
+              _gf3._LANE16_MAX_LEN - 1, _gf3._LANE16_MAX_LEN,
+              _gf3._LANE16_MAX_LEN + 1):
+        n = m + 3
+        a, b = _gf3.pack((2,) * m), _gf3.pack((2,) * n)
+        expected = tuple((min(k, m - 1) - max(0, k - n + 1) + 1) % 3
+                         for k in range(m + n - 1))
+        assert _gf3.unpack(_gf3.mul(a, b)) == expected
+        square = tuple((min(k, m - 1) - max(0, k - m + 1) + 1) % 3
+                       for k in range(2 * m - 1))
+        assert _gf3.unpack(_gf3.sqr(a)) == square
+
+
+def test_gf3_divmod_and_gcd_match_tuple_oracles_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(_f3_codes(st, max_size=200), _f3_nonzero(st, max_size=80),
+               _f3_codes(st, max_size=30))
+    def check(a, b, h):
+        pa, pb = _gf3.pack(a), _gf3.pack(b)
+        q, r = _gf3.divmod_(pa, pb)
+        if len(_strip(a)) >= len(b):
+            oq, orem = _divrem_prime(a, b, 3)
+            assert (_gf3.unpack(q), _gf3.unpack(r)) == (_strip(oq), _strip(orem))
+        else:
+            assert (q, r) == (_gf3.ZERO, pa)
+        assert _gf3.mod_(pa, pb) == r
+        assert _gf3.unpack(_gf3.gcd(pa, pb)) == _f3_euclid(a, b)
+        # a common factor h makes the gcd nontrivial
+        ah = _school_mul_prime(a, h, 3) if a and h else ()
+        bh = _school_mul_prime(b, h, 3) if h else ()
+        assert _gf3.unpack(_gf3.gcd(_gf3.pack(ah), _gf3.pack(bh))) == \
+            _f3_euclid(ah, bh)
+
+    check()
+    assert _gf3.gcd(_gf3.ZERO, _gf3.ZERO) == _gf3.ZERO
+    with pytest.raises(ZeroDivisionError):
+        _gf3.divmod_(_gf3.pack((1, 2)), _gf3.ZERO)
+
+
+def test_gf3_reducer_matches_divrem_property():
+    # moduli on both sides of the Barrett cutover; dividends up to three
+    # times the modulus degree reach the top-down folding loop
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    lo = _gf3._BARRETT_MIN_DEG
+    field = make_prime_field(3)
+    modulus = st.integers(1, lo + 20).flatmap(
+        lambda n: _f3_codes(st, n, n)).map(lambda c: c + (1,))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(modulus, st.integers(0, 3), _f3_codes(st, max_size=40))
+    def check(m, times, tail):
+        a = tail + (2,) * (times * (len(m) - 1))
+        reduce = _gf3.Reducer(_gf3.pack(m))
+        assert (reduce.mu is None) == (len(m) - 1 < lo)
+        expected = divrem(Poly(field, a), Poly(field, m))[1]
+        assert _gf3.unpack(reduce(_gf3.pack(a))) == expected.codes
+        assert expected == Poly(field, _divrem_prime(a, m, 3)[1]
+                                if len(_strip(a)) >= len(m) else a)
+
+    check()

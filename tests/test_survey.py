@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
 
@@ -126,7 +127,7 @@ def test_survey_jobs_capped_at_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 3)
     want = canonical_json(survey_degree(F3, 4, jobs=1).to_json())
     for jobs in (2, 3, 5000):
@@ -153,7 +154,7 @@ def test_survey_chunks_through_a_real_pool(monkeypatch):
         return ProcessPoolExecutor(max_workers=1)
 
     want = canonical_json(survey_degree(F3, 4, full_suites=True).to_json())
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", one_worker)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", one_worker)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     got = survey_degree(F3, 4, jobs=2, full_suites=True)
     assert canonical_json(got.to_json()) == want
