@@ -42,12 +42,27 @@ set-up (mu = t^(2n-1) div m) plus n Barrett reductions on the planes;
 each dividend is the square of a random residue.  _gf3.Reducer uses
 Barrett from modulus degree _gf3._BARRETT_MIN_DEG.
 
+The F_3 Frobenius sweep (part of --gf3) times three routes to x^3 of a
+residue x mod m: the row table (_gf3.Reducer.frobenius, set-up
+included, spread over n steps as a Rabin test or a Carlitz chain of n
+steps pays), spreading x into x(t^3) and reducing once, and a squaring
+and a product with a reduction after each (what ModReducer.pow(x, 3)
+pays).
+
+The distinct-degree sweep (--ddf, in place of the others) times
+factor.distinct_degree_split on the squarefree parts of Carlitz
+quantities the workloads factor, once per block size: a block of b
+Frobenius steps multiplies b residues together and shares one gcd.
+factor._DDF_BLOCK is the block size that is best, or within noise of
+the best, on every characteristic swept.
+
 Usage:
     python3 benchmarks/mul_threshold.py
     python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
     python3 benchmarks/mul_threshold.py --chars   # extension fields only
     python3 benchmarks/mul_threshold.py --gf2
     python3 benchmarks/mul_threshold.py --gf3
+    python3 benchmarks/mul_threshold.py --ddf
 """
 
 import argparse
@@ -55,8 +70,9 @@ import random
 import time
 import timeit
 
-from fqwilson import _gf2, _gf3, gf, poly
-from fqwilson.gf import make_extension, make_prime_field
+from fqwilson import _gf2, _gf3, factor, gf, poly
+from fqwilson.carlitz import CarlitzCache
+from fqwilson.gf import make_extension, make_prime_field, parse_field
 from fqwilson.irr import iter_monic_irreducibles
 from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
 
@@ -71,6 +87,22 @@ GF3_LENGTHS = (4, 8, 14, 20, 32, 48, 63, 64, 96, 128, 192, 256, 384, 512, 1024,
                2048)
 GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 192,
                       256, 324, 512)
+GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
+DDF_BLOCKS = (1, 2, 4, 8, 16, 32)
+# (field, label, polynomial, degree cap) inputs of the distinct-degree
+# sweep; a capped split stops after that many Frobenius steps, as trial
+# division does (L_12+1 to 22 stands in for the trial division of the
+# degree-16382 L_13+1 in `verify paper --case q2d14 --extended`)
+DDF_INPUTS = (
+    ("2", "[11]+1", lambda c: c.bracket(11) + 1, None),
+    ("2", "L_8+1", lambda c: c.L(8) + 1, None),
+    ("2", "L_12+1", lambda c: c.L(12) + 1, 22),
+    ("3", "D_4+1", lambda c: c.D(4) + 1, None),
+    ("3", "L_4-1", lambda c: c.L(4) - 1, None),
+    ("3", "L_5-1", lambda c: c.L(5) - 1, None),
+    ("4", "L_3-1", lambda c: c.L(3) - 1, None),
+    ("5", "L_3-1", lambda c: c.L(3) - 1, None),
+)
 
 
 def time_once(fn, args, repeat, number):
@@ -217,6 +249,86 @@ def gf3_reduce_sweep(rng, repeat):
     return rows
 
 
+def gf3_frobenius_sweep(rng, repeat):
+    rows = []
+    for n in GF3_FROBENIUS_DEGREES:
+        m = _gf3.pack([rng.randrange(3) for _ in range(n)] + [1])
+        reduce = _gf3.Reducer(m)
+        xs = [reduce(_gf3.pack([rng.randrange(3) for _ in range(n)]))
+              for _ in range(n)]
+
+        def rows_route():
+            fresh = _gf3.Reducer(m)  # the row table is built on first use
+            for x in xs:
+                fresh.frobenius(x)
+
+        def spread_route():
+            for x in xs:
+                reduce((_gf3._spread(x[0]), _gf3._spread(x[1])))
+
+        def sqr_mul_route():
+            for x in xs:
+                reduce(_gf3.mul(reduce(_gf3.sqr(x)), x))
+
+        if any(reduce.frobenius(x) != reduce(_gf3.mul(_gf3.sqr(x), x))
+               or reduce.frobenius(x) != _gf3.mod_(
+                   (_gf3._spread(x[0]), _gf3._spread(x[1])), m)
+               for x in xs):
+            raise AssertionError(f"F_3 Frobenius routes disagree at degree {n}")
+        rows.append((n, *(time_once(route, (), repeat, 1) / n for route in
+                          (rows_route, spread_route, sqr_mul_route))))
+    return rows
+
+
+def report_gf3_frobenius(rows):
+    print("x^3 mod m, F_3  (modulus degree, row table incl. build us, "
+          "spread + reduce us, sqr + mul + 2 reductions us)")
+    for n, table, spread, sqr_mul in rows:
+        best = min((table, "rows"), (spread, "spread"), (sqr_mul, "sqr+mul"))
+        print(f"  {n:5d}  {table * 1e6:9.2f}  {spread * 1e6:9.2f}  "
+              f"{sqr_mul * 1e6:9.2f}  <-- {best[1]}")
+    print()
+
+
+def ddf_sweep(repeat):
+    rows = []
+    for descriptor, label, build, cap in DDF_INPUTS:
+        field = parse_field(descriptor)
+        target = build(CarlitzCache(field))
+        parts = [g for g, _ in factor.squarefree_decomposition(target)[1]]
+        saved = factor._DDF_BLOCK
+        times = []
+        expected = None
+        try:
+            for b in DDF_BLOCKS:
+                factor._DDF_BLOCK = b
+                result = [factor.distinct_degree_split(g, cap) for g in parts]
+                if expected is None:
+                    expected = result
+                elif result != expected:
+                    raise AssertionError(f"block {b} changes the split of {label}")
+                times.append(time_once(
+                    lambda: [factor.distinct_degree_split(g, cap) for g in parts],
+                    (), repeat, 1))
+        finally:
+            factor._DDF_BLOCK = saved
+        if cap is not None:
+            label += f" to {cap}"
+        rows.append((f"F_{field.order} {label}", target.degree, times))
+    return rows
+
+
+def report_ddf(rows):
+    print("distinct-degree split  (input, degree, ms per block size "
+          + " ".join(map(str, DDF_BLOCKS)) + ")")
+    for label, degree, times in rows:
+        best = DDF_BLOCKS[times.index(min(times))]
+        print(f"  {label:18s} {degree:5d}  "
+              + "  ".join(f"{t * 1e3:8.2f}" for t in times) + f"  <-- {best}")
+    print(f"factor._DDF_BLOCK = {factor._DDF_BLOCK}")
+    print()
+
+
 def report_gf3_mul(rows):
     print("mul, F_3  (length per operand, kronecker us, planes us, "
           "planes with pack/unpack us)")
@@ -312,10 +424,18 @@ def main(argv=None):
                          "product samples hold --number / 20 products")
     ap.add_argument("--gf3", action="store_true",
                     help="sweep F_3 plane products against _kron_mul from "
-                         "length 4 to 2048 and plane reductions by moduli of "
-                         "degree 4 to 512 instead; product samples hold "
+                         "length 4 to 2048, plane reductions by moduli of "
+                         "degree 4 to 512 and Frobenius steps x^3 mod m at "
+                         "degree 7 to 324 instead; product samples hold "
                          "--number / 20 products")
+    ap.add_argument("--ddf", action="store_true",
+                    help="sweep the distinct-degree block size on Carlitz "
+                         "quantities over F_2, F_3, F_4 and F_5 instead")
     args = ap.parse_args(argv)
+
+    if args.ddf:
+        report_ddf(ddf_sweep(args.repeat))
+        return
 
     if args.gf3:
         report_gf3_mul(gf3_mul_sweep(random.Random(args.seed), args.repeat,
@@ -327,6 +447,9 @@ def main(argv=None):
                gf3_reduce_sweep(random.Random(args.seed), args.repeat),
                "barrett", "long division")
         print(f"_gf3._BARRETT_MIN_DEG = {_gf3._BARRETT_MIN_DEG}")
+        print()
+        report_gf3_frobenius(gf3_frobenius_sweep(random.Random(args.seed),
+                                                 args.repeat))
         return
 
     if args.gf2:

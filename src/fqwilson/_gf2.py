@@ -25,8 +25,6 @@ at every size from 16 to 65,536 bits.
 
 from __future__ import annotations
 
-from .gf import _prime_factors
-
 # Both constants come from `benchmarks/mul_threshold.py --gf2`: over
 # four runs the lane product overtook shift-xor between 48 and 256 bits
 # per operand, and a table build plus n reductions overtook n mod_
@@ -96,6 +94,11 @@ def sqr(f: int) -> int:
     return int.from_bytes(b"".join(map(_SQR.__getitem__, raw)), "little")
 
 
+def sub(a: int, b: int) -> int:
+    """a - b, which over GF(2) is a + b: one XOR."""
+    return a ^ b
+
+
 def divmod_(a: int, b: int):
     if not b:
         raise ZeroDivisionError("gf2 division by zero")
@@ -155,34 +158,12 @@ class TableReducer:
             s -= 8
         return a ^ table[a >> n]
 
+    def frobenius(self, a: int) -> int:
+        """a^2 reduced: over GF(2), x -> x^2 is the Frobenius map."""
+        return self(sqr(a))
+
 
 def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mod_(a, b)
     return a
-
-
-def is_irreducible(f: int) -> bool:
-    """Rabin's test, specialised to GF(2) with packed squarings."""
-    n = deg(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if not f & 1:
-        return False  # divisible by t
-    if bin(f).count("1") % 2 == 0:
-        return False  # divisible by t+1
-    checkpoints = sorted({n // r for r in _prime_factors(n)})
-    reduce = TableReducer(f)
-    h = 2  # the polynomial t
-    done = 0
-    for cp in checkpoints:
-        for _ in range(cp - done):
-            h = reduce(sqr(h))
-        done = cp
-        if gcd(h ^ 2, f) != 1:
-            return False
-    for _ in range(n - done):
-        h = reduce(sqr(h))
-    return h == 2

@@ -30,7 +30,12 @@ _BARRETT_MIN_DEG it is Barrett division on the planes (von zur Gathen
 & Gerhard, Modern Computer Algebra, section 9.1) with
 mu = t^(n+K) div m and no reversal, two products per call; below that
 it is long division (mod_), which stays the one-shot route for gcd and
-divmod_ and the oracle.
+divmod_ and the oracle.  Reducer(m).frobenius cubes a reduced value
+with no product and no division: a^3 = a(t^3) over F_3, so the
+coefficients below n/3 spread in place (bit i to bit 3i) and each
+higher one adds its Frobenius row t^(3i) mod m, built once per
+modulus on first use.  `benchmarks/mul_threshold.py --gf3` measures it
+against spreading then reducing, and against a squaring and a product.
 """
 
 from __future__ import annotations
@@ -218,6 +223,11 @@ def gcd(a, b):
     return a
 
 
+def _spread(x: int) -> int:
+    """x(t^3) for one plane x: bit i moves to bit 3i."""
+    return int("00".join(format(x, "b")), 2)
+
+
 class Reducer:
     """Callable a -> a mod m for a fixed monic m: Barrett division on
     the planes from degree _BARRETT_MIN_DEG, mod_ below it.
@@ -226,14 +236,22 @@ class Reducer:
     the quotient is ((a div t^n) * mu) div t^K exactly, and only the low
     n coefficients of a - q*m are formed; a longer dividend is reduced
     K + 1 coefficients at a time from the top.
+
+    frobenius(a) is a^3 for a reduced a, with no product and no
+    division: a^3 = a(t^3) over F_3, so the coefficients of a below n/3
+    spread in place, and each higher coefficient i adds (or, when it is
+    2, subtracts) its Frobenius row t^(3i) mod m.  The rows are built
+    on the first call, each from the last by a shift of 3 and a
+    three-step division.
     """
 
-    __slots__ = ("m", "n", "k", "mu", "low", "mask")
+    __slots__ = ("m", "n", "k", "mu", "low", "mask", "rows")
 
     def __init__(self, m):
         self.m = m
         self.n = n = deg(m)
         self.mu = None
+        self.rows = None
         if n >= _BARRETT_MIN_DEG:
             self.k = n - 1
             self.mu = divmod_((1 << (n + self.k), 0), m)[0]
@@ -262,3 +280,33 @@ class Reducer:
         q = q1 >> self.k, q2 >> self.k
         p1, p2 = _mul(q, self.low)
         return sub((a1 & mask, a2 & mask), (p1 & mask, p2 & mask))
+
+    def frobenius(self, a):
+        if self.rows is None:
+            self.rows = self._frobenius_rows()
+        rows, negated = self.rows
+        split = self.n - len(rows)  # rows start at coefficient ceil(n/3)
+        low = (1 << split) - 1
+        a1, a2 = a
+        r1, r2 = _spread(a1 & low), _spread(a2 & low)
+        # each coefficient 1 adds its row, each 2 the negated row
+        for x, table in ((a1 >> split, rows), (a2 >> split, negated)):
+            while x:
+                bit = x & -x
+                x ^= bit
+                y1, y2 = table[bit.bit_length() - 1]
+                t = (r1 | y2) ^ (r2 | y1)
+                r1, r2 = (r2 | y2) ^ t, (r1 | y1) ^ t
+        return r1, r2
+
+    def _frobenius_rows(self):
+        """(t^(3i) mod m for ceil(n/3) <= i < n, the same rows negated)."""
+        n, m = self.n, self.m
+        first = -(-n // 3)
+        rows = []
+        row = (1 << 3 * first, 0)
+        for _ in range(first, n):
+            row = mod_(row, m)
+            rows.append(row)
+            row = row[0] << 3, row[1] << 3
+        return rows, [neg(row) for row in rows]

@@ -8,10 +8,12 @@ prime of degree d: the Wilson congruence asks whether F_d = -1 holds
 modulo the square of the prime rather than just the prime.
 
 CarlitzCache holds the exact quantities.  CarlitzChain holds the same
-quantities reduced by one ModReducer: a single Frobenius chain
-x -> x^q yields the brackets, and L, D, the alternating sums
+quantities reduced by one ModReducer, as its residues (packed over F_2
+and F_3): a single Frobenius chain x -> x^q, the reducer's frobenius,
+yields the brackets, and L, D, the alternating sums
 T_m = 1 - [m] T_(m-1) and F_d = +-(D_0 ... D_(d-1))^(q-1) are folds
-over it, each extended lazily and at most once per index.  Every
+over it, each extended lazily and at most once per index and turned
+into a Poly only when read.  Every
 residue check in the package (CarlitzCache.F_mod, the survey tables,
 the gcd scans) goes through it, so giant numerators are never formed
 when only a residue is needed.
@@ -127,14 +129,17 @@ class CarlitzChain:
     (D_0 ... D_(d-1))^(q-1) behind F_d are folds over the brackets.
     Each sequence is extended on first demand and kept, so a caller
     pays only for the quantities and indices it asks for, and asking
-    again for a larger index continues where the chain stopped.
+    again for a larger index continues where the chain stopped.  The
+    sequences are held as the reducer's residues (packed over F_2 and
+    F_3), and x -> x^q is its frobenius, so a value is converted to a
+    Poly only when it is read.
     """
 
     def __init__(self, red: ModReducer):
         self.red = red
         self.field = red.field
-        one = red.reduce(Poly.one(self.field))
-        self._t = red.reduce(Poly.t(self.field))
+        one = red.enter(Poly.one(self.field))
+        self._t = red.enter(Poly.t(self.field))
         self._x = self._t  # x_m for the largest m with [m] computed
         self._brackets = [None]  # [m] at index m; there is no [0]
         self._L = [one]
@@ -143,7 +148,7 @@ class CarlitzChain:
         self._F = [one]  # (D_0 ... D_(d-1))^(q-1) at index d, unsigned
 
     @staticmethod
-    def _extend(seq: list, m: int, step) -> Poly:
+    def _extend(seq: list, m: int, step):
         """seq[m], appending step(n) for each missing index n first."""
         if m < 0:
             raise ValueError(f"chain index {m} is negative")
@@ -151,39 +156,44 @@ class CarlitzChain:
             seq.append(step(len(seq)))
         return seq[m]
 
-    def _next_bracket(self, m: int) -> Poly:
+    def _next_bracket(self, m: int):
         # brackets are appended in index order, so _x is x_(m-1) here
-        self._x = self.red.powmod(self._x, self.field.order)
-        return self._x - self._t
+        self._x = self.red.frobenius(self._x)
+        return self.red.sub(self._x, self._t)
 
-    def bracket(self, m: int) -> Poly:
+    def _bracket(self, m: int):
         if m < 1:
             raise ValueError("[n] is defined for n >= 1")
         return self._extend(self._brackets, m, self._next_bracket)
 
-    def L(self, m: int) -> Poly:
-        seq = self._L
+    def _D_residue(self, m: int):
+        seq, red = self._D, self.red
         return self._extend(
-            seq, m, lambda n: self.red.mulmod(seq[n - 1], self.bracket(n)))
+            seq, m, lambda n: red.mul(self._bracket(n), red.frobenius(seq[n - 1])))
+
+    def bracket(self, m: int) -> Poly:
+        return self.red.leave(self._bracket(m))
+
+    def L(self, m: int) -> Poly:
+        seq, red = self._L, self.red
+        return red.leave(self._extend(
+            seq, m, lambda n: red.mul(seq[n - 1], self._bracket(n))))
 
     def D(self, m: int) -> Poly:
-        seq, red, q = self._D, self.red, self.field.order
-        return self._extend(
-            seq, m,
-            lambda n: red.mulmod(self.bracket(n), red.powmod(seq[n - 1], q)))
+        return self.red.leave(self._D_residue(m))
 
     def T(self, m: int) -> Poly:
         """1 - [m] + [m][m-1] - ... + (-1)^m L_m, by T_m = 1 - [m] T_(m-1)."""
-        seq = self._T
-        return self._extend(
-            seq, m, lambda n: seq[0] - self.red.mulmod(self.bracket(n), seq[n - 1]))
+        seq, red = self._T, self.red
+        return red.leave(self._extend(
+            seq, m, lambda n: red.sub(seq[0], red.mul(self._bracket(n), seq[n - 1]))))
 
     def F(self, d: int) -> Poly:
         """F_d = (-1)^d D_d / L_d = +-(D_0 ... D_(d-1))^(q-1), reduced."""
         seq, red, q = self._F, self.red, self.field.order
-        out = self._extend(
+        out = red.leave(self._extend(
             seq, d,
-            lambda n: red.mulmod(seq[n - 1], red.powmod(self.D(n - 1), q - 1)))
+            lambda n: red.mul(seq[n - 1], red.pow(self._D_residue(n - 1), q - 1))))
         if d % 2 and self.field.char != 2:
             out = -out
         return out

@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, recorded
+from . import __version__
 from .carlitz import CarlitzCache
 from .congruence import classify_base, wieferich_suite, wilson_suite
 from .errors import (
@@ -251,6 +251,8 @@ def cmd_survey(args) -> int:
 def cmd_theorem5(args) -> int:
     field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
+    from . import recorded  # imported here: most commands never read it
+
     lines = [
         f"wilson sum, degree {rep.degree}: polynomial degree {rep.poly_degree}",
         f"factors: {recorded.degree_multiset(rep.factor_degrees)}",
@@ -272,6 +274,8 @@ def cmd_theorem7(args) -> int:
         max_degree=args.max_trial_degree,
         seed=_resolve_seed(args),
     )
+    from . import recorded  # imported here: most commands never read it
+
     lines = [
         f"perturbations at degree {rep.degree}, c={rep.c} ({rep.mode} mode)",
         f"special primes ({len(rep.special_primes)}): "
@@ -318,6 +322,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import recorded  # imported here: most commands never read it
+
     seed = _resolve_seed(args)
     v = recorded.Verifier()
     if args.case == "q3d6":

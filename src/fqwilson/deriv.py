@@ -17,9 +17,9 @@ Each follows by expanding a + P^(k+1)*s under the operation.
 The modular Fermat quotient raises nothing to the power q^d.  It rests
 on two identities:
   (1) composition: every coefficient c in F_q or E has c^(q^d) = c, so
-      a^(q^d) = a(T) mod P^(k+1) with T = t^(q^d) mod P^(k+1); T is one
-      powmod of t per prime and precision, memoized on the context, and
-      a(T) is a Horner evaluation;
+      a^(q^d) = a(T) mod P^(k+1) with T = t^(q^d) mod P^(k+1); T is d
+      Frobenius steps of t per prime and precision, memoized on the
+      context, and a(T) is a Horner evaluation;
   (2) digit planes: Q is E-linear, since c^(q^d) = c for c in E, so for
       a = sum_j x^j a_j over E = F_q[x]/P with each a_j in F_q[t],
       Q(a) = sum_j x^j Q(a_j), and no product in E is formed.

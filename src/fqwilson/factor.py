@@ -21,7 +21,18 @@ from .gf import FieldElement
 from .irr import is_irreducible
 from .poly import ModReducer, Poly, exact_div, gcd
 
-_DDF_BLOCK = 16
+# Frobenius steps per distinct-degree gcd.  `benchmarks/mul_threshold.py
+# --ddf`, four or five runs on a 2-core Xeon, ms at block sizes 1 / 4 / 16:
+#   F_2 [11]+1              5.8-8.5 / 3.5-5.8 / 6.2-10.6
+#   F_2 L_8+1               18-26 / 13-22 / 15-23
+#   F_2 L_12+1 to degree 22 58 / 62 / 95 (one run)
+#   F_3 D_4+1               18-33 / 16-19 / 18-22
+#   F_3 L_5-1               31-51 / 23-40 / 25-38
+#   F_4 L_3-1               2.4-3.9 / 2.3-3.9 / 3.1-5.3
+#   F_5 L_3-1               67-122 / 58-96 / 58-84
+# Block 4 is the best or within noise of it in every characteristic, so
+# one size serves them all.
+_DDF_BLOCK = 4
 _COFACTOR_CHECK_MAX_DEG = 4096
 
 _M64 = (1 << 64) - 1
@@ -151,29 +162,26 @@ def distinct_degree_split(f: Poly, max_degree=None):
     one step at a time.
     """
     field = f.field
-    q = field.order
-    t = Poly.t(field)
+    one, t = Poly.one(field), Poly.t(field)
     out = []
 
     def flush(block, f_cur, red):
-        acc = Poly.one(field)
+        # f_cur with the primes the block's residues reveal divided out
+        tr = red.enter(t)
+        acc = red.enter(one)
         for _, h in block:
-            acc = red.mulmod(acc, h - t)
-        if gcd(acc, f_cur).degree == 0:
-            return f_cur, red, False
-        shrunk = False
+            acc = red.mul(acc, red.sub(h, tr))
+        if gcd(red.leave(acc), f_cur).degree == 0:
+            return f_cur
         for j, h in block:
-            h = red.reduce(h)
-            g = gcd(h - t, f_cur)
+            g = gcd(red.leave(red.sub(h, tr)), f_cur)
             if g.degree > 0:
                 out.append((j, g))
                 f_cur = exact_div(f_cur, g)
-                red = ModReducer(f_cur) if f_cur.degree > 0 else red
-                shrunk = True
-        return f_cur, red, shrunk
+        return f_cur
 
     red = ModReducer(f)
-    h = red.reduce(t)
+    h = red.enter(t)
     i = 0
     block = []
     while f.degree > 0:
@@ -184,15 +192,19 @@ def distinct_degree_split(f: Poly, max_degree=None):
         if max_degree is not None and i >= max_degree:
             break
         i += 1
-        h = red.powmod(h, q)
+        h = red.frobenius(h)
         block.append((i, h))
         if len(block) >= _DDF_BLOCK or 2 * (i + 1) > f.degree or i == max_degree:
-            f, red, shrunk = flush(block, f, red)
+            f_left = flush(block, f, red)
             block = []
-            if shrunk and f.degree > 0:
-                h = red.reduce(h)
+            if f_left.degree < f.degree:
+                f = f_left
+                if f.degree > 0:
+                    shrunk = ModReducer(f)
+                    h = shrunk.enter(red.leave(h))
+                    red = shrunk
     if block:
-        f, red, _ = flush(block, f, red)
+        f = flush(block, f, red)
     cofactor = None if f.degree == 0 else f
     return out, cofactor
 
@@ -226,13 +238,13 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
                 break
             if field.char == 2:
                 # trace map of the residue ring down to F_2
-                v = red.reduce(u)
+                v = red.enter(u)
                 acc = v
                 m = d * _log2_order(field)
                 for _ in range(m - 1):
-                    v = red.powmod(v, 2)
-                    acc = acc + v
-                cand = gcd(acc, g)
+                    v = red.pow(v, 2)
+                    acc = red.sub(acc, v)  # in characteristic 2, - is +
+                cand = gcd(red.leave(acc), g)
             else:
                 e = (q ** d - 1) // 2
                 w = red.powmod(u, e)

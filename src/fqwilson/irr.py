@@ -5,16 +5,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from . import _gf2
 from .errors import NotMonic, Reducible
 from .gf import Field, FieldElement, _prime_factors, make_extension
-from .poly import ModReducer, Poly, _pack2, gcd
+from .poly import ModReducer, Poly, gcd
 
 _ROOT_SCAN_MAX_ORDER = 64
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's criterion: t^(q^n) = t mod f and no proper q^(n/r) fix."""
+    """Rabin's criterion: t^(q^n) = t mod f and no proper q^(n/r) fix.
+
+    The Frobenius chain h -> h^q runs in the residue form of f's
+    ModReducer, so over F_2 and F_3 it stays packed between the gcd
+    checkpoints.
+    """
     field = f.field
     if f.is_zero:
         return False
@@ -23,8 +27,6 @@ def is_irreducible(f: Poly) -> bool:
         return False
     if n == 1:
         return True
-    if field.is_prime_field and field.char == 2:
-        return _gf2.is_irreducible(_pack2(f.codes))
     if f.codes[0] == 0:
         return False  # divisible by t
     if not f.is_monic:
@@ -41,20 +43,16 @@ def is_irreducible(f: Poly) -> bool:
                 acc = add(mul(acc, x), c)
             if acc == 0:
                 return False
-    checkpoints = sorted({n // r for r in _prime_factors(n)})
     red = ModReducer(f)
-    t = Poly.t(field)
+    t = red.enter(Poly.t(field))
     h = t
     done = 0
-    for cp in checkpoints:
-        for _ in range(cp - done):
-            h = red.powmod(h, q)
+    for cp in sorted({n // r for r in _prime_factors(n)}):
+        h = red.frobenius(h, cp - done)
         done = cp
-        if gcd(h - t, f).degree != 0:
+        if gcd(red.leave(red.sub(h, t)), f).degree != 0:
             return False
-    for _ in range(n - done):
-        h = red.powmod(h, q)
-    return h == t
+    return red.frobenius(h, n - done) == t
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,8 @@ class PrimeContext:
     def frobenius(self, m: int):
         """(reducer mod prime^m, T = t^norm mod prime^m), memoized per m.
 
-        T costs one powmod of t; when T is already held at a higher
-        exponent, the one at m is its reduction instead.
+        T costs d Frobenius steps of t, d the degree; when T is already
+        held at a higher exponent, the one at m is its reduction instead.
         """
         hit = self._frobenius.get(m)
         if hit is None:
@@ -110,7 +108,8 @@ class PrimeContext:
             if higher:
                 frob = red.reduce(self._frobenius[min(higher)][1])
             else:
-                frob = red.powmod(Poly.t(self.prime.field), self.norm)
+                t = red.enter(Poly.t(self.prime.field))
+                frob = red.leave(red.frobenius(t, self.degree))
             hit = self._frobenius[m] = (red, frob)
         return hit
 

@@ -9,17 +9,23 @@ Multiplication dispatches on the coefficient field: packed-int
 carry-less arithmetic over F_2, Kronecker substitution into machine
 integers for other small prime fields once operands are long enough to
 beat schoolbook, and generic schoolbook over extension fields (whose
-polynomials stay short in this package).  Over F_2 and F_3 ModReducer
-keeps its modulus packed and reduces in the packed kernel (_gf2,
-_gf3), where powmod also squares and multiplies, converting once per
-call: over F_2 by a per-modulus byte table (_gf2.TableReducer) once
-the modulus degree reaches _gf2._TABLE_MIN_DEG and by shift-xor
-division below that, over F_3 by Barrett division on two bit planes
+polynomials stay short in this package).
+
+ModReducer is the residue ring F_q[t]/(m).  Its residues are packed
+over F_2 (an int) and F_3 (a _gf3 plane pair) and reduced Polys
+elsewhere; a Frobenius or product chain (Rabin's test, the Carlitz
+chain, distinct-degree splitting) enters the ring once, stays in
+residue form for every step and leaves once, so a chain converts once
+rather than once per step.  Over F_2 it reduces by a per-modulus byte
+table (_gf2.TableReducer) once the modulus degree reaches
+_gf2._TABLE_MIN_DEG and by shift-xor division below that, and x -> x^2
+is a squaring; over F_3 it reduces by Barrett division on the planes
 (_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and by plane long division
-below that.  Over
-prime fields of characteristic 5 or more it precomputes a Barrett
-inverse of the reversed modulus from _BARRETT_MIN_DEG, so repeated
-reductions cost two multiplies instead of a quadratic division.
+below that, and x -> x^3 spreads the coefficients and adds rows
+t^(3i) mod m.  Over prime fields of characteristic 5 or more it
+precomputes a Barrett inverse of the reversed modulus from
+_BARRETT_MIN_DEG, so repeated reductions cost two multiplies instead
+of a quadratic division.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _pack2/_unpack2, which convert via the int's base-2
@@ -562,8 +568,9 @@ def embed(f: Poly, ext: Field) -> Poly:
 
 
 # Prime fields with a packed kernel: char -> (kernel module, pack,
-# unpack, reducer class).  Each module has sqr and mul on its packed
-# form, and reducer(packed monic modulus) is a callable reduction.
+# unpack, reducer class).  Each module has sqr, mul and sub on its
+# packed form, and reducer(packed monic modulus) is a callable reduction
+# with a frobenius method (x -> x^p of a reduced value).
 _PACKED = {
     2: (_gf2, _pack2, _unpack2, _gf2.TableReducer),
     3: (_gf3, _gf3.pack, _gf3.unpack, _gf3.Reducer),
@@ -571,18 +578,26 @@ _PACKED = {
 
 
 class ModReducer:
-    """Reduction context for a fixed nonzero modulus.
+    """Arithmetic in F_q[t]/(m) for a fixed nonzero modulus m.
 
-    Over F_2 and F_3 it keeps the modulus packed and reduces in the
-    packed kernel, where powmod also squares and multiplies, converting
-    once per call: over F_2 by _gf2.TableReducer (a 256-entry byte
+    Its values are residues: reduced mod m and held in the form the
+    modulus's kernel works on, a packed int over F_2, a _gf3 plane pair
+    over F_3 and a reduced Poly elsewhere.  enter and leave convert a
+    Poly to its residue and back; mul, sub, pow and frobenius stay in
+    residue form, so a chain of them converts once at each end rather
+    than once per step.  reduce, mulmod and powmod are the Poly-level
+    wrappers.
+
+    Over F_2 the residues reduce by _gf2.TableReducer (a 256-entry byte
     table from degree _gf2._TABLE_MIN_DEG, shift-xor long division
-    below it), over F_3 by _gf3.Reducer (Barrett division on the two
-    bit planes from degree _gf3._BARRETT_MIN_DEG, plane long division
-    below it).  Over larger
-    prime fields it keeps a Newton-grown power series inverse of the
-    reversed modulus (Barrett) once the degree reaches _BARRETT_MIN_DEG,
-    and falls back to plain long division for small moduli.  Extension
+    below it), and frobenius squares.  Over F_3 they reduce by
+    _gf3.Reducer (Barrett division on the two bit planes from degree
+    _gf3._BARRETT_MIN_DEG, plane long division below it), and
+    frobenius spreads and adds precomputed rows t^(3i) mod m, with no
+    product or division.  Over larger prime fields reduction keeps a
+    Newton-grown power series inverse of the reversed modulus (Barrett)
+    once the degree reaches _BARRETT_MIN_DEG, and falls back to plain
+    long division for small moduli; frobenius is pow(r, q).  Extension
     fields always use long division: their products are schoolbook, so
     Barrett's two multiplies cost more than one division (2-4x at
     modulus degrees 16-128 over F_4, F_9 and F_625).
@@ -597,20 +612,86 @@ class ModReducer:
         if not modulus.is_monic:
             modulus = modulus.monic()
         self.modulus = modulus
-        self.field = modulus.field
-        field = modulus.field
+        self.field = field = modulus.field
         if field.is_prime_field and field.char in _PACKED:
             self._mode = "packed"
             self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
             self._red = reducer(self._pack(modulus.codes))
-            return
-        if field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
+        elif field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
             self._mode = "barrett"
             self._rm = Poly(field, tuple(reversed(modulus.codes)))
             self._rinv = Poly.one(field)  # rm(0) = 1 since modulus is monic
             self._prec = 1
         else:
             self._mode = "school"
+
+    # -- residue form -------------------------------------------------
+
+    def enter(self, f: Poly):
+        """The residue of f."""
+        if self._mode == "packed":
+            return self._red(self._pack(f.codes))
+        return self._reduce_poly(f)
+
+    def leave(self, r) -> Poly:
+        """The reduced Poly of a residue."""
+        if self._mode == "packed":
+            return Poly(self.field, self._unpack(r))
+        return r
+
+    def mul(self, a, b):
+        if self._mode == "packed":
+            return self._red(self._kernel.mul(a, b))
+        return self._reduce_poly(a * b)
+
+    def sub(self, a, b):
+        if self._mode == "packed":
+            return self._kernel.sub(a, b)
+        return a - b
+
+    def pow(self, r, e: int):
+        """r^e, by left-to-right square-and-multiply: one squaring per
+        exponent bit below the top one and one product per set bit
+        among them (e = 3 costs two products)."""
+        if e < 0:
+            raise ValueError("negative exponents are not supported mod a polynomial")
+        if e == 0:
+            return self.enter(Poly.one(self.field))
+        packed = self._mode == "packed"
+        kernel = self._kernel if packed else None
+        reduce = self._red if packed else self._reduce_poly
+        result = r
+        for bit in bin(e)[3:]:  # the exponent bits below the leading one
+            result = reduce(kernel.sqr(result) if packed else result * result)
+            if bit == "1":
+                result = reduce(kernel.mul(result, r) if packed else result * r)
+        return result
+
+    def frobenius(self, r, k: int = 1):
+        """r^(q^k), q the order of the coefficient field, as k steps
+        x -> x^q; each is one call of the packed reducer's frobenius
+        over F_2 and F_3, and pow(x, q) elsewhere."""
+        for _ in range(k):
+            if self._mode == "packed":
+                r = self._red.frobenius(r)
+            else:
+                r = self.pow(r, self.field.order)
+        return r
+
+    # -- Poly-level wrappers ------------------------------------------
+
+    def reduce(self, f: Poly) -> Poly:
+        if f.degree < self.modulus.degree:
+            return f
+        return self.leave(self.enter(f))
+
+    def mulmod(self, a: Poly, b: Poly) -> Poly:
+        return self.leave(self.mul(self.enter(a), self.enter(b)))
+
+    def powmod(self, a: Poly, e: int) -> Poly:
+        return self.leave(self.pow(self.enter(a), e))
+
+    # -- reduction of a Poly outside the packed kernels -----------------
 
     def _ensure(self, prec: int) -> None:
         k = self._prec
@@ -627,13 +708,11 @@ class ModReducer:
                 inv = _trunc(inv - _trunc(inv * err, k), k)
         self._rinv, self._prec = inv, k
 
-    def reduce(self, f: Poly) -> Poly:
+    def _reduce_poly(self, f: Poly) -> Poly:
         m = self.modulus
         n = m.degree
         if f.degree < n:
             return f
-        if self._mode == "packed":
-            return Poly(self.field, self._unpack(self._red(self._pack(f.codes))))
         if self._mode == "school":
             return divrem(f, m)[1]
         k = f.degree - n
@@ -646,35 +725,6 @@ class ModReducer:
         if r.degree >= n:  # pragma: no cover - algebra guarantees deg r < n
             return divrem(r, m)[1]
         return r
-
-    def mulmod(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a * b)
-
-    def powmod(self, a: Poly, e: int) -> Poly:
-        """a^e reduced, by left-to-right square-and-multiply: one
-        squaring per exponent bit below the top one and one product per
-        set bit among them (e = 3 costs two products)."""
-        if e < 0:
-            raise ValueError("negative exponents are not supported mod a polynomial")
-        if e == 0:
-            return Poly.one(self.field)
-        bits = bin(e)[3:]  # the exponent bits below the leading one
-        if self._mode == "packed":
-            kernel, red = self._kernel, self._red
-            pa = red(self._pack(a.codes))
-            result = pa
-            for bit in bits:
-                result = red(kernel.sqr(result))
-                if bit == "1":
-                    result = red(kernel.mul(result, pa))
-            return Poly(self.field, self._unpack(result))
-        a = self.reduce(a)
-        result = a
-        for bit in bits:
-            result = self.reduce(result * result)
-            if bit == "1":
-                result = self.reduce(result * a)
-        return result
 
 
 def _trunc(f: Poly, k: int) -> Poly:

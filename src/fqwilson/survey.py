@@ -668,8 +668,8 @@ def borisov_scan(field: Field, d_max: int) -> list:
                 for c in range(1, q):
                     if (l_res + FieldElement(field, c)).is_zero:
                         # verify the hit divides both operands
-                        if red.powmod(red.reduce(Poly.t(field)), q ** d) != \
-                                red.reduce(Poly.t(field)):
+                        t = red.enter(Poly.t(field))
+                        if red.frobenius(t, d) != t:
                             raise EquivalenceViolation(
                                 f"{prime} does not divide [{d}]"
                             )

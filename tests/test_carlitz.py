@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fqwilson import _gf3
 from fqwilson.carlitz import CarlitzCache, CarlitzChain
 from fqwilson.errors import BoundExceeded, ZeroC
 from fqwilson.gf import make_prime_field
@@ -102,23 +103,30 @@ def test_chain_matches_exact_reductions(q):
     # exact F_4 over F_9 divides a degree-26244 D_4 by L_4 through
     # extension-field calls, too slow for this test
     f_max = 3 if q == 9 else 4
-    for degree in (2, 3):
-        for ctx in itertools.islice(iter_monic_irreducibles(field, degree), 2):
-            for modulus in (ctx.prime, ctx.prime * ctx.prime):
-                chain = CarlitzChain(ModReducer(modulus))
-                # the first request runs the chain out of index order:
-                # F pulls D and the brackets, and L and T continue them
-                chain.F(f_max)
-                for m in range(5):
-                    where = (q, str(modulus), m)
-                    if m:
-                        assert chain.bracket(m) == \
-                            divrem(cache.bracket(m), modulus)[1], where
-                    assert chain.L(m) == divrem(cache.L(m), modulus)[1], where
-                    assert chain.D(m) == divrem(cache.D(m), modulus)[1], where
-                    assert chain.T(m) == divrem(alt[m], modulus)[1], where
-                    if m <= f_max:
-                        assert chain.F(m) == divrem(cache.F(m), modulus)[1], where
+    moduli = [modulus
+              for degree in (2, 3)
+              for ctx in itertools.islice(iter_monic_irreducibles(field, degree), 2)
+              for modulus in (ctx.prime, ctx.prime * ctx.prime)]
+    if q == 3:
+        # P^5 of a degree-7 prime, degree 35: the F_3 residues reduce by
+        # Barrett on the planes and step by the Frobenius row table
+        moduli.append(next(iter_monic_irreducibles(field, 7)).prime ** 5)
+        assert moduli[-1].degree >= _gf3._BARRETT_MIN_DEG
+    for modulus in moduli:
+        chain = CarlitzChain(ModReducer(modulus))
+        # the first request runs the chain out of index order:
+        # F pulls D and the brackets, and L and T continue them
+        chain.F(f_max)
+        for m in range(5):
+            where = (q, str(modulus), m)
+            if m:
+                assert chain.bracket(m) == \
+                    divrem(cache.bracket(m), modulus)[1], where
+            assert chain.L(m) == divrem(cache.L(m), modulus)[1], where
+            assert chain.D(m) == divrem(cache.D(m), modulus)[1], where
+            assert chain.T(m) == divrem(alt[m], modulus)[1], where
+            if m <= f_max:
+                assert chain.F(m) == divrem(cache.F(m), modulus)[1], where
 
 
 def test_chain_rejects_bad_indices():

@@ -169,6 +169,19 @@ def test_import_leaves_process_pool_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_import_leaves_recorded_unloaded():
+    # the recorded examples are imported by verify and the two report
+    # formatters that print degree multisets, not at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    code = ("import sys, fqwilson.cli; "
+            "print('fqwilson.recorded' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_primes_list_nonpositive_degree_exits_2(degree):
     proc = _cli_process("primes", "list", "--field", "3", "--degree", degree)

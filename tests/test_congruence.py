@@ -113,17 +113,17 @@ def test_wilson_skip_def():
 @pytest.mark.parametrize("field,text", [(F3, "t^3+2*t+2"), (F5, "t^4+t^2+2")])
 def test_wilson_suite_powers_only_t(monkeypatch, field, text):
     # the Fermat quotients compose with a memoized t^(q^d) and
-    # raise no operand of their own to a power; the definition route
-    # (Carlitz chain powmods) is skipped, it is its own independent route
+    # raise no operand of their own to a power, by powmod or by
+    # Frobenius steps; the definition route (the Carlitz chain) is
+    # skipped, it is its own independent route
     ctx = PrimeContext.for_prime(parse_poly(text, field))
     operands = []
-    real = ModReducer.powmod
+    for name in ("powmod", "frobenius"):
+        def counting(self, a, *rest, _real=getattr(ModReducer, name)):
+            operands.append(a if isinstance(a, Poly) else self.leave(a))
+            return _real(self, a, *rest)
 
-    def counting(self, a, e):
-        operands.append(a)
-        return real(self, a, e)
-
-    monkeypatch.setattr(ModReducer, "powmod", counting)
+        monkeypatch.setattr(ModReducer, name, counting)
     assert wilson_suite(ctx, skip_def=True).unanimous
     assert 1 <= len(operands) <= 2
     assert all(a == Poly.t(field) for a in operands)

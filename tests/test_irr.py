@@ -31,12 +31,20 @@ def brute_irreducible(f):
     return True
 
 
-@pytest.mark.parametrize("p,dmax", [(2, 6), (3, 5)])
-def test_is_irreducible_matches_brute_force(p, dmax):
-    field = make_prime_field(p)
+@pytest.mark.parametrize("q,dmax", [(2, 6), (3, 6), (4, 3), (5, 3)])
+def test_is_irreducible_matches_brute_force(q, dmax):
+    field = parse_field(str(q))
     for d in range(1, dmax + 1):
         for f in monics(field, d):
             assert is_irreducible(f) == brute_irreducible(f), str(f)
+
+
+@pytest.mark.parametrize("d", [10, 11, 12])
+def test_is_irreducible_count_matches_moebius_f2(d):
+    # degrees 10 and 12 take two gcd checkpoints, 11 one
+    field = make_prime_field(2)
+    found = sum(map(is_irreducible, monics(field, d)))
+    assert found == count_irreducibles(field, d)
 
 
 def test_count_irreducibles_known_values():

@@ -501,7 +501,7 @@ def test_powmod_product_count(monkeypatch):
     # left-to-right: one squaring and one product for e = 3; the packed
     # kernels count their own products, the tuple modes their reductions
     calls = []
-    for owner, name in ((ModReducer, "reduce"), (_gf2, "sqr"), (_gf2, "mul"),
+    for owner, name in ((ModReducer, "_reduce_poly"), (_gf2, "sqr"), (_gf2, "mul"),
                         (_gf3, "sqr"), (_gf3, "mul")):
         orig = getattr(owner, name)
 
@@ -519,7 +519,7 @@ def test_powmod_product_count(monkeypatch):
         if packed:
             assert calls == ["sqr", "mul"]
         else:
-            assert calls == ["reduce"] * 3  # the initial reduction, then 2
+            assert calls == ["_reduce_poly"] * 3  # on entry, then 2
         calls.clear()
         red.powmod(a, 625)  # 9 squarings and 4 products below the top bit
         if packed:
@@ -528,6 +528,50 @@ def test_powmod_product_count(monkeypatch):
         assert products == 13
     assert {(2, "packed"), (3, "packed"), (5, "barrett"), (7, "barrett"),
             (5, "school"), (4, "school")} <= modes
+
+
+# moduli degrees on both sides of the GF(2) table and the F_3 Barrett
+# cutovers, and the Poly-mode fields (F_5 prime, F_4 and F_9 extensions)
+_FROBENIUS_CASES = {
+    "2-mod": ("2", _gf2._TABLE_MIN_DEG - 6),
+    "2-table": ("2", _gf2._TABLE_MIN_DEG + 3),
+    "3-mod": ("3", _gf3._BARRETT_MIN_DEG - 4),
+    "3-barrett": ("3", _gf3._BARRETT_MIN_DEG + 3),
+    "5": ("5", 7),
+    "4": ("4", 6),
+    "9": ("9", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROBENIUS_CASES))
+def test_frobenius_matches_powmod_property(case):
+    # frobenius(r, k) = r^(q^k) three ways: the residue-form steps, one
+    # square-and-multiply powmod, and spreading t -> t^(q^k) (each
+    # coefficient is fixed by x -> x^q) followed by long division; the
+    # same draws check the residue-form mul and sub
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    descriptor, n = _FROBENIUS_CASES[case]
+    field = parse_field(descriptor)
+    q = field.order
+    codes = st.lists(st.integers(0, q - 1), max_size=n + 4).map(tuple)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+               codes, codes, st.integers(0, 3 if q <= 5 else 2))
+    def check(m, a, b, k):
+        m = Poly(field, tuple(m) + (1,))
+        a, b = Poly(field, a), Poly(field, b)
+        red = ModReducer(m)
+        r, s = red.enter(a), red.enter(b)
+        got = red.leave(red.frobenius(r, k))
+        assert got == red.powmod(a, q ** k)
+        assert got == q_power_expand(a, k) % m
+        assert red.leave(red.mul(r, s)) == (a * b) % m
+        assert red.leave(red.sub(r, s)) == (a - b) % m
+        assert red.leave(r) == a % m
+
+    check()
 
 
 # -- GF(2) bytes-level boundary, lanes and table reducer --------------
@@ -851,5 +895,30 @@ def test_gf3_reducer_matches_divrem_property():
         assert _gf3.unpack(reduce(_gf3.pack(a))) == expected.codes
         assert expected == Poly(field, _divrem_prime(a, m, 3)[1]
                                 if len(_strip(a)) >= len(m) else a)
+
+    check()
+
+
+def test_gf3_reducer_frobenius_matches_spread_and_cube_property():
+    # x^3 by the row table against spreading x(t^3) and dividing, and
+    # against a product with the square; moduli cross the Barrett
+    # cutover and include a constant
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    lo = _gf3._BARRETT_MIN_DEG
+    modulus = st.integers(0, lo + 20).flatmap(
+        lambda n: _f3_codes(st, n, n)).map(lambda c: c + (1,))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(modulus, _f3_codes(st, max_size=lo + 24))
+    def check(m, a):
+        m = _gf3.pack(m)
+        reduce = _gf3.Reducer(m)
+        x = reduce(_gf3.pack(a))
+        spread = tuple(int("00".join(format(plane, "b")), 2) for plane in x)
+        cube = reduce.frobenius(x)
+        assert cube == _gf3.mod_(spread, m)
+        assert cube == reduce(_gf3.mul(x, _gf3.sqr(x)))
+        assert reduce.frobenius(cube) == reduce(_gf3.mul(cube, _gf3.sqr(cube)))
 
     check()
