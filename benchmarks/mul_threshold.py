@@ -49,6 +49,17 @@ steps pays), spreading x into x(t^3) and reducing once, and a squaring
 and a product with a reduction after each (what ModReducer.pow(x, 3)
 pays).
 
+The Frobenius sweep (--frob, in place of the others) times x -> x^q
+of a residue mod m over F_5, F_7, F_4 and F_9, the fields whose
+ModReducer has no packed kernel: one step by the row table of t^q
+(ModReducer.frobenius, a Composition), one build of that table
+(ModReducer._frobenius_rows: q steps of t^(i+1) = t * t^i mod m per
+row, or over F_9 below degree 9 a combination of the rows of the
+product by t^q), and one step by square-and-multiply (ModReducer.pow(x,
+q)), after checking that the table, pow and spreading x into x(t^q)
+then dividing give the same residue.  The last column is the number of
+steps after which the table, build included, has cost less than pow.
+
 The distinct-degree sweep (--ddf, in place of the others) times
 factor.distinct_degree_split on the squarefree parts of Carlitz
 quantities the workloads factor, once per block size: a block of b
@@ -63,6 +74,7 @@ Usage:
     python3 benchmarks/mul_threshold.py --gf2
     python3 benchmarks/mul_threshold.py --gf3
     python3 benchmarks/mul_threshold.py --ddf
+    python3 benchmarks/mul_threshold.py --frob
 """
 
 import argparse
@@ -88,6 +100,9 @@ GF3_LENGTHS = (4, 8, 14, 20, 32, 48, 63, 64, 96, 128, 192, 256, 384, 512, 1024,
 GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 192,
                       256, 324, 512)
 GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
+FROB_FIELDS = ("5", "7", "4", "9")
+FROB_DEGREES = (4, 8, 12, 16, 24, 28, 32, 48, 64)
+FROB_RESIDUES = 8  # residues stepped per timing sample
 DDF_BLOCKS = (1, 2, 4, 8, 16, 32)
 # (field, label, polynomial, degree cap) inputs of the distinct-degree
 # sweep; a capped split stops after that many Frobenius steps, as trial
@@ -290,6 +305,49 @@ def report_gf3_frobenius(rows):
     print()
 
 
+def frob_sweep(rng, repeat):
+    rows = []
+    for descriptor in FROB_FIELDS:
+        field = parse_field(descriptor)
+        q = field.order
+        for n in FROB_DEGREES:
+            m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
+            red = ModReducer(m)
+            xs = [red.enter(Poly(field, [rng.randrange(q) for _ in range(n)]))
+                  for _ in range(FROB_RESIDUES)]
+            for x in xs:  # the first call builds the table
+                got = red.frobenius(x)
+                if got != red.pow(x, q) or \
+                        red.leave(got) != poly.q_power_expand(red.leave(x), 1) % m:
+                    raise AssertionError(f"x^q routes disagree over F_{q} "
+                                         f"at degree {n}")
+
+            def table_route():
+                for x in xs:
+                    red.frobenius(x)
+
+            def pow_route():
+                for x in xs:
+                    red.pow(x, q)
+
+            step = time_once(table_route, (), repeat, 1) / len(xs)
+            build = time_once(lambda: ModReducer(m)._frobenius_rows(), (),
+                              repeat, 1)
+            rows.append((q, n, step, build,
+                         time_once(pow_route, (), repeat, 1) / len(xs)))
+    return rows
+
+
+def report_frob(rows):
+    print("x^q mod m  (field, modulus degree, row-table step us, table "
+          "build us, pow(x, q) step us, steps until the table has paid)")
+    for q, n, step, build, pw in rows:
+        paid = build / (pw - step) if pw > step else float("inf")
+        print(f"  F_{q:<3d} {n:5d}  {step * 1e6:9.2f}  {build * 1e6:9.2f}  "
+              f"{pw * 1e6:9.2f}  {paid:6.2f}")
+    print()
+
+
 def ddf_sweep(repeat):
     rows = []
     for descriptor, label, build, cap in DDF_INPUTS:
@@ -431,7 +489,15 @@ def main(argv=None):
     ap.add_argument("--ddf", action="store_true",
                     help="sweep the distinct-degree block size on Carlitz "
                          "quantities over F_2, F_3, F_4 and F_5 instead")
+    ap.add_argument("--frob", action="store_true",
+                    help="sweep x -> x^q mod m over F_5, F_7, F_4 and F_9 "
+                         "at modulus degrees 4 to 64 instead: a row-table "
+                         "step, its build, and a pow(x, q) step")
     args = ap.parse_args(argv)
+
+    if args.frob:
+        report_frob(frob_sweep(random.Random(args.seed), args.repeat))
+        return
 
     if args.ddf:
         report_ddf(ddf_sweep(args.repeat))

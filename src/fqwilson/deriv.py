@@ -19,7 +19,9 @@ on two identities:
   (1) composition: every coefficient c in F_q or E has c^(q^d) = c, so
       a^(q^d) = a(T) mod P^(k+1) with T = t^(q^d) mod P^(k+1); T is d
       Frobenius steps of t per prime and precision, memoized on the
-      context, and a(T) is a Horner evaluation;
+      context with the Composition a -> a(T), whose table of rows
+      T^j mod P^(k+1) is memoized with it, so a(T) is one combination
+      of rows;
   (2) digit planes: Q is E-linear, since c^(q^d) = c for c in E, so for
       a = sum_j x^j a_j over E = F_q[x]/P with each a_j in F_q[t],
       Q(a) = sum_j x^j Q(a_j), and no product in E is formed.
@@ -88,15 +90,9 @@ def fermat_quotient_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:
                  for plane in planes]
         return Poly(ext, [ext.undigits(digs)
                           for digs in zip_longest(*quots, fillvalue=0)])
-    red, frob = ctx.frobenius(k + 1)
-    a = red.reduce(a)
-    acc = Poly(base, a.codes[-1:])
-    for c in reversed(a.codes[:-1]):
-        acc = acc * frob
-        if c:
-            acc = acc + Poly(base, (c,))
-        acc = red.reduce(acc)
-    return exact_div(acc - a, ctx.prime)
+    red, _, compose = ctx.frobenius(k + 1)
+    ra = red.enter(a)
+    return exact_div(red.leave(compose(ra)) - red.leave(ra), ctx.prime)
 
 
 def fermat_quotient_iter(a: Poly, ctx: PrimeContext, i: int, k=None) -> Poly:

@@ -32,11 +32,14 @@ r | q-1 (powers by _ext_mul).  Over a prime base the exp walk then
 multiplies by it in plain-int digits (for x + c, one shift and fold
 per step); towers walk by _ext_mul.  _ext_mul and the digit-wise
 _digit_add/_digit_neg stay as the slow oracle the tests compare the
-tables against.
+tables against.  Before the tables exist, a product by the generator
+of an extension of a prime field (evaluation and synthetic division
+at theta) is mul_gen, the same shift and fold, through multiplier.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotMonic, NotPrime, Reducible
@@ -227,6 +230,36 @@ class Field:
             self._build_tables()
             return self._exp[self._log[a] + self._log[b]]
         return self._ext_mul(a, b)
+
+    def mul_gen(self, a: int) -> int:
+        """a * gen_code, for an extension of a prime field: the digits
+        shift up by one and the top digit c, which leaves as c * x^k,
+        folds back as c times x^k mod the modulus; no general product
+        (_ext_mul is the oracle)."""
+        p = self.char
+        if self.degree == 1:
+            return a * self.gen_code % p
+        shifted = a * p
+        if shifted < self.order:
+            return shifted
+        top, shifted = divmod(shifted, self.order)
+        out = 0
+        weight = 1
+        for f in self._fold()[0]:
+            shifted, s = divmod(shifted, p)
+            out += (s + top * f) % p * weight
+            weight *= p
+        return out
+
+    def multiplier(self, c: int):
+        """The map a -> a * c: mul_gen when c is the generator of an
+        extension of a prime field that has no log tables yet, else
+        mul with c bound (a lookup once the tables exist)."""
+        base = self.base
+        if (base is not None and base.is_prime_field and self._log is None
+                and c == self.gen_code):
+            return self.mul_gen
+        return functools.partial(self.mul, c)
 
     def inv(self, a: int) -> int:
         if a == 0:

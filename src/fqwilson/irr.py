@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import NotMonic, Reducible
 from .gf import Field, FieldElement, _prime_factors, make_extension
-from .poly import ModReducer, Poly, gcd
+from .poly import Composition, ModReducer, Poly, gcd
 
 _ROOT_SCAN_MAX_ORDER = 64
 
@@ -34,15 +34,27 @@ def is_irreducible(f: Poly) -> bool:
     q = field.order
     if q <= _ROOT_SCAN_MAX_ORDER:
         # cheap linear-factor filter before the Frobenius chain
-        mul = field.mul
-        add = field.add
         codes = f.codes
-        for x in range(1, q):
-            acc = 0
-            for c in reversed(codes):
-                acc = add(mul(acc, x), c)
-            if acc == 0:
-                return False
+        if field.is_prime_field:
+            # on plain ints: x^(p-1) = 1 for x != 0, so f(x) is Horner
+            # mod p over the sums of the codes in each exponent class
+            # mod p - 1 (at x = 1, the sum of all codes)
+            sums = [sum(codes[r::q - 1]) for r in range(q - 1)]
+            for x in range(1, q):
+                acc = 0
+                for s in reversed(sums):
+                    acc = (acc * x + s) % q
+                if acc == 0:
+                    return False
+        else:
+            mul = field.mul
+            add = field.add
+            for x in range(1, q):
+                acc = 0
+                for c in reversed(codes):
+                    acc = add(mul(acc, x), c)
+                if acc == 0:
+                    return False
     red = ModReducer(f)
     t = red.enter(Poly.t(field))
     h = t
@@ -68,8 +80,8 @@ class PrimeContext:
     residue_field: Field
     theta: FieldElement
     norm: int
-    # m -> (ModReducer mod prime^m, t^norm mod prime^m); a memo, so it
-    # takes no part in equality, hashing or the repr
+    # m -> (ModReducer mod prime^m, t^norm mod prime^m, its Composition);
+    # a memo, so it takes no part in equality, hashing or the repr
     _frobenius: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -96,21 +108,24 @@ class PrimeContext:
         )
 
     def frobenius(self, m: int):
-        """(reducer mod prime^m, T = t^norm mod prime^m), memoized per m.
+        """(reducer mod prime^m, T = t^norm mod prime^m, the Composition
+        a -> a(T) mod prime^m), memoized per m.
 
         T costs d Frobenius steps of t, d the degree; when T is already
         held at a higher exponent, the one at m is its reduction instead.
+        The Composition grows its rows T^j as compositions ask for them.
         """
         hit = self._frobenius.get(m)
         if hit is None:
             red = ModReducer(self.prime ** m)
             higher = [n for n in self._frobenius if n > m]
             if higher:
-                frob = red.reduce(self._frobenius[min(higher)][1])
+                frob = red.enter(self._frobenius[min(higher)][1])
             else:
-                t = red.enter(Poly.t(self.prime.field))
-                frob = red.leave(red.frobenius(t, self.degree))
-            hit = self._frobenius[m] = (red, frob)
+                frob = red.frobenius(red.enter(Poly.t(self.prime.field)),
+                                     self.degree)
+            hit = self._frobenius[m] = (red, red.leave(frob),
+                                        Composition(red, frob))
         return hit
 
     def __repr__(self):

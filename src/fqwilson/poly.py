@@ -25,7 +25,9 @@ below that, and x -> x^3 spreads the coefficients and adds rows
 t^(3i) mod m.  Over prime fields of characteristic 5 or more it
 precomputes a Barrett inverse of the reversed modulus from
 _BARRETT_MIN_DEG, so repeated reductions cost two multiplies instead
-of a quadratic division.
+of a quadratic division, and x -> x^q is a modular composition
+x -> x(t^q) by a Composition, a table of rows t^(qj) mod m; so it is
+over extension fields.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _pack2/_unpack2, which convert via the int's base-2
@@ -51,6 +53,7 @@ as the slow oracle the tests compare against.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 
@@ -370,16 +373,22 @@ def _kron_pack(codes, tc) -> int:
     return int.from_bytes(lanes.tobytes(), "little")
 
 
+def _kron_unpack(wide: int, count: int, lane, p):
+    """The first count lanes of a Kronecker int, each reduced mod p."""
+    width, tc = lane
+    lanes = array(tc)
+    lanes.frombytes(wide.to_bytes(width * count, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return [c % p for c in lanes]
+
+
 def _kron_mul(a, b, p):
     # pack coefficients into byte-aligned lanes wide enough that the
     # integer product's lanes carry the exact convolution sums
-    width, tc = _kron_lane(min(len(a), len(b)), p)
-    wide = _kron_pack(a, tc) * _kron_pack(b, tc)
-    lanes = array(tc)
-    lanes.frombytes(wide.to_bytes(width * (len(a) + len(b) - 1), "little"))
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return tuple(c % p for c in lanes)
+    lane = _kron_lane(min(len(a), len(b)), p)
+    wide = _kron_pack(a, lane[1]) * _kron_pack(b, lane[1])
+    return tuple(_kron_unpack(wide, len(a) + len(b) - 1, lane, p))
 
 
 # -- division ---------------------------------------------------------
@@ -494,12 +503,11 @@ def eval_poly(f: Poly, x) -> FieldElement:
     if isinstance(x, int):
         x = f.field(x)
     ef = _eval_field(f, x)
-    mul = ef.mul
+    times = ef.multiplier(x.code)
     add = ef.add
-    xc = x.code
     acc = 0
     for c in reversed(f.codes):
-        acc = add(mul(acc, xc), c)
+        acc = add(times(acc), c)
     return FieldElement(ef, acc)
 
 
@@ -512,16 +520,15 @@ def synth_div(f: Poly, x):
     if isinstance(x, int):
         x = f.field(x)
     ef = _eval_field(f, x)
-    mul = ef.mul
-    add = ef.add
-    xc = x.code
     if f.is_zero:
         return Poly.zero(ef), ef.zero
+    times = ef.multiplier(x.code)
+    add = ef.add
     out = [0] * (len(f.codes) - 1)
     acc = f.codes[-1]
     for i in range(len(f.codes) - 2, -1, -1):
         out[i] = acc
-        acc = add(mul(acc, xc), f.codes[i])
+        acc = add(times(acc), f.codes[i])
     return Poly(ef, out), FieldElement(ef, acc)
 
 
@@ -597,14 +604,24 @@ class ModReducer:
     product or division.  Over larger prime fields reduction keeps a
     Newton-grown power series inverse of the reversed modulus (Barrett)
     once the degree reaches _BARRETT_MIN_DEG, and falls back to plain
-    long division for small moduli; frobenius is pow(r, q).  Extension
-    fields always use long division: their products are schoolbook, so
-    Barrett's two multiplies cost more than one division (2-4x at
-    modulus degrees 16-128 over F_4, F_9 and F_625).
+    long division for small moduli.  Extension fields always use long
+    division: their products are schoolbook, so Barrett's two
+    multiplies cost more than one division (2-4x at modulus degrees
+    16-128 over F_4, F_9 and F_625).
+
+    Outside F_2 and F_3, frobenius is a modular composition: every
+    coefficient c has c^q = c, so r^q = r(t^q) mod m, which a
+    Composition holding the rows t^(qj) mod m (j < deg m) applies with
+    no product and no division.  The rows come from the recurrence
+    t^(i+1) = t * t^i mod m, a shift and one multiple of m per step,
+    built on the first frobenius call (see _frobenius_rows for the
+    fields where q steps per row would cost more than a product).
+    `benchmarks/mul_threshold.py --frob` times a step against
+    pow(r, q) and the build.
     """
 
     __slots__ = ("modulus", "field", "_mode", "_kernel", "_pack", "_unpack",
-                 "_red", "_rm", "_rinv", "_prec")
+                 "_red", "_rm", "_rinv", "_prec", "_lane", "_frob")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -613,6 +630,7 @@ class ModReducer:
             modulus = modulus.monic()
         self.modulus = modulus
         self.field = field = modulus.field
+        self._lane = self._frob = None
         if field.is_prime_field and field.char in _PACKED:
             self._mode = "packed"
             self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
@@ -667,16 +685,125 @@ class ModReducer:
                 result = reduce(kernel.mul(result, r) if packed else result * r)
         return result
 
+    # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of
+    # 5): at modulus degrees 4-64 a table step took 5-27 us over F_5 and
+    # F_7 against 51-570 us for pow(x, q), and 12-1,949 us against
+    # 38-14,781 us over F_4 and F_9; a build cost 0.6-2.4 pow steps,
+    # at most 1.6 up to degree 8.  The chains that step (Rabin's test,
+    # the Carlitz chain, t^(q^d), distinct-degree splitting) take d
+    # steps or more per reducer, d the degree of the prime or candidate
+    # behind its modulus, so the table serves every step, with no
+    # cutoff.
     def frobenius(self, r, k: int = 1):
         """r^(q^k), q the order of the coefficient field, as k steps
         x -> x^q; each is one call of the packed reducer's frobenius
-        over F_2 and F_3, and pow(x, q) elsewhere."""
-        for _ in range(k):
-            if self._mode == "packed":
+        over F_2 and F_3, and one composition x -> x(t^q) elsewhere."""
+        if self._mode == "packed":
+            for _ in range(k):
                 r = self._red.frobenius(r)
-            else:
-                r = self.pow(r, self.field.order)
+            return r
+        if k and self._frob is None:
+            self._frob = Composition(self, None, self._frobenius_rows())
+        for _ in range(k):
+            r = self._frob(r)
         return r
+
+    # -- rows of a composition table ----------------------------------
+
+    def _kron(self):
+        """(byte width, typecode) of the Kronecker lanes of the rows over
+        F_p, p < 256, and False elsewhere.  A lane holds a sum of deg m
+        products of residues mod p, and of p + 1 of them, more than the
+        p steps of _frobenius_rows add up between reductions."""
+        if self._lane is None:
+            field = self.field
+            p = field.char
+            self._lane = (_kron_lane(max(self.modulus.degree, p + 1), p)
+                          if field.is_prime_field and p < 256 else False)
+        return self._lane
+
+    def _row(self, codes):
+        """The row form of the codes of a residue: a Kronecker-packed int
+        over F_p, p < 256, and the codes padded to deg m elsewhere."""
+        lane = self._kron()
+        if lane:
+            return _kron_pack(codes, lane[1])
+        return tuple(codes) + (0,) * (self.modulus.degree - len(codes))
+
+    def _combine(self, codes, rows):
+        """The deg m codes of sum_j codes[j] * rows[j], rows in row form."""
+        if self._lane:
+            return _kron_unpack(sum(map(operator.mul, codes, rows)),
+                                self.modulus.degree, self._lane, self.field.char)
+        add = self.field.add
+        mul = self.field.mul
+        out = [0] * self.modulus.degree
+        for c, row in zip(codes, rows):
+            if c:
+                out = [add(o, mul(c, x)) for o, x in zip(out, row)]
+        return out
+
+    def _frobenius_rows(self):
+        """The rows t^(qj) mod m for j < n = deg m, each the last times
+        t^q: q steps of the recurrence t^(i+1) = t * t^i mod m, a shift
+        and, when the top coefficient c leaves, c times -m folded back.
+
+        Over F_p, p < 256, a step is a few operations on one Kronecker
+        int, whose lanes are reduced mod p once per row, and q steps
+        cost less than pow(x, q) up to p = 251 (`benchmarks/
+        mul_threshold.py --frob`).  Elsewhere a step is n Field calls,
+        so for q > n one combination of at most n rows is cheaper: the
+        rows t^i T mod m (i < n) of the product by T = t^q mod m, each
+        one step from the last, with T itself about log2(q) products."""
+        field = self.field
+        n = self.modulus.degree
+        q = field.order
+        if not n:
+            return []
+        neg = [field.neg(c) for c in self.modulus.codes[:n]]
+        if self._kron():
+            # a step on the Kronecker int: lanes grow until reduced
+            bits = 8 * self._lane[0]
+            top_at = bits * (n - 1)
+            low = (1 << top_at) - 1
+            neg_row = self._row(neg)
+
+            def step(r):
+                top = (r >> top_at) % q  # q = p here
+                r = (r & low) << bits
+                return r + top * neg_row if top else r
+
+            def reduced(r):
+                return self._row(_kron_unpack(r, n, self._lane, q))
+        else:
+            add = field.add
+            mul = field.mul
+
+            def step(r):
+                top = r[-1]
+                r = (0, *r[:-1])
+                if top:
+                    r = tuple([add(c, mul(top, x)) for c, x in zip(r, neg)])
+                return r
+
+            reduced = tuple  # the steps keep the codes reduced
+        rows = [self._row([1])]
+        if not self._lane and q > n:
+            t = self.enter(Poly.t(field))
+            by_T = [self._row(self.leave(self.pow(t, q)).codes)]
+            for _ in range(n - 1):
+                by_T.append(step(by_T[-1]))
+            codes = [1]
+            for _ in range(n - 1):
+                codes = self._combine(codes, by_T)
+                rows.append(self._row(codes))
+            return rows
+        for _ in range(n - 1):
+            r = rows[-1]
+            for _ in range(q):
+                r = step(r)
+            rows.append(reduced(r))
+        return rows
 
     # -- Poly-level wrappers ------------------------------------------
 
@@ -731,6 +858,40 @@ def _trunc(f: Poly, k: int) -> Poly:
     if len(f.codes) <= k:
         return f
     return Poly(f.field, f.codes[:k])
+
+
+class Composition:
+    """r -> r(T) mod m for a fixed residue T of a ModReducer.
+
+    Modular composition is F_q-linear: r = sum r_j t^j maps to
+    sum r_j T^j, so with the rows T^j mod m at hand an application is
+    one combination of rows (over F_p, p < 256, one small-int times
+    big-int product per coefficient on Kronecker-packed rows and one
+    unpack of the lanes mod p).  Rows beyond the given ones grow on
+    demand, one residue product each, so a caller that composes only
+    short residues pays only for the rows they use.
+    """
+
+    __slots__ = ("red", "_rows", "_T", "_power")
+
+    def __init__(self, red: ModReducer, T, rows=None):
+        """rows, when given, are the row forms of T^0, T^1, ...; given
+        all deg m of them, T itself is never read and may be None."""
+        self.red = red
+        self._T = self._power = T
+        if rows is None:
+            rows = [red._row(red.reduce(Poly.one(red.field)).codes),
+                    red._row(red.leave(T).codes)]
+        self._rows = rows
+
+    def __call__(self, r):
+        red = self.red
+        codes = red.leave(r).codes
+        rows = self._rows
+        while len(rows) < len(codes):
+            self._power = red.mul(self._power, self._T)
+            rows.append(red._row(red.leave(self._power).codes))
+        return red.enter(Poly(red.field, red._combine(codes, rows)))
 
 
 # -- text form --------------------------------------------------------

@@ -73,7 +73,7 @@ def powmod_quotient(a, prime, norm, k):
     return exact_div(red.powmod(a, norm) - red.reduce(a), prime)
 
 
-ORACLE_FIELDS = ("2", "3", "4", "5", "9")
+ORACLE_FIELDS = ("2", "3", "4", "5", "7", "9")
 
 
 @pytest.mark.parametrize("descriptor", ORACLE_FIELDS)

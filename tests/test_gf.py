@@ -287,6 +287,40 @@ def test_log_and_exp_are_inverse_bijections(label):
         assert (zech[i] == -1) if one_plus == 0 else exp[zech[i]] == one_plus
 
 
+# every element of each field: generator by digit shift and one fold
+MUL_GEN_FIELDS = {
+    "F_4": lambda: parse_field("4"),
+    "F_9": lambda: parse_field("9"),
+    "F_25": lambda: parse_field("25"),
+    "F_625": lambda: parse_field("625"),
+    "F_5 by t + 3": lambda: make_extension(F5, parse_poly("t+3", F5)),
+}
+
+
+@pytest.mark.parametrize("label", MUL_GEN_FIELDS)
+def test_mul_gen_matches_ext_mul_exhaustive(label):
+    field = MUL_GEN_FIELDS[label]()
+    g = field.gen_code
+    assert [field.mul_gen(a) for a in range(field.order)] == \
+        [field._ext_mul(a, g) for a in range(field.order)]
+    assert field._log is None  # neither route counts toward the tables
+    assert field.multiplier(g) == field.mul_gen
+    other = field.multiplier(g + 1 if g + 1 < field.order else 1)
+    assert all(other(a) == field._ext_mul(a, other.args[0]) for a in range(field.order))
+    field._build_tables()
+    times = field.multiplier(g)  # with tables, the lookup
+    assert times != field.mul_gen
+    assert all(times(a) == field._ext_mul(a, g) for a in range(field.order))
+
+
+def test_multiplier_keeps_mul_over_towers():
+    tower = quadratic_tower(parse_field("4"))
+    g = tower.gen_code
+    times = tower.multiplier(g)
+    assert times != tower.mul_gen
+    assert all(times(a) == tower._ext_mul(a, g) for a in range(tower.order))
+
+
 def test_tables_wait_for_the_trigger():
     field = parse_field("625")
     x = field.gen_code

@@ -31,7 +31,7 @@ def brute_irreducible(f):
     return True
 
 
-@pytest.mark.parametrize("q,dmax", [(2, 6), (3, 6), (4, 3), (5, 3)])
+@pytest.mark.parametrize("q,dmax", [(2, 6), (3, 6), (4, 3), (5, 3), (7, 3)])
 def test_is_irreducible_matches_brute_force(q, dmax):
     field = parse_field(str(q))
     for d in range(1, dmax + 1):

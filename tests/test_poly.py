@@ -9,6 +9,7 @@ from fqwilson import _gf2, _gf3, poly
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotDivisible
 from fqwilson.gf import default_modulus, make_extension, make_prime_field, parse_field
 from fqwilson.poly import (
+    Composition,
     ModReducer,
     Poly,
     _divrem_field,
@@ -538,8 +539,12 @@ _FROBENIUS_CASES = {
     "3-mod": ("3", _gf3._BARRETT_MIN_DEG - 4),
     "3-barrett": ("3", _gf3._BARRETT_MIN_DEG + 3),
     "5": ("5", 7),
+    "5-barrett": ("5", poly._BARRETT_MIN_DEG + 4),
+    "5-linear": ("5", 1),
+    "7": ("7", 6),
     "4": ("4", 6),
     "9": ("9", 4),
+    "25": ("25", 7),  # q > deg m: rows by the product by t^q, not q steps
 }
 
 
@@ -570,6 +575,38 @@ def test_frobenius_matches_powmod_property(case):
         assert red.leave(red.mul(r, s)) == (a * b) % m
         assert red.leave(red.sub(r, s)) == (a - b) % m
         assert red.leave(r) == a % m
+
+    check()
+
+
+@pytest.mark.parametrize("descriptor,n", [
+    ("2", 9), ("3", 8), ("5", 6), ("7", poly._BARRETT_MIN_DEG + 2), ("4", 5),
+    ("9", 4), ("257", 3)])
+def test_composition_matches_horner(descriptor, n):
+    # r(T) mod m by the row table, growing its rows on demand, against
+    # Horner's rule with a reduction after each product; r is taken
+    # reduced, since for a T with m(T) != 0 mod m the map is one on
+    # the codes of residues, not on F_q[t]/(m)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = parse_field(descriptor)
+    q = field.order
+    codes = st.lists(st.integers(0, q - 1), max_size=n + 3).map(tuple)
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+               codes, st.lists(codes, min_size=1, max_size=4))
+    def check(m, T, rs):
+        m = Poly(field, tuple(m) + (1,))
+        T = Poly(field, T)
+        red = ModReducer(m)
+        compose = Composition(red, red.enter(T))
+        for r in rs:
+            r = red.reduce(Poly(field, r))
+            want = Poly.zero(field)
+            for c in reversed(r.codes):
+                want = red.reduce(want * T + Poly(field, (c,)))
+            assert red.leave(compose(red.enter(r))) == want
 
     check()
 
