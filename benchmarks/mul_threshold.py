@@ -51,14 +51,18 @@ pays).
 
 The Frobenius sweep (--frob, in place of the others) times x -> x^q
 of a residue mod m over F_5, F_7, F_4 and F_9, the fields whose
-ModReducer has no packed kernel: one step by the row table of t^q
-(ModReducer.frobenius, a Composition), one build of that table
+ModReducer has no packed kernel: one step by the whole row table of
+t^q (a Composition), one build of that table
 (ModReducer._frobenius_rows: q steps of t^(i+1) = t * t^i mod m per
-row, or over F_9 below degree 9 a combination of the rows of the
-product by t^q), and one step by square-and-multiply (ModReducer.pow(x,
-q)), after checking that the table, pow and spreading x into x(t^q)
-then dividing give the same residue.  The last column is the number of
-steps after which the table, build included, has cost less than pow.
+row, or over F_9 below degree 9 the powers of t^q, one product each),
+and one step by square-and-multiply (ModReducer.pow(x, q)), after
+checking that the table, pow and spreading x into x(t^q) then dividing
+give the same residue; the fifth column is the number of steps after
+which the table, build included, has cost less than pow.  It then
+times chains of k steps from a fresh reducer over F_5 at degrees up to
+2048 three ways: ModReducer.frobenius (pow steps until they have cost
+what the table would, then the table), pow alone, and the table built
+first.
 
 The distinct-degree sweep (--ddf, in place of the others) times
 factor.distinct_degree_split on the squarefree parts of Carlitz
@@ -86,7 +90,7 @@ from fqwilson import _gf2, _gf3, factor, gf, poly
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.gf import make_extension, make_prime_field, parse_field
 from fqwilson.irr import iter_monic_irreducibles
-from fqwilson.poly import ModReducer, Poly, _kron_mul, _school_mul_prime
+from fqwilson.poly import Composition, ModReducer, Poly, _kron_mul, _school_mul_prime
 
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
@@ -103,6 +107,9 @@ GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
 FROB_FIELDS = ("5", "7", "4", "9")
 FROB_DEGREES = (4, 8, 12, 16, 24, 28, 32, 48, 64)
 FROB_RESIDUES = 8  # residues stepped per timing sample
+# (modulus degree, chain lengths) of the F_5 chain part of --frob
+FROB_CHAINS = ((8, (4, 8)), (64, (4, 32)), (512, (4, 16, 256)),
+               (2048, (4, 16, 64)))
 DDF_BLOCKS = (1, 2, 4, 8, 16, 32)
 # (field, label, polynomial, degree cap) inputs of the distinct-degree
 # sweep; a capped split stops after that many Frobenius steps, as trial
@@ -313,38 +320,84 @@ def frob_sweep(rng, repeat):
         for n in FROB_DEGREES:
             m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
             red = ModReducer(m)
+            table = Composition(red, rows=red._frobenius_rows())
+            table.grow(n)
             xs = [red.enter(Poly(field, [rng.randrange(q) for _ in range(n)]))
                   for _ in range(FROB_RESIDUES)]
-            for x in xs:  # the first call builds the table
-                got = red.frobenius(x)
-                if got != red.pow(x, q) or \
+            for x in xs:
+                got = table(x)
+                if got != red.pow(x, q) or got != red.frobenius(x) or \
                         red.leave(got) != poly.q_power_expand(red.leave(x), 1) % m:
                     raise AssertionError(f"x^q routes disagree over F_{q} "
                                          f"at degree {n}")
 
             def table_route():
                 for x in xs:
-                    red.frobenius(x)
+                    table(x)
 
             def pow_route():
                 for x in xs:
                     red.pow(x, q)
 
             step = time_once(table_route, (), repeat, 1) / len(xs)
-            build = time_once(lambda: ModReducer(m)._frobenius_rows(), (),
-                              repeat, 1)
+            build = time_once(lambda: list(ModReducer(m)._frobenius_rows()),
+                              (), repeat, 1)
             rows.append((q, n, step, build,
                          time_once(pow_route, (), repeat, 1) / len(xs)))
     return rows
 
 
-def report_frob(rows):
+def frob_chain_sweep(rng, repeat):
+    """(n, k, frobenius s, pow s, table-first s) for chains of k steps
+    from a fresh reducer mod a random F_5 modulus of degree n."""
+    field = parse_field("5")
+    rows = []
+    for n, ks in FROB_CHAINS:
+        m = Poly(field, [rng.randrange(5) for _ in range(n)] + [1])
+        a = Poly(field, [rng.randrange(5) for _ in range(n)])
+        for k in ks:
+            def frobenius_route():
+                red = ModReducer(m)
+                return red.leave(red.frobenius(red.enter(a), k))
+
+            def pow_route():
+                red = ModReducer(m)
+                x = red.enter(a)
+                for _ in range(k):
+                    x = red.pow(x, 5)
+                return red.leave(x)
+
+            def table_route():
+                red = ModReducer(m)
+                table = Composition(red, rows=red._frobenius_rows())
+                table.grow(n)
+                x = red.enter(a)
+                for _ in range(k):
+                    x = table(x)
+                return red.leave(x)
+
+            if not frobenius_route() == pow_route() == table_route():
+                raise AssertionError(f"chains disagree at degree {n}, {k} steps")
+            rows.append((n, k) + tuple(
+                time_once(route, (), repeat, 1)
+                for route in (frobenius_route, pow_route, table_route)))
+    return rows
+
+
+def report_frob(rows, chains):
     print("x^q mod m  (field, modulus degree, row-table step us, table "
           "build us, pow(x, q) step us, steps until the table has paid)")
     for q, n, step, build, pw in rows:
         paid = build / (pw - step) if pw > step else float("inf")
         print(f"  F_{q:<3d} {n:5d}  {step * 1e6:9.2f}  {build * 1e6:9.2f}  "
               f"{pw * 1e6:9.2f}  {paid:6.2f}")
+    print()
+    print("chains of k steps x -> x^5 mod m over F_5 from a fresh reducer  "
+          "(modulus degree, k, ms by frobenius, by pow alone, by the table "
+          "built first)")
+    for n, k, frob, pw, table in chains:
+        print(f"  {n:5d} {k:5d}  {frob * 1e3:9.2f}  {pw * 1e3:9.2f}  "
+              f"{table * 1e3:9.2f}")
     print()
 
 
@@ -492,11 +545,13 @@ def main(argv=None):
     ap.add_argument("--frob", action="store_true",
                     help="sweep x -> x^q mod m over F_5, F_7, F_4 and F_9 "
                          "at modulus degrees 4 to 64 instead: a row-table "
-                         "step, its build, and a pow(x, q) step")
+                         "step, its build, and a pow(x, q) step; then F_5 "
+                         "chains of k steps at degrees 8 to 2048")
     args = ap.parse_args(argv)
 
     if args.frob:
-        report_frob(frob_sweep(random.Random(args.seed), args.repeat))
+        report_frob(frob_sweep(random.Random(args.seed), args.repeat),
+                    frob_chain_sweep(random.Random(args.seed), args.repeat))
         return
 
     if args.ddf:

@@ -34,7 +34,8 @@ per step); towers walk by _ext_mul.  _ext_mul and the digit-wise
 _digit_add/_digit_neg stay as the slow oracle the tests compare the
 tables against.  Before the tables exist, a product by the generator
 of an extension of a prime field (evaluation and synthetic division
-at theta) is mul_gen, the same shift and fold, through multiplier.
+at theta) is mul_gen, the same shift and fold, through multiplier; it
+counts toward the trigger as mul does.
 """
 
 from __future__ import annotations
@@ -232,13 +233,19 @@ class Field:
         return self._ext_mul(a, b)
 
     def mul_gen(self, a: int) -> int:
-        """a * gen_code, for an extension of a prime field: the digits
-        shift up by one and the top digit c, which leaves as c * x^k,
-        folds back as c times x^k mod the modulus; no general product
-        (_ext_mul is the oracle)."""
+        """a * gen_code, for an extension of a prime field.  It counts
+        toward the log tables exactly as mul(a, gen_code) does, so they
+        are built after the same products.  Where mul would run
+        _ext_mul (the oracle), the digits shift up by one and the top
+        digit c, which leaves as c * x^k, folds back as c times x^k mod
+        the modulus."""
+        g = self.gen_code
+        if a < 2 or g < 2 or self._log is not None or self._countdown == 1:
+            return self.mul(a, g)
+        self._countdown -= 1
         p = self.char
         if self.degree == 1:
-            return a * self.gen_code % p
+            return a * g % p
         shifted = a * p
         if shifted < self.order:
             return shifted
@@ -254,7 +261,8 @@ class Field:
     def multiplier(self, c: int):
         """The map a -> a * c: mul_gen when c is the generator of an
         extension of a prime field that has no log tables yet, else
-        mul with c bound (a lookup once the tables exist)."""
+        mul with c bound (a lookup once the tables exist).  Both count
+        toward the tables alike."""
         base = self.base
         if (base is not None and base.is_prime_field and self._log is None
                 and c == self.gen_code):

@@ -26,8 +26,9 @@ t^(3i) mod m.  Over prime fields of characteristic 5 or more it
 precomputes a Barrett inverse of the reversed modulus from
 _BARRETT_MIN_DEG, so repeated reductions cost two multiplies instead
 of a quadratic division, and x -> x^q is a modular composition
-x -> x(t^q) by a Composition, a table of rows t^(qj) mod m; so it is
-over extension fields.
+x -> x(t^q) by a Composition, a table of rows t^(qj) mod m, once a
+chain's pow(x, q) steps have paid for its build; so it is over
+extension fields.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _pack2/_unpack2, which convert via the int's base-2
@@ -53,8 +54,10 @@ as the slow oracle the tests compare against.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import sys
+import time
 from array import array
 
 from . import _gf2, _gf3
@@ -613,15 +616,20 @@ class ModReducer:
     coefficient c has c^q = c, so r^q = r(t^q) mod m, which a
     Composition holding the rows t^(qj) mod m (j < deg m) applies with
     no product and no division.  The rows come from the recurrence
-    t^(i+1) = t * t^i mod m, a shift and one multiple of m per step,
-    built on the first frobenius call (see _frobenius_rows for the
-    fields where q steps per row would cost more than a product).
+    t^(i+1) = t * t^i mod m, a shift and one multiple of m per step
+    (see _frobenius_rows for the fields where q steps per row would
+    cost more than a product).  The n rows of n lanes cost O(q n^2)
+    to build and hold O(n^2), against O(log q) products per pow(r, q)
+    step, so a chain much shorter than the build must not pay for it:
+    frobenius runs pow steps until they have cost what the rest of the
+    table would, then builds it.
     `benchmarks/mul_threshold.py --frob` times a step against
-    pow(r, q) and the build.
+    pow(r, q), the build, and chains of both lengths.
     """
 
     __slots__ = ("modulus", "field", "_mode", "_kernel", "_pack", "_unpack",
-                 "_red", "_rm", "_rinv", "_prec", "_lane", "_frob")
+                 "_red", "_rm", "_rinv", "_prec", "_lane", "_frob", "_pow_s",
+                 "_rows_s")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -631,6 +639,9 @@ class ModReducer:
         self.modulus = modulus
         self.field = field = modulus.field
         self._lane = self._frob = None
+        # time frobenius has spent on pow steps, and on the rows after
+        # the first
+        self._pow_s = self._rows_s = 0.0
         if field.is_prime_field and field.char in _PACKED:
             self._mode = "packed"
             self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
@@ -686,26 +697,51 @@ class ModReducer:
         return result
 
     # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of
-    # 5): at modulus degrees 4-64 a table step took 5-27 us over F_5 and
-    # F_7 against 51-570 us for pow(x, q), and 12-1,949 us against
-    # 38-14,781 us over F_4 and F_9; a build cost 0.6-2.4 pow steps,
-    # at most 1.6 up to degree 8.  The chains that step (Rabin's test,
-    # the Carlitz chain, t^(q^d), distinct-degree splitting) take d
-    # steps or more per reducer, d the degree of the prime or candidate
-    # behind its modulus, so the table serves every step, with no
-    # cutoff.
+    # 5): at modulus degrees 4-64 a table step took 4-20 us over F_5 and
+    # F_7 against 48-414 us for pow(x, q), and 9-1,427 us against
+    # 31-7,918 us over F_4 and F_9; a build cost 0.5-2.6 pow steps.
+    # Chains from a fresh reducer over F_5, this route against pow
+    # alone and the table built first: degree 8, 4 steps, 0.11 against
+    # 0.34 and 0.05 ms; degree 64, 32 steps, 1.6 against 7.8 and 1.0 ms;
+    # degree 2048, 4 steps, 44 against 41 and 341 ms, and 64 steps, 785
+    # against 684 and 611 ms.
     def frobenius(self, r, k: int = 1):
         """r^(q^k), q the order of the coefficient field, as k steps
-        x -> x^q; each is one call of the packed reducer's frobenius
-        over F_2 and F_3, and one composition x -> x(t^q) elsewhere."""
+        x -> x^q.  Over F_2 and F_3 each is one call of the packed
+        reducer's frobenius.  Elsewhere a step is the composition
+        x -> x(t^q) by the row table of t^q once its rows cover x's
+        coefficients, and pow(x, q) until then.  Each pow step also
+        builds the next row, and once the pow steps of this reducer
+        have taken as long as the missing rows would at the mean cost
+        of those built, the rest are built at once: rent, then buy.  A
+        chain shorter than the build (a bounded distinct-degree split
+        on a large modulus) so stays on pow, and no chain pays much
+        more than twice the cheaper route."""
         if self._mode == "packed":
             for _ in range(k):
                 r = self._red.frobenius(r)
             return r
-        if k and self._frob is None:
-            self._frob = Composition(self, None, self._frobenius_rows())
+        frob = self._frob
+        if frob is None:
+            frob = self._frob = Composition(self, rows=self._frobenius_rows())
+        q = self.field.order
+        n = self.modulus.degree
+        clock = time.perf_counter
         for _ in range(k):
-            r = self._frob(r)
+            if len(r.codes) <= len(frob.rows):
+                r = frob(r)
+                continue
+            start = clock()
+            r = self.pow(r, q)
+            self._pow_s += clock() - start
+            if not frob.rows:
+                frob.grow(1)  # the row of 1, with the set-up of the rows
+            start = clock()
+            frob.grow(1)
+            self._rows_s += clock() - start
+            built = len(frob.rows) - 1
+            if self._pow_s * built >= self._rows_s * (n - 1 - built):
+                frob.grow(n)
         return r
 
     # -- rows of a composition table ----------------------------------
@@ -744,24 +780,29 @@ class ModReducer:
         return out
 
     def _frobenius_rows(self):
-        """The rows t^(qj) mod m for j < n = deg m, each the last times
-        t^q: q steps of the recurrence t^(i+1) = t * t^i mod m, a shift
-        and, when the top coefficient c leaves, c times -m folded back.
+        """The rows t^(qj) mod m for j < n = deg m, yielded in order.
 
-        Over F_p, p < 256, a step is a few operations on one Kronecker
-        int, whose lanes are reduced mod p once per row, and q steps
-        cost less than pow(x, q) up to p = 251 (`benchmarks/
-        mul_threshold.py --frob`).  Elsewhere a step is n Field calls,
-        so for q > n one combination of at most n rows is cheaper: the
-        rows t^i T mod m (i < n) of the product by T = t^q mod m, each
-        one step from the last, with T itself about log2(q) products."""
+        Over F_p, p < 256, and over extension fields with q <= n, each
+        row is the last times t^q: q steps of the recurrence
+        t^(i+1) = t * t^i mod m, a shift and, when the top coefficient
+        c leaves, c times -m folded back.  Over F_p a step is a few
+        operations on one Kronecker int, whose lanes are reduced mod p
+        once per row.  Over an extension field a step is n Field calls,
+        so for q > n the rows are the powers of T = t^q mod m instead,
+        one residue product each (_power_rows), with T itself about
+        log2(q) products."""
         field = self.field
         n = self.modulus.degree
         q = field.order
         if not n:
-            return []
+            return
+        if not self._kron() and q > n:
+            yield self._row([1])
+            T = self.pow(self.enter(Poly.t(field)), q)
+            yield from itertools.islice(self._power_rows(T), 1, n)
+            return
         neg = [field.neg(c) for c in self.modulus.codes[:n]]
-        if self._kron():
+        if self._lane:
             # a step on the Kronecker int: lanes grow until reduced
             bits = 8 * self._lane[0]
             top_at = bits * (n - 1)
@@ -787,23 +828,22 @@ class ModReducer:
                 return r
 
             reduced = tuple  # the steps keep the codes reduced
-        rows = [self._row([1])]
-        if not self._lane and q > n:
-            t = self.enter(Poly.t(field))
-            by_T = [self._row(self.leave(self.pow(t, q)).codes)]
-            for _ in range(n - 1):
-                by_T.append(step(by_T[-1]))
-            codes = [1]
-            for _ in range(n - 1):
-                codes = self._combine(codes, by_T)
-                rows.append(self._row(codes))
-            return rows
+        r = self._row([1])
+        yield r
         for _ in range(n - 1):
-            r = rows[-1]
             for _ in range(q):
                 r = step(r)
-            rows.append(reduced(r))
-        return rows
+            r = reduced(r)
+            yield r
+
+    def _power_rows(self, T):
+        """The rows T^0, T^1, ... mod m of a residue T, without end;
+        from T^2 on, one residue product each."""
+        yield self._row(self.reduce(Poly.one(self.field)).codes)
+        power = T
+        while True:
+            yield self._row(self.leave(power).codes)
+            power = self.mul(power, T)
 
     # -- Poly-level wrappers ------------------------------------------
 
@@ -867,31 +907,31 @@ class Composition:
     sum r_j T^j, so with the rows T^j mod m at hand an application is
     one combination of rows (over F_p, p < 256, one small-int times
     big-int product per coefficient on Kronecker-packed rows and one
-    unpack of the lanes mod p).  Rows beyond the given ones grow on
-    demand, one residue product each, so a caller that composes only
-    short residues pays only for the rows they use.
+    unpack of the lanes mod p).  The rows are drawn from an iterator as
+    they are needed: by default ModReducer._power_rows, one residue
+    product each, so a caller that composes only short residues pays
+    only for the rows they use; grow draws rows ahead of need.
     """
 
-    __slots__ = ("red", "_rows", "_T", "_power")
+    __slots__ = ("red", "rows", "_more")
 
-    def __init__(self, red: ModReducer, T, rows=None):
-        """rows, when given, are the row forms of T^0, T^1, ...; given
-        all deg m of them, T itself is never read and may be None."""
+    def __init__(self, red: ModReducer, T=None, rows=None):
+        """rows, when given, is an iterator over the row forms of T^0,
+        T^1, ..., and T is not read."""
         self.red = red
-        self._T = self._power = T
-        if rows is None:
-            rows = [red._row(red.reduce(Poly.one(red.field)).codes),
-                    red._row(red.leave(T).codes)]
-        self._rows = rows
+        self.rows = []
+        self._more = red._power_rows(T) if rows is None else rows
+
+    def grow(self, count: int) -> None:
+        """Draw count more rows, or as many as are left."""
+        self.rows.extend(itertools.islice(self._more, count))
 
     def __call__(self, r):
         red = self.red
         codes = red.leave(r).codes
-        rows = self._rows
-        while len(rows) < len(codes):
-            self._power = red.mul(self._power, self._T)
-            rows.append(red._row(red.leave(self._power).codes))
-        return red.enter(Poly(red.field, red._combine(codes, rows)))
+        if len(self.rows) < len(codes):
+            self.grow(len(codes) - len(self.rows))
+        return red.enter(Poly(red.field, red._combine(codes, self.rows)))
 
 
 # -- text form --------------------------------------------------------

@@ -299,18 +299,29 @@ MUL_GEN_FIELDS = {
 
 @pytest.mark.parametrize("label", MUL_GEN_FIELDS)
 def test_mul_gen_matches_ext_mul_exhaustive(label):
-    field = MUL_GEN_FIELDS[label]()
-    g = field.gen_code
-    assert [field.mul_gen(a) for a in range(field.order)] == \
-        [field._ext_mul(a, g) for a in range(field.order)]
-    assert field._log is None  # neither route counts toward the tables
+    # the shift and fold on every element, in a field that never builds
+    # tables (as those above the size cap)
+    slow = MUL_GEN_FIELDS[label]()
+    slow._countdown = -1
+    g = slow.gen_code
+    assert [slow.mul_gen(a) for a in range(slow.order)] == \
+        [slow._ext_mul(a, g) for a in range(slow.order)]
+    assert slow._log is None
+    # mul_gen counts toward the tables as mul(a, g) does, so a twin that
+    # runs mul builds them at the same product; every element twice,
+    # the second pass on the tables
+    field, twin = MUL_GEN_FIELDS[label](), MUL_GEN_FIELDS[label]()
     assert field.multiplier(g) == field.mul_gen
-    other = field.multiplier(g + 1 if g + 1 < field.order else 1)
-    assert all(other(a) == field._ext_mul(a, other.args[0]) for a in range(field.order))
-    field._build_tables()
+    for a in list(range(field.order)) * 2:
+        assert field.mul_gen(a) == twin.mul(a, g) == slow._ext_mul(a, g)
+        assert field._countdown == twin._countdown
+        assert (field._log is None) == (twin._log is None)
+    assert field._log is not None
     times = field.multiplier(g)  # with tables, the lookup
     assert times != field.mul_gen
-    assert all(times(a) == field._ext_mul(a, g) for a in range(field.order))
+    assert all(times(a) == slow._ext_mul(a, g) for a in range(field.order))
+    other = slow.multiplier(g + 1 if g + 1 < slow.order else 1)
+    assert all(other(a) == slow._ext_mul(a, other.args[0]) for a in range(slow.order))
 
 
 def test_multiplier_keeps_mul_over_towers():

@@ -572,11 +572,40 @@ def test_frobenius_matches_powmod_property(case):
         got = red.leave(red.frobenius(r, k))
         assert got == red.powmod(a, q ** k)
         assert got == q_power_expand(a, k) % m
+        if red._frob is not None:  # the same steps by the whole table
+            red._frob.grow(m.degree)
+            assert len(red._frob.rows) == m.degree
+            assert red.leave(red.frobenius(r, k)) == got
         assert red.leave(red.mul(r, s)) == (a * b) % m
         assert red.leave(red.sub(r, s)) == (a - b) % m
         assert red.leave(r) == a % m
 
     check()
+
+
+@pytest.mark.parametrize("descriptor,n", [
+    ("5", 40), ("7", 9), ("9", 12), ("25", 5)])
+def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n):
+    # a chain starts on pow(x, q) and each such step adds at least one
+    # row to the table; a step composes only once the rows cover x, and
+    # rows beyond the first two wait until the pow steps have paid
+    field = parse_field(descriptor)
+    q = field.order
+    rng = random.Random(n)
+    m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
+    a = Poly(field, [rng.randrange(q) for _ in range(n)])
+    red = ModReducer(m)
+    x = red.enter(a)
+    for i in range(1, n + 1):
+        before = len(red._frob.rows) if red._frob else 0
+        covered = len(x.codes) <= before
+        x = red.frobenius(x)
+        assert red.leave(x) == red.powmod(a, q ** i)
+        assert len(red._frob.rows) == before if covered else \
+            len(red._frob.rows) > before
+    red._frob.grow(n)
+    assert len(red._frob.rows) == n
+    assert red.leave(red.frobenius(x)) == red.powmod(a, q ** (n + 1))
 
 
 @pytest.mark.parametrize("descriptor,n", [
