@@ -71,6 +71,16 @@ Frobenius steps multiplies b residues together and shares one gcd.
 factor._DDF_BLOCK is the block size that is best, or within noise of
 the best, on every characteristic swept.
 
+The equal-degree sweep (--edf, in place of the others) times the
+power u^((q^d - 1)/2) mod m that each equal-degree split attempt over
+odd q takes, on a random residue u mod a random monic m of bucket
+degree n (a multiple of d) over F_3, F_5, F_7 and F_9, two ways:
+square-and-multiply (ModReducer.powmod) and the Frobenius norm
+u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2
+(factor._half_norm_power), the latter once from a fresh reducer, as a
+bucket's first attempt pays, and once more on the same reducer, as a
+retry pays, after checking that the routes agree.
+
 Usage:
     python3 benchmarks/mul_threshold.py
     python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
@@ -79,6 +89,7 @@ Usage:
     python3 benchmarks/mul_threshold.py --gf3
     python3 benchmarks/mul_threshold.py --ddf
     python3 benchmarks/mul_threshold.py --frob
+    python3 benchmarks/mul_threshold.py --edf
 """
 
 import argparse
@@ -125,6 +136,15 @@ DDF_INPUTS = (
     ("4", "L_3-1", lambda c: c.L(3) - 1, None),
     ("5", "L_3-1", lambda c: c.L(3) - 1, None),
 )
+
+# (bucket degree n, split degree d) of the equal-degree sweep: d | n,
+# n >= 2d; t7-q3d5 splits D_4+1's bucket of degree 270 at d = 90
+EDF_CASES = ((30, 5), (60, 5), (300, 5), (30, 10), (60, 10), (300, 10),
+             (60, 30), (90, 30), (300, 30), (180, 90), (270, 90))
+EDF_FIELDS = ("3", "5", "7", "9")
+# over F_9 a product is schoolbook on Field calls: one powmod at
+# n = 270, d = 90 takes about 17 s, so the sweep stops at this degree
+EDF_EXTENSION_MAX_DEG = 90
 
 
 def time_once(fn, args, repeat, number):
@@ -440,6 +460,42 @@ def report_ddf(rows):
     print()
 
 
+def edf_sweep(rng, repeat):
+    """(q, n, d, powmod s, fresh norm s, warm norm s) per case."""
+    rows = []
+    for descriptor in EDF_FIELDS:
+        field = parse_field(descriptor)
+        q = field.order
+        for n, d in EDF_CASES:
+            if not field.is_prime_field and n > EDF_EXTENSION_MAX_DEG:
+                continue
+            m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
+            u = Poly(field, [rng.randrange(q) for _ in range(n)])
+            e = (q ** d - 1) // 2
+            warm = ModReducer(m)
+            if not ModReducer(m).powmod(u, e) == \
+                    factor._half_norm_power(warm, u, d) == \
+                    factor._half_norm_power(ModReducer(m), u, d):
+                raise AssertionError(f"u^((q^d-1)/2) routes disagree over "
+                                     f"F_{q} at degree {n}, d = {d}")
+            routes = (lambda: ModReducer(m).powmod(u, e),
+                      lambda: factor._half_norm_power(ModReducer(m), u, d),
+                      lambda: factor._half_norm_power(warm, u, d))
+            rows.append((q, n, d) + tuple(time_once(route, (), repeat, 1)
+                                          for route in routes))
+    return rows
+
+
+def report_edf(rows):
+    print("u^((q^d-1)/2) mod m  (field, bucket degree, d, ms by powmod, "
+          "by the Frobenius norm from a fresh reducer, by the norm again "
+          "on the same reducer)")
+    for q, n, d, pw, fresh, warm in rows:
+        print(f"  F_{q:<3d} {n:5d} {d:4d}  {pw * 1e3:9.2f}  {fresh * 1e3:9.2f}  "
+              f"{warm * 1e3:9.2f}")
+    print()
+
+
 def report_gf3_mul(rows):
     print("mul, F_3  (length per operand, kronecker us, planes us, "
           "planes with pack/unpack us)")
@@ -547,7 +603,15 @@ def main(argv=None):
                          "at modulus degrees 4 to 64 instead: a row-table "
                          "step, its build, and a pow(x, q) step; then F_5 "
                          "chains of k steps at degrees 8 to 2048")
+    ap.add_argument("--edf", action="store_true",
+                    help="time the equal-degree split power u^((q^d-1)/2) "
+                         "by powmod and by the Frobenius norm over F_3, F_5, "
+                         "F_7 and F_9 at bucket degrees 30 to 300 instead")
     args = ap.parse_args(argv)
+
+    if args.edf:
+        report_edf(edf_sweep(random.Random(args.seed), args.repeat))
+        return
 
     if args.frob:
         report_frob(frob_sweep(random.Random(args.seed), args.repeat),

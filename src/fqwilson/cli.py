@@ -58,8 +58,13 @@ from .survey import (
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("CARLITZ_SEED", "0"))
+        seed, source = args.seed, "--seed"
+    else:
+        seed, source = int(os.environ.get("CARLITZ_SEED", "0")), "CARLITZ_SEED"
+    if not -(1 << 127) <= seed < 1 << 127:
+        # the splitting stream hashes the seed as 16 signed bytes
+        raise ValueError(f"{source} {seed} is outside the signed 128-bit range")
+    return seed
 
 
 def _emit(args, payload, human_lines):
@@ -251,17 +256,20 @@ def cmd_survey(args) -> int:
 def cmd_theorem5(args) -> int:
     field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
+    _emit(args, rep.to_json(), () if args.json else _theorem5_lines(rep))
+    return 0
+
+
+def _theorem5_lines(rep):
     from . import recorded  # imported here: most commands never read it
 
-    lines = [
+    return [
         f"wilson sum, degree {rep.degree}: polynomial degree {rep.poly_degree}",
         f"factors: {recorded.degree_multiset(rep.factor_degrees)}",
         f"degree-{rep.degree} factors = wilson primes "
         f"({len(rep.wilson_primes)}), multiplicities "
         + " ".join(f"{t}:{m}" for t, m in sorted(rep.degree_d_multiplicities.items())),
     ]
-    _emit(args, rep.to_json(), lines)
-    return 0
 
 
 def cmd_theorem7(args) -> int:
@@ -274,6 +282,11 @@ def cmd_theorem7(args) -> int:
         max_degree=args.max_trial_degree,
         seed=_resolve_seed(args),
     )
+    _emit(args, rep.to_json(), () if args.json else _theorem7_lines(rep))
+    return 0
+
+
+def _theorem7_lines(rep):
     from . import recorded  # imported here: most commands never read it
 
     lines = [
@@ -292,8 +305,7 @@ def cmd_theorem7(args) -> int:
                                  sorted(side.degree_d_multiplicities.items())) or "-"))
         if side.note:
             lines.append(f"  note: {side.note}")
-    _emit(args, rep.to_json(), lines)
-    return 0
+    return lines
 
 
 def cmd_scan(args) -> int:

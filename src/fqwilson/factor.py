@@ -4,16 +4,20 @@ The full pipeline is squarefree decomposition (Yun's algorithm with
 the characteristic-p p-th-root correction), distinct-degree splitting
 with blocked gcds, then Cantor-Zassenhaus equal-degree splitting with
 a deterministic random stream, so identical inputs and seeds always
-produce identical transcripts.  trial_division is the same pipeline
-with the distinct-degree scan capped at a degree bound: it stages out
-the primes of small degree only, which is how the large perturbed
-quantities are probed without paying for their complete
-factorizations.
+produce identical transcripts.  Over odd q a split attempt raises a
+random residue u to (q^d - 1)/2 as the Frobenius norm
+u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2 (von zur Gathen &
+Shoup): Frobenius steps in the reducer's residue form in place of a
+square-and-multiply power.  Over q = 2^k it takes the trace
+u + u^2 + ... + u^(2^(dk-1)) down to F_2 instead.  trial_division is
+the same pipeline with the distinct-degree scan capped at a degree
+bound: it stages out the primes of small degree only, which is how the
+large perturbed quantities are probed without paying for their
+complete factorizations.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .errors import FqwilsonError
@@ -40,6 +44,8 @@ _M64 = (1 << 64) - 1
 
 def _rand_stream(seed: int, *tags: bytes):
     """splitmix64 sequence with its state seeded by hashing the tags."""
+    import hashlib  # imported here: it loads OpenSSL, which only a split needs
+
     h = hashlib.blake2b(digest_size=8)
     h.update(seed.to_bytes(16, "big", signed=True))
     for tag in tags:
@@ -246,15 +252,49 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
                     acc = red.sub(acc, v)  # in characteristic 2, - is +
                 cand = gcd(red.leave(acc), g)
             else:
-                e = (q ** d - 1) // 2
-                w = red.powmod(u, e)
-                cand = gcd(w - Poly.one(field), g)
+                cand = gcd(_half_norm_power(red, u, d) - Poly.one(field), g)
             if 0 < cand.degree < g.degree:
                 split = cand
         stack.append(split)
         stack.append(exact_div(g, split))
     out.sort(key=_factor_key)
     return out
+
+
+# From `benchmarks/mul_threshold.py --edf` (2-core Xeon, best of 3, two
+# runs), ms by powmod / the norm from a fresh reducer / the norm again
+# on the same reducer, at bucket degree n:
+#   F_3 n=270 d=90   19-38 / 5.6-10 / 5.1-8.7
+#   F_3 n=300 d=5    2.0-2.3 / 2.0-2.2 / 1.0
+#   F_5 n=270 d=90   80-136 / 23-33 / 11-17
+#   F_5 n=300 d=10   12-15 / 17-25 / 2.6-4.5
+#   F_7 n=270 d=90   119-124 / 23-26 / 13
+#   F_9 n=90 d=30    568-706 / 117-122 / 76-112
+# Only a fresh reducer over F_5 or F_7 with d <= 10 at degree 300 loses,
+# by up to 60%: it buys the Frobenius row table (ModReducer.frobenius)
+# that its retries then use.
+def _half_norm_power(red: ModReducer, u: Poly, d: int) -> Poly:
+    """u^((q^d - 1)/2) mod the reducer's modulus, q odd.
+
+    (q^d - 1)/2 = ((q - 1)/2) * (1 + q + ... + q^(d-1)), so the power is
+    N^((q-1)/2) for the Frobenius norm N = prod_{i<d} u^(q^i) (von zur
+    Gathen & Shoup 1992; von zur Gathen & Gerhard, Modern Computer
+    Algebra, section 14.3).  With a_k = prod_{i<k} u^(q^i), N = a_d
+    follows the bits of d: a_2k = a_k * a_k^(q^k) and
+    a_(k+1) = u * a_k^q.  That is about d Frobenius steps and 2 log2 d
+    products, against about 1.5 d log2 q products by square-and-multiply
+    (ModReducer.powmod, the oracle the tests compare with); over F_3
+    the last power is the identity."""
+    r = red.enter(u)
+    norm = r
+    k = 1
+    for bit in bin(d)[3:]:  # the bits of d below the leading one
+        norm = red.mul(norm, red.frobenius(norm, k))
+        k *= 2
+        if bit == "1":
+            norm = red.mul(r, red.frobenius(norm))
+            k += 1
+    return red.leave(red.pow(norm, (red.field.order - 1) // 2))
 
 
 def _log2_order(field) -> int:

@@ -350,6 +350,27 @@ def test_seed_env_fallback_and_flag_priority(capsys, tmp_path, monkeypatch):
     assert header["seed"] == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--field", "3", "--poly", "t^4+1"],
+    ["theorem5", "--field", "3", "--degree", "2"],
+    ["theorem7", "--field", "3", "--degree", "2", "--c", "1"],
+    ["verify", "paper", "--case", "artin-schreier"],
+])
+def test_seed_outside_128_bits_is_refused(capsys, monkeypatch, argv):
+    # the splitting stream hashes the seed as 16 signed bytes: both ends
+    # of that range run, and a seed past either end, from the flag or the
+    # environment, exits 2 with one error line and no traceback
+    for seed in (-(1 << 127), (1 << 127) - 1):
+        run(capsys, argv + ["--seed", str(seed)])
+    for seed in (-(1 << 127) - 1, 1 << 127, 10 ** 42):
+        _, err = run(capsys, argv + ["--seed", str(seed)], expect=2)
+        assert err == f"error: --seed {seed} is outside the signed 128-bit range\n"
+        monkeypatch.setenv("CARLITZ_SEED", str(seed))
+        _, err = run(capsys, argv, expect=2)
+        assert err.startswith(f"error: CARLITZ_SEED {seed} is outside")
+        monkeypatch.delenv("CARLITZ_SEED")
+
+
 # ----------------------------------------------------------- verify cases
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fqwilson import factor
+from fqwilson import _gf3, factor, poly
 from fqwilson.errors import FqwilsonError
 from fqwilson.factor import (
     distinct_degree_split,
@@ -15,7 +15,7 @@ from fqwilson.factor import (
 )
 from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import is_irreducible, iter_monic_irreducibles
-from fqwilson.poly import Poly, divrem, gcd, parse_poly
+from fqwilson.poly import ModReducer, Poly, divrem, gcd, parse_poly
 
 
 def monics(field, degree):
@@ -127,13 +127,58 @@ def test_distinct_degree_split_blocks():
 
 
 def test_equal_degree_split():
-    field = make_prime_field(3)
-    cubics = [ctx.prime for ctx in iter_monic_irreducibles(field, 3)][:4]
-    prod = Poly.one(field)
-    for f in cubics:
-        prod = prod * f
-    got = sorted(str(f) for f in equal_degree_split(prod, 3))
-    assert got == sorted(str(f) for f in cubics)
+    # (field, prime degree d, primes): over F_5 the bucket of degree 30
+    # reduces by Barrett, over F_9 and F_25 the residue ring is schoolbook
+    for descriptor, d, count in (("3", 3, 4), ("5", 5, 6), ("7", 3, 4),
+                                 ("9", 2, 4), ("25", 2, 3)):
+        field = parse_field(descriptor)
+        primes = [ctx.prime for ctx in
+                  itertools.islice(iter_monic_irreducibles(field, d), count)]
+        prod = Poly.one(field)
+        for f in primes:
+            prod = prod * f
+        for seed in (0, 1):
+            got = equal_degree_split(prod, d, seed=seed)
+            assert sorted(f.codes for f in got) == sorted(f.codes for f in primes)
+
+
+# modulus degrees on both sides of the F_3 and F_p Barrett cutovers, and
+# the extension fields, whose residue rings are schoolbook
+_HALF_NORM_CASES = {
+    "3": ("3", _gf3._BARRETT_MIN_DEG - 4),
+    "3-barrett": ("3", _gf3._BARRETT_MIN_DEG + 3),
+    "5": ("5", 7),
+    "7": ("7", 6),
+    "9": ("9", 4),
+    "25": ("25", 5),
+    "11-barrett": ("11", poly._BARRETT_MIN_DEG + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HALF_NORM_CASES))
+def test_half_norm_power_matches_powmod_property(case):
+    # the Frobenius-norm route to u^((q^d-1)/2) against square-and-
+    # multiply; the identity holds in every residue ring, so m is any
+    # monic polynomial
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    descriptor, n = _HALF_NORM_CASES[case]
+    field = parse_field(descriptor)
+    q = field.order
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+               st.lists(st.integers(0, q - 1), max_size=n + 3),
+               st.integers(2, 9 if q < 25 else 5))
+    def check(m, u, d):
+        m = Poly(field, tuple(m) + (1,))
+        u = Poly(field, u)
+        red = ModReducer(m)
+        for k in (1, d):  # on one reducer, as a split attempt and its retry
+            assert factor._half_norm_power(red, u, k) == \
+                ModReducer(m).powmod(u, (q ** k - 1) // 2)
+
+    check()
 
 
 def test_trial_division_partial_contract():
