@@ -1,18 +1,23 @@
-"""Locate the schoolbook/Kronecker and schoolbook/Barrett crossovers,
-and the slow-multiplication count after which extension fields build
+"""Locate the schoolbook/Kronecker and fold/Barrett crossovers, and
+the slow-multiplication count after which extension fields build
 their log/antilog tables.
 
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the combined operand length reaches _KRON_MIN_LEN, and ModReducer
-over prime fields of characteristic 5 or more switches from long
-division to Barrett reduction once the modulus degree reaches
+over F_p, 5 <= p < 256, whose residues are Kronecker-packed ints
+(poly._KronRing), switches from folding a product by the rows t^j mod m
+to Barrett division on the lanes once the modulus degree reaches
 _BARRETT_MIN_DEG.  This script times each pair of kernels head to head
 on random dense operands over a few odd prime fields and reports the
 first size from which the faster kernel keeps winning, so the
 constants in poly.py can be re-checked after interpreter, hardware or
-kernel changes.  The reduction sweep reduces a dividend of degree
-2n-2, the product of two residues, by a monic modulus of degree n; it
-skips characteristic 3, whose ModReducer runs on the _gf3 planes.
+kernel changes.  The reduction sweep reduces the packed product of two
+random residues mod a monic modulus of degree n by the fold and by
+Barrett, after checking both against long division, and prints next
+to them the school long division (divrem) of the same product as a
+Poly, the route these residues replaced, and the set-up of each packed
+route (its rows or mu, with one reduction); it skips characteristic 3,
+whose ModReducer runs on the _gf3 planes.
 
 The extension-field sweep times one slow product (Field._ext_mul) and
 one full table build (primitive-element search, exp walk, log and Zech
@@ -101,7 +106,8 @@ from fqwilson import _gf2, _gf3, factor, gf, poly
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.gf import make_extension, make_prime_field, parse_field
 from fqwilson.irr import iter_monic_irreducibles
-from fqwilson.poly import Composition, ModReducer, Poly, _kron_mul, _school_mul_prime
+from fqwilson.poly import (Composition, ModReducer, Poly, _kron_mul,
+                           _school_mul_prime, divrem)
 
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
@@ -164,28 +170,61 @@ def mul_sweep(p, lengths, rng, repeat, number):
     return rows
 
 
-def reducer(modulus, barrett):
-    """A ModReducer forced into Barrett or school mode."""
+def kron_ring(modulus, barrett):
+    """The _KronRing of a ModReducer forced onto Barrett or the fold."""
     saved = poly._BARRETT_MIN_DEG
     poly._BARRETT_MIN_DEG = 0 if barrett else modulus.degree + 1
     try:
-        return ModReducer(modulus)
+        return ModReducer(modulus)._ring
     finally:
         poly._BARRETT_MIN_DEG = saved
 
 
 def reduce_sweep(p, degrees, rng, repeat, number):
+    """(n, school s, fold s, Barrett s, fold set-up s, Barrett set-up s)
+    per modulus degree n: one reduction of the product of two random
+    residues, and one build of the fold rows or of mu."""
     field = make_prime_field(p)
     rows = []
     for n in degrees:
         m = Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
-        f = Poly(field, [rng.randrange(p) for _ in range(2 * n - 2)] + [1])
-        school, barrett = reducer(m, False), reducer(m, True)
-        if school.reduce(f) != barrett.reduce(f):  # also grows the inverse
-            raise AssertionError(f"reducers disagree at char {p}, degree {n}")
-        rows.append((n, time_once(school.reduce, (f,), repeat, number),
-                     time_once(barrett.reduce, (f,), repeat, number)))
+        a, b = (Poly(field, [rng.randrange(p) for _ in range(n)]) for _ in "ab")
+        f = a * b
+        fold, barrett = kron_ring(m, False), kron_ring(m, True)
+        wide = fold.pack(a.codes) * fold.pack(b.codes)  # both share the lanes
+        want = divrem(f, m)[1]
+        for ring in (fold, barrett):  # the first call builds rows or mu
+            if Poly(field, ring.unpack(ring(wide))) != want:
+                raise AssertionError(f"reductions disagree at char {p}, degree {n}")
+
+        def set_up(barrett):
+            ring = kron_ring(m, barrett)
+            ring(wide)
+
+        rows.append((n, time_once(divrem, (f, m), repeat, number),
+                     time_once(fold, (wide,), repeat, number),
+                     time_once(barrett, (wide,), repeat, number),
+                     time_once(set_up, (False,), repeat, 1),
+                     time_once(set_up, (True,), repeat, 1)))
     return rows
+
+
+def report_reduce(p, rows):
+    print(f"reduce, char {p}  (modulus degree, school divrem us, packed fold "
+          f"us, packed Barrett us, fold rows + one reduction us, mu + one "
+          f"reduction us)")
+    for n, school, fold, barrett, fold_set, barrett_set in rows:
+        mark = "  <-- barrett wins" if barrett < fold else ""
+        print(f"  {n:5d}  {school * 1e6:9.2f}  {fold * 1e6:9.2f}  "
+              f"{barrett * 1e6:9.2f}  {fold_set * 1e6:9.2f}  "
+              f"{barrett_set * 1e6:9.2f}{mark}")
+    cross = first_crossover([(n, fold, barrett)
+                             for n, _, fold, barrett, _, _ in rows])
+    if cross is None:
+        print("  no stable crossover in range")
+    else:
+        print(f"  stable crossover at modulus degree ~{cross}")
+    print()
 
 
 def shift_xor_mul(a, b):
@@ -574,8 +613,8 @@ def report(title, size, rows, winner, loser="schoolbook"):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--chars", type=int, nargs="*", default=[3, 5, 101],
-                    help="prime characteristics to sweep (default: 3 5 101)")
+    ap.add_argument("--chars", type=int, nargs="*", default=[3, 5, 7, 251],
+                    help="prime characteristics to sweep (default: 3 5 7 251)")
     ap.add_argument("--max-len", type=int, default=192,
                     help="largest combined operand length (default: 192)")
     ap.add_argument("--step", type=int, default=8,
@@ -660,9 +699,10 @@ def main(argv=None):
         report(f"mul, char {p}", "combined length",
                mul_sweep(p, lengths, rng, args.repeat, args.number), "kronecker")
         if p != 3:  # F_3 reduces on the _gf3 planes: see --gf3
-            report(f"reduce, char {p}", "modulus degree",
-                   reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
-                                args.number), "barrett")
+            report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
+                                          args.number))
+    print(f"poly._BARRETT_MIN_DEG = {poly._BARRETT_MIN_DEG}")
+    print()
     rng = random.Random(args.seed)
     report_tables([(p ** k, *table_sweep(p, k, rng, args.repeat))
                    for p, k in TABLE_FIELDS])

@@ -302,16 +302,18 @@ class Field:
     # -- internals ----------------------------------------------------
 
     def _digit_add(self, a: int, b: int) -> int:
+        """a + b digit by digit over the base field; once the shorter
+        operand's digits run out, the rest of the longer carries over."""
         base = self.base
         bo = base.order
         out = 0
         pos = 1
-        while a or b:
+        while a and b:
             a, da = divmod(a, bo)
             b, db = divmod(b, bo)
             out += base.add(da, db) * pos
             pos *= bo
-        return out
+        return out + (a or b) * pos
 
     def _digit_neg(self, a: int) -> int:
         base = self.base

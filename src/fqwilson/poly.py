@@ -12,23 +12,25 @@ beat schoolbook, and generic schoolbook over extension fields (whose
 polynomials stay short in this package).
 
 ModReducer is the residue ring F_q[t]/(m).  Its residues are packed
-over F_2 (an int) and F_3 (a _gf3 plane pair) and reduced Polys
-elsewhere; a Frobenius or product chain (Rabin's test, the Carlitz
-chain, distinct-degree splitting) enters the ring once, stays in
-residue form for every step and leaves once, so a chain converts once
-rather than once per step.  Over F_2 it reduces by a per-modulus byte
-table (_gf2.TableReducer) once the modulus degree reaches
-_gf2._TABLE_MIN_DEG and by shift-xor division below that, and x -> x^2
-is a squaring; over F_3 it reduces by Barrett division on the planes
-(_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and by plane long division
-below that, and x -> x^3 spreads the coefficients and adds rows
-t^(3i) mod m.  Over prime fields of characteristic 5 or more it
-precomputes a Barrett inverse of the reversed modulus from
-_BARRETT_MIN_DEG, so repeated reductions cost two multiplies instead
-of a quadratic division, and x -> x^q is a modular composition
-x -> x(t^q) by a Composition, a table of rows t^(qj) mod m, once a
-chain's pow(x, q) steps have paid for its build; so it is over
-extension fields.
+over F_2 (an int), F_3 (a _gf3 plane pair) and F_p, 5 <= p < 256 (a
+Kronecker-packed int, _KronRing), and reduced Polys over extension
+fields and for p >= 256; a Frobenius or product chain (Rabin's test,
+the Carlitz chain, the Fermat quotients, distinct-degree splitting)
+enters the ring once, stays in residue form for every step and leaves
+once, so a chain converts once rather than once per step.  Over F_2 it
+reduces by a per-modulus byte table (_gf2.TableReducer) once the
+modulus degree reaches _gf2._TABLE_MIN_DEG and by shift-xor division
+below that, and x -> x^2 is a squaring; over F_3 it reduces by Barrett
+division on the planes (_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and
+by plane long division below that, and x -> x^3 spreads the
+coefficients and adds rows t^(3i) mod m.  Over F_p, 5 <= p < 256, a
+product is one int multiply and one unpack of its lanes mod p, folded
+back by the rows t^j mod m (n <= j <= 2n - 2) below _BARRETT_MIN_DEG
+and by Barrett division on the lanes from it, and x -> x^q is a
+modular composition x -> x(t^q) by a Composition, a table of rows
+t^(qj) mod m, once a chain's pow(x, q) steps have paid for its build;
+so it is over extension fields, whose residues reduce by long
+division.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _pack2/_unpack2, which convert via the int's base-2
@@ -40,16 +42,17 @@ through _gf3.pack/_gf3.unpack.
 
 Over odd prime fields addition and negation reduce each coefficient
 inline, and the other hot kernels also work on plain int lists and
-make no per-coefficient Field call: Kronecker packing goes through
-array lanes of 1, 2, 4 or 8 bytes, and long division (_divrem_prime)
+make no per-coefficient Field call: Kronecker packing spreads the codes
+into lanes of 1, 2, 4 or 8 bytes, unpacking reduces one-byte lanes mod
+p in bulk by bytes.translate, and long division (_divrem_prime)
 subtracts whole rows and reduces a slot mod p only when it becomes the
-leading term.  Over F_3, _divrem_prime stays only as the oracle the
-tests compare the planes against, while Poly
+leading term.  Over F_3, _divrem_prime stays
+only as the oracle the tests compare the planes against, while Poly
 products keep _kron_mul: with packing and unpacking paid, the plane
 product wins only from about 1,024 coefficients per operand
-(`benchmarks/mul_threshold.py --gf3`).  The generic
-field-call division (_divrem_field) serves extension fields and stays
-as the slow oracle the tests compare against.
+(`benchmarks/mul_threshold.py --gf3`).  The generic field-call
+division (_divrem_field) serves extension fields and stays as the slow
+oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -77,7 +80,13 @@ NEG_INF = float("-inf")
 DEGREE_GUARD = 1 << 18
 
 _KRON_MIN_LEN = 16     # combined length where Kronecker beats schoolbook
-_BARRETT_MIN_DEG = 24  # modulus degree where Barrett beats schoolbook, p >= 5
+# From the reduction sweep of `benchmarks/mul_threshold.py` (2-core Xeon,
+# three runs, product of two residues): over F_5 and F_7 _KronRing's
+# Barrett overtakes its fold per reduction between modulus degrees 40
+# and 72 (F_251, on four-byte lanes, at 80-150), and its set-up (mu)
+# undercuts the fold's O(n^2) rows from about 32-40; both beat the
+# school long division by 1.6-25x at degrees 8-160.
+_BARRETT_MIN_DEG = 48  # modulus degree from which _KronRing uses Barrett
 
 # (byte width, array typecode) for each unsigned lane width the platform
 # offers, narrowest first; Kronecker packing picks the first that fits
@@ -87,6 +96,8 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # F_2 code (byte 0 or 1) <-> ASCII binary digit, for _pack2/_unpack2
 _CODE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_CODE = bytes.maketrans(b"01", b"\x00\x01")
+
+_MOD_TABLES = {}  # p -> the bytes.translate table of b -> b mod p
 
 
 class Poly:
@@ -369,28 +380,42 @@ def _kron_lane(min_len: int, p: int):
     raise BoundExceeded(f"no array lane holds {maxsum}")
 
 
-def _kron_pack(codes, tc) -> int:
-    lanes = array(tc, codes)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+def _kron_pack(codes, width: int) -> int:
+    """The Kronecker int whose width-byte lane i holds codes[i], each
+    code below 256."""
+    if width == 1:
+        return int.from_bytes(codes, "little")
+    spread = bytearray(width * len(codes))
+    spread[::width] = codes
+    return int.from_bytes(spread, "little")
 
 
 def _kron_unpack(wide: int, count: int, lane, p):
-    """The first count lanes of a Kronecker int, each reduced mod p."""
+    """The first count lanes of a Kronecker int, each reduced mod p, as
+    bytes: one-byte lanes in bulk by bytes.translate through the table
+    of b mod p, wider lanes by one % each."""
     width, tc = lane
+    raw = wide.to_bytes(width * count, "little")
+    if width == 1:
+        return raw.translate(_MOD_TABLES.get(p) or _mod_table(p))
     lanes = array(tc)
-    lanes.frombytes(wide.to_bytes(width * count, "little"))
+    lanes.frombytes(raw)
     if _BIG_ENDIAN:
         lanes.byteswap()
-    return [c % p for c in lanes]
+    return bytes([c % p for c in lanes])
+
+
+def _mod_table(p: int) -> bytes:
+    """The bytes.translate table of b -> b mod p, built once per p."""
+    table = _MOD_TABLES[p] = bytes(b % p for b in range(256))
+    return table
 
 
 def _kron_mul(a, b, p):
     # pack coefficients into byte-aligned lanes wide enough that the
     # integer product's lanes carry the exact convolution sums
     lane = _kron_lane(min(len(a), len(b)), p)
-    wide = _kron_pack(a, lane[1]) * _kron_pack(b, lane[1])
+    wide = _kron_pack(a, lane[0]) * _kron_pack(b, lane[0])
     return tuple(_kron_unpack(wide, len(a) + len(b) - 1, lane, p))
 
 
@@ -587,16 +612,141 @@ _PACKED = {
 }
 
 
+class _KronRing:
+    """F_p[t]/(m), p < 256, on Kronecker-packed ints.
+
+    Coefficient i of a residue sits in lane i of an int and is kept in
+    [0, p), so equal residues are equal ints.  A lane is as wide as
+    _kron_lane gives for sums of max(n, p + 1) products of residues
+    (n = deg m), so the product of two residues, one int multiply, holds
+    the exact convolution sums in its 2n - 1 lanes.  __call__ unpacks
+    them mod p once and folds the top n - 1 back.  Below
+    _BARRETT_MIN_DEG the fold is one sum of small-int times row products
+    over the rows t^j mod m, n <= j <= 2n - 2, built on first use by
+    steps of the recurrence t^(i+1) = t * t^i mod m (powers_of_t): O(n^2)
+    to build and to hold.  From _BARRETT_MIN_DEG on it is Barrett
+    division on the lanes by mu = t^(2n-1) div m, read off the
+    Newton-grown inverse of the reversed modulus: two more int products
+    and no table (von zur Gathen & Gerhard, Modern Computer Algebra,
+    section 9.1).  Either route ends in one unpack mod p and one
+    re-pack.
+    """
+
+    __slots__ = ("m", "p", "n", "lane", "bits", "_neg", "_top_at", "_low",
+                 "_mask", "_pn", "_barrett", "_rows", "_mu")
+
+    def __init__(self, modulus: Poly):
+        self.m = modulus
+        p = self.p = modulus.field.char
+        n = self.n = modulus.degree
+        self.lane = _kron_lane(max(n, p + 1), p)
+        self.bits = bits = 8 * self.lane[0]
+        self._neg = self.pack([-c % p for c in modulus.codes[:n]])  # t^n mod m
+        self._top_at = bits * max(n - 1, 0)
+        self._low = (1 << self._top_at) - 1
+        self._mask = (1 << bits * n) - 1
+        self._pn = self.pack([p] * n)
+        self._barrett = n >= _BARRETT_MIN_DEG
+        self._rows = self._mu = None
+
+    def pack(self, codes) -> int:
+        """The residue of codes in [0, p) with at most n of them."""
+        return _kron_pack(codes, self.lane[0])
+
+    def unpack(self, r):
+        """The codes of a residue as bytes, without trailing zeros: its
+        lanes are below p < 256, so each is its lowest byte."""
+        width = self.lane[0]
+        raw = r.to_bytes(width * -(-r.bit_length() // self.bits), "little")
+        return raw if width == 1 else raw[::width]
+
+    def _reduced(self, wide: int) -> int:
+        """The residue of an int of n lanes, each reduced mod p."""
+        lane = self.lane
+        return _kron_pack(_kron_unpack(wide, self.n, lane, self.p), lane[0])
+
+    def __call__(self, wide: int) -> int:
+        """The residue of an int whose lanes hold any values that fit,
+        such as the product of two residues."""
+        n, lane, p = self.n, self.lane, self.p
+        width = lane[0]
+        count = -(-wide.bit_length() // self.bits)
+        codes = _kron_unpack(wide, count, lane, p)
+        if count <= n:
+            return _kron_pack(codes, width)
+        if count >= 2 * n:  # longer than a product: entering a long Poly
+            return _kron_pack(_divrem_prime(codes, self.m.codes, p)[1], width)
+        low = _kron_pack(codes[:n], width)
+        if self._barrett:
+            if self._mu is None:
+                inv = _reversed_inverse(self.m, n).codes
+                self._mu = _kron_pack((inv + (0,) * (n - len(inv)))[::-1], width)
+            # q = ((a div t^n) * mu) div t^(n-1), exact for deg a < 2n
+            q = _kron_pack(_kron_unpack(
+                _kron_pack(codes[n:], width) * self._mu >> self._top_at,
+                count - n, lane, p), width)
+            return self._reduced((low + q * self._neg) & self._mask)
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(itertools.islice(
+                self.powers_of_t(1 << self._top_at, 1), 1, n))
+        return self._reduced(sum(map(operator.mul, codes[n:], rows), low))
+
+    def sqr(self, a: int) -> int:
+        return a * a
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    def sub(self, a: int, b: int) -> int:
+        # each lane of a + p - b lies in [1, 2p - 1]
+        return self._reduced(a + self._pn - b)
+
+    def powers_of_t(self, r: int, k: int):
+        """r, r t^k, r t^(2k), ... mod m for a residue r and k <= p,
+        without end.  A step is k steps of t^(i+1) = t * t^i mod m on
+        the int: a shift and, when the top coefficient c leaves, c times
+        -m folded back.  The lanes grow by at most (p - 1)^2 a step and
+        are reduced mod p once per power, so they stay below the
+        (p + 1)(p - 1)^2 that a lane holds."""
+        p, bits, top_at, low, neg = self.p, self.bits, self._top_at, \
+            self._low, self._neg
+        while True:
+            yield r
+            for _ in range(k):
+                top = (r >> top_at) % p
+                r = (r & low) << bits
+                if top:
+                    r += top * neg
+            r = self._reduced(r)
+
+
+def _reversed_inverse(m: Poly, k: int) -> Poly:
+    """1 / rev(m) mod t^k for a monic m (rev(m)(0) = 1), by Newton
+    iteration: each step doubles the precision with two products."""
+    field = m.field
+    one = Poly.one(field)
+    rm = Poly(field, tuple(reversed(m.codes)))
+    inv, prec = one, 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        err = _trunc(_trunc(rm, prec) * inv, prec) - one
+        if not err.is_zero:
+            inv = _trunc(inv - _trunc(inv * err, prec), prec)
+    return inv
+
+
 class ModReducer:
     """Arithmetic in F_q[t]/(m) for a fixed nonzero modulus m.
 
     Its values are residues: reduced mod m and held in the form the
     modulus's kernel works on, a packed int over F_2, a _gf3 plane pair
-    over F_3 and a reduced Poly elsewhere.  enter and leave convert a
-    Poly to its residue and back; mul, sub, pow and frobenius stay in
-    residue form, so a chain of them converts once at each end rather
-    than once per step.  reduce, mulmod and powmod are the Poly-level
-    wrappers.
+    over F_3, a Kronecker-packed int (_KronRing) over F_p for
+    5 <= p < 256, and a reduced Poly over extension fields and for
+    p >= 256.  enter and leave convert a Poly to its residue and back;
+    mul, sub, pow and frobenius stay in residue form, so a chain of them
+    converts once at each end rather than once per step.  reduce, mulmod
+    and powmod are the Poly-level wrappers.
 
     Over F_2 the residues reduce by _gf2.TableReducer (a 256-entry byte
     table from degree _gf2._TABLE_MIN_DEG, shift-xor long division
@@ -604,13 +754,13 @@ class ModReducer:
     _gf3.Reducer (Barrett division on the two bit planes from degree
     _gf3._BARRETT_MIN_DEG, plane long division below it), and
     frobenius spreads and adds precomputed rows t^(3i) mod m, with no
-    product or division.  Over larger prime fields reduction keeps a
-    Newton-grown power series inverse of the reversed modulus (Barrett)
-    once the degree reaches _BARRETT_MIN_DEG, and falls back to plain
-    long division for small moduli.  Extension fields always use long
-    division: their products are schoolbook, so Barrett's two
+    product or division.  Over F_p, 5 <= p < 256, a product is one int
+    multiply, folded by rows t^j mod m below _BARRETT_MIN_DEG and
+    Barrett-reduced on the lanes from it.  Elsewhere residues reduce by
+    long division: products there are schoolbook, so Barrett's two
     multiplies cost more than one division (2-4x at modulus degrees
-    16-128 over F_4, F_9 and F_625).
+    16-128 over F_4, F_9 and F_625, 2-3x at 8-160 over F_257 and
+    F_1009).
 
     Outside F_2 and F_3, frobenius is a modular composition: every
     coefficient c has c^q = c, so r^q = r(t^q) mod m, which a
@@ -628,8 +778,7 @@ class ModReducer:
     """
 
     __slots__ = ("modulus", "field", "_mode", "_kernel", "_pack", "_unpack",
-                 "_red", "_rm", "_rinv", "_prec", "_lane", "_frob", "_pow_s",
-                 "_rows_s")
+                 "_red", "_ring", "_frob", "_pow_s", "_rows_s")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -638,19 +787,18 @@ class ModReducer:
             modulus = modulus.monic()
         self.modulus = modulus
         self.field = field = modulus.field
-        self._lane = self._frob = None
+        self._ring = self._frob = None
         # time frobenius has spent on pow steps, and on the rows after
-        # the first
+        # the monomial ones
         self._pow_s = self._rows_s = 0.0
         if field.is_prime_field and field.char in _PACKED:
             self._mode = "packed"
             self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
             self._red = reducer(self._pack(modulus.codes))
-        elif field.is_prime_field and modulus.degree >= _BARRETT_MIN_DEG:
-            self._mode = "barrett"
-            self._rm = Poly(field, tuple(reversed(modulus.codes)))
-            self._rinv = Poly.one(field)  # rm(0) = 1 since modulus is monic
-            self._prec = 1
+        elif field.is_prime_field and field.char < 256:
+            self._mode = "kron"
+            ring = self._ring = self._kernel = self._red = _KronRing(modulus)
+            self._pack, self._unpack = ring.pack, ring.unpack
         else:
             self._mode = "school"
 
@@ -658,25 +806,25 @@ class ModReducer:
 
     def enter(self, f: Poly):
         """The residue of f."""
-        if self._mode == "packed":
-            return self._red(self._pack(f.codes))
-        return self._reduce_poly(f)
+        if self._mode == "school":
+            return self._reduce_poly(f)
+        return self._red(self._pack(f.codes))
 
     def leave(self, r) -> Poly:
         """The reduced Poly of a residue."""
-        if self._mode == "packed":
-            return Poly(self.field, self._unpack(r))
-        return r
+        if self._mode == "school":
+            return r
+        return Poly(self.field, self._unpack(r))
 
     def mul(self, a, b):
-        if self._mode == "packed":
-            return self._red(self._kernel.mul(a, b))
-        return self._reduce_poly(a * b)
+        if self._mode == "school":
+            return self._reduce_poly(a * b)
+        return self._red(self._kernel.mul(a, b))
 
     def sub(self, a, b):
-        if self._mode == "packed":
-            return self._kernel.sub(a, b)
-        return a - b
+        if self._mode == "school":
+            return a - b
+        return self._kernel.sub(a, b)
 
     def pow(self, r, e: int):
         """r^e, by left-to-right square-and-multiply: one squaring per
@@ -686,7 +834,7 @@ class ModReducer:
             raise ValueError("negative exponents are not supported mod a polynomial")
         if e == 0:
             return self.enter(Poly.one(self.field))
-        packed = self._mode == "packed"
+        packed = self._mode != "school"
         kernel = self._kernel if packed else None
         reduce = self._red if packed else self._reduce_poly
         result = r
@@ -697,23 +845,26 @@ class ModReducer:
         return result
 
     # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of
-    # 5): at modulus degrees 4-64 a table step took 4-20 us over F_5 and
-    # F_7 against 48-414 us for pow(x, q), and 9-1,427 us against
-    # 31-7,918 us over F_4 and F_9; a build cost 0.5-2.6 pow steps.
-    # Chains from a fresh reducer over F_5, this route against pow
-    # alone and the table built first: degree 8, 4 steps, 0.11 against
-    # 0.34 and 0.05 ms; degree 64, 32 steps, 1.6 against 7.8 and 1.0 ms;
-    # degree 2048, 4 steps, 44 against 41 and 341 ms, and 64 steps, 785
-    # against 684 and 611 ms.
+    # 5): at modulus degrees 4-64 a table step took 3-28 us over F_5 and
+    # F_7 against 13-180 us for pow(x, q) on the Kronecker residues, and
+    # 12-1,736 us against 41-13,857 us over F_4 and F_9; a build cost
+    # 1-6 pow steps over F_5 and F_7 and 1-2 over F_4 and F_9.  Chains
+    # from a fresh reducer over F_5, this route against pow alone and
+    # the table built first: degree 8, 4 steps, 0.10 against 0.09 and
+    # 0.06 ms; degree 64, 32 steps, 2.2 against 4.3 and 1.5 ms; degree
+    # 512, 16 steps, 24 against 23 and 32 ms; degree 2048, 4 steps, 42
+    # against 40 and 330 ms, and 64 steps, 490 against 385 and 473 ms.
     def frobenius(self, r, k: int = 1):
         """r^(q^k), q the order of the coefficient field, as k steps
         x -> x^q.  Over F_2 and F_3 each is one call of the packed
         reducer's frobenius.  Elsewhere a step is the composition
         x -> x(t^q) by the row table of t^q once its rows cover x's
         coefficients, and pow(x, q) until then.  Each pow step also
-        builds the next row, and once the pow steps of this reducer
-        have taken as long as the missing rows would at the mean cost
-        of those built, the rest are built at once: rent, then buy.  A
+        builds the next row (the first also the monomial rows t^(qj),
+        qj < deg m, which cost no step and are not counted), and once
+        the pow steps of this reducer have taken as long as the missing
+        rows would at the mean cost of those built, the rest are built
+        at once: rent, then buy.  A
         chain shorter than the build (a bounded distinct-degree split
         on a large modulus) so stays on pow, and no chain pays much
         more than twice the cheaper route."""
@@ -726,123 +877,123 @@ class ModReducer:
             frob = self._frob = Composition(self, rows=self._frobenius_rows())
         q = self.field.order
         n = self.modulus.degree
+        first = self._monomial_rows()
         clock = time.perf_counter
         for _ in range(k):
-            if len(r.codes) <= len(frob.rows):
+            if len(self._codes(r)) <= len(frob.rows):
                 r = frob(r)
                 continue
             start = clock()
             r = self.pow(r, q)
             self._pow_s += clock() - start
             if not frob.rows:
-                frob.grow(1)  # the row of 1, with the set-up of the rows
+                frob.grow(first)  # the free rows, with the set-up of the rows
             start = clock()
             frob.grow(1)
             self._rows_s += clock() - start
-            built = len(frob.rows) - 1
-            if self._pow_s * built >= self._rows_s * (n - 1 - built):
+            built = len(frob.rows) - first
+            if self._pow_s * built >= self._rows_s * (n - len(frob.rows)):
                 frob.grow(n)
         return r
 
     # -- rows of a composition table ----------------------------------
 
-    def _kron(self):
-        """(byte width, typecode) of the Kronecker lanes of the rows over
-        F_p, p < 256, and False elsewhere.  A lane holds a sum of deg m
-        products of residues mod p, and of p + 1 of them, more than the
-        p steps of _frobenius_rows add up between reductions."""
-        if self._lane is None:
-            field = self.field
-            p = field.char
-            self._lane = (_kron_lane(max(self.modulus.degree, p + 1), p)
-                          if field.is_prime_field and p < 256 else False)
-        return self._lane
+    def _codes(self, r):
+        """The codes of a residue, without trailing zeros."""
+        return r.codes if self._mode == "school" else self._unpack(r)
 
-    def _row(self, codes):
-        """The row form of the codes of a residue: a Kronecker-packed int
-        over F_p, p < 256, and the codes padded to deg m elsewhere."""
-        lane = self._kron()
-        if lane:
-            return _kron_pack(codes, lane[1])
+    def _rows_ring(self):
+        """The _KronRing that holds the rows of a composition table: the
+        residue ring itself over F_p, 5 <= p < 256, one built on first
+        use over F_2 and F_3, and None elsewhere."""
+        if self._ring is None and self._mode == "packed":
+            self._ring = _KronRing(self.modulus)
+        return self._ring
+
+    def _row(self, r):
+        """The row form of a residue: the residue itself over F_p,
+        5 <= p < 256, its Kronecker-packed int over F_2 and F_3, and
+        its codes padded to deg m elsewhere."""
+        if self._mode == "kron":
+            return r
+        codes = self._codes(r)
+        ring = self._rows_ring()
+        if ring:
+            return ring.pack(codes)
         return tuple(codes) + (0,) * (self.modulus.degree - len(codes))
 
     def _combine(self, codes, rows):
-        """The deg m codes of sum_j codes[j] * rows[j], rows in row form."""
-        if self._lane:
-            return _kron_unpack(sum(map(operator.mul, codes, rows)),
-                                self.modulus.degree, self._lane, self.field.char)
+        """The residue sum_j codes[j] * rows[j], rows in row form.  Over
+        F_p, p < 256, that is a sum of at most deg m lane products of at
+        most (p - 1)^2 each, unpacked mod p once."""
+        ring = self._rows_ring()
+        if ring:
+            codes = _kron_unpack(sum(map(operator.mul, codes, rows)),
+                                 ring.n, ring.lane, ring.p)
+            return ring.pack(codes) if self._mode == "kron" else self._pack(codes)
         add = self.field.add
         mul = self.field.mul
         out = [0] * self.modulus.degree
         for c, row in zip(codes, rows):
             if c:
                 out = [add(o, mul(c, x)) for o, x in zip(out, row)]
-        return out
+        return Poly(self.field, out)
 
     def _frobenius_rows(self):
         """The rows t^(qj) mod m for j < n = deg m, yielded in order.
 
-        Over F_p, p < 256, and over extension fields with q <= n, each
-        row is the last times t^q: q steps of the recurrence
-        t^(i+1) = t * t^i mod m, a shift and, when the top coefficient
-        c leaves, c times -m folded back.  Over F_p a step is a few
-        operations on one Kronecker int, whose lanes are reduced mod p
-        once per row.  Over an extension field a step is n Field calls,
-        so for q > n the rows are the powers of T = t^q mod m instead,
-        one residue product each (_power_rows), with T itself about
-        log2(q) products."""
+        The first _monomial_rows() are the monomials t^(qj), qj < n,
+        and cost no step.  Over F_p, 5 <= p < 256, and over extension
+        fields with q <= n, each later row is the last times t^q: q
+        steps of the recurrence t^(i+1) = t * t^i mod m, a shift and,
+        when the top coefficient c leaves, c times -m folded back.  Over
+        F_p a step is a few operations on one Kronecker int, whose lanes
+        are reduced mod p once per row (_KronRing.powers_of_t).  Over an
+        extension field a step is n Field calls, so for q > n the rows
+        are the powers of T = t^q mod m instead, one residue product
+        each (_power_rows), with T itself about log2(q) products."""
         field = self.field
         n = self.modulus.degree
         q = field.order
-        if not n:
+        first = self._monomial_rows()
+        for j in range(first):
+            if self._mode == "kron":
+                r = 1 << self._ring.bits * q * j
+            else:
+                r = (0,) * (q * j) + (1,) + (0,) * (n - 1 - q * j)
+            yield r
+        if first == n:
             return
-        if not self._kron() and q > n:
-            yield self._row([1])
+        if self._mode == "kron":
+            yield from itertools.islice(self._ring.powers_of_t(r, q), 1,
+                                        n - first + 1)
+            return
+        if q > n:
             T = self.pow(self.enter(Poly.t(field)), q)
             yield from itertools.islice(self._power_rows(T), 1, n)
             return
         neg = [field.neg(c) for c in self.modulus.codes[:n]]
-        if self._lane:
-            # a step on the Kronecker int: lanes grow until reduced
-            bits = 8 * self._lane[0]
-            top_at = bits * (n - 1)
-            low = (1 << top_at) - 1
-            neg_row = self._row(neg)
-
-            def step(r):
-                top = (r >> top_at) % q  # q = p here
-                r = (r & low) << bits
-                return r + top * neg_row if top else r
-
-            def reduced(r):
-                return self._row(_kron_unpack(r, n, self._lane, q))
-        else:
-            add = field.add
-            mul = field.mul
-
-            def step(r):
+        add = field.add
+        mul = field.mul
+        for _ in range(n - first):
+            for _ in range(q):
                 top = r[-1]
                 r = (0, *r[:-1])
                 if top:
                     r = tuple([add(c, mul(top, x)) for c, x in zip(r, neg)])
-                return r
-
-            reduced = tuple  # the steps keep the codes reduced
-        r = self._row([1])
-        yield r
-        for _ in range(n - 1):
-            for _ in range(q):
-                r = step(r)
-            r = reduced(r)
             yield r
+
+    def _monomial_rows(self) -> int:
+        """The count of rows t^(qj) mod m that are monomials, qj < deg m."""
+        return -(-self.modulus.degree // self.field.order)
 
     def _power_rows(self, T):
         """The rows T^0, T^1, ... mod m of a residue T, without end;
         from T^2 on, one residue product each."""
-        yield self._row(self.reduce(Poly.one(self.field)).codes)
+        yield self._row(self.enter(Poly.one(self.field)))
         power = T
         while True:
-            yield self._row(self.leave(power).codes)
+            yield self._row(power)
             power = self.mul(power, T)
 
     # -- Poly-level wrappers ------------------------------------------
@@ -858,40 +1009,12 @@ class ModReducer:
     def powmod(self, a: Poly, e: int) -> Poly:
         return self.leave(self.pow(self.enter(a), e))
 
-    # -- reduction of a Poly outside the packed kernels -----------------
-
-    def _ensure(self, prec: int) -> None:
-        k = self._prec
-        if k >= prec:
-            return
-        inv = self._rinv
-        rm = self._rm
-        field = self.field
-        while k < prec:
-            k = min(2 * k, prec)
-            prod = _trunc(_trunc(rm, k) * inv, k)
-            err = prod - Poly.one(field)
-            if not err.is_zero:
-                inv = _trunc(inv - _trunc(inv * err, k), k)
-        self._rinv, self._prec = inv, k
-
     def _reduce_poly(self, f: Poly) -> Poly:
-        m = self.modulus
-        n = m.degree
-        if f.degree < n:
+        """f mod m by long division: the residues over extension fields
+        and for p >= 256."""
+        if f.degree < self.modulus.degree:
             return f
-        if self._mode == "school":
-            return divrem(f, m)[1]
-        k = f.degree - n
-        self._ensure(k + 1)
-        ra = Poly(self.field, tuple(reversed(f.codes)))
-        rq = _trunc(ra * self._rinv, k + 1)
-        q_codes = list(rq.codes) + [0] * (k + 1 - len(rq.codes))
-        q = Poly(self.field, tuple(reversed(q_codes)))
-        r = f - q * m
-        if r.degree >= n:  # pragma: no cover - algebra guarantees deg r < n
-            return divrem(r, m)[1]
-        return r
+        return divrem(f, self.modulus)[1]
 
 
 def _trunc(f: Poly, k: int) -> Poly:
@@ -905,12 +1028,14 @@ class Composition:
 
     Modular composition is F_q-linear: r = sum r_j t^j maps to
     sum r_j T^j, so with the rows T^j mod m at hand an application is
-    one combination of rows (over F_p, p < 256, one small-int times
-    big-int product per coefficient on Kronecker-packed rows and one
-    unpack of the lanes mod p).  The rows are drawn from an iterator as
-    they are needed: by default ModReducer._power_rows, one residue
-    product each, so a caller that composes only short residues pays
-    only for the rows they use; grow draws rows ahead of need.
+    one combination of rows.  Over F_p, p < 256, the rows are
+    Kronecker-packed ints (over F_p, 5 <= p < 256, the residues
+    themselves), and a combination is one small-int times big-int
+    product per coefficient and one unpack of the lanes mod p.  The rows
+    are drawn from an iterator as they are needed: by default
+    ModReducer._power_rows, one residue product each, so a caller that
+    composes only short residues pays only for the rows they use; grow
+    draws rows ahead of need.
     """
 
     __slots__ = ("red", "rows", "_more")
@@ -928,10 +1053,10 @@ class Composition:
 
     def __call__(self, r):
         red = self.red
-        codes = red.leave(r).codes
+        codes = red._codes(r)
         if len(self.rows) < len(codes):
             self.grow(len(codes) - len(self.rows))
-        return red.enter(Poly(red.field, red._combine(codes, self.rows)))
+        return red._combine(codes, self.rows)
 
 
 # -- text form --------------------------------------------------------

@@ -168,6 +168,24 @@ def test_digits_round_trip():
         assert field.undigits(field.digits(code)) == code
 
 
+@pytest.mark.parametrize("descriptor", ["9", "25", "625", "4"])
+def test_digit_add_matches_digit_lists(descriptor):
+    # _digit_add stops dividing once the shorter operand runs out of
+    # digits; against adding the full digit lists, on pairs with every
+    # mix of digit counts (a one-digit constant plus a long code is the
+    # addition of evaluation at theta)
+    field = parse_field(descriptor)
+    base = field.base
+    rng = random.Random(field.order)
+    codes = [0, 1, base.order - 1, base.order, field.order - 1]
+    codes += [rng.randrange(field.order) for _ in range(30)]
+    for a in codes:
+        for b in codes:
+            want = field.undigits([base.add(x, y) for x, y in
+                                   zip(field.digits(a), field.digits(b))])
+            assert field._digit_add(a, b) == want
+
+
 
 # -- log/antilog (Zech) tables against the slow oracle ------------------
 

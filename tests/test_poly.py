@@ -16,6 +16,7 @@ from fqwilson.poly import (
     _divrem_prime,
     _kron_lane,
     _kron_mul,
+    _kron_unpack,
     _pack2,
     _school_mul_prime,
     _unpack2,
@@ -267,17 +268,26 @@ def test_embed_eval_consistency():
 
 def test_mod_reducer_matches_plain_reduction():
     rng = random.Random(13)
+    barrett = poly._BARRETT_MIN_DEG
     # F_3 degrees span the plane Barrett switch-over; F_2 runs the packed
-    # reducer
-    for p, mod_deg in ((3, 4), (3, 40), (3, 120), (2, 5)):
+    # reducer; F_5, F_7 and F_251 the Kronecker residues on both sides of
+    # _BARRETT_MIN_DEG; F_257 the Poly residues
+    cases = [(3, 4), (3, 40), (3, 120), (2, 5), (257, 6), (257, barrett + 2)]
+    cases += [(p, d) for p in (5, 7, 251) for d in (3, barrett - 1, barrett + 5)]
+    modes = set()
+    for p, mod_deg in cases:
         field = make_prime_field(p)
         m = rand_poly(field, mod_deg, rng).monic()
         red = ModReducer(m)
+        modes.add((p, red._mode, red._ring._barrett if red._mode == "kron" else None))
         for _ in range(6):
             a = rand_poly(field, mod_deg + rng.randrange(0, 30), rng)
             b = rand_poly(field, mod_deg + rng.randrange(0, 30), rng)
             assert red.reduce(a) == a % m
             assert red.mulmod(red.reduce(a), red.reduce(b)) == (a * b) % m
+            # residues are canonical: equal exactly for congruent inputs
+            for c in (a + b * m, a + rand_poly(field, 0, rng), b):
+                assert (red.enter(a) == red.enter(c)) == ((a - c) % m).is_zero
         base = red.reduce(rand_poly(field, mod_deg - 1, rng))
         e = rng.randrange(2, 200)
         naive = Poly.one(field)
@@ -285,6 +295,82 @@ def test_mod_reducer_matches_plain_reduction():
             naive = (naive * base) % m
         assert red.powmod(base, e) == naive
         assert red.powmod(base, 0) == Poly.one(field)
+    assert {(5, "kron", False), (5, "kron", True), (7, "kron", False),
+            (7, "kron", True), (251, "kron", False), (251, "kron", True),
+            (257, "school", None)} <= modes
+
+
+def test_kron_unpack_matches_percent_per_lane():
+    # _kron_unpack reduces one-byte lanes by bytes.translate and wider
+    # lanes by % per lane; both against % on every lane, at random and
+    # at full lanes
+    rng = random.Random(5)
+    lanes_by_width = sorted({array(tc).itemsize: tc for tc in "QLIHB"}.items())
+    for p in (2, 3, 5, 7, 37, 61, 67, 101, 251):
+        for width, tc in lanes_by_width:
+            top = (1 << 8 * width) - 1
+            for values in ([rng.randrange(top + 1) for _ in range(40)],
+                           [top] * 9, [rng.randrange(256) for _ in range(17)]):
+                wide = sum(v << 8 * width * i for i, v in enumerate(values))
+                got = _kron_unpack(wide, len(values), (width, tc), p)
+                assert got == bytes([v % p for v in values])
+
+
+# (p, modulus degree) at the lane edges of the Kronecker residues: the
+# fold's lanes step from one to two bytes between F_5 degrees 15 and
+# 16; F_7 and F_61 run two- and four-byte lanes from the smallest
+# degrees (a lane also holds p + 1 products); F_251 at 23 and just below
+# the Barrett cutover are the widest folds of four-byte lanes; F_37
+# steps from two to four bytes between degrees 50 and 51, on the
+# Barrett route
+_KRON_EDGES = sorted({
+    (5, lane_edge(1, 5)), (5, lane_edge(1, 5) + 1), (7, 8), (61, 5),
+    (251, 23), (251, poly._BARRETT_MIN_DEG - 1),
+    (37, lane_edge(2, 37)), (37, lane_edge(2, 37) + 1)})
+
+
+@pytest.mark.parametrize("p,n", _KRON_EDGES)
+def test_kron_residues_match_divrem_property(p, n):
+    # mul, sub, pow, frobenius and Composition on the packed residues
+    # against Poly arithmetic reduced by long division (_divrem_prime)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = make_prime_field(p)
+    codes = _codes(st, p, 2 * n + 2)  # up to past a product's length
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+               codes, codes, codes, st.integers(0, 9), st.integers(0, 2))
+    def check(m, a, b, T, e, k):
+        m = Poly(field, tuple(m) + (1,))
+        a, b, T = Poly(field, a), Poly(field, b), Poly(field, T)
+
+        def mod(f):
+            return divrem(f, m)[1]
+
+        red = ModReducer(m)
+        assert red._mode == "kron"
+        assert red._ring.lane == poly._kron_lane(max(n, p + 1), p)
+        r, s = red.enter(a), red.enter(b)
+        assert red.leave(r) == mod(a)
+        assert red.leave(red.mul(r, s)) == mod(a * b)
+        assert red.leave(red.sub(r, s)) == mod(a - b)
+        for exp in (e, p):
+            want = mod(Poly.one(field))
+            for _ in range(exp):
+                want = mod(want * a)
+            assert red.leave(red.pow(r, exp)) == want
+        want = mod(a)
+        for _ in range(k):  # x^p = x(t^p): spread, then divide
+            want = mod(q_power_expand(want, 1))
+        assert red.leave(red.frobenius(r, k)) == want
+        x = mod(a)
+        want = Poly.zero(field)
+        for c in reversed(x.codes):
+            want = mod(want * T + Poly(field, (c,)))
+        assert red.leave(Composition(red, red.enter(T))(red.enter(x))) == want
+
+    check()
 
 
 def _mod2_oracle(a, m):
@@ -476,9 +562,10 @@ def test_prime_monic_scale_derivative_match_field_calls():
 
 
 def _mod_reducers():
-    """(reducer, base) pairs covering the school and Barrett modes over
-    F_5 and F_7, the packed GF(2) and F_3 modes (F_3 on both sides of
-    the plane Barrett cutover) and the extension-field mode."""
+    """(reducer, base) pairs covering the Kronecker residues over F_5
+    and F_7 (fold and Barrett), the packed GF(2) and F_3 modes (F_3 on
+    both sides of the plane Barrett cutover) and the extension-field
+    mode."""
     rng = random.Random(31)
     f4 = make_extension(make_prime_field(2), default_modulus(2, 2))
     f2, f3, f5, f7 = (make_prime_field(p) for p in (2, 3, 5, 7))
@@ -500,10 +587,11 @@ def test_powmod_matches_plain_power():
 
 def test_powmod_product_count(monkeypatch):
     # left-to-right: one squaring and one product for e = 3; the packed
-    # kernels count their own products, the tuple modes their reductions
+    # kernels count their own products, the tuple mode its reductions
     calls = []
     for owner, name in ((ModReducer, "_reduce_poly"), (_gf2, "sqr"), (_gf2, "mul"),
-                        (_gf3, "sqr"), (_gf3, "mul")):
+                        (_gf3, "sqr"), (_gf3, "mul"), (poly._KronRing, "sqr"),
+                        (poly._KronRing, "mul")):
         orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, _name=name):
@@ -513,7 +601,7 @@ def test_powmod_product_count(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     modes = set()
     for red, a in _mod_reducers():
-        packed = red.field.order in (2, 3)
+        packed = red._mode != "school"
         modes.add((red.field.order, red._mode))
         calls.clear()
         red.powmod(a, 3)
@@ -527,8 +615,8 @@ def test_powmod_product_count(monkeypatch):
             assert calls.count("sqr") == 9 and calls.count("mul") == 4
         products = len(calls) - (not packed)
         assert products == 13
-    assert {(2, "packed"), (3, "packed"), (5, "barrett"), (7, "barrett"),
-            (5, "school"), (4, "school")} <= modes
+    assert {(2, "packed"), (3, "packed"), (5, "kron"), (7, "kron"),
+            (4, "school")} <= modes
 
 
 # moduli degrees on both sides of the GF(2) table and the F_3 Barrett
@@ -598,7 +686,7 @@ def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n):
     x = red.enter(a)
     for i in range(1, n + 1):
         before = len(red._frob.rows) if red._frob else 0
-        covered = len(x.codes) <= before
+        covered = len(red.leave(x).codes) <= before
         x = red.frobenius(x)
         assert red.leave(x) == red.powmod(a, q ** i)
         assert len(red._frob.rows) == before if covered else \
@@ -609,8 +697,8 @@ def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n):
 
 
 @pytest.mark.parametrize("descriptor,n", [
-    ("2", 9), ("3", 8), ("5", 6), ("7", poly._BARRETT_MIN_DEG + 2), ("4", 5),
-    ("9", 4), ("257", 3)])
+    ("2", 9), ("3", 8), ("5", 6), ("7", 26), ("7", poly._BARRETT_MIN_DEG + 2),
+    ("4", 5), ("9", 4), ("257", 3)])
 def test_composition_matches_horner(descriptor, n):
     # r(T) mod m by the row table, growing its rows on demand, against
     # Horner's rule with a reduction after each product; r is taken
@@ -819,7 +907,7 @@ def test_barrett_reduce_matches_long_division_property(p):
     @hyp.given(modulus, _codes(st, p, 200))
     def check(m, a):
         red = ModReducer(Poly(field, m))
-        assert red._mode == "barrett"
+        assert red._mode == "kron" and red._ring._barrett
         expected = _divrem_prime(a, m, p)[1] if len(a) >= len(m) else a
         assert red.reduce(Poly(field, a)) == Poly(field, expected)
 
