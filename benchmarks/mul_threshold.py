@@ -3,7 +3,9 @@ the slow-multiplication count after which extension fields build
 their log/antilog tables.
 
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
-the combined operand length reaches _KRON_MIN_LEN, and ModReducer
+the operands' coefficient products, len(a) * len(b), reach
+_KRON_MIN_AREA (one-byte lanes) or _KRON_MIN_AREA_WIDE (wider lanes),
+and ModReducer
 over F_p, 5 <= p < 256, whose residues are Kronecker-packed ints
 (poly._KronRing), switches from folding a product by the rows t^j mod m
 to Barrett division on the lanes once the modulus degree reaches
@@ -11,7 +13,9 @@ _BARRETT_MIN_DEG.  This script times each pair of kernels head to head
 on random dense operands over a few odd prime fields and reports the
 first size from which the faster kernel keeps winning, so the
 constants in poly.py can be re-checked after interpreter, hardware or
-kernel changes.  The reduction sweep reduces the packed product of two
+kernel changes.  The product sweep times balanced halves of each
+combined length and 1 x k and 4 x k shapes, and reports the crossover
+in coefficient products per lane width.  The reduction sweep reduces the packed product of two
 random residues mod a monic modulus of degree n by the fold and by
 Barrett, after checking both against long division, and prints next
 to them the school long division (divrem) of the same product as a
@@ -41,11 +45,16 @@ two bit planes (_gf3.mul) against _kron_mul on code tuples at equal
 operand lengths, once on packed operands, as ModReducer's packed mode
 multiplies, and once with packing and unpacking included, as a Poly
 product would pay; Poly.__mul__ over F_3 keeps _kron_mul unless the
-second column wins.  Then, for each modulus degree n, they time n
-reductions by plane long division (_gf3.mod_) against one Barrett
-set-up (mu = t^(2n-1) div m) plus n Barrett reductions on the planes;
-each dividend is the square of a random residue.  _gf3.Reducer uses
-Barrett from modulus degree _gf3._BARRETT_MIN_DEG.
+second column wins.  Next they time the two plane products against
+each other, shift-add (_gf3._shift_add) and the lane product, on
+operands of n and n or 8n coefficients: _gf3.mul shifts and adds while
+the shorter operand has at most _gf3._SHIFT_ADD_MAX_LEN coefficients.
+Then, for each modulus degree n, they time n reductions by the row-table
+fold (the table's build included) against one Barrett set-up
+(mu = t^(2n-1) div m and its lanes) plus n Barrett reductions on the
+planes, with n plane long divisions (_gf3.mod_) beside them; each
+dividend is the square of a random residue.  _gf3.Reducer folds below
+modulus degree _gf3._BARRETT_MIN_DEG and uses Barrett from it.
 
 The F_3 Frobenius sweep (part of --gf3) times three routes to x^3 of a
 residue x mod m: the row table (_gf3.Reducer.frobenius, set-up
@@ -118,8 +127,10 @@ GF2_REDUCE_DEGREES = (8, 12, 16, 24, 32, 40, 48, 64, 96, 128, 192, 256, 512,
                       1024, 2048)
 GF3_LENGTHS = (4, 8, 14, 20, 32, 48, 63, 64, 96, 128, 192, 256, 384, 512, 1024,
                2048)
-GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 192,
-                      256, 324, 512)
+GF3_SHIFT_ADD_LENGTHS = (2, 4, 7, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 40,
+                         48, 64)
+GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 160,
+                      192, 256, 324, 512)
 GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
 FROB_FIELDS = ("5", "7", "4", "9")
 FROB_DEGREES = (4, 8, 12, 16, 24, 28, 32, 48, 64)
@@ -158,16 +169,50 @@ def time_once(fn, args, repeat, number):
     return best / number
 
 
-def mul_sweep(p, lengths, rng, repeat, number):
+def mul_sweep(p, shapes, rng, repeat, number):
+    """(shorter length, longer length, school s, Kronecker s) per shape;
+    the leading coefficients are nonzero, so each shape is exact."""
     rows = []
-    for n in lengths:
-        half = n // 2
-        a = tuple(rng.randrange(p) for _ in range(half))
-        b = tuple(rng.randrange(p) for _ in range(n - half))
+    for short, long in shapes:
+        a, b = (tuple(rng.randrange(p) for _ in range(n - 1))
+                + (rng.randrange(1, p),) for n in (short, long))
         school = time_once(_school_mul_prime, (a, b, p), repeat, number)
         kron = time_once(_kron_mul, (a, b, p), repeat, number)
-        rows.append((n, school, kron))
+        rows.append((short, long, school, kron))
     return rows
+
+
+def mul_shapes(lengths):
+    """The product shapes of the sweep: balanced halves of each combined
+    length, and 1 x k and 4 x k for each length k."""
+    return {"balanced": [(n // 2, n - n // 2) for n in lengths if n >= 2],
+            "1 x k": [(1, k) for k in lengths],
+            "4 x k": [(4, k) for k in lengths if k >= 4]}
+
+
+def report_mul(p, families):
+    """The school and Kronecker times per shape, and the products
+    (shorter x longer length) from which Kronecker keeps winning, split
+    by lane width: Poly.__mul__ takes Kronecker from
+    _KRON_MIN_AREA coefficient products on one-byte lanes and from
+    _KRON_MIN_AREA_WIDE on wider ones."""
+    by_width = {}
+    for family, rows in families.items():
+        print(f"mul, char {p}, {family}  (shorter x longer length, lane "
+              f"bytes, schoolbook us, kronecker us)")
+        for short, long, school, kron in rows:
+            width = poly._kron_lane(short, p)[0]
+            by_width.setdefault(width, []).append((short * long, school, kron))
+            mark = "  <-- kronecker wins" if kron < school else ""
+            print(f"  {short:4d} x {long:<4d} {width:2d}  {school * 1e6:9.2f}  "
+                  f"{kron * 1e6:9.2f}{mark}")
+        print()
+    for width, rows in sorted(by_width.items()):
+        cross = first_crossover(sorted(rows))
+        where = "no stable crossover in range" if cross is None else \
+            f"stable crossover at ~{cross} coefficient products"
+        print(f"  char {p}, {width}-byte lanes: {where}")
+    print()
 
 
 def kron_ring(modulus, barrett):
@@ -299,8 +344,32 @@ def gf3_mul_sweep(rng, repeat, number):
     return rows
 
 
+def lane_mul(a, b):
+    """_gf3.mul with the shift-add product switched off."""
+    saved = _gf3._SHIFT_ADD_MAX_LEN
+    _gf3._SHIFT_ADD_MAX_LEN = 0
+    try:
+        return _gf3.mul(a, b)
+    finally:
+        _gf3._SHIFT_ADD_MAX_LEN = saved
+
+
+def gf3_shift_add_sweep(rng, repeat, number, times):
+    """(shorter length, shift-add s, lane product s) for packed operands
+    of lengths n and times * n."""
+    rows = []
+    for n in GF3_SHIFT_ADD_LENGTHS:
+        a, b = (_gf3.pack([rng.randrange(3) for _ in range(k - 1)] + [1])
+                for k in (n, times * n))
+        if _gf3._shift_add(a, b) != lane_mul(a, b):
+            raise AssertionError(f"F_3 products disagree at length {n}")
+        rows.append((n, time_once(_gf3._shift_add, (a, b), repeat, number),
+                     time_once(lane_mul, (a, b), repeat, number)))
+    return rows
+
+
 def gf3_reducer(m, barrett):
-    """_gf3.Reducer(m) forced onto Barrett or onto mod_."""
+    """_gf3.Reducer(m) forced onto Barrett or onto the row-table fold."""
     saved = _gf3._BARRETT_MIN_DEG
     _gf3._BARRETT_MIN_DEG = 0 if barrett else _gf3.deg(m) + 1
     try:
@@ -310,24 +379,47 @@ def gf3_reducer(m, barrett):
 
 
 def gf3_reduce_sweep(rng, repeat):
+    """(n, long division s, fold s, Barrett s) per reduction of n
+    squares mod a modulus of degree n, the fold's table and Barrett's
+    set-up spread over the n reductions."""
     rows = []
     for n in GF3_REDUCE_DEGREES:
         m = _gf3.pack([rng.randrange(3) for _ in range(n)] + [1])
         squares = [_gf3.sqr(_gf3.pack([rng.randrange(3) for _ in range(n)]))
                    for _ in range(n)]
-        barrett = gf3_reducer(m, True)
-        if [barrett(x) for x in squares] != [_gf3.mod_(x, m) for x in squares]:
-            raise AssertionError(f"F_3 reducers disagree at degree {n}")
+        want = [_gf3.mod_(x, m) for x in squares]
+        for barrett in (False, True):
+            reduce = gf3_reducer(m, barrett)
+            if [reduce(x) for x in squares] != want:
+                raise AssertionError(f"F_3 reducers disagree at degree {n}")
+
+        def divide():
+            for x in squares:
+                _gf3.mod_(x, m)
 
         def run(use_barrett):
             reduce = gf3_reducer(m, use_barrett)
             for x in squares:
                 reduce(x)
 
-        # per reduction, the Barrett set-up spread over its n uses
-        rows.append((n, time_once(run, (False,), repeat, 1) / n,
+        rows.append((n, time_once(divide, (), repeat, 1) / n,
+                     time_once(run, (False,), repeat, 1) / n,
                      time_once(run, (True,), repeat, 1) / n))
     return rows
+
+
+def report_gf3_reduce(rows):
+    print("reduce n squares, F_3  (modulus degree, long division us, row-table "
+          "fold incl. table us, Barrett incl. set-up us)")
+    for n, divide, fold, barrett in rows:
+        mark = "  <-- barrett wins" if barrett < fold else ""
+        print(f"  {n:5d}  {divide * 1e6:9.2f}  {fold * 1e6:9.2f}  "
+              f"{barrett * 1e6:9.2f}{mark}")
+    cross = first_crossover([(n, fold, barrett) for n, _, fold, barrett in rows])
+    print("  no stable crossover in range" if cross is None else
+          f"  stable crossover at modulus degree ~{cross}")
+    print(f"_gf3._BARRETT_MIN_DEG = {_gf3._BARRETT_MIN_DEG}")
+    print()
 
 
 def gf3_frobenius_sweep(rng, repeat):
@@ -630,10 +722,12 @@ def main(argv=None):
                          "product samples hold --number / 20 products")
     ap.add_argument("--gf3", action="store_true",
                     help="sweep F_3 plane products against _kron_mul from "
-                         "length 4 to 2048, plane reductions by moduli of "
-                         "degree 4 to 512 and Frobenius steps x^3 mod m at "
-                         "degree 7 to 324 instead; product samples hold "
-                         "--number / 20 products")
+                         "length 4 to 2048 (samples of --number / 20 "
+                         "products), shift-add against lane products at "
+                         "shorter lengths 2 to 64, row-table and Barrett "
+                         "reductions by moduli of degree 4 to 512 and "
+                         "Frobenius steps x^3 mod m at degree 7 to 324 "
+                         "instead")
     ap.add_argument("--ddf", action="store_true",
                     help="sweep the distinct-degree block size on Carlitz "
                          "quantities over F_2, F_3, F_4 and F_5 instead")
@@ -667,11 +761,16 @@ def main(argv=None):
         print(f"_gf3._LANE8_MAX_LEN = {_gf3._LANE8_MAX_LEN} (8-bit lanes "
               f"below it, 16-bit lanes from it)")
         print()
-        report("reduce n squares + Barrett set-up, F_3", "modulus degree",
-               gf3_reduce_sweep(random.Random(args.seed), args.repeat),
-               "barrett", "long division")
-        print(f"_gf3._BARRETT_MIN_DEG = {_gf3._BARRETT_MIN_DEG}")
+        for times in (1, 8):
+            report(f"mul, F_3 planes, n x {times}n", "shorter length",
+                   gf3_shift_add_sweep(random.Random(args.seed), args.repeat,
+                                       args.number, times),
+                   "lanes", "shift-add")
+        print(f"_gf3._SHIFT_ADD_MAX_LEN = {_gf3._SHIFT_ADD_MAX_LEN} "
+              f"(shift-add up to it, lanes above)")
         print()
+        report_gf3_reduce(gf3_reduce_sweep(random.Random(args.seed),
+                                           args.repeat))
         report_gf3_frobenius(gf3_frobenius_sweep(random.Random(args.seed),
                                                  args.repeat))
         return
@@ -691,16 +790,20 @@ def main(argv=None):
         print(f"_gf2._TABLE_MIN_DEG = {_gf2._TABLE_MIN_DEG}")
         return
 
-    lengths = range(args.step, args.max_len + 1, args.step)
+    lengths = sorted({1, 2, 3, 4, 6, 8, 12}
+                     | set(range(args.step, args.max_len + 1, args.step)))
     for p in args.chars:
         if p < 3 or p >= 256:
             ap.error(f"char {p} outside the Kronecker dispatch range [3, 255]")
         rng = random.Random(args.seed)
-        report(f"mul, char {p}", "combined length",
-               mul_sweep(p, lengths, rng, args.repeat, args.number), "kronecker")
+        report_mul(p, {family: mul_sweep(p, shapes, rng, args.repeat,
+                                         args.number)
+                       for family, shapes in mul_shapes(lengths).items()})
         if p != 3:  # F_3 reduces on the _gf3 planes: see --gf3
             report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
                                           args.number))
+    print(f"poly._KRON_MIN_AREA = {poly._KRON_MIN_AREA}, "
+          f"poly._KRON_MIN_AREA_WIDE = {poly._KRON_MIN_AREA_WIDE}")
     print(f"poly._BARRETT_MIN_DEG = {poly._BARRETT_MIN_DEG}")
     print()
     rng = random.Random(args.seed)

@@ -15,40 +15,56 @@ forms, with no Python loop per coefficient: a plane's base-2 text read
 as base 16 puts each of its bits in its own hex digit, so ones + 2*twos
 in that form prints the coefficients as hex digits.
 
-A product spreads ones + 2*twos of each operand into 16-bit lanes of one
-int (8-bit lanes while the shorter operand is below _LANE8_MAX_LEN
-coefficients) and multiplies once, riding on CPython's subquadratic
-big-int multiply.  Each product lane holds an exact convolution sum;
-it is reduced mod 3 by translating its bytes, since 256 = 1 mod 3.  A
-sum has at most 4 terms per coefficient of the shorter operand, so
-operands of 2^14 coefficients or more are split.
+A product whose shorter operand has at most _SHIFT_ADD_MAX_LEN
+coefficients is shift-add: the longer operand, shifted, is added for
+each coefficient 1 of the shorter and subtracted for each 2.  A longer
+product spreads ones + 2*twos of each operand into lanes of one int (1
+byte while the shorter operand is below _LANE8_MAX_LEN coefficients, 2
+below _LANE16_MAX_LEN, 4 above) and multiplies once, riding on
+CPython's subquadratic big-int multiply.  Each product lane holds an
+exact convolution sum, at most 4 per coefficient of the shorter
+operand; it is reduced mod 3 by translating its bytes, since
+256 = 1 mod 3.
 
-Division is shift-subtract long division: each step adds the divisor or
-its negation, shifted under the dividend's leading term.  Reduction by
-a fixed monic modulus of degree n goes through Reducer(m): from degree
-_BARRETT_MIN_DEG it is Barrett division on the planes (von zur Gathen
-& Gerhard, Modern Computer Algebra, section 9.1) with
-mu = t^(n+K) div m and no reversal, two products per call; below that
-it is long division (mod_), which stays the one-shot route for gcd and
-divmod_ and the oracle.  Reducer(m).frobenius cubes a reduced value
-with no product and no division: a^3 = a(t^3) over F_3, so the
-coefficients below n/3 spread in place (bit i to bit 3i) and each
-higher one adds its Frobenius row t^(3i) mod m, built once per
-modulus on first use.  `benchmarks/mul_threshold.py --gf3` measures it
-against spreading then reducing, and against a squaring and a product.
+Division is shift-subtract long division (mod_, divmod_): each step
+adds the divisor or its negation, shifted under the dividend's leading
+term; it serves gcd and one-shot divisions and is the oracle.
+Reduction by a fixed monic modulus m of degree n goes through
+Reducer(m), which holds one row table, t^j mod m for n <= j <= 3n - 3,
+built on first use by a one-bit shift and at most one addition per row.
+Below _BARRETT_MIN_DEG a reduction folds each coefficient above t^n
+back by its row; from it, it is Barrett division on the planes (von zur
+Gathen & Gerhard, Modern Computer Algebra, section 9.1) with
+mu = t^(2n-1) div m and no reversal, two lane products against lanes of
+mu and m - t^n spread once per reducer.  Reducer(m).frobenius cubes a reduced value with no
+product and no division: a^3 = a(t^3) over F_3, so the coefficients
+below n/3 spread in place (bit i to bit 3i) and each higher one adds
+its row t^(3i), every third row of the same table.
+`benchmarks/mul_threshold.py --gf3` sets _SHIFT_ADD_MAX_LEN and
+_BARRETT_MIN_DEG and times the Frobenius step against spreading then
+reducing, and against a squaring and a product.
 """
 
 from __future__ import annotations
 
-# From `benchmarks/mul_threshold.py --gf3`: over three runs Barrett
-# plus its set-up overtook n long divisions between modulus degrees 32
-# and 40 (at 324, the degree of D_4 + 1, it took 0.65-0.85 of the time).
+# From `benchmarks/mul_threshold.py --gf3` (three runs, 2-core Xeon):
+# n Barrett reductions with their set-up overtook n row-table folds with
+# the table's build between modulus degrees 28 and 32 (0.84-0.92 of
+# Barrett's time by the fold at 28, 0.85-0.88 of the fold's by Barrett
+# at 32, where a row outgrows one 30-bit int digit); the fold took
+# 0.53-1.0 of the time of n long divisions at degrees 7 to 512.
 _BARRETT_MIN_DEG = 32  # modulus degree from which Reducer uses Barrett
 
 # Lane widths by the shorter operand's length: a lane sums at most 4
-# per coefficient of it, so 4 * 63 < 2^8 and 4 * (2^14 - 1) < 2^16.
+# per coefficient of it, so 4 * 63 < 2^8 and 4 * (2^14 - 1) < 2^16;
+# from 2^14 on, lanes are 4 bytes.
 _LANE8_MAX_LEN = 64
 _LANE16_MAX_LEN = 1 << 14
+
+# From the same sweep: on n x n operands shift-add took 0.57-0.69 of
+# the lane product's time at n = 20 and lost from 24-28; on n x 8n
+# operands it held up to 28.
+_SHIFT_ADD_MAX_LEN = 20  # shorter operand length up to which mul shifts and adds
 
 # F_3 code -> ASCII digit of its ones plane, and of its twos plane
 _CODE_TO_ONE = bytes.maketrans(b"\x00\x01\x02", b"010")
@@ -113,58 +129,81 @@ def neg(a):
     return a[1], a[0]
 
 
-def _mul(a, b):
-    """The product of two F_3 polynomials."""
-    if not (a[0] or a[1]) or not (b[0] or b[1]):
-        return ZERO
-    ca, cb = _codes(a), _codes(b)
-    if len(ca) > len(cb):
-        a, b, ca, cb = b, a, cb, ca
-    la = len(ca)
-    if la >= _LANE16_MAX_LEN:
-        half = la // 2
-        mask = (1 << half) - 1
-        low = _mul((a[0] & mask, a[1] & mask), b)
-        high = _mul((a[0] >> half, a[1] >> half), b)
-        return add(low, (high[0] << half, high[1] << half))
-    width = 1 if la < _LANE8_MAX_LEN else 2
-    return _unlane(_lanes(ca, width) * _lanes(cb, width),
-                   la + len(cb) - 1, width)
-
-
-mul = _mul  # the callers' name; sqr and Reducer's own products use _mul
+def mul(a, b):
+    """The product of two F_3 polynomials: shifts and adds of the longer
+    operand while the shorter has at most _SHIFT_ADD_MAX_LEN
+    coefficients, one lane product above that."""
+    la = max(a[0].bit_length(), a[1].bit_length())
+    lb = max(b[0].bit_length(), b[1].bit_length())
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    if la <= _SHIFT_ADD_MAX_LEN:
+        return _shift_add(a, b)
+    width = _lane_width(la)
+    return _unlane(_lanes(_codes(a), width) * _lanes(_codes(b), width),
+                   la + lb - 1, width)
 
 
 def sqr(a):
-    """a^2, with one spread and an int square."""
-    if not (a[0] or a[1]):
-        return ZERO
-    codes = _codes(a)
-    la = len(codes)
-    if la >= _LANE16_MAX_LEN:
-        return _mul(a, a)
-    width = 1 if la < _LANE8_MAX_LEN else 2
-    lanes = _lanes(codes, width)
+    """a^2: shifts and adds up to _SHIFT_ADD_MAX_LEN coefficients, one
+    spread and an int square above that."""
+    la = max(a[0].bit_length(), a[1].bit_length())
+    if la <= _SHIFT_ADD_MAX_LEN:
+        return _shift_add(a, a)
+    width = _lane_width(la)
+    lanes = _lanes(_codes(a), width)
     return _unlane(lanes * lanes, 2 * la - 1, width)
+
+
+def _shift_add(a, b):
+    """a * b as b * t^i added for each coefficient 1 of a and subtracted
+    for each 2."""
+    b1, b2 = b
+    r1 = r2 = 0
+    x = a[0]
+    while x:
+        bit = x & -x  # a power of two, so b * bit is a shift
+        x ^= bit
+        y1, y2 = b1 * bit, b2 * bit
+        t = (r1 | y2) ^ (r2 | y1)
+        r1, r2 = (r2 | y2) ^ t, (r1 | y1) ^ t
+    x = a[1]
+    while x:
+        bit = x & -x
+        x ^= bit
+        y1, y2 = b1 * bit, b2 * bit
+        t = (r1 | y1) ^ (r2 | y2)
+        r1, r2 = (r2 | y1) ^ t, (r1 | y2) ^ t
+    return r1, r2
+
+
+def _lane_width(length: int) -> int:
+    """Bytes per lane for products whose shorter operand has length
+    coefficients: a lane sums at most 4 per coefficient of it."""
+    if length < _LANE8_MAX_LEN:
+        return 1
+    return 2 if length < _LANE16_MAX_LEN else 4
 
 
 def _lanes(codes: bytes, width: int) -> int:
     """The int whose width-byte lane i holds codes[-1 - i]."""
     if width == 1:
         return int.from_bytes(codes, "big")
-    spread = bytearray(2 * len(codes))
-    spread[1::2] = codes
+    spread = bytearray(width * len(codes))
+    spread[width - 1::width] = codes
     return int.from_bytes(spread, "big")
 
 
 def _unlane(wide: int, n: int, width: int):
     """The planes of the n lowest width-byte lanes of wide, mod 3."""
     raw = wide.to_bytes(width * n, "big")
-    if width == 2:
-        # lane = 256*high + low = high + low mod 3; their residues add
-        # to at most 4, so the byte sum does not carry
-        folded = (int.from_bytes(raw[::2].translate(_MOD3), "big")
-                  + int.from_bytes(raw[1::2].translate(_MOD3), "big"))
+    if width > 1:
+        # a lane is the sum of its bytes mod 3 (256 = 1 mod 3); their
+        # residues add to at most 2 * width, so the byte sum does not
+        # carry
+        folded = 0
+        for j in range(width):
+            folded += int.from_bytes(raw[j::width].translate(_MOD3), "big")
         raw = folded.to_bytes(n, "big")
     return (int(raw.translate(_LANE_TO_ONE), 2),
             int(raw.translate(_LANE_TO_TWO), 2))
@@ -225,44 +264,109 @@ def gcd(a, b):
 
 def _spread(x: int) -> int:
     """x(t^3) for one plane x: bit i moves to bit 3i."""
+    if x < 256:
+        return _SPREAD[x]
     return int("00".join(format(x, "b")), 2)
 
 
-class Reducer:
-    """Callable a -> a mod m for a fixed monic m: Barrett division on
-    the planes from degree _BARRETT_MIN_DEG, mod_ below it.
+_SPREAD = [int("00".join(format(x, "b")), 2) for x in range(256)]
 
-    Barrett takes mu = t^(n+K) div m with K = n - 1.  For deg a <= n + K
-    the quotient is ((a div t^n) * mu) div t^K exactly, and only the low
-    n coefficients of a - q*m are formed; a longer dividend is reduced
-    K + 1 coefficients at a time from the top.
+
+def _fold_rows(r1, r2, x1, x2, rows, start, step):
+    """(r1, r2) plus rows[start + step*i] for each bit i of x1, and minus
+    it for each bit i of x2."""
+    while x1:
+        bit = x1 & -x1
+        x1 ^= bit
+        y1, y2 = rows[start + step * (bit.bit_length() - 1)]
+        t = (r1 | y2) ^ (r2 | y1)
+        r1, r2 = (r2 | y2) ^ t, (r1 | y1) ^ t
+    while x2:
+        bit = x2 & -x2
+        x2 ^= bit
+        y1, y2 = rows[start + step * (bit.bit_length() - 1)]
+        t = (r1 | y1) ^ (r2 | y2)
+        r1, r2 = (r2 | y1) ^ t, (r1 | y2) ^ t
+    return r1, r2
+
+
+class Reducer:
+    """Callable a -> a mod m for a fixed monic m of degree n, with
+    a -> a^3 mod m as frobenius.
+
+    Both read one row table, the rows t^j mod m for n <= j <= 3n - 3,
+    built on first use: each row is the last shifted by one, with a
+    coefficient that reaches t^n folded back as that multiple of
+    t^n mod m = -(m - t^n), so a row costs one shift and at most one
+    addition.
+
+    Below _BARRETT_MIN_DEG a call folds: the low n coefficients of a,
+    plus the row t^j for each coefficient 1 at t^j, j >= n, and minus it
+    for each 2.  That covers a product of two residues (up to t^(2n-2))
+    and a spread cube (up to t^(3n-3)); a longer dividend goes through
+    mod_.  From _BARRETT_MIN_DEG a call is Barrett division with
+    mu = t^(n+K) div m, K = n - 1.  For deg a <= n + K the quotient is
+    ((a div t^n) * mu) div t^K exactly, and only the low n coefficients
+    of a - q*m are formed; a longer dividend is reduced K + 1
+    coefficients at a time from the top.  Both products are lane
+    products against the lanes of mu and of m - t^n, spread once here.
 
     frobenius(a) is a^3 for a reduced a, with no product and no
     division: a^3 = a(t^3) over F_3, so the coefficients of a below n/3
     spread in place, and each higher coefficient i adds (or, when it is
-    2, subtracts) its Frobenius row t^(3i) mod m.  The rows are built
-    on the first call, each from the last by a shift of 3 and a
-    three-step division.
+    2, subtracts) row t^(3i), every third row of the table.
     """
 
-    __slots__ = ("m", "n", "k", "mu", "low", "mask", "rows")
+    __slots__ = ("m", "n", "mask", "rows", "k", "mu", "width", "mu_lanes",
+                 "low_lanes", "lane_mask")
 
     def __init__(self, m):
         self.m = m
         self.n = n = deg(m)
-        self.mu = None
-        self.rows = None
+        self.mask = mask = (1 << n) - 1
+        self.rows = self.mu = None
         if n >= _BARRETT_MIN_DEG:
             self.k = n - 1
             self.mu = divmod_((1 << (n + self.k), 0), m)[0]
-            self.mask = (1 << n) - 1
-            self.low = (m[0] & self.mask, m[1] & self.mask)
+            # both products have a factor of at most n coefficients
+            self.width = width = _lane_width(n)
+            self.mu_lanes = _lanes(_codes(self.mu), width)
+            low = m[0] & mask, m[1] & mask
+            self.low_lanes = _lanes(_codes(low), width) if low[0] or low[1] else 0
+            self.lane_mask = (1 << 8 * width * n) - 1
+
+    def _table(self):
+        """The rows t^j mod m, n <= j <= 3n - 3, stored on the reducer."""
+        n = self.n
+        top = 1 << n
+        m1, m2 = self.m
+        row = f = m2 & self.mask, m1 & self.mask  # t^n mod m = -(m - t^n)
+        rows = [row] if n > 1 else []
+        for _ in range(2 * n - 3):
+            r1, r2 = row[0] << 1, row[1] << 1
+            if r1 & top:  # 1 * t^n: add t^n mod m
+                row = add((r1 ^ top, r2), f)
+            elif r2 & top:  # 2 * t^n: subtract it
+                row = sub((r1, r2 ^ top), f)
+            else:
+                row = r1, r2
+            rows.append(row)
+        self.rows = rows
+        return rows
 
     def __call__(self, a):
-        if self.mu is None:
-            return mod_(a, self.m)
-        n, k = self.n, self.k
+        n = self.n
         a1, a2 = a
+        if self.mu is None:
+            x1, x2 = a1 >> n, a2 >> n
+            if not (x1 or x2):
+                return a
+            if max(x1.bit_length(), x2.bit_length()) > 2 * n - 2:
+                return mod_(a, self.m)
+            rows = self.rows if self.rows is not None else self._table()
+            mask = self.mask
+            return _fold_rows(a1 & mask, a2 & mask, x1, x2, rows, 0, 1)
+        k = self.k
         s = max(a1.bit_length(), a2.bit_length()) - 1 - n - k
         while s > 0:  # fold the top n + k + 1 coefficients into n
             keep = (1 << s) - 1
@@ -272,41 +376,23 @@ class Reducer:
         return self._barrett((a1, a2))
 
     def _barrett(self, a):
-        n, mask = self.n, self.mask
+        n, mask, width = self.n, self.mask, self.width
         a1, a2 = a
         if max(a1.bit_length(), a2.bit_length()) <= n:
             return a
-        q1, q2 = _mul((a1 >> n, a2 >> n), self.mu)
-        q = q1 >> self.k, q2 >> self.k
-        p1, p2 = _mul(q, self.low)
-        return sub((a1 & mask, a2 & mask), (p1 & mask, p2 & mask))
+        top = _codes((a1 >> n, a2 >> n))
+        # q = (top * mu) div t^k: the product's lanes from k on
+        q = _unlane(_lanes(top, width) * self.mu_lanes >> 8 * width * self.k,
+                    len(top), width)
+        p1, p2 = _unlane(_lanes(_codes(q), width) * self.low_lanes
+                         & self.lane_mask, n, width)
+        return sub((a1 & mask, a2 & mask), (p1, p2))
 
     def frobenius(self, a):
-        if self.rows is None:
-            self.rows = self._frobenius_rows()
-        rows, negated = self.rows
-        split = self.n - len(rows)  # rows start at coefficient ceil(n/3)
-        low = (1 << split) - 1
+        rows = self.rows if self.rows is not None else self._table()
+        n = self.n
+        first = -(-n // 3)  # t^(3i) < t^n for i below it
+        low = (1 << first) - 1
         a1, a2 = a
-        r1, r2 = _spread(a1 & low), _spread(a2 & low)
-        # each coefficient 1 adds its row, each 2 the negated row
-        for x, table in ((a1 >> split, rows), (a2 >> split, negated)):
-            while x:
-                bit = x & -x
-                x ^= bit
-                y1, y2 = table[bit.bit_length() - 1]
-                t = (r1 | y2) ^ (r2 | y1)
-                r1, r2 = (r2 | y2) ^ t, (r1 | y1) ^ t
-        return r1, r2
-
-    def _frobenius_rows(self):
-        """(t^(3i) mod m for ceil(n/3) <= i < n, the same rows negated)."""
-        n, m = self.n, self.m
-        first = -(-n // 3)
-        rows = []
-        row = (1 << 3 * first, 0)
-        for _ in range(first, n):
-            row = mod_(row, m)
-            rows.append(row)
-            row = row[0] << 3, row[1] << 3
-        return rows, [neg(row) for row in rows]
+        return _fold_rows(_spread(a1 & low), _spread(a2 & low),
+                          a1 >> first, a2 >> first, rows, 3 * first - n, 3)

@@ -15,9 +15,12 @@ _ROOT_SCAN_MAX_ORDER = 64
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion: t^(q^n) = t mod f and no proper q^(n/r) fix.
 
-    The Frobenius chain h -> h^q runs in the residue form of f's
-    ModReducer, so over F_2 and F_3 it stays packed between the gcd
-    checkpoints.
+    Over fields of order at most _ROOT_SCAN_MAX_ORDER a scan for roots
+    in F_q runs first.  gcd(t^q - t, f) = 1 says exactly that f has no
+    root in F_q, so when the scan has run, the checkpoint n/r = 1 (r = n,
+    n prime) makes no gcd; over larger fields it does.  The Frobenius
+    chain h -> h^q runs in the residue form of f's ModReducer, so over
+    F_2 and F_3 it stays packed between the gcd checkpoints.
     """
     field = f.field
     if f.is_zero:
@@ -32,7 +35,8 @@ def is_irreducible(f: Poly) -> bool:
     if not f.is_monic:
         f = f.monic()
     q = field.order
-    if q <= _ROOT_SCAN_MAX_ORDER:
+    scanned = q <= _ROOT_SCAN_MAX_ORDER
+    if scanned:
         # cheap linear-factor filter before the Frobenius chain
         codes = f.codes
         if field.is_prime_field:
@@ -62,6 +66,8 @@ def is_irreducible(f: Poly) -> bool:
     for cp in sorted({n // r for r in _prime_factors(n)}):
         h = red.frobenius(h, cp - done)
         done = cp
+        if cp == 1 and scanned:
+            continue  # gcd(t^q - t, f) = 1 is what the root scan showed
         if gcd(red.leave(red.sub(h, t)), f).degree != 0:
             return False
     return red.frobenius(h, n - done) == t

@@ -7,9 +7,9 @@ NEG_INF.
 
 Multiplication dispatches on the coefficient field: packed-int
 carry-less arithmetic over F_2, Kronecker substitution into machine
-integers for other small prime fields once operands are long enough to
-beat schoolbook, and generic schoolbook over extension fields (whose
-polynomials stay short in this package).
+integers for other small prime fields once the operands have enough
+coefficient products to beat schoolbook, and generic schoolbook over
+extension fields (whose polynomials stay short in this package).
 
 ModReducer is the residue ring F_q[t]/(m).  Its residues are packed
 over F_2 (an int), F_3 (a _gf3 plane pair) and F_p, 5 <= p < 256 (a
@@ -22,10 +22,11 @@ reduces by a per-modulus byte table (_gf2.TableReducer) once the
 modulus degree reaches _gf2._TABLE_MIN_DEG and by shift-xor division
 below that, and x -> x^2 is a squaring; over F_3 it reduces by Barrett
 division on the planes (_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and
-by plane long division below that, and x -> x^3 spreads the
-coefficients and adds rows t^(3i) mod m.  Over F_p, 5 <= p < 256, a
-product is one int multiply and one unpack of its lanes mod p, folded
-back by the rows t^j mod m (n <= j <= 2n - 2) below _BARRETT_MIN_DEG
+below that by folding each coefficient above t^n back by its row
+t^j mod m, and x -> x^3 spreads the coefficients and adds every third
+row of that same table.  Over F_p, 5 <= p < 256, a product is one int
+multiply and one unpack of its lanes mod p, folded back by the rows
+t^j mod m (n <= j <= 2n - 2) below _BARRETT_MIN_DEG
 and by Barrett division on the lanes from it, and x -> x^q is a
 modular composition x -> x(t^q) by a Composition, a table of rows
 t^(qj) mod m, once a chain's pow(x, q) steps have paid for its build;
@@ -79,7 +80,17 @@ NEG_INF = float("-inf")
 # arithmetic from allocating gigabyte coefficient vectors
 DEGREE_GUARD = 1 << 18
 
-_KRON_MIN_LEN = 16     # combined length where Kronecker beats schoolbook
+# Schoolbook costs a step per coefficient product, Kronecker a fixed
+# cost (larger on lanes wider than a byte, which unpack by % per lane)
+# plus a little per coefficient, so the cutover is a count of
+# coefficient products, len(a) * len(b), not a length (1 x 512 over F_3:
+# 91 us by schoolbook, 18 by Kronecker).  The product sweep of
+# `benchmarks/mul_threshold.py` (three runs, 2-core Xeon; balanced,
+# 1 x k and 4 x k shapes) put it at 3-16 products on one-byte lanes over
+# F_3, F_5 and F_7 (4 in five of nine), and over F_251 at 16-32 on
+# four-byte lanes and 48-168 on two-byte lanes (1 x k only).
+_KRON_MIN_AREA = 4        # from here Kronecker wins on one-byte lanes
+_KRON_MIN_AREA_WIDE = 32  # and on wider lanes
 # From the reduction sweep of `benchmarks/mul_threshold.py` (2-core Xeon,
 # three runs, product of two residues): over F_5 and F_7 _KronRing's
 # Barrett overtakes its fold per reduction between modulus degrees 40
@@ -275,9 +286,12 @@ class Poly:
         if field.is_prime_field:
             if field.char == 2:
                 return Poly(field, _unpack2(_gf2.mul(_pack2(a), _pack2(b))))
-            if len(a) + len(b) >= _KRON_MIN_LEN and field.char < 256:
-                return Poly(field, _kron_mul(a, b, field.char))
-            return Poly(field, _school_mul_prime(a, b, field.char))
+            p = field.char
+            if p < 256 and len(a) * len(b) >= (
+                    _KRON_MIN_AREA if _kron_lane(min(len(a), len(b)), p)[0] == 1
+                    else _KRON_MIN_AREA_WIDE):
+                return Poly(field, _kron_mul(a, b, p))
+            return Poly(field, _school_mul_prime(a, b, p))
         return Poly(field, _school_mul_generic(a, b, field))
 
     __rmul__ = __mul__
@@ -751,12 +765,13 @@ class ModReducer:
     Over F_2 the residues reduce by _gf2.TableReducer (a 256-entry byte
     table from degree _gf2._TABLE_MIN_DEG, shift-xor long division
     below it), and frobenius squares.  Over F_3 they reduce by
-    _gf3.Reducer (Barrett division on the two bit planes from degree
-    _gf3._BARRETT_MIN_DEG, plane long division below it), and
-    frobenius spreads and adds precomputed rows t^(3i) mod m, with no
-    product or division.  Over F_p, 5 <= p < 256, a product is one int
-    multiply, folded by rows t^j mod m below _BARRETT_MIN_DEG and
-    Barrett-reduced on the lanes from it.  Elsewhere residues reduce by
+    _gf3.Reducer, which holds one table of rows t^j mod m,
+    n <= j <= 3n - 3: below _gf3._BARRETT_MIN_DEG each coefficient
+    above t^n folds back by its row, from it Barrett division runs on
+    the two bit planes; frobenius spreads and adds every third row,
+    with no product or division.  Over F_p, 5 <= p < 256, a product is
+    one int multiply, folded by rows t^j mod m below _BARRETT_MIN_DEG
+    and Barrett-reduced on the lanes from it.  Elsewhere residues reduce by
     long division: products there are schoolbook, so Barrett's two
     multiplies cost more than one division (2-4x at modulus degrees
     16-128 over F_4, F_9 and F_625, 2-3x at 8-160 over F_257 and

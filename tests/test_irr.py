@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+from fqwilson import irr
 
 from fqwilson.errors import NotMonic, Reducible
 from fqwilson.gf import _prime_factors, _prime_power, make_prime_field, parse_field
@@ -160,3 +163,52 @@ def test_prime_context_rejects_bad_input():
         PrimeContext.for_prime(Poly.one(field))
     with pytest.raises(Reducible):
         PrimeContext.for_prime(parse_poly("t^2+2*t+1", field))
+
+
+@pytest.mark.parametrize("descriptor,d", [("67", 2), ("67", 3), ("81", 2),
+                                          ("81", 3)])
+def test_is_irreducible_without_root_scan_matches_brute_force(descriptor, d):
+    # q > _ROOT_SCAN_MAX_ORDER: no root scan runs, so the gcd at
+    # checkpoint n/r = 1 must; products of distinct linear factors pass
+    # t^(q^d) = t mod f and only that gcd rejects them
+    field = parse_field(descriptor)
+    q = field.order
+    assert q > irr._ROOT_SCAN_MAX_ORDER
+    rng = random.Random(q * 10 + d)
+    sample = [Poly(field, [rng.randrange(q) for _ in range(d)] + [1])
+              for _ in range(30)]
+    for _ in range(10):
+        roots = rng.sample(range(1, q), d)
+        f = Poly.one(field)
+        for r in roots:
+            f = f * Poly(field, (field.neg(r), 1))
+        sample.append(f)
+    verdicts = [is_irreducible(f) for f in sample]
+    assert verdicts == [brute_irreducible(f) for f in sample]
+    assert True in verdicts and not any(verdicts[30:])
+
+
+def _count_gcds(monkeypatch):
+    calls = []
+    real_gcd = irr.gcd
+    monkeypatch.setattr(irr, "gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_is_irreducible_count_matches_moebius_f3(d, monkeypatch):
+    # prime degree over F_3: the root scan runs, so the one checkpoint,
+    # n/r = 1, makes no gcd
+    calls = _count_gcds(monkeypatch)
+    field = make_prime_field(3)
+    found = sum(map(is_irreducible, monics(field, d)))
+    assert found == count_irreducibles(field, d)
+    assert calls == []
+
+
+def test_is_irreducible_keeps_the_gcds_above_checkpoint_one(monkeypatch):
+    # degree 6 over F_3 still makes its gcds at checkpoints 2 and 3
+    calls = _count_gcds(monkeypatch)
+    f = parse_poly("t^6+t+2", make_prime_field(3))  # no root in F_3
+    assert is_irreducible(f) == brute_irreducible(f)
+    assert len(calls) == 2

@@ -1076,3 +1076,121 @@ def test_gf3_reducer_frobenius_matches_spread_and_cube_property():
         assert reduce.frobenius(cube) == reduce(_gf3.mul(cube, _gf3.sqr(cube)))
 
     check()
+
+
+def _t_power(j):
+    return 1 << j, 0
+
+
+@pytest.mark.parametrize("fold_everywhere", (False, True),
+                         ids=("as-built", "fold"))
+@pytest.mark.parametrize("n", range(0, _gf3._BARRETT_MIN_DEG + 21))
+def test_gf3_reducer_rows_fold_and_frobenius_match_mod(n, fold_everywhere,
+                                                       monkeypatch):
+    # every modulus degree 0.._BARRETT_MIN_DEG + 20, the reducer as built
+    # (the fold below the cutover, Barrett from it) or forced onto the
+    # fold: the rows are t^j mod m, n <= j <= 3n - 3; dividends up to
+    # t^(3n-3) fold and longer ones fall back to mod_; x^3 by every
+    # third row matches spreading x(t^3) and dividing, with the table
+    # built first by a reduction or by frobenius itself
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    if fold_everywhere:
+        monkeypatch.setattr(_gf3, "_BARRETT_MIN_DEG", n + 1)
+
+    def sized(lo, hi):  # lengths spread evenly over [lo, hi]
+        return st.integers(max(0, lo), max(0, hi)).flatmap(
+            lambda k: _f3_codes(st, k, k))
+
+    @hyp.settings(max_examples=15, deadline=None)
+    @hyp.given(sized(n, n), sized(0, 3 * n - 2), sized(3 * n - 1, 5 * n + 3),
+               sized(n, n), st.booleans())
+    def check(low, a, longer, x, reduce_first):
+        m = _gf3.pack(low + (1,))
+        reduce = _gf3.Reducer(m)
+        assert (reduce.mu is None) == (n < _gf3._BARRETT_MIN_DEG)
+        x = _gf3.mod_(_gf3.pack(x), m)
+        if reduce_first:
+            for b in (a, longer, (0,) * max(0, 3 * n - 3) + (1,)):
+                b = _gf3.pack(b)
+                assert reduce(b) == _gf3.mod_(b, m)
+        spread = _gf3._spread(x[0]), _gf3._spread(x[1])
+        assert reduce.frobenius(x) == _gf3.mod_(spread, m)
+        assert reduce.rows == [_gf3.mod_(_t_power(j), m)
+                               for j in range(n, 3 * n - 2)]
+
+    check()
+
+
+def test_gf3_mul_shift_add_and_lanes_match_schoolbook_property():
+    # balanced and unbalanced shapes whose shorter operand sits on
+    # either side of _SHIFT_ADD_MAX_LEN; each product also by the lanes
+    # alone (cutover 0) and by shift-add alone (cutover above both)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cut = _gf3._SHIFT_ADD_MAX_LEN
+    length = st.sampled_from((1, 2, cut - 1, cut, cut + 1, cut + 2, 2 * cut))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.data(), length, st.integers(0, 3 * cut))
+    def check(data, short, extra):
+        a = data.draw(_f3_codes(st, short - 1, short - 1)) + (data.draw(st.integers(1, 2)),)
+        b = data.draw(_f3_codes(st, short + extra, short + extra))
+        expected = _strip(_school_mul_prime(a, b, 3))
+        pa, pb = _gf3.pack(a), _gf3.pack(b)
+        for cutover in (cut, 0, 4 * cut):
+            saved = _gf3._SHIFT_ADD_MAX_LEN
+            _gf3._SHIFT_ADD_MAX_LEN = cutover
+            try:
+                assert _gf3.unpack(_gf3.mul(pa, pb)) == expected
+                assert _gf3.unpack(_gf3.mul(pb, pa)) == expected
+                assert _gf3.unpack(_gf3.sqr(pa)) == _strip(_school_mul_prime(a, a, 3))
+            finally:
+                _gf3._SHIFT_ADD_MAX_LEN = saved
+        assert _gf3.mul(pa, _gf3.ZERO) == _gf3.mul(_gf3.ZERO, pb) == _gf3.ZERO
+
+    check()
+
+
+@pytest.mark.parametrize("lane8,lane16", ((64, 1 << 14), (8, 1 << 14), (4, 8)))
+def test_gf3_barrett_lanes_match_mod_property(lane8, lane16, monkeypatch):
+    # the Barrett reducer's stored lanes of mu and m - t^n at one-, two-
+    # and four-byte lanes (the edges lowered so that small moduli reach
+    # them), and a modulus m = t^n, whose m - t^n has no lanes
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.setattr(_gf3, "_LANE8_MAX_LEN", lane8)
+    monkeypatch.setattr(_gf3, "_LANE16_MAX_LEN", lane16)
+    lo = _gf3._BARRETT_MIN_DEG
+    modulus = st.integers(lo, lo + 40).flatmap(
+        lambda n: _f3_codes(st, n, n)).map(lambda c: c + (1,))
+
+    dividend = st.integers(0, 4 * lo + 160).flatmap(lambda k: _f3_codes(st, k, k))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(modulus, dividend)
+    def check(m, a):
+        m = _gf3.pack(m)
+        reduce = _gf3.Reducer(m)
+        assert reduce.width == _gf3._lane_width(reduce.n)
+        assert reduce(_gf3.pack(a)) == _gf3.mod_(_gf3.pack(a), m)
+        plain = _gf3.Reducer((1 << reduce.n, 0))
+        assert plain(_gf3.pack(a)) == _gf3.mod_(_gf3.pack(a), (1 << reduce.n, 0))
+
+    check()
+    assert {_gf3._lane_width(k) for k in (lane8 - 1, lane8, lane16)} == {1, 2, 4}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 251))
+def test_poly_mul_unbalanced_shapes_match_schoolbook(p):
+    # 1 x k and 4 x k products on both sides of the Kronecker cutovers
+    # (one-byte lanes at p <= 7 for these shapes, wider at 251)
+    rng = random.Random(p)
+    field = make_prime_field(p)
+    for short in (1, 2, 4, 6):
+        for long in (1, 2, 3, 4, 5, 7, 8, 15, 16, 33, 64):
+            a, b = (rand_codes(p, k - 1, rng) + (rng.randrange(1, p),)
+                    for k in (short, long))
+            want = Poly(field, _school_mul_prime(a, b, p))
+            assert Poly(field, a) * Poly(field, b) == want
+            assert Poly(field, b) * Poly(field, a) == want
