@@ -5,23 +5,23 @@ their log/antilog tables.
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the operands' coefficient products, len(a) * len(b), reach
 _KRON_MIN_AREA (one-byte lanes) or _KRON_MIN_AREA_WIDE (wider lanes),
-and ModReducer
-over F_p, 5 <= p < 256, whose residues are Kronecker-packed ints
-(poly._KronRing), switches from folding a product by the rows t^j mod m
-to Barrett division on the lanes once the modulus degree reaches
-_BARRETT_MIN_DEG.  This script times each pair of kernels head to head
-on random dense operands over a few odd prime fields and reports the
-first size from which the faster kernel keeps winning, so the
-constants in poly.py can be re-checked after interpreter, hardware or
-kernel changes.  The product sweep times balanced halves of each
-combined length and 1 x k and 4 x k shapes, and reports the crossover
-in coefficient products per lane width.  The reduction sweep reduces the packed product of two
-random residues mod a monic modulus of degree n by the fold and by
-Barrett, after checking both against long division, and prints next
-to them the school long division (divrem) of the same product as a
-Poly, the route these residues replaced, and the set-up of each packed
-route (its rows or mu, with one reduction); it skips characteristic 3,
-whose ModReducer runs on the _gf3 planes.
+and ModReducer over F_p, 5 <= p < 256, whose residues are
+Kronecker-packed ints (poly._KronRing), switches from folding a product
+by the rows t^j mod m to Barrett division on the lanes once the modulus
+degree reaches _BARRETT_MIN_DEG.  This script times each pair of
+kernels head to head on random dense operands over a few odd prime
+fields and reports the first size from which the faster kernel keeps
+winning, so the constants in poly.py can be re-checked after
+interpreter, hardware or kernel changes.  The product sweep times
+balanced halves of each combined length and 1 x k and 4 x k shapes,
+and reports the crossover in coefficient products per lane width.
+The reduction sweep reduces the packed product of two random residues
+mod a monic modulus of degree n by the fold and by Barrett, after
+checking both against long division, and prints next to them the
+school long division (divrem) of the same product as a Poly, the route
+these residues replaced, and the set-up of each packed route (its rows
+or mu, with one reduction); it skips characteristic 3, whose
+ModReducer runs on the _gf3 planes.
 
 The extension-field sweep times one slow product (Field._ext_mul) and
 one full table build (primitive-element search, exp walk, log and Zech
@@ -708,7 +708,9 @@ def main(argv=None):
     ap.add_argument("--chars", type=int, nargs="*", default=[3, 5, 7, 251],
                     help="prime characteristics to sweep (default: 3 5 7 251)")
     ap.add_argument("--max-len", type=int, default=192,
-                    help="largest combined operand length (default: 192)")
+                    help="largest combined length of the balanced shapes, "
+                         "and longer length of the 1 x k and 4 x k ones "
+                         "(default: 192)")
     ap.add_argument("--step", type=int, default=8,
                     help="length step (default: 8)")
     ap.add_argument("--seed", type=int, default=0)

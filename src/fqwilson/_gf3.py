@@ -269,7 +269,10 @@ def _spread(x: int) -> int:
     return int("00".join(format(x, "b")), 2)
 
 
-_SPREAD = [int("00".join(format(x, "b")), 2) for x in range(256)]
+_SPREAD = [0] * 256  # x -> x(t^3) for the planes below 2^8
+for _x in range(1, 256):
+    _SPREAD[_x] = _SPREAD[_x >> 1] << 3 | _x & 1
+del _x
 
 
 def _fold_rows(r1, r2, x1, x2, rows, start, step):
@@ -309,7 +312,8 @@ class Reducer:
     ((a div t^n) * mu) div t^K exactly, and only the low n coefficients
     of a - q*m are formed; a longer dividend is reduced K + 1
     coefficients at a time from the top.  Both products are lane
-    products against the lanes of mu and of m - t^n, spread once here.
+    products against the lanes of mu and of m - t^n, spread once per
+    lane width.
 
     frobenius(a) is a^3 for a reduced a, with no product and no
     division: a^3 = a(t^3) over F_3, so the coefficients of a below n/3
@@ -317,23 +321,17 @@ class Reducer:
     2, subtracts) row t^(3i), every third row of the table.
     """
 
-    __slots__ = ("m", "n", "mask", "rows", "k", "mu", "width", "mu_lanes",
-                 "low_lanes", "lane_mask")
+    __slots__ = ("m", "n", "mask", "rows", "k", "mu", "lanes")
 
     def __init__(self, m):
         self.m = m
         self.n = n = deg(m)
-        self.mask = mask = (1 << n) - 1
+        self.mask = (1 << n) - 1
         self.rows = self.mu = None
         if n >= _BARRETT_MIN_DEG:
             self.k = n - 1
             self.mu = divmod_((1 << (n + self.k), 0), m)[0]
-            # both products have a factor of at most n coefficients
-            self.width = width = _lane_width(n)
-            self.mu_lanes = _lanes(_codes(self.mu), width)
-            low = m[0] & mask, m[1] & mask
-            self.low_lanes = _lanes(_codes(low), width) if low[0] or low[1] else 0
-            self.lane_mask = (1 << 8 * width * n) - 1
+            self.lanes = {}  # lane width -> _lanes_at(width)
 
     def _table(self):
         """The rows t^j mod m, n <= j <= 3n - 3, stored on the reducer."""
@@ -376,17 +374,30 @@ class Reducer:
         return self._barrett((a1, a2))
 
     def _barrett(self, a):
-        n, mask, width = self.n, self.mask, self.width
+        n, mask = self.n, self.mask
         a1, a2 = a
         if max(a1.bit_length(), a2.bit_length()) <= n:
             return a
         top = _codes((a1 >> n, a2 >> n))
+        # q has as many coefficients as top, so both products take the
+        # lanes of top's length
+        width = _lane_width(len(top))
+        mu, low, lane_mask = self.lanes.get(width) or self._lanes_at(width)
         # q = (top * mu) div t^k: the product's lanes from k on
-        q = _unlane(_lanes(top, width) * self.mu_lanes >> 8 * width * self.k,
-                    len(top), width)
-        p1, p2 = _unlane(_lanes(_codes(q), width) * self.low_lanes
-                         & self.lane_mask, n, width)
+        q = _unlane(_lanes(top, width) * mu >> 8 * width * self.k, len(top),
+                    width)
+        p1, p2 = _unlane(_lanes(_codes(q), width) * low & lane_mask, n, width)
         return sub((a1 & mask, a2 & mask), (p1, p2))
+
+    def _lanes_at(self, width):
+        """(lanes of mu, lanes of m - t^n, mask of n lanes) at width
+        bytes, stored per width."""
+        low = self.m[0] & self.mask, self.m[1] & self.mask
+        lanes = self.lanes[width] = (
+            _lanes(_codes(self.mu), width),
+            _lanes(_codes(low), width) if low[0] or low[1] else 0,
+            (1 << 8 * width * self.n) - 1)
+        return lanes
 
     def frobenius(self, a):
         rows = self.rows if self.rows is not None else self._table()

@@ -965,7 +965,7 @@ def test_gf3_pack_add_sub_neg_match_tuple_oracle_property():
 @pytest.mark.parametrize("split", (None, 40))
 def test_gf3_mul_matches_schoolbook_property(split, monkeypatch):
     # lengths up to 140 cross the 8-/16-bit lane switch at 64; with the
-    # split lowered to 40 the shorter operand is halved, recursively
+    # 16-bit edge lowered to 40 the longer operands take 32-bit lanes
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     if split is not None:
@@ -986,7 +986,7 @@ def test_gf3_mul_matches_schoolbook_property(split, monkeypatch):
 def test_gf3_mul_full_lanes_closed_form():
     # all-2 operands put the largest sum, 4 per overlapping pair, in the
     # middle lanes; 4 = 1 mod 3, so coefficient k is the overlap count.
-    # Lengths straddle the 8-bit lane edge and the 2^14 split.
+    # Lengths straddle the 8-bit lane edge and the 32-bit one at 2^14.
     for m in (_gf3._LANE8_MAX_LEN - 1, _gf3._LANE8_MAX_LEN,
               _gf3._LANE16_MAX_LEN - 1, _gf3._LANE16_MAX_LEN,
               _gf3._LANE16_MAX_LEN + 1):
@@ -1154,9 +1154,11 @@ def test_gf3_mul_shift_add_and_lanes_match_schoolbook_property():
 
 @pytest.mark.parametrize("lane8,lane16", ((64, 1 << 14), (8, 1 << 14), (4, 8)))
 def test_gf3_barrett_lanes_match_mod_property(lane8, lane16, monkeypatch):
-    # the Barrett reducer's stored lanes of mu and m - t^n at one-, two-
-    # and four-byte lanes (the edges lowered so that small moduli reach
-    # them), and a modulus m = t^n, whose m - t^n has no lanes
+    # the Barrett reducer's lanes of mu and m - t^n, stored per lane
+    # width, at one-, two- and four-byte lanes (the edges lowered so
+    # that small moduli reach them): dividends n + 1, n + 5 and 2n
+    # coefficients long put 1, 5 and n coefficients above t^n; and a
+    # modulus m = t^n, whose m - t^n has no lanes
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     monkeypatch.setattr(_gf3, "_LANE8_MAX_LEN", lane8)
@@ -1164,21 +1166,26 @@ def test_gf3_barrett_lanes_match_mod_property(lane8, lane16, monkeypatch):
     lo = _gf3._BARRETT_MIN_DEG
     modulus = st.integers(lo, lo + 40).flatmap(
         lambda n: _f3_codes(st, n, n)).map(lambda c: c + (1,))
-
     dividend = st.integers(0, 4 * lo + 160).flatmap(lambda k: _f3_codes(st, k, k))
+    seen = set()
 
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(modulus, dividend)
     def check(m, a):
+        n = len(m) - 1
         m = _gf3.pack(m)
         reduce = _gf3.Reducer(m)
-        assert reduce.width == _gf3._lane_width(reduce.n)
-        assert reduce(_gf3.pack(a)) == _gf3.mod_(_gf3.pack(a), m)
-        plain = _gf3.Reducer((1 << reduce.n, 0))
-        assert plain(_gf3.pack(a)) == _gf3.mod_(_gf3.pack(a), (1 << reduce.n, 0))
+        for b in (a, (2,) * (n + 1), (1,) * (n + 5), (2, 1) * n):
+            assert reduce(_gf3.pack(b)) == _gf3.mod_(_gf3.pack(b), m)
+        widths = {_gf3._lane_width(k) for k in (1, 5, n)}
+        assert widths <= set(reduce.lanes)
+        seen.update(widths)
+        plain = _gf3.Reducer((1 << n, 0))
+        assert plain(_gf3.pack(a)) == _gf3.mod_(_gf3.pack(a), (1 << n, 0))
 
     check()
-    assert {_gf3._lane_width(k) for k in (lane8 - 1, lane8, lane16)} == {1, 2, 4}
+    # every width that lengths 1..lo + 40 take was used
+    assert seen == {_gf3._lane_width(k) for k in range(1, lo + 41)}
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 251))
