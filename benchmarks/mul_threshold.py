@@ -4,11 +4,10 @@ their log/antilog tables.
 
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the operands' coefficient products, len(a) * len(b), reach
-_KRON_MIN_AREA (one-byte lanes) or _KRON_MIN_AREA_WIDE (wider lanes),
-and ModReducer over F_p, 5 <= p < 256, whose residues are
-Kronecker-packed ints (poly._KronRing), switches from folding a product
-by the rows t^j mod m to Barrett division on the lanes once the modulus
-degree reaches _BARRETT_MIN_DEG.  This script times each pair of
+_KRON_MIN_AREA, and ModReducer over F_p, 5 <= p < 256, whose residues
+are Kronecker-packed ints (poly._KronRing), switches from folding a
+product by the rows t^j mod m to Barrett division on the lanes once the
+modulus degree reaches _BARRETT_MIN_DEG.  This script times each pair of
 kernels head to head on random dense operands over a few odd prime
 fields and reports the first size from which the faster kernel keeps
 winning, so the constants in poly.py can be re-checked after
@@ -193,9 +192,8 @@ def mul_shapes(lengths):
 def report_mul(p, families):
     """The school and Kronecker times per shape, and the products
     (shorter x longer length) from which Kronecker keeps winning, split
-    by lane width: Poly.__mul__ takes Kronecker from
-    _KRON_MIN_AREA coefficient products on one-byte lanes and from
-    _KRON_MIN_AREA_WIDE on wider ones."""
+    by lane width: Poly.__mul__ takes Kronecker from _KRON_MIN_AREA
+    coefficient products at every width."""
     by_width = {}
     for family, rows in families.items():
         print(f"mul, char {p}, {family}  (shorter x longer length, lane "
@@ -804,8 +802,7 @@ def main(argv=None):
         if p != 3:  # F_3 reduces on the _gf3 planes: see --gf3
             report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
                                           args.number))
-    print(f"poly._KRON_MIN_AREA = {poly._KRON_MIN_AREA}, "
-          f"poly._KRON_MIN_AREA_WIDE = {poly._KRON_MIN_AREA_WIDE}")
+    print(f"poly._KRON_MIN_AREA = {poly._KRON_MIN_AREA}")
     print(f"poly._BARRETT_MIN_DEG = {poly._BARRETT_MIN_DEG}")
     print()
     rng = random.Random(args.seed)

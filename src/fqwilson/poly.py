@@ -88,9 +88,10 @@ DEGREE_GUARD = 1 << 18
 # `benchmarks/mul_threshold.py` (three runs, 2-core Xeon; balanced,
 # 1 x k and 4 x k shapes) put it at 3-16 products on one-byte lanes over
 # F_3, F_5 and F_7 (4 in five of nine), and over F_251 at 16-32 on
-# four-byte lanes and 48-168 on two-byte lanes (1 x k only).
-_KRON_MIN_AREA = 4        # from here Kronecker wins on one-byte lanes
-_KRON_MIN_AREA_WIDE = 32  # and on wider lanes
+# four-byte lanes and 48-168 on two-byte lanes (1 x k only).  One
+# cutover serves every lane width: the workloads multiply over F_3 and
+# F_5, where lanes widen only from 4,096 and 256 products.
+_KRON_MIN_AREA = 4  # coefficient products from which Kronecker wins
 # From the reduction sweep of `benchmarks/mul_threshold.py` (2-core Xeon,
 # three runs, product of two residues): over F_5 and F_7 _KronRing's
 # Barrett overtakes its fold per reduction between modulus degrees 40
@@ -287,9 +288,7 @@ class Poly:
             if field.char == 2:
                 return Poly(field, _unpack2(_gf2.mul(_pack2(a), _pack2(b))))
             p = field.char
-            if p < 256 and len(a) * len(b) >= (
-                    _KRON_MIN_AREA if _kron_lane(min(len(a), len(b)), p)[0] == 1
-                    else _KRON_MIN_AREA_WIDE):
+            if p < 256 and len(a) * len(b) >= _KRON_MIN_AREA:
                 return Poly(field, _kron_mul(a, b, p))
             return Poly(field, _school_mul_prime(a, b, p))
         return Poly(field, _school_mul_generic(a, b, field))
