@@ -41,7 +41,7 @@ _gf2.TableReducer uses the table from modulus degree _gf2._TABLE_MIN_DEG.
 
 The F_3 sweeps (--gf3, in place of the others) time the product on the
 two bit planes (_gf3.mul) against _kron_mul on code tuples at equal
-operand lengths, once on packed operands, as ModReducer's packed mode
+operand lengths, once on packed operands, as ModReducer's F_3 ring
 multiplies, and once with packing and unpacking included, as a Poly
 product would pay; Poly.__mul__ over F_3 keeps _kron_mul unless the
 second column wins.  Next they time the two plane products against
@@ -64,10 +64,11 @@ pays).
 
 The Frobenius sweep (--frob, in place of the others) times x -> x^q
 of a residue mod m over F_5, F_7, F_4 and F_9, the fields whose
-ModReducer has no packed kernel: one step by the whole row table of
-t^q (a Composition), one build of that table
-(ModReducer._frobenius_rows: q steps of t^(i+1) = t * t^i mod m per
-row, or over F_9 below degree 9 the powers of t^q, one product each),
+residue ring has no frobenius of its own: one step by the whole row
+table of t^q (a Composition), one build of that table
+(ModReducer._frobenius_rows, through the ring's powers_of_t: q steps
+of t^(i+1) = t * t^i mod m per row, or over F_9 below degree 9 the
+powers of t^q, one product each),
 and one step by square-and-multiply (ModReducer.pow(x, q)), after
 checking that the table, pow and spreading x into x(t^q) then dividing
 give the same residue; the fifth column is the number of steps after
@@ -234,10 +235,11 @@ def reduce_sweep(p, degrees, rng, repeat, number):
         a, b = (Poly(field, [rng.randrange(p) for _ in range(n)]) for _ in "ab")
         f = a * b
         fold, barrett = kron_ring(m, False), kron_ring(m, True)
-        wide = fold.pack(a.codes) * fold.pack(b.codes)  # both share the lanes
+        # a and b are residues, and both rings share the lanes
+        wide = fold.enter(a.codes) * fold.enter(b.codes)
         want = divrem(f, m)[1]
         for ring in (fold, barrett):  # the first call builds rows or mu
-            if Poly(field, ring.unpack(ring(wide))) != want:
+            if Poly(field, ring.leave(ring(wide))) != want:
                 raise AssertionError(f"reductions disagree at char {p}, degree {n}")
 
         def set_up(barrett):

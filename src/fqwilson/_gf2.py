@@ -2,10 +2,10 @@
 
 Bit i of the integer is the coefficient of t^i, so the zero polynomial
 is 0 and deg(f) = f.bit_length() - 1.  Everything here works on ints;
-the Poly layer packs and unpacks at its boundary.  Bits are spread and
-gathered in bulk through the int's base-2 text or its bytes, with
-translate and slicing, so no Python loop runs per bit (base 2 is exempt
-from the int/str digit limit).
+the Poly layer packs and unpacks at its boundary (pack, unpack).  Bits
+are spread and gathered in bulk through the int's base-2 text or its
+bytes, with translate and slicing, so no Python loop runs per bit
+(base 2 is exempt from the int/str digit limit).
 
 Multiplication uses carry-less shift-xor for small operands and a
 Kronecker-style substitution into 16-bit lanes for large ones, riding
@@ -13,17 +13,15 @@ on CPython's subquadratic big-int multiply; the lanes are spread and
 read back with bytes slicing and translate.  Squaring interleaves zero
 bits by joining one 2-byte chunk per byte.
 
-Reduction by a fixed modulus m of degree n >= _TABLE_MIN_DEG goes
-through TableReducer(m), which works like table-driven CRC: a 256-entry
-table holds, for each byte k, the multiple of m whose 8 bits above
-t^n read k, so one lookup, shift and XOR clears the top 8 bits of a
-dividend.  Below that degree, and for one-shot divisions (gcd), it is
-shift-xor long division (mod_), which stays as the oracle.  Barrett
-division, two lane products per call, was measured slower than mod_
-at every size from 16 to 65,536 bits.
+One-shot divisions (gcd) are shift-xor long division (mod_), which
+stays as the oracle; residues mod a fixed modulus are TableReducer's.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 # Both constants come from `benchmarks/mul_threshold.py --gf2`: over
 # four runs the lane product overtook shift-xor between 48 and 256 bits
@@ -32,13 +30,28 @@ from __future__ import annotations
 _MUL_LANE_CUTOVER = 128  # bits; up to this shift-xor wins
 _TABLE_MIN_DEG = 40  # modulus degree from which TableReducer builds a table
 
-# ASCII binary digit -> byte 0 or 1
+# ASCII binary digit <-> byte 0 or 1 (an F_2 code)
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 # a 16-bit product lane's low byte -> ASCII digit of its parity
 _LANE_PARITY = bytes(b"01"[b & 1] for b in range(256))
 # byte -> its squared spread (bit i -> bit 2i) as 2 little-endian bytes
 _SQR = [sum(1 << 2 * i for i in range(8) if b >> i & 1).to_bytes(2, "little")
         for b in range(256)]
+
+
+def pack(codes) -> int:
+    """The packed int of a sequence of F_2 codes: bit i is codes[i]."""
+    if not codes:
+        return 0
+    return int(bytes(codes[::-1]).translate(_BIT_TO_DIGIT), 2)
+
+
+def unpack(a: int):
+    """The F_2 codes of a packed int, without trailing zeros."""
+    if not a:
+        return ()
+    return tuple(format(a, "b")[::-1].encode().translate(_DIGIT_TO_BIT))
 
 
 def deg(f: int) -> int:
@@ -135,8 +148,17 @@ def _byte_table(m: int) -> list:
 
 
 class TableReducer:
-    """Callable a -> a mod m for a fixed nonzero m: by byte table from
-    degree _TABLE_MIN_DEG, by mod_ below it."""
+    """F_2[t]/(m) for a fixed nonzero m of degree n, on packed ints.
+
+    A call reduces any packed int.  From degree _TABLE_MIN_DEG it works
+    like table-driven CRC: a 256-entry table holds, for each byte k,
+    the multiple of m whose 8 bits above t^n read k, so one lookup,
+    shift and XOR clears the top 8 bits of a dividend.  Below that
+    degree it is mod_.  Barrett division, two lane products per call,
+    was measured slower than mod_ at every size from 16 to 65,536 bits.
+    frobenius is the squaring (over GF(2), x -> x^2 is the Frobenius
+    map), and a composition XORs the rows of the coefficients 1.
+    """
 
     __slots__ = ("m", "n", "table")
 
@@ -158,9 +180,23 @@ class TableReducer:
             s -= 8
         return a ^ table[a >> n]
 
-    def frobenius(self, a: int) -> int:
-        """a^2 reduced: over GF(2), x -> x^2 is the Frobenius map."""
+    def enter(self, codes) -> int:
+        return self(pack(codes))
+
+    def leave(self, a: int):
+        return unpack(a)
+
+    def mul(self, a: int, b: int) -> int:
+        return self(mul(a, b))
+
+    def sqr(self, a: int) -> int:
         return self(sqr(a))
+
+    frobenius = sqr
+    sub = staticmethod(sub)
+
+    def compose(self, codes, rows) -> int:
+        return functools.reduce(operator.xor, itertools.compress(rows, codes), 0)
 
 
 def gcd(a: int, b: int) -> int:

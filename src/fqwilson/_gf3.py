@@ -28,19 +28,8 @@ operand; it is reduced mod 3 by translating its bytes, since
 
 Division is shift-subtract long division (mod_, divmod_): each step
 adds the divisor or its negation, shifted under the dividend's leading
-term; it serves gcd and one-shot divisions and is the oracle.
-Reduction by a fixed monic modulus m of degree n goes through
-Reducer(m), which holds one row table, t^j mod m for n <= j <= 3n - 3,
-built on first use by a one-bit shift and at most one addition per row.
-Below _BARRETT_MIN_DEG a reduction folds each coefficient above t^n
-back by its row; from it, it is Barrett division on the planes (von zur
-Gathen & Gerhard, Modern Computer Algebra, section 9.1) with
-mu = t^(2n-1) div m and no reversal, two lane products against lanes of
-mu and m - t^n spread once per reducer.  Reducer(m).frobenius cubes a
-reduced value with no product and no division: a^3 = a(t^3) over F_3,
-so the coefficients below n/3 spread in place (bit i to bit 3i) and
-each higher one adds its row t^(3i), every third row of the same
-table.
+term; it serves gcd and one-shot divisions and is the oracle.  Residues
+mod a fixed modulus are Reducer's.
 `benchmarks/mul_threshold.py --gf3` sets _SHIFT_ADD_MAX_LEN and
 _BARRETT_MIN_DEG and times the Frobenius step against spreading then
 reducing, and against a squaring and a product.
@@ -297,31 +286,34 @@ def _fold_rows(r1, r2, x1, x2, rows, start, step):
 
 
 class Reducer:
-    """Callable a -> a mod m for a fixed monic m of degree n, with
-    a -> a^3 mod m as frobenius.
+    """F_3[t]/(m) for a fixed monic m of degree n, on plane pairs.
 
-    Both read one row table, the rows t^j mod m for n <= j <= 3n - 3,
-    built on first use: each row is the last shifted by one, with a
-    coefficient that reaches t^n folded back as that multiple of
-    t^n mod m = -(m - t^n), so a row costs one shift and at most one
-    addition.
+    A call reduces any pair.  Reduction and frobenius read one row
+    table, the rows t^j mod m for n <= j <= 3n - 3, built on first use:
+    each row is the last shifted by one, with a coefficient that
+    reaches t^n folded back as that multiple of t^n mod m = -(m - t^n),
+    so a row costs one shift and at most one addition.
 
     Below _BARRETT_MIN_DEG a call folds: the low n coefficients of a,
     plus the row t^j for each coefficient 1 at t^j, j >= n, and minus it
     for each 2.  That covers a product of two residues (up to t^(2n-2))
     and a spread cube (up to t^(3n-3)); a longer dividend goes through
-    mod_.  From _BARRETT_MIN_DEG a call is Barrett division with
-    mu = t^(n+K) div m, K = n - 1.  For deg a <= n + K the quotient is
-    ((a div t^n) * mu) div t^K exactly, and only the low n coefficients
-    of a - q*m are formed; a longer dividend is reduced K + 1
-    coefficients at a time from the top.  Both products are lane
-    products against the lanes of mu and of m - t^n, spread once here
-    at the width of n coefficients, which holds every factor.
+    mod_.  From _BARRETT_MIN_DEG a call is Barrett division on the
+    planes (von zur Gathen & Gerhard, Modern Computer Algebra, section
+    9.1) with mu = t^(n+K) div m, K = n - 1, and no reversal.  For
+    deg a <= n + K the quotient is ((a div t^n) * mu) div t^K exactly,
+    and only the low n coefficients of a - q*m are formed; a longer
+    dividend is reduced K + 1 coefficients at a time from the top.  Both
+    products are lane products against the lanes of mu and of m - t^n,
+    spread once here at the width of n coefficients, which holds every
+    factor.
 
     frobenius(a) is a^3 for a reduced a, with no product and no
     division: a^3 = a(t^3) over F_3, so the coefficients of a below n/3
     spread in place, and each higher coefficient i adds (or, when it is
-    2, subtracts) row t^(3i), every third row of the table.
+    2, subtracts) row t^(3i), every third row of the table.  A
+    composition likewise adds the rows of the coefficients 1 and
+    subtracts those of the coefficients 2.
     """
 
     __slots__ = ("m", "n", "mask", "rows", "k", "width", "mu", "low",
@@ -395,6 +387,24 @@ class Reducer:
         p1, p2 = _unlane(_lanes(_codes(q), width) * self.low & self.lane_mask,
                          n, width)
         return sub((a1 & mask, a2 & mask), (p1, p2))
+
+    def enter(self, codes):
+        return self(pack(codes))
+
+    def leave(self, a):
+        return unpack(a)
+
+    def mul(self, a, b):
+        return self(mul(a, b))
+
+    def sqr(self, a):
+        return self(sqr(a))
+
+    sub = staticmethod(sub)
+
+    def compose(self, codes, rows):
+        x1, x2 = pack(codes)
+        return _fold_rows(0, 0, x1, x2, rows, 0, 1)
 
     def frobenius(self, a):
         rows = self.rows if self.rows is not None else self._table()

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carlitz import CarlitzCache
+from .carlitz import CarlitzCache, CarlitzChain
 from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
 from .gf import FieldElement
 from .irr import PrimeContext
-from .poly import ModReducer, Poly, divrem, embed, eval_poly
+from .poly import Poly, divrem, embed, eval_poly
 
 WIEFERICH_LABELS = ("def", "i", "i'", "ii", "ii'", "iii")
 WILSON_LABELS = (
@@ -107,7 +107,7 @@ def wieferich_suite(ctx: PrimeContext, a: Poly) -> ConditionSuite:
     prime = ctx.prime
     verdicts = {}
 
-    red = ModReducer(prime * prime)
+    red = ctx.frobenius(2)[0]
     ra = red.enter(a)
     verdicts["def"] = red.frobenius(ra, ctx.degree) == ra
 
@@ -151,30 +151,31 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
     t = Poly.t(field)
 
     if p == 2:
-        cache = CarlitzCache(field)
-        fval = cache.F_mod(ctx.degree, prime * prime)
+        fval = CarlitzChain(ctx.frobenius(2)[0]).F(ctx.degree)
         verdicts = {"def": fval == -Poly.one(field)}
         skipped = tuple(lab for lab in WILSON_LABELS if lab != "def")
         return ConditionSuite(context=ctx, kind="wilson", verdicts=verdicts,
                               skipped=skipped, marker="definition-only")
 
+    # T mod P^3 first, so that the reducer mod P^2 reduces it rather
+    # than running d Frobenius steps of its own
+    qt = fermat_quotient_mod(t, ctx, 2)
     verdicts = {}
     skipped = ()
     if skip_def:
         skipped = ("def",)
     else:
-        cache = CarlitzCache(field)
-        fval = cache.F_mod(ctx.degree, prime * prime)
+        fval = CarlitzChain(ctx.frobenius(2)[0]).F(ctx.degree)
         verdicts["def"] = fval == -Poly.one(field)
 
-    # each shared quantity is computed once: P', Q(t) mod P^2 and P^[1]
+    # each shared quantity is computed once: P', Q(t) mod P^2 (qt) and
+    # P^[1]
     dp = prime.derivative()
     d2 = dp.derivative()
     verdicts["i"] = d2.is_zero
     verdicts["i'"] = divrem(d2, prime)[1].is_zero
     verdicts["i''"] = _is_zero_at_theta(d2, ctx)
 
-    qt = fermat_quotient_mod(t, ctx, 2)
     q2 = fermat_quotient_mod(qt, ctx, 1)
     verdicts["ii"] = q2.is_zero
     verdicts["ii'"] = _is_zero_at_theta(q2, ctx)

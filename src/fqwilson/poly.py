@@ -11,35 +11,17 @@ integers for other small prime fields once the operands have enough
 coefficient products to beat schoolbook, and generic schoolbook over
 extension fields (whose polynomials stay short in this package).
 
-ModReducer is the residue ring F_q[t]/(m).  Its residues are packed
-over F_2 (an int), F_3 (a _gf3 plane pair) and F_p, 5 <= p < 256 (a
-Kronecker-packed int, _KronRing), and reduced Polys over extension
-fields and for p >= 256; a Frobenius or product chain (Rabin's test,
-the Carlitz chain, the Fermat quotients, distinct-degree splitting)
-enters the ring once, stays in residue form for every step and leaves
-once, so a chain converts once rather than once per step.  Over F_2 it
-reduces by a per-modulus byte table (_gf2.TableReducer) once the
-modulus degree reaches _gf2._TABLE_MIN_DEG and by shift-xor division
-below that, and x -> x^2 is a squaring; over F_3 it reduces by Barrett
-division on the planes (_gf3.Reducer) from _gf3._BARRETT_MIN_DEG and
-below that by folding each coefficient above t^n back by its row
-t^j mod m, and x -> x^3 spreads the coefficients and adds every third
-row of that same table.  Over F_p, 5 <= p < 256, a product is one int
-multiply and one unpack of its lanes mod p, folded back by the rows
-t^j mod m (n <= j <= 2n - 2) below _BARRETT_MIN_DEG
-and by Barrett division on the lanes from it, and x -> x^q is a
-modular composition x -> x(t^q) by a Composition, a table of rows
-t^(qj) mod m, once a chain's pow(x, q) steps have paid for its build;
-so it is over extension fields, whose residues reduce by long
-division.
+ModReducer is the residue ring F_q[t]/(m), on one residue-ring kernel
+per field behind one interface (see its docstring).  A Frobenius or
+product chain (Rabin's test, the Carlitz chain, the Fermat quotients,
+distinct-degree splitting) enters the ring once, stays in residue form
+for every step and leaves once.
 
 Over F_2 a Poly keeps its tuple form and crosses into the packed
-kernels through _pack2/_unpack2, which convert via the int's base-2
-text, one byte per coefficient translated in bulk, with no Python loop
-per coefficient; addition is one XOR of packed ints and negation is the
-identity.  Over F_3 it likewise keeps its tuple form, and divrem and
-gcd cross into _gf3's planes (the positions of the 1s and of the 2s)
-through _gf3.pack/_gf3.unpack.
+kernels through _gf2.pack/_gf2.unpack; addition is one XOR of packed
+ints and negation is the identity.  Over F_3 it likewise keeps its
+tuple form, and divrem and gcd cross into _gf3's planes (the positions
+of the 1s and of the 2s) through _gf3.pack/_gf3.unpack.
 
 Over odd prime fields addition and negation reduce each coefficient
 inline, and the other hot kernels also work on plain int lists and
@@ -104,10 +86,6 @@ _BARRETT_MIN_DEG = 48  # modulus degree from which _KronRing uses Barrett
 # offers, narrowest first; Kronecker packing picks the first that fits
 _KRON_LANES = sorted({array(tc).itemsize: tc for tc in "QLIHB"}.items())
 _BIG_ENDIAN = sys.byteorder == "big"
-
-# F_2 code (byte 0 or 1) <-> ASCII binary digit, for _pack2/_unpack2
-_CODE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
-_DIGIT_TO_CODE = bytes.maketrans(b"01", b"\x00\x01")
 
 _MOD_TABLES = {}  # p -> the bytes.translate table of b -> b mod p
 
@@ -220,7 +198,7 @@ class Poly:
             a, b = b, a
         field = self.field
         if field.order == 2:
-            return Poly(field, _unpack2(_pack2(a) ^ _pack2(b)))
+            return Poly(field, _gf2.unpack(_gf2.pack(a) ^ _gf2.pack(b)))
         if field.is_prime_field:
             p = field.char
             out = [(x + y) % p for x, y in zip(a, b)]
@@ -286,7 +264,7 @@ class Poly:
         field = self.field
         if field.is_prime_field:
             if field.char == 2:
-                return Poly(field, _unpack2(_gf2.mul(_pack2(a), _pack2(b))))
+                return Poly(field, _gf2.unpack(_gf2.mul(_gf2.pack(a), _gf2.pack(b))))
             p = field.char
             if p < 256 and len(a) * len(b) >= _KRON_MIN_AREA:
                 return Poly(field, _kron_mul(a, b, p))
@@ -342,20 +320,6 @@ class Poly:
 
 
 # -- multiplication kernels -------------------------------------------
-
-
-def _pack2(codes) -> int:
-    """The packed GF(2) int of F_2 codes: bit i is codes[i]."""
-    if not codes:
-        return 0
-    return int(bytes(codes[::-1]).translate(_CODE_TO_DIGIT), 2)
-
-
-def _unpack2(packed: int):
-    """The F_2 codes of a packed GF(2) int, without trailing zeros."""
-    if not packed:
-        return ()
-    return tuple(format(packed, "b")[::-1].encode().translate(_DIGIT_TO_CODE))
 
 
 def _school_mul_prime(a, b, p):
@@ -446,8 +410,8 @@ def divrem(a: Poly, b: Poly):
         return Poly.zero(field), a
     if field.is_prime_field:
         if field.char == 2:
-            q, r = _gf2.divmod_(_pack2(a.codes), _pack2(b.codes))
-            return Poly(field, _unpack2(q)), Poly(field, _unpack2(r))
+            q, r = _gf2.divmod_(_gf2.pack(a.codes), _gf2.pack(b.codes))
+            return Poly(field, _gf2.unpack(q)), Poly(field, _gf2.unpack(r))
         if field.char == 3:
             q, r = _gf3.divmod_(_gf3.pack(a.codes), _gf3.pack(b.codes))
             return Poly(field, _gf3.unpack(q)), Poly(field, _gf3.unpack(r))
@@ -516,8 +480,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
     a._check_field(b)
     field = a.field
     if field.is_prime_field and field.char == 2:
-        g = _gf2.gcd(_pack2(a.codes), _pack2(b.codes))
-        return Poly(field, _unpack2(g))
+        g = _gf2.gcd(_gf2.pack(a.codes), _gf2.pack(b.codes))
+        return Poly(field, _gf2.unpack(g))
     if field.is_prime_field and field.char == 3:
         g = _gf3.gcd(_gf3.pack(a.codes), _gf3.pack(b.codes))
         return Poly(field, _gf3.unpack(g))
@@ -612,37 +576,27 @@ def embed(f: Poly, ext: Field) -> Poly:
     return Poly(ext, f.codes)
 
 
-# -- modular contexts -------------------------------------------------
-
-
-# Prime fields with a packed kernel: char -> (kernel module, pack,
-# unpack, reducer class).  Each module has sqr, mul and sub on its
-# packed form, and reducer(packed monic modulus) is a callable reduction
-# with a frobenius method (x -> x^p of a reduced value).
-_PACKED = {
-    2: (_gf2, _pack2, _unpack2, _gf2.TableReducer),
-    3: (_gf3, _gf3.pack, _gf3.unpack, _gf3.Reducer),
-}
+# -- residue rings ----------------------------------------------------
 
 
 class _KronRing:
-    """F_p[t]/(m), p < 256, on Kronecker-packed ints.
+    """F_p[t]/(m), 5 <= p < 256, on Kronecker-packed ints.
 
     Coefficient i of a residue sits in lane i of an int and is kept in
     [0, p), so equal residues are equal ints.  A lane is as wide as
     _kron_lane gives for sums of max(n, p + 1) products of residues
     (n = deg m), so the product of two residues, one int multiply, holds
-    the exact convolution sums in its 2n - 1 lanes.  __call__ unpacks
-    them mod p once and folds the top n - 1 back.  Below
-    _BARRETT_MIN_DEG the fold is one sum of small-int times row products
-    over the rows t^j mod m, n <= j <= 2n - 2, built on first use by
-    steps of the recurrence t^(i+1) = t * t^i mod m (powers_of_t): O(n^2)
-    to build and to hold.  From _BARRETT_MIN_DEG on it is Barrett
-    division on the lanes by mu = t^(2n-1) div m, read off the
-    Newton-grown inverse of the reversed modulus: two more int products
-    and no table (von zur Gathen & Gerhard, Modern Computer Algebra,
-    section 9.1).  Either route ends in one unpack mod p and one
-    re-pack.
+    the exact convolution sums in its 2n - 1 lanes, and a composition,
+    a sum of at most n code times row products, holds them in n lanes.
+    A call unpacks an int's lanes mod p once and folds the top n - 1
+    back.  Below _BARRETT_MIN_DEG the fold is one sum of small-int times
+    row products over the rows t^j mod m, n <= j <= 2n - 2, built on
+    first use by powers_of_t: O(n^2) to build and to hold.  From
+    _BARRETT_MIN_DEG on it is Barrett division on the lanes by
+    mu = t^(2n-1) div m, read off the Newton-grown inverse of the
+    reversed modulus: two more int products and no table (von zur
+    Gathen & Gerhard, Modern Computer Algebra, section 9.1).  Either
+    route ends in one unpack mod p and one re-pack.
     """
 
     __slots__ = ("m", "p", "n", "lane", "bits", "_neg", "_top_at", "_low",
@@ -653,20 +607,20 @@ class _KronRing:
         p = self.p = modulus.field.char
         n = self.n = modulus.degree
         self.lane = _kron_lane(max(n, p + 1), p)
-        self.bits = bits = 8 * self.lane[0]
-        self._neg = self.pack([-c % p for c in modulus.codes[:n]])  # t^n mod m
+        width = self.lane[0]
+        self.bits = bits = 8 * width
+        self._neg = _kron_pack([-c % p for c in modulus.codes[:n]], width)  # t^n mod m
         self._top_at = bits * max(n - 1, 0)
         self._low = (1 << self._top_at) - 1
         self._mask = (1 << bits * n) - 1
-        self._pn = self.pack([p] * n)
+        self._pn = _kron_pack([p] * n, width)
         self._barrett = n >= _BARRETT_MIN_DEG
         self._rows = self._mu = None
 
-    def pack(self, codes) -> int:
-        """The residue of codes in [0, p) with at most n of them."""
-        return _kron_pack(codes, self.lane[0])
+    def enter(self, codes) -> int:
+        return self(_kron_pack(codes, self.lane[0]))
 
-    def unpack(self, r):
+    def leave(self, r):
         """The codes of a residue as bytes, without trailing zeros: its
         lanes are below p < 256, so each is its lowest byte."""
         width = self.lane[0]
@@ -705,15 +659,18 @@ class _KronRing:
                 self.powers_of_t(1 << self._top_at, 1), 1, n))
         return self._reduced(sum(map(operator.mul, codes[n:], rows), low))
 
-    def sqr(self, a: int) -> int:
-        return a * a
-
     def mul(self, a: int, b: int) -> int:
-        return a * b
+        return self(a * b)
+
+    def sqr(self, a: int) -> int:
+        return self(a * a)
 
     def sub(self, a: int, b: int) -> int:
         # each lane of a + p - b lies in [1, 2p - 1]
         return self._reduced(a + self._pn - b)
+
+    def compose(self, codes, rows) -> int:
+        return self._reduced(sum(map(operator.mul, codes, rows)))
 
     def powers_of_t(self, r: int, k: int):
         """r, r t^k, r t^(2k), ... mod m for a residue r and k <= p,
@@ -749,50 +706,156 @@ def _reversed_inverse(m: Poly, k: int) -> Poly:
     return inv
 
 
+def _trunc(f: Poly, k: int) -> Poly:
+    if len(f.codes) <= k:
+        return f
+    return Poly(f.field, f.codes[:k])
+
+
+class _SchoolRing:
+    """F_q[t]/(m) on reduced Polys, for extension fields and p >= 256.
+
+    A call reduces a Poly by long division (divrem).  Products here are
+    schoolbook, so Barrett's two multiplies would cost more than one
+    division (2-4x at modulus degrees 16-128 over F_4, F_9 and F_625,
+    2-3x at 8-160 over F_257 and F_1009).  A composition sums the rows
+    by Field calls.
+    """
+
+    __slots__ = ("m", "n", "field")
+
+    def __init__(self, modulus: Poly):
+        self.m = modulus
+        self.n = modulus.degree
+        self.field = modulus.field
+
+    def __call__(self, f: Poly) -> Poly:
+        if len(f.codes) <= self.n:
+            return f
+        return divrem(f, self.m)[1]
+
+    def enter(self, codes) -> Poly:
+        return self(Poly(self.field, codes))
+
+    def leave(self, r: Poly):
+        return r.codes
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return self(a * b)
+
+    def sqr(self, a: Poly) -> Poly:
+        return self(a * a)
+
+    def sub(self, a: Poly, b: Poly) -> Poly:
+        return a - b
+
+    def compose(self, codes, rows) -> Poly:
+        add, mul = self.field.add, self.field.mul
+        out = [0] * self.n
+        for c, row in zip(codes, rows):
+            if c:
+                row = row.codes
+                out[:len(row)] = [add(o, mul(c, x)) for o, x in zip(out, row)]
+        return Poly(self.field, out)
+
+    def powers_of_t(self, r: Poly, k: int):
+        """r, r t^k, r t^(2k), ... mod m for a residue r, without end.
+        For k <= n = deg m a step is k steps of t^(i+1) = t * t^i mod m
+        on n codes: a shift and, when the top coefficient c leaves, c
+        times -m folded back, n Field calls.  For k > n, where that
+        costs more than a product, a step is one product by
+        T = t^k mod m, itself about log2(k) products."""
+        field, n = self.field, self.n
+        if k > n:
+            T = _power(self, self.enter((0, 1)), k)
+            while True:
+                yield r
+                r = self.mul(r, T)
+        neg = [field.neg(c) for c in self.m.codes[:n]]
+        add, mul = field.add, field.mul
+        codes = r.codes + (0,) * (n - len(r.codes))
+        while True:
+            yield r
+            for _ in range(k):
+                top = codes[-1]
+                codes = (0, *codes[:-1])
+                if top:
+                    codes = tuple([add(c, mul(top, x)) for c, x in zip(codes, neg)])
+            r = Poly(field, codes)
+
+
+def _residue_ring(modulus: Poly):
+    """The residue ring of a monic modulus: the packed kernels over F_2
+    and F_3, Kronecker-packed ints over F_p, 5 <= p < 256, and reduced
+    Polys elsewhere."""
+    field = modulus.field
+    if field.order == 2:
+        return _gf2.TableReducer(_gf2.pack(modulus.codes))
+    if field.order == 3:
+        return _gf3.Reducer(_gf3.pack(modulus.codes))
+    if field.is_prime_field and field.order < 256:
+        return _KronRing(modulus)
+    return _SchoolRing(modulus)
+
+
+def _power(ring, r, e: int):
+    """r^e in a residue ring, e >= 0, by left-to-right square-and-
+    multiply: one squaring per exponent bit below the top one and one
+    product per set bit among them (e = 3 costs two products)."""
+    if e == 0:
+        return ring.enter((1,))
+    result = r
+    for bit in bin(e)[3:]:  # the exponent bits below the leading one
+        result = ring.sqr(result)
+        if bit == "1":
+            result = ring.mul(result, r)
+    return result
+
+
+def _powers(ring, T):
+    """T^0, T^1, ... in a residue ring, without end; from T^2 on, one
+    product each."""
+    yield ring.enter((1,))
+    power = T
+    while True:
+        yield power
+        power = ring.mul(power, T)
+
+
 class ModReducer:
     """Arithmetic in F_q[t]/(m) for a fixed nonzero modulus m.
 
-    Its values are residues: reduced mod m and held in the form the
-    modulus's kernel works on, a packed int over F_2, a _gf3 plane pair
-    over F_3, a Kronecker-packed int (_KronRing) over F_p for
-    5 <= p < 256, and a reduced Poly over extension fields and for
-    p >= 256.  enter and leave convert a Poly to its residue and back;
-    mul, sub, pow and frobenius stay in residue form, so a chain of them
-    converts once at each end rather than once per step.  reduce, mulmod
-    and powmod are the Poly-level wrappers.
+    Its values are residues, held in the form of the residue ring that
+    _residue_ring picks for the field: a packed int over F_2
+    (_gf2.TableReducer), a plane pair over F_3 (_gf3.Reducer), a
+    Kronecker-packed int over F_p, 5 <= p < 256 (_KronRing), and a
+    reduced Poly elsewhere (_SchoolRing).  Each ring's docstring says
+    how it reduces; all of them have one interface: enter(codes) is the
+    residue of a code sequence and leave(r) the codes of a residue; mul,
+    sqr and sub are residue arithmetic; compose(codes, rows) is the
+    residue sum_j codes[j] * rows[j], for rows that are residues of the
+    same ring.  A ring with an x -> x^q cheaper than a power has
+    frobenius (F_2 and F_3); the others have powers_of_t(r, k), the
+    residues r t^(kj), j = 0, 1, ....
 
-    Over F_2 the residues reduce by _gf2.TableReducer (a 256-entry byte
-    table from degree _gf2._TABLE_MIN_DEG, shift-xor long division
-    below it), and frobenius squares.  Over F_3 they reduce by
-    _gf3.Reducer, which holds one table of rows t^j mod m,
-    n <= j <= 3n - 3: below _gf3._BARRETT_MIN_DEG each coefficient
-    above t^n folds back by its row, from it Barrett division runs on
-    the two bit planes; frobenius spreads and adds every third row,
-    with no product or division.  Over F_p, 5 <= p < 256, a product is
-    one int multiply, folded by rows t^j mod m below _BARRETT_MIN_DEG
-    and Barrett-reduced on the lanes from it.  Elsewhere residues reduce by
-    long division: products there are schoolbook, so Barrett's two
-    multiplies cost more than one division (2-4x at modulus degrees
-    16-128 over F_4, F_9 and F_625, 2-3x at 8-160 over F_257 and
-    F_1009).
+    enter and leave convert a Poly to its residue and back; mul, sub,
+    pow and frobenius stay in residue form, so a chain of them converts
+    once at each end rather than once per step.  reduce and powmod are
+    the Poly-level wrappers.
 
-    Outside F_2 and F_3, frobenius is a modular composition: every
-    coefficient c has c^q = c, so r^q = r(t^q) mod m, which a
+    Over a ring without frobenius, x -> x^q is a modular composition:
+    every coefficient c has c^q = c, so r^q = r(t^q) mod m, which a
     Composition holding the rows t^(qj) mod m (j < deg m) applies with
-    no product and no division.  The rows come from the recurrence
-    t^(i+1) = t * t^i mod m, a shift and one multiple of m per step
-    (see _frobenius_rows for the fields where q steps per row would
-    cost more than a product).  The n rows of n lanes cost O(q n^2)
-    to build and hold O(n^2), against O(log q) products per pow(r, q)
-    step, so a chain much shorter than the build must not pay for it:
-    frobenius runs pow steps until they have cost what the rest of the
-    table would, then builds it.
+    no product and no division.  The rows come from powers_of_t(r, q).
+    The n rows cost O(q n^2) to build and hold O(n^2), against
+    O(log q) products per pow(r, q) step, so a chain much shorter than
+    the build must not pay for it: frobenius runs pow steps until they
+    have cost what the rest of the table would, then builds it.
     `benchmarks/mul_threshold.py --frob` times a step against
     pow(r, q), the build, and chains of both lengths.
     """
 
-    __slots__ = ("modulus", "field", "_mode", "_kernel", "_pack", "_unpack",
-                 "_red", "_ring", "_frob", "_pow_s", "_rows_s")
+    __slots__ = ("modulus", "field", "_ring", "_frob", "_pow_s", "_rows_s")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -800,63 +863,34 @@ class ModReducer:
         if not modulus.is_monic:
             modulus = modulus.monic()
         self.modulus = modulus
-        self.field = field = modulus.field
-        self._ring = self._frob = None
+        self.field = modulus.field
+        self._ring = _residue_ring(modulus)
+        self._frob = None
         # time frobenius has spent on pow steps, and on the rows after
         # the monomial ones
         self._pow_s = self._rows_s = 0.0
-        if field.is_prime_field and field.char in _PACKED:
-            self._mode = "packed"
-            self._kernel, self._pack, self._unpack, reducer = _PACKED[field.char]
-            self._red = reducer(self._pack(modulus.codes))
-        elif field.is_prime_field and field.char < 256:
-            self._mode = "kron"
-            ring = self._ring = self._kernel = self._red = _KronRing(modulus)
-            self._pack, self._unpack = ring.pack, ring.unpack
-        else:
-            self._mode = "school"
 
     # -- residue form -------------------------------------------------
 
     def enter(self, f: Poly):
         """The residue of f."""
-        if self._mode == "school":
-            return self._reduce_poly(f)
-        return self._red(self._pack(f.codes))
+        return self._ring.enter(f.codes)
 
     def leave(self, r) -> Poly:
         """The reduced Poly of a residue."""
-        if self._mode == "school":
-            return r
-        return Poly(self.field, self._unpack(r))
+        return Poly(self.field, self._ring.leave(r))
 
     def mul(self, a, b):
-        if self._mode == "school":
-            return self._reduce_poly(a * b)
-        return self._red(self._kernel.mul(a, b))
+        return self._ring.mul(a, b)
 
     def sub(self, a, b):
-        if self._mode == "school":
-            return a - b
-        return self._kernel.sub(a, b)
+        return self._ring.sub(a, b)
 
     def pow(self, r, e: int):
-        """r^e, by left-to-right square-and-multiply: one squaring per
-        exponent bit below the top one and one product per set bit
-        among them (e = 3 costs two products)."""
+        """r^e by square-and-multiply (_power)."""
         if e < 0:
             raise ValueError("negative exponents are not supported mod a polynomial")
-        if e == 0:
-            return self.enter(Poly.one(self.field))
-        packed = self._mode != "school"
-        kernel = self._kernel if packed else None
-        reduce = self._red if packed else self._reduce_poly
-        result = r
-        for bit in bin(e)[3:]:  # the exponent bits below the leading one
-            result = reduce(kernel.sqr(result) if packed else result * result)
-            if bit == "1":
-                result = reduce(kernel.mul(result, r) if packed else result * r)
-        return result
+        return _power(self._ring, r, e)
 
     # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of
     # 5): at modulus degrees 4-64 a table step took 3-28 us over F_5 and
@@ -870,21 +904,21 @@ class ModReducer:
     # against 40 and 330 ms, and 64 steps, 490 against 385 and 473 ms.
     def frobenius(self, r, k: int = 1):
         """r^(q^k), q the order of the coefficient field, as k steps
-        x -> x^q.  Over F_2 and F_3 each is one call of the packed
-        reducer's frobenius.  Elsewhere a step is the composition
-        x -> x(t^q) by the row table of t^q once its rows cover x's
-        coefficients, and pow(x, q) until then.  Each pow step also
-        builds the next row (the first also the monomial rows t^(qj),
-        qj < deg m, which cost no step and are not counted), and once
-        the pow steps of this reducer have taken as long as the missing
-        rows would at the mean cost of those built, the rest are built
-        at once: rent, then buy.  A
+        x -> x^q.  Where the ring has a frobenius, each is one call of
+        it.  Elsewhere a step is the composition x -> x(t^q) by the row
+        table of t^q once its rows cover x's coefficients, and pow(x, q)
+        until then.  Each pow step also builds the next row (the first
+        also the monomial rows t^(qj), qj < deg m, which cost no step
+        and are not counted), and once the pow steps of this reducer
+        have taken as long as the missing rows would at the mean cost of
+        those built, the rest are built at once: rent, then buy.  A
         chain shorter than the build (a bounded distinct-degree split
         on a large modulus) so stays on pow, and no chain pays much
         more than twice the cheaper route."""
-        if self._mode == "packed":
+        step = getattr(self._ring, "frobenius", None)
+        if step is not None:
             for _ in range(k):
-                r = self._red.frobenius(r)
+                r = step(r)
             return r
         frob = self._frob
         if frob is None:
@@ -892,9 +926,10 @@ class ModReducer:
         q = self.field.order
         n = self.modulus.degree
         first = self._monomial_rows()
+        leave = self._ring.leave
         clock = time.perf_counter
         for _ in range(k):
-            if len(self._codes(r)) <= len(frob.rows):
+            if len(leave(r)) <= len(frob.rows):
                 r = frob(r)
                 continue
             start = clock()
@@ -910,105 +945,22 @@ class ModReducer:
                 frob.grow(n)
         return r
 
-    # -- rows of a composition table ----------------------------------
-
-    def _codes(self, r):
-        """The codes of a residue, without trailing zeros."""
-        return r.codes if self._mode == "school" else self._unpack(r)
-
-    def _rows_ring(self):
-        """The _KronRing that holds the rows of a composition table: the
-        residue ring itself over F_p, 5 <= p < 256, one built on first
-        use over F_2 and F_3, and None elsewhere."""
-        if self._ring is None and self._mode == "packed":
-            self._ring = _KronRing(self.modulus)
-        return self._ring
-
-    def _row(self, r):
-        """The row form of a residue: the residue itself over F_p,
-        5 <= p < 256, its Kronecker-packed int over F_2 and F_3, and
-        its codes padded to deg m elsewhere."""
-        if self._mode == "kron":
-            return r
-        codes = self._codes(r)
-        ring = self._rows_ring()
-        if ring:
-            return ring.pack(codes)
-        return tuple(codes) + (0,) * (self.modulus.degree - len(codes))
-
-    def _combine(self, codes, rows):
-        """The residue sum_j codes[j] * rows[j], rows in row form.  Over
-        F_p, p < 256, that is a sum of at most deg m lane products of at
-        most (p - 1)^2 each, unpacked mod p once."""
-        ring = self._rows_ring()
-        if ring:
-            codes = _kron_unpack(sum(map(operator.mul, codes, rows)),
-                                 ring.n, ring.lane, ring.p)
-            return ring.pack(codes) if self._mode == "kron" else self._pack(codes)
-        add = self.field.add
-        mul = self.field.mul
-        out = [0] * self.modulus.degree
-        for c, row in zip(codes, rows):
-            if c:
-                out = [add(o, mul(c, x)) for o, x in zip(out, row)]
-        return Poly(self.field, out)
-
     def _frobenius_rows(self):
-        """The rows t^(qj) mod m for j < n = deg m, yielded in order.
-
-        The first _monomial_rows() are the monomials t^(qj), qj < n,
-        and cost no step.  Over F_p, 5 <= p < 256, and over extension
-        fields with q <= n, each later row is the last times t^q: q
-        steps of the recurrence t^(i+1) = t * t^i mod m, a shift and,
-        when the top coefficient c leaves, c times -m folded back.  Over
-        F_p a step is a few operations on one Kronecker int, whose lanes
-        are reduced mod p once per row (_KronRing.powers_of_t).  Over an
-        extension field a step is n Field calls, so for q > n the rows
-        are the powers of T = t^q mod m instead, one residue product
-        each (_power_rows), with T itself about log2(q) products."""
-        field = self.field
-        n = self.modulus.degree
-        q = field.order
+        """The rows t^(qj) mod m for j < deg m, as residues, yielded in
+        order: the first _monomial_rows() are the monomials t^(qj),
+        qj < deg m, and cost no step; each later row is the last times
+        t^q, by the ring's powers_of_t."""
+        ring, q, n = self._ring, self.field.order, self.modulus.degree
         first = self._monomial_rows()
         for j in range(first):
-            if self._mode == "kron":
-                r = 1 << self._ring.bits * q * j
-            else:
-                r = (0,) * (q * j) + (1,) + (0,) * (n - 1 - q * j)
+            r = ring.enter((0,) * (q * j) + (1,))
             yield r
-        if first == n:
-            return
-        if self._mode == "kron":
-            yield from itertools.islice(self._ring.powers_of_t(r, q), 1,
-                                        n - first + 1)
-            return
-        if q > n:
-            T = self.pow(self.enter(Poly.t(field)), q)
-            yield from itertools.islice(self._power_rows(T), 1, n)
-            return
-        neg = [field.neg(c) for c in self.modulus.codes[:n]]
-        add = field.add
-        mul = field.mul
-        for _ in range(n - first):
-            for _ in range(q):
-                top = r[-1]
-                r = (0, *r[:-1])
-                if top:
-                    r = tuple([add(c, mul(top, x)) for c, x in zip(r, neg)])
-            yield r
+        if first < n:
+            yield from itertools.islice(ring.powers_of_t(r, q), 1, n - first + 1)
 
     def _monomial_rows(self) -> int:
         """The count of rows t^(qj) mod m that are monomials, qj < deg m."""
         return -(-self.modulus.degree // self.field.order)
-
-    def _power_rows(self, T):
-        """The rows T^0, T^1, ... mod m of a residue T, without end;
-        from T^2 on, one residue product each."""
-        yield self._row(self.enter(Poly.one(self.field)))
-        power = T
-        while True:
-            yield self._row(power)
-            power = self.mul(power, T)
 
     # -- Poly-level wrappers ------------------------------------------
 
@@ -1017,24 +969,8 @@ class ModReducer:
             return f
         return self.leave(self.enter(f))
 
-    def mulmod(self, a: Poly, b: Poly) -> Poly:
-        return self.leave(self.mul(self.enter(a), self.enter(b)))
-
     def powmod(self, a: Poly, e: int) -> Poly:
         return self.leave(self.pow(self.enter(a), e))
-
-    def _reduce_poly(self, f: Poly) -> Poly:
-        """f mod m by long division: the residues over extension fields
-        and for p >= 256."""
-        if f.degree < self.modulus.degree:
-            return f
-        return divrem(f, self.modulus)[1]
-
-
-def _trunc(f: Poly, k: int) -> Poly:
-    if len(f.codes) <= k:
-        return f
-    return Poly(f.field, f.codes[:k])
 
 
 class Composition:
@@ -1042,35 +978,32 @@ class Composition:
 
     Modular composition is F_q-linear: r = sum r_j t^j maps to
     sum r_j T^j, so with the rows T^j mod m at hand an application is
-    one combination of rows.  Over F_p, p < 256, the rows are
-    Kronecker-packed ints (over F_p, 5 <= p < 256, the residues
-    themselves), and a combination is one small-int times big-int
-    product per coefficient and one unpack of the lanes mod p.  The rows
-    are drawn from an iterator as they are needed: by default
-    ModReducer._power_rows, one residue product each, so a caller that
-    composes only short residues pays only for the rows they use; grow
-    draws rows ahead of need.
+    one compose of the reducer's ring.  The rows are residues, drawn
+    from an iterator as they are needed: by default the powers of T,
+    one residue product each, so a caller that composes only short
+    residues pays only for the rows they use; grow draws rows ahead of
+    need.
     """
 
-    __slots__ = ("red", "rows", "_more")
+    __slots__ = ("ring", "rows", "_more")
 
     def __init__(self, red: ModReducer, T=None, rows=None):
-        """rows, when given, is an iterator over the row forms of T^0,
+        """rows, when given, is an iterator over the residues T^0,
         T^1, ..., and T is not read."""
-        self.red = red
+        self.ring = red._ring
         self.rows = []
-        self._more = red._power_rows(T) if rows is None else rows
+        self._more = _powers(self.ring, T) if rows is None else rows
 
     def grow(self, count: int) -> None:
         """Draw count more rows, or as many as are left."""
         self.rows.extend(itertools.islice(self._more, count))
 
     def __call__(self, r):
-        red = self.red
-        codes = red._codes(r)
+        ring = self.ring
+        codes = ring.leave(r)
         if len(self.rows) < len(codes):
             self.grow(len(codes) - len(self.rows))
-        return red._combine(codes, self.rows)
+        return ring.compose(codes, self.rows)
 
 
 # -- text form --------------------------------------------------------

@@ -17,9 +17,7 @@ from fqwilson.poly import (
     _kron_lane,
     _kron_mul,
     _kron_unpack,
-    _pack2,
     _school_mul_prime,
-    _unpack2,
     divrem,
     embed,
     eval_poly,
@@ -279,12 +277,13 @@ def test_mod_reducer_matches_plain_reduction():
         field = make_prime_field(p)
         m = rand_poly(field, mod_deg, rng).monic()
         red = ModReducer(m)
-        modes.add((p, red._mode, red._ring._barrett if red._mode == "kron" else None))
+        modes.add((p, type(red._ring), getattr(red._ring, "_barrett", None)))
         for _ in range(6):
             a = rand_poly(field, mod_deg + rng.randrange(0, 30), rng)
             b = rand_poly(field, mod_deg + rng.randrange(0, 30), rng)
             assert red.reduce(a) == a % m
-            assert red.mulmod(red.reduce(a), red.reduce(b)) == (a * b) % m
+            product = red.mul(red.enter(red.reduce(a)), red.enter(red.reduce(b)))
+            assert red.leave(product) == (a * b) % m
             # residues are canonical: equal exactly for congruent inputs
             for c in (a + b * m, a + rand_poly(field, 0, rng), b):
                 assert (red.enter(a) == red.enter(c)) == ((a - c) % m).is_zero
@@ -295,9 +294,10 @@ def test_mod_reducer_matches_plain_reduction():
             naive = (naive * base) % m
         assert red.powmod(base, e) == naive
         assert red.powmod(base, 0) == Poly.one(field)
-    assert {(5, "kron", False), (5, "kron", True), (7, "kron", False),
-            (7, "kron", True), (251, "kron", False), (251, "kron", True),
-            (257, "school", None)} <= modes
+    kron, school = poly._KronRing, poly._SchoolRing
+    assert {(5, kron, False), (5, kron, True), (7, kron, False),
+            (7, kron, True), (251, kron, False), (251, kron, True),
+            (257, school, None)} <= modes
 
 
 def test_kron_unpack_matches_percent_per_lane():
@@ -349,7 +349,7 @@ def test_kron_residues_match_divrem_property(p, n):
             return divrem(f, m)[1]
 
         red = ModReducer(m)
-        assert red._mode == "kron"
+        assert type(red._ring) is poly._KronRing
         assert red._ring.lane == poly._kron_lane(max(n, p + 1), p)
         r, s = red.enter(a), red.enter(b)
         assert red.leave(r) == mod(a)
@@ -395,7 +395,7 @@ def test_gf2_mod_reducer_matches_tuple_oracle(mod_deg):
         a = rand_poly(field, rng.randrange(0, 2 * mod_deg + 2), rng)
         b = rand_poly(field, mod_deg - 1, rng)
         assert red.reduce(a) == oracle(a.codes)
-        assert red.mulmod(red.reduce(a), b) == oracle(
+        assert red.leave(red.mul(red.enter(red.reduce(a)), red.enter(b))) == oracle(
             _school_mul_prime(red.reduce(a).codes, b.codes, 2))
     base = red.reduce(rand_poly(field, mod_deg + 3, rng))
     naive = oracle((1,))
@@ -412,8 +412,8 @@ def test_gf2_mod_matches_divmod_and_tuple_oracle():
     @hyp.settings(max_examples=100, deadline=None)
     @hyp.given(_codes(st, 2, 200), _codes(st, 2, 80).map(lambda c: c + (1,)))
     def check(a, f):
-        pa, pf = _pack2(a), _pack2(f)
-        assert _gf2.mod_(pa, pf) == _gf2.divmod_(pa, pf)[1] == _pack2(
+        pa, pf = _gf2.pack(a), _gf2.pack(f)
+        assert _gf2.mod_(pa, pf) == _gf2.divmod_(pa, pf)[1] == _gf2.pack(
             _mod2_oracle(a, f))
 
     check()
@@ -587,9 +587,9 @@ def test_powmod_matches_plain_power():
 
 def test_powmod_product_count(monkeypatch):
     # left-to-right: one squaring and one product for e = 3; the packed
-    # kernels count their own products, the tuple mode its reductions
+    # kernels count their own products, the school ring its reductions
     calls = []
-    for owner, name in ((ModReducer, "_reduce_poly"), (_gf2, "sqr"), (_gf2, "mul"),
+    for owner, name in ((poly._SchoolRing, "__call__"), (_gf2, "sqr"), (_gf2, "mul"),
                         (_gf3, "sqr"), (_gf3, "mul"), (poly._KronRing, "sqr"),
                         (poly._KronRing, "mul")):
         orig = getattr(owner, name)
@@ -601,22 +601,23 @@ def test_powmod_product_count(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     modes = set()
     for red, a in _mod_reducers():
-        packed = red._mode != "school"
-        modes.add((red.field.order, red._mode))
+        ring = type(red._ring)
+        packed = ring is not poly._SchoolRing
+        modes.add((red.field.order, ring))
         calls.clear()
         red.powmod(a, 3)
         if packed:
             assert calls == ["sqr", "mul"]
         else:
-            assert calls == ["_reduce_poly"] * 3  # on entry, then 2
+            assert calls == ["__call__"] * 3  # on entry, then 2
         calls.clear()
         red.powmod(a, 625)  # 9 squarings and 4 products below the top bit
         if packed:
             assert calls.count("sqr") == 9 and calls.count("mul") == 4
         products = len(calls) - (not packed)
         assert products == 13
-    assert {(2, "packed"), (3, "packed"), (5, "kron"), (7, "kron"),
-            (4, "school")} <= modes
+    assert {(2, _gf2.TableReducer), (3, _gf3.Reducer), (5, poly._KronRing),
+            (7, poly._KronRing), (4, poly._SchoolRing)} <= modes
 
 
 # moduli degrees on both sides of the GF(2) table and the F_3 Barrett
@@ -697,8 +698,9 @@ def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n):
 
 
 @pytest.mark.parametrize("descriptor,n", [
-    ("2", 9), ("3", 8), ("5", 6), ("7", 26), ("7", poly._BARRETT_MIN_DEG + 2),
-    ("4", 5), ("9", 4), ("257", 3)])
+    ("2", 9), ("2", _gf2._TABLE_MIN_DEG + 2), ("3", 8),
+    ("3", _gf3._BARRETT_MIN_DEG + 2), ("5", 6), ("7", 26),
+    ("7", poly._BARRETT_MIN_DEG + 2), ("4", 5), ("9", 4), ("257", 3)])
 def test_composition_matches_horner(descriptor, n):
     # r(T) mod m by the row table, growing its rows on demand, against
     # Horner's rule with a reduction after each product; r is taken
@@ -764,10 +766,10 @@ def test_pack2_unpack2_match_bit_loops():
     rng = random.Random(41)
     for n in (0, 1, 7, 8, 9, 2047, 2048, 2049, 4300, 4301, 4302, 9000, 20000):
         for codes in (tuple(rng.randrange(2) for _ in range(n)), (1,) * n, (0,) * n):
-            packed = _pack2(codes)
-            assert packed == _pack2_bit_loop(codes) == _pack2(list(codes))
-            assert _unpack2(packed) == _unpack2_bit_loop(packed)
-            assert Poly(field, _unpack2(packed)) == Poly(field, codes)
+            packed = _gf2.pack(codes)
+            assert packed == _pack2_bit_loop(codes) == _gf2.pack(list(codes))
+            assert _gf2.unpack(packed) == _unpack2_bit_loop(packed)
+            assert Poly(field, _gf2.unpack(packed)) == Poly(field, codes)
 
 
 def test_gf2_ring_ops_match_tuple_oracle_property():
@@ -844,7 +846,7 @@ def test_gf2_sqr_matches_mul():
         assert _gf2.sqr(a) == _gf2.mul(a, a) == _shift_xor_mul(a, a)
     codes = tuple(rng.randrange(2) for _ in range(300)) + (1,)
     square = _school_mul_prime(codes, codes, 2)
-    assert _gf2.sqr(_pack2(codes)) == _pack2(square)
+    assert _gf2.sqr(_gf2.pack(codes)) == _gf2.pack(square)
 
 
 def test_gf2_lane_mul_matches_shift_xor_at_edges():
@@ -907,7 +909,7 @@ def test_barrett_reduce_matches_long_division_property(p):
     @hyp.given(modulus, _codes(st, p, 200))
     def check(m, a):
         red = ModReducer(Poly(field, m))
-        assert red._mode == "kron" and red._ring._barrett
+        assert type(red._ring) is poly._KronRing and red._ring._barrett
         expected = _divrem_prime(a, m, p)[1] if len(a) >= len(m) else a
         assert red.reduce(Poly(field, a)) == Poly(field, expected)
 
