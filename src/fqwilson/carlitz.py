@@ -13,10 +13,11 @@ and F_3): a single Frobenius chain x -> x^q, the reducer's frobenius,
 yields the brackets, and L, D, the alternating sums
 T_m = 1 - [m] T_(m-1) and F_d = +-(D_0 ... D_(d-1))^(q-1) are folds
 over it, each extended lazily and at most once per index and turned
-into a Poly only when read.  Every
-residue check in the package (CarlitzCache.F_mod, the survey tables,
-the gcd scans) goes through it, so giant numerators are never formed
-when only a residue is needed.
+into a Poly only when read.  Every residue check in the package (the
+definition of Wilson primes, the multiplicities, the survey tables, the
+gcd scans) goes through the chain that irr.PrimeContext.chain keeps
+per power of the prime, so giant numerators are never formed when only
+a residue is needed; `carlitz compute --mod` builds its own chain.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class CarlitzCache:
         if count % 2 and field.char != 2:
             out = -out
         return out
-
-    def F_mod(self, d: int, modulus: Poly) -> Poly:
-        """F_d reduced mod the given polynomial, through CarlitzChain."""
-        return CarlitzChain(ModReducer(modulus)).F(d)
 
     def wilson_sum_poly(self, d: int) -> Poly:
         """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
@@ -200,4 +197,5 @@ class CarlitzChain:
 
     def perturbation(self, kind: str, d: int, c) -> Poly:
         """L_(d-1) - c or D_(d-1) + (-1)^d c, reduced, for nonzero c."""
-        return _perturbation(self, kind, d, c)
+        # reduce again: a constant modulus reduces c itself
+        return self.red.reduce(_perturbation(self, kind, d, c))

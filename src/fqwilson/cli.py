@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .carlitz import CarlitzCache
+from .carlitz import CarlitzCache, CarlitzChain
 from .congruence import classify_base, wieferich_suite, wilson_suite
 from .errors import (
     EquivalenceViolation,
@@ -38,7 +38,7 @@ from .factor import factorize, trial_division
 from .gf import parse_field
 from .irr import PrimeContext, count_irreducibles, iter_monic_irreducibles
 from .irr import is_irreducible  # noqa: F401  (perfbench/tests looks it up here)
-from .poly import divrem, parse_poly
+from .poly import ModReducer, divrem, parse_poly
 from .survey import (
     alt_gcd_conjecture_scan,
     borisov_scan,
@@ -142,27 +142,24 @@ def cmd_classify_base(args) -> int:
 
 def cmd_carlitz(args) -> int:
     field = parse_field(args.field)
-    cache = CarlitzCache(field)
     what, n = args.what, args.n
     modulus = parse_poly(args.mod, field) if args.mod is not None else None
-    if what == "F":
-        # F grows too fast for exact work beyond toy sizes, so the
-        # modular route is taken directly instead of reducing afterwards
-        value = cache.F_mod(n, modulus) if modulus is not None else cache.F(n)
-    elif what == "bracket":
-        value = cache.bracket(n)
-    elif what == "L":
-        value = cache.L(n)
-    elif what == "D":
-        value = cache.D(n)
-    elif what == "wilson-sum":
-        value = cache.wilson_sum_poly(n)
+    if modulus is None or what == "wilson-sum":
+        source = CarlitzCache(field)
     else:
+        # the exact values outgrow the degree guard long before their
+        # residues do, so they are reduced along the chain, not after
+        source = CarlitzChain(ModReducer(modulus))
+    if what == "wilson-sum":
+        value = source.wilson_sum_poly(n)
+        if modulus is not None:
+            value = divrem(value, modulus)[1]
+    elif what == "perturbation":
         if args.c is None:
             raise ValueError("perturbation requires --c")
-        value = cache.perturbation(args.kind, n, args.c)
-    if modulus is not None and what != "F":
-        value = divrem(value, modulus)[1]
+        value = source.perturbation(args.kind, n, args.c)
+    else:  # bracket, L, D and F have one method each on both sources
+        value = getattr(source, what)(n)
     payload = {
         "field": field.descriptor(),
         "what": what,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carlitz import CarlitzCache, CarlitzChain
 from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
 from .gf import FieldElement
@@ -107,7 +106,7 @@ def wieferich_suite(ctx: PrimeContext, a: Poly) -> ConditionSuite:
     prime = ctx.prime
     verdicts = {}
 
-    red = ctx.frobenius(2)[0]
+    red = ctx.chain(2).red
     ra = red.enter(a)
     verdicts["def"] = red.frobenius(ra, ctx.degree) == ra
 
@@ -151,22 +150,20 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
     t = Poly.t(field)
 
     if p == 2:
-        fval = CarlitzChain(ctx.frobenius(2)[0]).F(ctx.degree)
-        verdicts = {"def": fval == -Poly.one(field)}
+        verdicts = {"def": ctx.chain(2).F(ctx.degree) == -Poly.one(field)}
         skipped = tuple(lab for lab in WILSON_LABELS if lab != "def")
         return ConditionSuite(context=ctx, kind="wilson", verdicts=verdicts,
                               skipped=skipped, marker="definition-only")
 
-    # T mod P^3 first, so that the reducer mod P^2 reduces it rather
-    # than running d Frobenius steps of its own
+    # Q(t) mod P^2 first: it memoizes T mod P^3, so Q(Q(t)) mod P
+    # reduces that T rather than running d Frobenius steps of its own
     qt = fermat_quotient_mod(t, ctx, 2)
     verdicts = {}
     skipped = ()
     if skip_def:
         skipped = ("def",)
     else:
-        fval = CarlitzChain(ctx.frobenius(2)[0]).F(ctx.degree)
-        verdicts["def"] = fval == -Poly.one(field)
+        verdicts["def"] = ctx.chain(2).F(ctx.degree) == -Poly.one(field)
 
     # each shared quantity is computed once: P', Q(t) mod P^2 (qt) and
     # P^[1]
@@ -248,12 +245,10 @@ def wilson_multiplicity(ctx: PrimeContext) -> int:
     A return of p+2 means "at least p+2": the residue of F_d + 1 was
     zero at the working precision P^(p+3).
     """
-    prime = ctx.prime
-    field = prime.field
+    field = ctx.prime.field
     cap = field.char + 2
-    cache = CarlitzCache(field)
-    r = cache.F_mod(ctx.degree, prime ** (cap + 1)) + Poly.one(field)
-    return _capped_valuation(r, prime, cap)
+    r = ctx.chain(cap + 1).F(ctx.degree) + Poly.one(field)
+    return _capped_valuation(r, ctx.prime, cap)
 
 
 def coefficient_characterization(prime: Poly) -> bool:

@@ -103,7 +103,9 @@ class Field:
     def descriptor(self) -> str:
         if self.base is None:
             return str(self.char)
-        mod = _format_codes(self.modulus_codes)
+        from .poly import Poly, format_poly  # poly imports this module
+
+        mod = format_poly(Poly(self.base, self.modulus_codes))
         if self.base.is_prime_field:
             return f"{self.order}:{mod}"
         return f"{self.base.descriptor()}/{mod}"
@@ -578,22 +580,6 @@ def default_modulus(p: int, k: int):
     from .irr import is_irreducible, monic_polys
 
     return next(f for f in monic_polys(make_prime_field(p), k) if is_irreducible(f))
-
-
-def _format_codes(codes) -> str:
-    # minimal polynomial printer used by descriptors; poly.format_poly
-    # is the general one but would create an import cycle here
-    terms = []
-    for e in range(len(codes) - 1, -1, -1):
-        c = codes[e]
-        if not c:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            var = "t" if e == 1 else f"t^{e}"
-            terms.append(var if c == 1 else f"{c}*{var}")
-    return "+".join(terms) if terms else "0"
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -79,6 +79,9 @@ class PrimeContext:
 
     theta is the class of t in F_q[t]/(prime); the prime is its minimal
     polynomial over F_q and norm = q^deg counts the residue field.
+    The context owns the arithmetic mod the prime's powers: chain(m) is
+    the one CarlitzChain mod prime^m, and its red the one ModReducer,
+    that every residue mod prime^m of the prime's work goes through.
     """
 
     prime: Poly
@@ -86,8 +89,10 @@ class PrimeContext:
     residue_field: Field
     theta: FieldElement
     norm: int
-    # m -> (ModReducer mod prime^m, t^norm mod prime^m, its Composition);
-    # a memo, so it takes no part in equality, hashing or the repr
+    # memos, m -> CarlitzChain mod prime^m and m -> frobenius(m); they
+    # take no part in equality, hashing or the repr
+    _chains: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _frobenius: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -113,8 +118,17 @@ class PrimeContext:
             norm=base.order ** d,
         )
 
+    def chain(self, m: int):
+        """The CarlitzChain mod prime^m, memoized per m."""
+        hit = self._chains.get(m)
+        if hit is None:
+            from .carlitz import CarlitzChain  # carlitz imports this module
+
+            hit = self._chains[m] = CarlitzChain(ModReducer(self.prime ** m))
+        return hit
+
     def frobenius(self, m: int):
-        """(reducer mod prime^m, T = t^norm mod prime^m, the Composition
+        """(chain(m).red, T = t^norm mod prime^m, the Composition
         a -> a(T) mod prime^m), memoized per m.
 
         T costs d Frobenius steps of t, d the degree; when T is already
@@ -123,7 +137,7 @@ class PrimeContext:
         """
         hit = self._frobenius.get(m)
         if hit is None:
-            red = ModReducer(self.prime ** m)
+            red = self.chain(m).red
             higher = [n for n in self._frobenius if n > m]
             if higher:
                 frob = red.enter(self._frobenius[min(higher)][1])

@@ -11,7 +11,7 @@ from .congruence import is_special_wilson, wilson_multiplicity, wilson_suite
 from .deriv import MIXED_LABELS, delta, fermat_quotient, fermat_quotient_iter
 from .gf import parse_field
 from .irr import PrimeContext, is_irreducible
-from .poly import ModReducer, Poly, embed, eval_poly, parse_poly
+from .poly import Poly, embed, eval_poly, parse_poly
 
 # recorded values that more than one check, or a caller, reads
 Q3D6_SPECIAL_PER_C = {1: 3, 2: 3}  # special primes of degree 6 over F_3, by c
@@ -191,7 +191,7 @@ def artin_schreier_prime(v, p, m, extended=False):
     v.check(f"{name} mixed conditions all vanish",
             all(suite.verdicts[label] for label in MIXED_LABELS), True)
     if extended and p == 3:
-        red = ModReducer(prime)
+        red = ctx.chain(1).red
         for order in (2, 3):
             exact = fermat_quotient_iter(t, ctx, order)
             ladder = fermat_quotient_iter(t, ctx, order, k=1)

@@ -2,11 +2,13 @@
 
 Everything here orchestrates the lower modules over whole families of
 primes.  Giant Carlitz quantities are never formed exactly when a
-check only needs a residue: L_(d-1), D_(d-1) and the alternating sums
-come from a carlitz.CarlitzChain modulo a small prime power, which
-costs O(d) modular multiplications per prime instead of a division of
-astronomically large polynomials.  The gcd scans keep one chain per
-prime for the whole range of degrees.
+check only needs a residue: F_d, L_(d-1), D_(d-1) and the alternating
+sums come from the prime context's CarlitzChain modulo a small power of
+the prime, PrimeContext.chain, which costs O(d) modular multiplications
+per prime instead of a division of astronomically large polynomials.
+A survey does all of a prime's work, its verdicts and its table rows,
+in one pass over the prime's context; the gcd scans keep each prime's
+chain for the whole range of degrees.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .carlitz import CarlitzCache, CarlitzChain
+from .carlitz import CarlitzCache
 from .congruence import (
     _capped_valuation,
     coefficient_characterization,
@@ -40,7 +42,7 @@ from .irr import (
     iter_monic_irreducibles,
     monic_polys,
 )
-from .poly import ModReducer, Poly
+from .poly import Poly
 
 SCHEMA = "fqwilson.survey/1"
 
@@ -183,40 +185,68 @@ class ScanFinding:
 # -- degree sweep ------------------------------------------------------
 
 
-def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def):
-    """Enumerate primes with candidate index in [start, stop) and
-    compute per-prime verdicts; returns plain data for easy merging."""
+def _wilson_by_pattern(prime: Poly) -> bool:
+    """Wilson for p > 2 by the second derivative, cross-checked against
+    the coefficient pattern."""
+    wil = prime.derivative().derivative().is_zero
+    if wil != coefficient_characterization(prime):
+        raise EquivalenceViolation(
+            f"second-derivative and coefficient routes disagree at {prime}"
+        )
+    return wil
+
+
+def _perturbation_valuation(ctx: PrimeContext, kind: str, d: int, c,
+                            cap: int) -> int:
+    """The prime's valuation in a perturbation, capped at cap, from the
+    perturbation's residue mod prime^(cap+1)."""
+    return _capped_valuation(ctx.chain(cap + 1).perturbation(kind, d, c),
+                             ctx.prime, cap)
+
+
+def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def,
+                  multiplicities):
+    """Enumerate primes with candidate index in [start, stop) and do
+    all of each prime's work on its context: the Wilson verdict, the
+    special-form check and, with multiplicities, the prime's valuations
+    for the tables.  Returns plain data for easy merging: per prime a
+    dict of its text, verdict, special c (or None) and valuations."""
     field = parse_field(descriptor)
     p = field.char
-    cache = CarlitzCache(field)
+    cap = p + 2
+    tables = multiplicities and d >= 2
     minus_one = -Poly.one(field)
     rows = []
     for ctx in iter_monic_irreducibles(field, d, start, stop):
         prime = ctx.prime
+        if full_suites or p == 2:
+            wil = wilson_suite(ctx, skip_def=skip_def and p > 2).holds
+        else:
+            wil = _wilson_by_pattern(prime)
+            if not skip_def and (ctx.chain(2).F(d) == minus_one) != wil:
+                raise EquivalenceViolation(
+                    f"definition and second-derivative routes disagree at {prime}"
+                )
+        row = {"text": str(prime), "wilson": wil, "special_c": None}
+        if wil and tables and p > 2:
+            # the derivative of a residue mod P^(cap+2) pins the
+            # derivative of L itself mod P^(cap+1)
+            ws = -derivative_mod(ctx.chain(cap + 2).L(d - 1), prime, cap + 1)
+            row["wilson_sum"] = _capped_valuation(ws, prime, cap)
+
         dp = prime.derivative()
         if dp.degree == 0:
             e = dp.coeff(0)
-            special_c = (e if d % 2 else -e).code
-        else:
-            special_c = None
-
-        if full_suites or p == 2:
-            suite = wilson_suite(ctx, skip_def=skip_def and p > 2)
-            wil = suite.holds
-        else:
-            wil = dp.derivative().is_zero
-            if wil != coefficient_characterization(prime):
+            c = e if d % 2 else -e
+            if not is_special_wilson(ctx, c):
                 raise EquivalenceViolation(
-                    f"second-derivative and coefficient routes disagree at {prime}"
+                    f"derivative scan and special-form check disagree at {prime}"
                 )
-            if not skip_def:
-                defv = cache.F_mod(d, prime * prime) == minus_one
-                if defv != wil:
-                    raise EquivalenceViolation(
-                        f"definition and second-derivative routes disagree at {prime}"
-                    )
-        rows.append({"codes": list(prime.codes), "wilson": wil,
-                     "special_c": special_c})
+            row["special_c"] = c.code
+            if tables:
+                for kind in ("L_minus_c", "D_plus_sign_c"):
+                    row[kind] = _perturbation_valuation(ctx, kind, d, c, cap)
+        rows.append(row)
     return rows
 
 
@@ -251,7 +281,7 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
     jobs = min(jobs, os.cpu_count() or 1)  # a pool forks all its workers
     if jobs == 1:
         rows = _survey_chunk(descriptor, d, 0, field.order ** d,
-                             full_suites, skip_def)
+                             full_suites, skip_def, multiplicities)
     else:
         # imported here: the pool module costs start-up time of every
         # command, and most runs never start a pool
@@ -262,57 +292,28 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_survey_chunk, descriptor, d, lo,
-                            min(lo + step, total), full_suites, skip_def)
+                            min(lo + step, total), full_suites, skip_def,
+                            multiplicities)
                 for lo in range(0, total, step)
             ]
             rows = []
             for fut in futures:
                 rows.extend(fut.result())
-    t1 = time.perf_counter()
 
     wilson = []
     special = {c: [] for c in range(1, field.order)}
-    by_text = {}
+    tables = {"L_minus_c": {}, "D_plus_sign_c": {}, "wilson_sum": {}}
     for row in rows:
-        prime = Poly(field, row["codes"])
-        text = str(prime)
-        by_text[text] = prime
+        text = row["text"]
         if row["wilson"]:
             wilson.append(text)
         if row["special_c"] is not None:
-            c_el = FieldElement(field, row["special_c"])
-            if not is_special_wilson(PrimeContext.for_prime(prime), c_el):
-                raise EquivalenceViolation(
-                    f"derivative scan and special-form check disagree at {prime}"
-                )
             special[row["special_c"]].append(text)
-
-    cap = p + 2
-    tables = {"L_minus_c": {}, "D_plus_sign_c": {}, "wilson_sum": {}}
-    if multiplicities and d >= 2:
-        for c_code, plist in special.items():
-            if not plist:
-                continue
-            c_el = FieldElement(field, c_code)
-            l_tab, d_tab = {}, {}
-            for text in plist:
-                prime = by_text[text]
-                chain = CarlitzChain(ModReducer(prime ** (cap + 1)))
-                l_tab[text] = _capped_valuation(
-                    chain.perturbation("L_minus_c", d, c_el), prime, cap)
-                d_tab[text] = _capped_valuation(
-                    chain.perturbation("D_plus_sign_c", d, c_el), prime, cap)
-            tables["L_minus_c"][c_code] = l_tab
-            tables["D_plus_sign_c"][c_code] = d_tab
-        if p > 2:
-            for text in wilson:
-                prime = by_text[text]
-                # the derivative of a residue mod P^(cap+2) pins the
-                # derivative of L itself mod P^(cap+1)
-                chain = CarlitzChain(ModReducer(prime ** (cap + 2)))
-                ws = -derivative_mod(chain.L(d - 1), prime, cap + 1)
-                tables["wilson_sum"][text] = _capped_valuation(ws, prime, cap)
-    t2 = time.perf_counter()
+        if "wilson_sum" in row:
+            tables["wilson_sum"][text] = row["wilson_sum"]
+        for kind in ("L_minus_c", "D_plus_sign_c"):
+            if kind in row:
+                tables[kind].setdefault(row["special_c"], {})[text] = row[kind]
 
     record = SurveyRecord(
         field_descriptor=descriptor,
@@ -321,10 +322,10 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
         wilson_primes=wilson,
         special_primes=special,
         multiplicities=tables,
-        multiplicity_cap=cap,
+        multiplicity_cap=p + 2,
         suite_agreement=True,
         def_skipped=skip_def,
-        timing={"sweep_s": t1 - t0, "tables_s": t2 - t1, "total_s": t2 - t0},
+        timing={"total_s": time.perf_counter() - t0},
     )
     record.validate(field)
     return record
@@ -387,16 +388,10 @@ def perturbation_divisor_scan(field: Field, d: int, targets):
     n = 0
     for ctx in iter_monic_irreducibles(field, d):
         n += 1
-        prime = ctx.prime
-        chain = CarlitzChain(ModReducer(prime))
-        big = None
         for kind, c in targets:
-            if not chain.perturbation(kind, d, c).is_zero:
-                continue
-            if big is None:
-                big = CarlitzChain(ModReducer(prime ** (cap + 1)))
-            divisors[(kind, c.code)][str(prime)] = _capped_valuation(
-                big.perturbation(kind, d, c), prime, cap)
+            if ctx.chain(1).perturbation(kind, d, c).is_zero:
+                val = _perturbation_valuation(ctx, kind, d, c, cap)
+                divisors[(kind, c.code)][str(ctx.prime)] = val
     return {"prime_count": n, "divisors": divisors}
 
 
@@ -434,15 +429,8 @@ def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
     ws = cache.wilson_sum_poly(d)
     fac = factorize(ws, seed=seed)
 
-    wilson = set()
-    for ctx in iter_monic_irreducibles(field, d):
-        wil = ctx.prime.derivative().derivative().is_zero
-        if wil != coefficient_characterization(ctx.prime):
-            raise EquivalenceViolation(
-                f"Wilson routes disagree at {ctx.prime}"
-            )
-        if wil:
-            wilson.add(str(ctx.prime))
+    wilson = {str(ctx.prime) for ctx in iter_monic_irreducibles(field, d)
+              if _wilson_by_pattern(ctx.prime)}
 
     degree_d = {str(base): mult for base, mult in fac.factors
                 if base.degree == d}
@@ -633,7 +621,7 @@ def _prime_chains(field, e, chains_by_degree):
     """(prime, CarlitzChain mod prime) for the degree-e primes, built on
     first request and kept, so each chain extends across all d."""
     if e not in chains_by_degree:
-        chains_by_degree[e] = [(ctx.prime, CarlitzChain(ModReducer(ctx.prime)))
+        chains_by_degree[e] = [(ctx.prime, ctx.chain(1))
                                for ctx in iter_monic_irreducibles(field, e)]
     return chains_by_degree[e]
 

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from fqwilson.gf import default_modulus, make_extension, make_prime_field
+from fqwilson.poly import ModReducer
 from fqwilson.survey import survey_degree, theorem5_report, theorem7_report
 
 try:
@@ -13,6 +14,24 @@ else:
     # a fixed example sequence, so a property failure reproduces on rerun
     settings.register_profile("fqwilson", derandomize=True, deadline=None)
     settings.load_profile("fqwilson")
+
+
+@pytest.fixture
+def built_moduli(monkeypatch):
+    """Start recording the codes of every modulus a ModReducer is built
+    for; the call returns the list it appends to."""
+    def start():
+        built = []
+        real = ModReducer.__init__
+
+        def init(self, modulus):
+            built.append(modulus.codes)
+            real(self, modulus)
+
+        monkeypatch.setattr(ModReducer, "__init__", init)
+        return built
+
+    return start
 
 
 @pytest.fixture(scope="session")

@@ -226,7 +226,7 @@ def test_criterion_10_oracle_equivalences(capfd):
                     mod = prime ** k
                     red = ModReducer(mod)
                     chain = CarlitzChain(red)
-                    if cache.F_mod(d, mod) != divrem(cache.F(d), mod)[1]:
+                    if chain.F(d) != divrem(cache.F(d), mod)[1]:
                         ok = False
                     if chain.L(d) != red.reduce(cache.L(d)):
                         ok = False

@@ -78,7 +78,7 @@ def test_f_mod_matches_exact_reduction():
         for d in range(1, dmax + 1):
             for mtext in ("t^3+t+1", "t^2+1", "t^4+t^2+t+1"):
                 m = parse_poly(mtext, field)
-                assert cache.F_mod(d, m) == divrem(cache.F(d), m)[1]
+                assert CarlitzChain(ModReducer(m)).F(d) == divrem(cache.F(d), m)[1]
 
 
 def test_f_is_minus_one_mod_every_prime():
@@ -89,7 +89,8 @@ def test_f_is_minus_one_mod_every_prime():
         for d in range(1, dmax + 1):
             minus_one = -Poly.one(field)
             for ctx in iter_monic_irreducibles(field, d):
-                assert cache.F_mod(d, ctx.prime) == minus_one, str(ctx.prime)
+                assert CarlitzChain(ModReducer(ctx.prime)).F(d) == minus_one, \
+                    str(ctx.prime)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -127,6 +128,41 @@ def test_chain_matches_exact_reductions(q):
             assert chain.T(m) == divrem(alt[m], modulus)[1], where
             if m <= f_max:
                 assert chain.F(m) == divrem(cache.F(m), modulus)[1], where
+
+
+def test_context_chain_matches_fresh_chain_and_exact_values():
+    # ctx.chain(m) shares its reducer with ctx.frobenius(m); neither
+    # the sharing nor the order of first use may change a value
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fields = [field_of(q) for q in (2, 3, 5, 4)]
+    caches = {field: CarlitzCache(field) for field in fields}
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from(fields), st.integers(1, 3), st.integers(0, 99),
+               st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def check(field, degree, pick, m, n, frobenius_first):
+        primes = list(iter_monic_irreducibles(field, degree))
+        ctx = primes[pick % len(primes)]
+        if frobenius_first:
+            ctx.frobenius(m)
+        chain = ctx.chain(m)
+        assert ctx.chain(m) is chain and ctx.frobenius(m)[0] is chain.red
+        modulus = ctx.prime ** m
+        fresh = CarlitzChain(ModReducer(modulus))
+        cache = caches[field]
+        one = Poly.one(field)
+        alt = one  # T_n = 1 - [n] T_(n-1), formed exactly
+        for k in range(1, n + 1):
+            alt = one - cache.bracket(k) * alt
+        exact = {"bracket": cache.bracket(n), "L": cache.L(n),
+                 "D": cache.D(n), "T": alt, "F": cache.F(n)}
+        for name, value in exact.items():
+            got = getattr(chain, name)(n)
+            assert got == getattr(fresh, name)(n), name
+            assert got == divrem(value, modulus)[1], name
+
+    check()
 
 
 def test_chain_rejects_bad_indices():

@@ -7,7 +7,10 @@ import pytest
 
 import fqwilson
 from fqwilson import cli
+from fqwilson.carlitz import CarlitzCache
 from fqwilson.cli import main
+from fqwilson.gf import parse_field
+from fqwilson.poly import divrem, parse_poly
 from fqwilson.survey import resume
 
 
@@ -37,6 +40,35 @@ def test_carlitz_bracket(capsys):
     out, _ = run(capsys, ["carlitz", "compute", "--field", "2",
                           "--what", "bracket", "--n", "1"])
     assert out == "degree 2\nt^2+t\n"
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_carlitz_mod_matches_exact_then_divrem(capsys, q):
+    # a monic, a non-monic and a constant modulus; every --what reduces
+    # to what the exact value leaves under divrem
+    field = parse_field(str(q))
+    cache = CarlitzCache(field)
+    exact = {"bracket": cache.bracket, "L": cache.L, "D": cache.D,
+             "F": cache.F, "wilson-sum": cache.wilson_sum_poly}
+    for kind in ("L_minus_c", "D_plus_sign_c"):
+        exact[kind] = lambda n, kind=kind: cache.perturbation(kind, n, 1)
+    for mod in ("t^2+1", "2*t^2+1", "2"):
+        modulus = parse_poly(mod, field)
+        for n in range(1, 5):
+            for what, value in exact.items():
+                argv = ["carlitz", "compute", "--field", str(q), "--n", str(n),
+                        "--mod", mod]
+                if what in ("L_minus_c", "D_plus_sign_c"):
+                    argv += ["--what", "perturbation", "--kind", what, "--c", "1"]
+                else:
+                    argv += ["--what", what]
+                want = divrem(value(n), modulus)[1]
+                out, _ = run(capsys, argv)
+                assert out == f"degree {want.degree}\n{want}\n", " ".join(argv)
+    # [14] is beyond the degree guard, its residues are not
+    out, _ = run(capsys, ["carlitz", "compute", "--field", "3", "--what", "L",
+                          "--n", "14", "--mod", "t^2+1"])
+    assert out == "degree -inf\n0\n"  # t^2+1 divides [2]
 
 
 def test_check_wilson_all_conditions(capsys):

@@ -97,6 +97,8 @@ def test_wilson_char2_definition_only():
         assert suite.holds is expect
         assert suite.marker == "definition-only"
         assert len(suite.skipped) == len(WILSON_LABELS) - 1
+        # the definition's chain mod P^2 needs no T = t^(2^d) mod P^2
+        assert ctx._frobenius == {}
 
 
 def test_wilson_skip_def():
@@ -150,6 +152,20 @@ def test_wilson_suite_computes_each_shared_quantity_once(monkeypatch, field, tex
     assert calls.count(("fermat_quotient_mod", Poly.t(field), 2)) == 1
     assert calls.count(("fermat_quotient_mod", prime.derivative(), 1)) == 1
     assert sum(name == "delta" and a == prime for name, a, _ in calls) == 1
+
+
+@pytest.mark.parametrize("descriptor,text", [
+    ("2", "t^3+t+1"), ("3", "t^3+2*t+2"), ("3", "t^3+t^2+2"),
+    ("5", "t^4+t^2+2"), ("4", "t^2+t+2"),
+])
+def test_suites_build_each_modulus_once(built_moduli, descriptor, text):
+    # the suites and the multiplicity share one reducer per power of P
+    ctx = PrimeContext.for_prime(parse_poly(text, parse_field(descriptor)))
+    built = built_moduli()
+    wieferich_suite(ctx, ctx.prime.derivative() + Poly.t(ctx.prime.field))
+    wilson_suite(ctx)
+    wilson_multiplicity(ctx)
+    assert built and len(built) == len(set(built))
 
 
 WILSON_COUNTS_Q3 = {1: 3, 2: 0, 3: 2, 4: 6, 5: 0, 6: 15}

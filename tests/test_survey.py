@@ -140,12 +140,15 @@ def test_survey_jobs_capped_at_cpu_count(monkeypatch):
 
 def test_survey_chunks_through_a_real_pool(monkeypatch):
     # one worker whatever os.cpu_count() says, so _survey_chunk, its
-    # arguments and its rows cross a real process boundary on any machine
+    # arguments and its rows cross a real process boundary on any
+    # machine; at degree 6 over F_3 the chunks fill the special-prime
+    # and the wilson_sum tables
     with ProcessPoolExecutor(max_workers=1) as pool:
-        futures = [pool.submit(survey._survey_chunk, "3", 4, lo, lo + 27, True, False)
-                   for lo in (0, 27, 54)]
+        futures = [pool.submit(survey._survey_chunk, "3", 6, lo, lo + 243,
+                               False, False, True)
+                   for lo in (0, 243, 486)]
         pooled = [row for fut in futures for row in fut.result(timeout=120)]
-    assert pooled == survey._survey_chunk("3", 4, 0, 81, True, False)
+    assert pooled == survey._survey_chunk("3", 6, 0, 729, False, False, True)
 
     pools = []
 
@@ -153,12 +156,43 @@ def test_survey_chunks_through_a_real_pool(monkeypatch):
         pools.append(max_workers)
         return ProcessPoolExecutor(max_workers=1)
 
-    want = canonical_json(survey_degree(F3, 4, full_suites=True).to_json())
+    want = survey_degree(F3, 6, full_suites=True)
+    assert all(want.multiplicities[kind] for kind in
+               ("L_minus_c", "D_plus_sign_c", "wilson_sum"))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", one_worker)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
-    got = survey_degree(F3, 4, jobs=2, full_suites=True)
-    assert canonical_json(got.to_json()) == want
+    got = survey_degree(F3, 6, jobs=2, full_suites=True)
+    assert canonical_json(got.to_json()) == canonical_json(want.to_json())
     assert pools == [2]
+
+
+@pytest.mark.parametrize("descriptor,d,full_suites", [
+    ("3", 3, False), ("3", 3, True), ("2", 4, False),
+])
+def test_survey_chunk_builds_each_modulus_once_per_prime(
+        monkeypatch, built_moduli, descriptor, d, full_suites):
+    # a prime's work starts once its context is yielded; the Rabin
+    # tests before it build reducers of their own
+    built = built_moduli()
+    real = survey.iter_monic_irreducibles
+
+    def contexts(*args):
+        for ctx in real(*args):
+            built.clear()
+            yield ctx
+
+    monkeypatch.setattr(survey, "iter_monic_irreducibles", contexts)
+    field = parse_field(descriptor)
+    kinds = set()
+    for index in range(field.order ** d):
+        rows = survey._survey_chunk(descriptor, d, index, index + 1,
+                                    full_suites, False, True)
+        if rows:
+            kinds.update(rows[0])
+            assert built and len(built) == len(set(built)), rows
+    # the L/D tables and, for p > 2, the wilson_sum table ran
+    assert {"L_minus_c", "D_plus_sign_c"} <= kinds
+    assert ("wilson_sum" in kinds) == (field.char > 2)
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
