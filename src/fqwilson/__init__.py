@@ -7,7 +7,11 @@ and their perturbations (carlitz), three arithmetic derivatives
 (deriv), the equivalent congruence conditions defining Wieferich and
 Wilson primes (congruence), degree surveys and reports (survey), the
 recorded examples (recorded), and a command line front end (cli).
+canonical_json lives here, where every command that prints JSON has
+already loaded it.
 """
+
+import json
 
 from .errors import FqwilsonError
 from .gf import (
@@ -23,6 +27,12 @@ from .poly import Poly, format_poly, parse_poly
 
 __version__ = "0.1.0"
 
+
+def canonical_json(obj) -> str:
+    """The one JSON shape used everywhere bytes must be reproducible."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 __all__ = [
     "Field",
     "FieldElement",
@@ -30,6 +40,7 @@ __all__ = [
     "Poly",
     "PrimeContext",
     "__version__",
+    "canonical_json",
     "count_irreducibles",
     "default_modulus",
     "format_poly",

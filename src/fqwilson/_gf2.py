@@ -11,10 +11,11 @@ Multiplication uses carry-less shift-xor for small operands and a
 Kronecker-style substitution into 16-bit lanes for large ones, riding
 on CPython's subquadratic big-int multiply; the lanes are spread and
 read back with bytes slicing and translate.  Squaring interleaves zero
-bits by joining one 2-byte chunk per byte.
+bits by reading the base-2 text as base 4.
 
-One-shot divisions (gcd) are shift-xor long division (mod_), which
-stays as the oracle; residues mod a fixed modulus are TableReducer's.
+One-shot divisions are shift-xor long division (mod_, divmod_); gcd
+runs the same remainder loop inline, and mod_ stays as its oracle.
+Residues mod a fixed modulus are TableReducer's.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 # a 16-bit product lane's low byte -> ASCII digit of its parity
 _LANE_PARITY = bytes(b"01"[b & 1] for b in range(256))
-# byte -> its squared spread (bit i -> bit 2i) as 2 little-endian bytes
-_SQR = [sum(1 << 2 * i for i in range(8) if b >> i & 1).to_bytes(2, "little")
-        for b in range(256)]
 
 
 def pack(codes) -> int:
@@ -102,9 +100,9 @@ def _lane_mul(a: int, b: int) -> int:
 
 
 def sqr(f: int) -> int:
-    """f(t)^2 = f(t^2): interleave zero bits."""
-    raw = f.to_bytes((f.bit_length() + 7) // 8, "little")
-    return int.from_bytes(b"".join(map(_SQR.__getitem__, raw)), "little")
+    """f(t)^2 = f(t^2): interleave zero bits, as base-2 digit i read in
+    base 4 is bit 2i (base 4 is exempt from the int/str digit limit)."""
+    return int(format(f, "b"), 4)
 
 
 def sub(a: int, b: int) -> int:
@@ -200,6 +198,13 @@ class TableReducer:
 
 
 def gcd(a: int, b: int) -> int:
+    """The greatest common divisor (zero when both are zero): Euclid
+    with mod_'s shift-xor loop inline."""
     while b:
-        a, b = b, mod_(a, b)
+        db = b.bit_length()
+        la = a.bit_length()
+        while la >= db:
+            a ^= b << (la - db)
+            la = a.bit_length()
+        a, b = b, a
     return a

@@ -28,8 +28,8 @@ operand; it is reduced mod 3 by translating its bytes, since
 
 Division is shift-subtract long division (mod_, divmod_): each step
 adds the divisor or its negation, shifted under the dividend's leading
-term; it serves gcd and one-shot divisions and is the oracle.  Residues
-mod a fixed modulus are Reducer's.
+term; it serves one-shot divisions, gcd runs the same loop inline, and
+mod_ stays as its oracle.  Residues mod a fixed modulus are Reducer's.
 `benchmarks/mul_threshold.py --gf3` sets _SHIFT_ADD_MAX_LEN and
 _BARRETT_MIN_DEG and times the Frobenius step against spreading then
 reducing, and against a squaring and a product.
@@ -244,12 +244,34 @@ def mod_(a, b):
 
 
 def gcd(a, b):
-    """The monic greatest common divisor (zero when both are zero)."""
-    while b[0] or b[1]:
-        a, b = b, mod_(a, b)
-    if a[1].bit_length() > a[0].bit_length():
-        return neg(a)  # leading coefficient 2
-    return a
+    """The monic greatest common divisor (zero when both are zero):
+    Euclid with mod_'s loop inline, each divisor made monic first so
+    the leading coefficient of the dividend alone picks the step."""
+    a1, a2 = a
+    b1, b2 = b
+    while b1 or b2:
+        l1, l2 = b1.bit_length(), b2.bit_length()
+        if l2 > l1:  # leading coefficient 2: divide by -b instead
+            b1, b2, l1 = b2, b1, l2
+        db = l1
+        while True:
+            l1, l2 = a1.bit_length(), a2.bit_length()
+            if l1 > l2:  # lead(a) = 1: add -b t^s
+                s = l1 - db
+                if s < 0:
+                    break
+                y1, y2 = b2 << s, b1 << s
+            else:  # lead(a) = 2, or a = 0: add b t^s
+                s = l2 - db
+                if s < 0:
+                    break
+                y1, y2 = b1 << s, b2 << s
+            t = (a1 | y2) ^ (a2 | y1)
+            a1, a2 = (a2 | y2) ^ t, (a1 | y1) ^ t
+        a1, a2, b1, b2 = b1, b2, a1, a2
+    if a2.bit_length() > a1.bit_length():
+        return a2, a1  # leading coefficient 2
+    return a1, a2
 
 
 def _spread(x: int) -> int:

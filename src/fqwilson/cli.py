@@ -25,9 +25,7 @@ import argparse
 import os
 import sys
 
-from . import __version__
-from .carlitz import CarlitzCache, CarlitzChain
-from .congruence import classify_base, wieferich_suite, wilson_suite
+from . import __version__, canonical_json
 from .errors import (
     EquivalenceViolation,
     FqwilsonError,
@@ -39,21 +37,10 @@ from .gf import parse_field
 from .irr import PrimeContext, count_irreducibles, iter_monic_irreducibles
 from .irr import is_irreducible  # noqa: F401  (perfbench/tests looks it up here)
 from .poly import ModReducer, divrem, parse_poly
-from .survey import (
-    alt_gcd_conjecture_scan,
-    borisov_scan,
-    canonical_json,
-    jsonl_document,
-    persist,
-    perturbation_divisor_scan,
-    record_key,
-    resume,
-    skips_definition,
-    special_primes_by_form,
-    survey_degree,
-    theorem5_report,
-    theorem7_report,
-)
+
+# The survey, Carlitz and congruence layers (and deriv, which congruence
+# pulls in) are imported inside the commands that run them, so factor
+# and primes list never compile them.
 
 
 def _resolve_seed(args) -> int:
@@ -104,6 +91,8 @@ def cmd_primes_list(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .congruence import wieferich_suite, wilson_suite
+
     field = parse_field(args.field)
     prime = parse_poly(args.prime, field)
     ctx = PrimeContext.for_prime(prime)
@@ -128,6 +117,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify_base(args) -> int:
+    from .congruence import classify_base
+
     field = parse_field(args.field)
     base = parse_poly(args.base, field)
     cls = classify_base(base)
@@ -141,6 +132,8 @@ def cmd_classify_base(args) -> int:
 
 
 def cmd_carlitz(args) -> int:
+    from .carlitz import CarlitzCache, CarlitzChain
+
     field = parse_field(args.field)
     what, n = args.what, args.n
     modulus = parse_poly(args.mod, field) if args.mod is not None else None
@@ -190,6 +183,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from .survey import (jsonl_document, persist, record_key, resume,
+                         skips_definition, survey_degree)
+
     field = parse_field(args.field)
     seed = _resolve_seed(args)
     rec = None
@@ -251,6 +247,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_theorem5(args) -> int:
+    from .survey import theorem5_report
+
     field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
     _emit(args, rep.to_json(), () if args.json else _theorem5_lines(rep))
@@ -270,6 +268,8 @@ def _theorem5_lines(rep):
 
 
 def cmd_theorem7(args) -> int:
+    from .survey import theorem7_report
+
     field = parse_field(args.field)
     rep = theorem7_report(
         field,
@@ -306,6 +306,8 @@ def _theorem7_lines(rep):
 
 
 def cmd_scan(args) -> int:
+    from .survey import alt_gcd_conjecture_scan, borisov_scan
+
     field = parse_field(args.field)
     if args.kind == "borisov":
         findings = borisov_scan(field, args.max_degree)
@@ -332,6 +334,9 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import recorded  # imported here: most commands never read it
+    from .carlitz import CarlitzCache
+    from .survey import (perturbation_divisor_scan, special_primes_by_form,
+                         survey_degree, theorem5_report, theorem7_report)
 
     seed = _resolve_seed(args)
     v = recorded.Verifier()

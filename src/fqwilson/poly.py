@@ -21,7 +21,9 @@ Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _gf2.pack/_gf2.unpack; addition is one XOR of packed
 ints and negation is the identity.  Over F_3 it likewise keeps its
 tuple form, and divrem and gcd cross into _gf3's planes (the positions
-of the 1s and of the 2s) through _gf3.pack/_gf3.unpack.
+of the 1s and of the 2s) through _gf3.pack/_gf3.unpack; _gf3 is
+imported at the first F_3 division, gcd or residue ring, so other
+fields never compile it.
 
 Over odd prime fields addition and negation reduce each coefficient
 inline, and the other hot kernels also work on plain int lists and
@@ -46,7 +48,7 @@ import sys
 import time
 from array import array
 
-from . import _gf2, _gf3
+from . import _gf2
 from .errors import (
     BoundExceeded,
     CoefficientsNotInFixedField,
@@ -88,6 +90,15 @@ _KRON_LANES = sorted({array(tc).itemsize: tc for tc in "QLIHB"}.items())
 _BIG_ENDIAN = sys.byteorder == "big"
 
 _MOD_TABLES = {}  # p -> the bytes.translate table of b -> b mod p
+_gf3 = None  # the F_3 plane kernels, set by _load_gf3 at their first use
+
+
+def _load_gf3():
+    global _gf3
+    from . import _gf3 as planes
+
+    _gf3 = planes
+    return planes
 
 
 class Poly:
@@ -413,8 +424,9 @@ def divrem(a: Poly, b: Poly):
             q, r = _gf2.divmod_(_gf2.pack(a.codes), _gf2.pack(b.codes))
             return Poly(field, _gf2.unpack(q)), Poly(field, _gf2.unpack(r))
         if field.char == 3:
-            q, r = _gf3.divmod_(_gf3.pack(a.codes), _gf3.pack(b.codes))
-            return Poly(field, _gf3.unpack(q)), Poly(field, _gf3.unpack(r))
+            planes = _gf3 or _load_gf3()
+            q, r = planes.divmod_(planes.pack(a.codes), planes.pack(b.codes))
+            return Poly(field, planes.unpack(q)), Poly(field, planes.unpack(r))
         q, r = _divrem_prime(a.codes, b.codes, field.char)
     else:
         q, r = _divrem_field(a.codes, b.codes, field)
@@ -483,8 +495,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
         g = _gf2.gcd(_gf2.pack(a.codes), _gf2.pack(b.codes))
         return Poly(field, _gf2.unpack(g))
     if field.is_prime_field and field.char == 3:
-        g = _gf3.gcd(_gf3.pack(a.codes), _gf3.pack(b.codes))
-        return Poly(field, _gf3.unpack(g))
+        planes = _gf3 or _load_gf3()
+        g = planes.gcd(planes.pack(a.codes), planes.pack(b.codes))
+        return Poly(field, planes.unpack(g))
     while not b.is_zero:
         a, b = b, divrem(a, b)[1]
     if a.is_zero:
@@ -792,7 +805,8 @@ def _residue_ring(modulus: Poly):
     if field.order == 2:
         return _gf2.TableReducer(_gf2.pack(modulus.codes))
     if field.order == 3:
-        return _gf3.Reducer(_gf3.pack(modulus.codes))
+        planes = _gf3 or _load_gf3()
+        return planes.Reducer(planes.pack(modulus.codes))
     if field.is_prime_field and field.order < 256:
         return _KronRing(modulus)
     return _SchoolRing(modulus)

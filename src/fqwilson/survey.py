@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import __version__
+from . import __version__, canonical_json
 from .carlitz import CarlitzCache
 from .congruence import (
     _capped_valuation,
@@ -33,7 +33,6 @@ from .errors import (
     TheoremViolation,
     ZeroC,
 )
-from .factor import factorize, trial_division
 from .gf import Field, FieldElement, parse_field
 from .irr import (
     PrimeContext,
@@ -45,11 +44,6 @@ from .irr import (
 from .poly import Poly
 
 SCHEMA = "fqwilson.survey/1"
-
-
-def canonical_json(obj) -> str:
-    """The one JSON shape used everywhere bytes must be reproducible."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # -- survey records ----------------------------------------------------
@@ -420,6 +414,8 @@ class Theorem5Report:
 def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
     """Factor the Wilson sum polynomial and match its degree-d primes
     against the Wilson primes of degree d, multiplicity at least p-2."""
+    from .factor import factorize  # a survey never factors
+
     p = field.char
     if p == 2:
         raise ValueError("the Wilson-sum factorization statement needs p > 2")
@@ -531,6 +527,8 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
     questions for both sides by residue scans over the enumerated
     primes, leaving the large cofactors untouched.
     """
+    from .factor import factorize, trial_division  # a survey never factors
+
     if d < 2:
         raise ValueError("degree must be at least 2")
     c = c if isinstance(c, FieldElement) else field(c)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import fqwilson
-from fqwilson import cli
+from fqwilson import survey as survey_module
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.cli import main
 from fqwilson.gf import parse_field
@@ -214,6 +214,31 @@ def test_import_leaves_recorded_unloaded():
     assert proc.stdout == "False\n"
 
 
+# the layers that factor and primes list never run
+_UNUSED_BY_FACTOR = ("survey", "carlitz", "congruence", "deriv", "recorded")
+
+
+@pytest.mark.parametrize("run_argv", [
+    None,
+    ["factor", "--field", "2", "--poly", "t^5+t^2+1", "--json"],
+    ["primes", "list", "--field", "3", "--degree", "2"],
+], ids=["import", "factor", "primes-list"])
+def test_factor_and_primes_leave_other_layers_unloaded(run_argv):
+    # start-up compiles only what factor and primes list run; the other
+    # layers load inside the commands that use them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    code = "import sys, fqwilson.cli\n"
+    if run_argv is not None:
+        code += f"assert fqwilson.cli.main({run_argv!r}) == 0\n"
+    code += (f"print(sorted(m for m in {_UNUSED_BY_FACTOR!r} "
+             f"if 'fqwilson.' + m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_primes_list_nonpositive_degree_exits_2(degree):
     proc = _cli_process("primes", "list", "--field", "3", "--degree", degree)
@@ -354,7 +379,7 @@ def test_survey_append_and_seed_mismatch(capsys, tmp_path, monkeypatch):
     def no_recompute(*args, **kwargs):
         raise AssertionError("survey recomputed a stored record")
 
-    monkeypatch.setattr(cli, "survey_degree", no_recompute)
+    monkeypatch.setattr(survey_module, "survey_degree", no_recompute)
     again, _ = run(capsys, argv)
     assert again == first
     lines = path.read_text().splitlines()
@@ -436,9 +461,9 @@ def test_verify_q3d6_and_q2d14(capsys, monkeypatch, q3d6_record, q2d14_record,
         assert (field.descriptor(), d, mode, seed) == ("3", 6, "full", 0)
         return q3d6_perturbations[0][c]
 
-    monkeypatch.setattr(cli, "survey_degree", survey)
-    monkeypatch.setattr(cli, "theorem5_report", theorem5)
-    monkeypatch.setattr(cli, "theorem7_report", theorem7)
+    monkeypatch.setattr(survey_module, "survey_degree", survey)
+    monkeypatch.setattr(survey_module, "theorem5_report", theorem5)
+    monkeypatch.setattr(survey_module, "theorem7_report", theorem7)
     out, _ = run(capsys, ["verify", "paper", "--case", "q3d6"])
     assert out == (
         "case q3d6\n"

@@ -849,6 +849,34 @@ def test_gf2_sqr_matches_mul():
     assert _gf2.sqr(_gf2.pack(codes)) == _gf2.pack(square)
 
 
+def _gf2_euclid(a, b):
+    """gcd by Euclid over _gf2.mod_, the oracle of gcd's inline loop."""
+    while b:
+        a, b = b, _gf2.mod_(a, b)
+    return a
+
+
+def test_gf2_gcd_matches_euclid_over_mod_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # 0 is the zero polynomial; 600 bits crosses the lane cutover
+    packed = st.integers(0, (1 << 600) - 1)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(packed, packed, st.integers(1, (1 << 40) - 1))
+    def check(a, b, h):
+        assert _gf2.gcd(a, b) == _gf2_euclid(a, b)
+        assert _gf2.gcd(a, 0) == _gf2.gcd(0, a) == a
+        # a common factor h divides the gcd
+        ah, bh = _gf2.mul(a, h), _gf2.mul(b, h)
+        g = _gf2.gcd(ah, bh)
+        assert g == _gf2_euclid(ah, bh)
+        assert _gf2.mod_(g, h) == 0
+
+    check()
+    assert _gf2.gcd(0, 0) == 0
+
+
 def test_gf2_lane_mul_matches_shift_xor_at_edges():
     rng = random.Random(47)
     cut = _gf2._MUL_LANE_CUTOVER
@@ -1029,6 +1057,41 @@ def test_gf3_divmod_and_gcd_match_tuple_oracles_property():
     assert _gf3.gcd(_gf3.ZERO, _gf3.ZERO) == _gf3.ZERO
     with pytest.raises(ZeroDivisionError):
         _gf3.divmod_(_gf3.pack((1, 2)), _gf3.ZERO)
+
+
+def _gf3_euclid(a, b):
+    """Monic gcd by Euclid over _gf3.mod_, the oracle of gcd's inline
+    loop."""
+    while b[0] or b[1]:
+        a, b = b, _gf3.mod_(a, b)
+    return _gf3.neg(a) if a[1].bit_length() > a[0].bit_length() else a
+
+
+def test_gf3_gcd_matches_euclid_over_mod_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(_f3_codes(st, max_size=200), _f3_codes(st, max_size=120),
+               _f3_nonzero(st, max_size=30), st.booleans(), st.booleans())
+    def check(a, b, h, neg_a, neg_b):
+        pa, pb, ph = _gf3.pack(a), _gf3.pack(b), _gf3.pack(h)
+        # negating flips the leading coefficient between 1 and 2
+        pa = _gf3.neg(pa) if neg_a else pa
+        pb = _gf3.neg(pb) if neg_b else pb
+        assert _gf3.gcd(pa, pb) == _gf3_euclid(pa, pb)
+        assert _gf3.gcd(pa, _gf3.ZERO) == _gf3.gcd(_gf3.ZERO, pa) == \
+            _gf3_euclid(pa, _gf3.ZERO)
+        # a common factor h divides the gcd
+        ah, bh = _gf3.mul(pa, ph), _gf3.mul(pb, ph)
+        g = _gf3.gcd(ah, bh)
+        assert g == _gf3_euclid(ah, bh)
+        assert _gf3.mod_(g, ph) == _gf3.ZERO
+
+    check()
+    assert _gf3.gcd(_gf3.ZERO, _gf3.ZERO) == _gf3.ZERO
+    two = _gf3.pack((0, 0, 2))  # 2t^2, leading coefficient 2
+    assert _gf3.gcd(two, _gf3.ZERO) == _gf3.gcd(_gf3.ZERO, two) == _gf3.pack((0, 0, 1))
 
 
 def test_gf3_reducer_matches_divrem_property():
