@@ -115,10 +115,6 @@ def sub(a, b):
     return (a2 | b1) ^ t, (a1 | b2) ^ t
 
 
-def neg(a):
-    return a[1], a[0]
-
-
 def mul(a, b):
     """The product of two F_3 polynomials: shifts and adds of the longer
     operand while the shorter has at most _SHIFT_ADD_MAX_LEN

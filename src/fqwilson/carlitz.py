@@ -10,14 +10,15 @@ modulo the square of the prime rather than just the prime.
 CarlitzCache holds the exact quantities.  CarlitzChain holds the same
 quantities reduced by one ModReducer, as its residues (packed over F_2
 and F_3): a single Frobenius chain x -> x^q, the reducer's frobenius,
-yields the brackets, and L, D, the alternating sums
-T_m = 1 - [m] T_(m-1) and F_d = +-(D_0 ... D_(d-1))^(q-1) are folds
-over it, each extended lazily and at most once per index and turned
-into a Poly only when read.  Every residue check in the package (the
-definition of Wilson primes, the multiplicities, the survey tables, the
-gcd scans) goes through the chain that irr.PrimeContext.chain keeps
-per power of the prime, so giant numerators are never formed when only
-a residue is needed; `carlitz compute --mod` builds its own chain.
+yields the brackets, and L, D and the alternating sums
+T_m = 1 - [m] T_(m-1) are folds over it, each extended lazily and at
+most once per index and turned into a Poly only when read;
+F_d = +-(D_0 ... D_(d-1))^(q-1) is one power of their product.  Every
+residue check in the package (the definition of Wilson primes, the
+multiplicities, the survey tables, the gcd scans) goes through the
+chain that irr.PrimeContext.chain keeps per power of the prime, so
+giant numerators are never formed when only a residue is needed;
+`carlitz compute --mod` builds its own chain.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ class CarlitzChain:
     """The Carlitz quantities reduced by a fixed ModReducer.
 
     One Frobenius chain x_m = t^(q^m) mod the modulus gives the
-    brackets [m] = x_m - x_0.  L_m = [m] L_(m-1), D_m = [m] D_(m-1)^q,
-    the alternating sums T_m = 1 - [m] T_(m-1) and the products
-    (D_0 ... D_(d-1))^(q-1) behind F_d are folds over the brackets.
+    brackets [m] = x_m - x_0.  L_m = [m] L_(m-1), D_m = [m] D_(m-1)^q
+    and the alternating sums T_m = 1 - [m] T_(m-1) are folds over the
+    brackets; F_d raises the product D_0 ... D_(d-1) to q-1 once.
     Each sequence is extended on first demand and kept, so a caller
     pays only for the quantities and indices it asks for, and asking
     again for a larger index continues where the chain stopped.  The
@@ -142,7 +143,6 @@ class CarlitzChain:
         self._L = [one]
         self._D = [one]
         self._T = [one]
-        self._F = [one]  # (D_0 ... D_(d-1))^(q-1) at index d, unsigned
 
     @staticmethod
     def _extend(seq: list, m: int, step):
@@ -187,10 +187,13 @@ class CarlitzChain:
 
     def F(self, d: int) -> Poly:
         """F_d = (-1)^d D_d / L_d = +-(D_0 ... D_(d-1))^(q-1), reduced."""
-        seq, red, q = self._F, self.red, self.field.order
-        out = red.leave(self._extend(
-            seq, d,
-            lambda n: red.mul(seq[n - 1], red.pow(self._D_residue(n - 1), q - 1))))
+        if d < 0:
+            raise ValueError(f"chain index {d} is negative")
+        red = self.red
+        prod = self._D_residue(0)
+        for n in range(1, d):
+            prod = red.mul(prod, self._D_residue(n))
+        out = red.leave(red.pow(prod, self.field.order - 1))
         if d % 2 and self.field.char != 2:
             out = -out
         return out

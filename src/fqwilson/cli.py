@@ -251,19 +251,21 @@ def cmd_theorem5(args) -> int:
 
     field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
-    _emit(args, rep.to_json(), () if args.json else _theorem5_lines(rep))
+    _emit(args, rep, () if args.json else _theorem5_lines(rep))
     return 0
 
 
 def _theorem5_lines(rep):
     from . import recorded  # imported here: most commands never read it
 
+    d = rep["degree"]
     return [
-        f"wilson sum, degree {rep.degree}: polynomial degree {rep.poly_degree}",
-        f"factors: {recorded.degree_multiset(rep.factor_degrees)}",
-        f"degree-{rep.degree} factors = wilson primes "
-        f"({len(rep.wilson_primes)}), multiplicities "
-        + " ".join(f"{t}:{m}" for t, m in sorted(rep.degree_d_multiplicities.items())),
+        f"wilson sum, degree {d}: polynomial degree {rep['poly_degree']}",
+        f"factors: {recorded.degree_multiset(rep['factor_degrees'])}",
+        f"degree-{d} factors = wilson primes "
+        f"({len(rep['wilson_primes'])}), multiplicities "
+        + " ".join(f"{t}:{m}" for t, m in
+                   sorted(rep["degree_d_multiplicities"].items())),
     ]
 
 
@@ -279,29 +281,30 @@ def cmd_theorem7(args) -> int:
         max_degree=args.max_trial_degree,
         seed=_resolve_seed(args),
     )
-    _emit(args, rep.to_json(), () if args.json else _theorem7_lines(rep))
+    _emit(args, rep, () if args.json else _theorem7_lines(rep))
     return 0
 
 
 def _theorem7_lines(rep):
     from . import recorded  # imported here: most commands never read it
 
+    d, special = rep["degree"], rep["special_primes"]
     lines = [
-        f"perturbations at degree {rep.degree}, c={rep.c} ({rep.mode} mode)",
-        f"special primes ({len(rep.special_primes)}): "
-        + (" ".join(rep.special_primes) if rep.special_primes else "-"),
+        f"perturbations at degree {d}, c={rep['c']} ({rep['mode']} mode)",
+        f"special primes ({len(special)}): "
+        + (" ".join(special) if special else "-"),
     ]
-    for side in (rep.L, rep.D):
-        entry = f"{side.kind}: degree {side.poly_degree}, " \
-                f"factors {recorded.degree_multiset(side.factor_degrees) or '-'}"
-        if side.cofactor_degree is not None:
-            entry += f", cofactor degree {side.cofactor_degree}"
+    for side in (rep["L"], rep["D"]):
+        entry = f"{side['kind']}: degree {side['poly_degree']}, " \
+                f"factors {recorded.degree_multiset(side['factor_degrees']) or '-'}"
+        if "cofactor_degree" in side:
+            entry += f", cofactor degree {side['cofactor_degree']}"
         lines.append(entry)
-        lines.append(f"  degree-{rep.degree} multiplicities: "
-                     + (" ".join(f"{t}:{m}" for t, m in
-                                 sorted(side.degree_d_multiplicities.items())) or "-"))
-        if side.note:
-            lines.append(f"  note: {side.note}")
+        mults = sorted(side["degree_d_multiplicities"].items())
+        lines.append(f"  degree-{d} multiplicities: "
+                     + (" ".join(f"{t}:{m}" for t, m in mults) or "-"))
+        if "note" in side:
+            lines.append(f"  note: {side['note']}")
     return lines
 
 

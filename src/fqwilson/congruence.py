@@ -17,7 +17,7 @@ from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
 from .gf import FieldElement
 from .irr import PrimeContext
-from .poly import Poly, divrem, embed, eval_poly
+from .poly import Poly, divrem, embed, eval_poly, pth_root_poly
 
 WIEFERICH_LABELS = ("def", "i", "i'", "ii", "ii'", "iii")
 WILSON_LABELS = (
@@ -200,19 +200,6 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
     return suite
 
 
-def _pth_power_poly(b: Poly) -> Poly:
-    field = b.field
-    p = field.char
-    codes = [0] * (p * b.degree + 1) if not b.is_zero else []
-    for i, c in enumerate(b.codes):
-        codes[p * i] = field.pow(c, p)
-    return Poly(field, codes)
-
-
-def _pth_root_codes(codes, field):
-    return [field.pth_root(c) for c in codes]
-
-
 def classify_base(a: Poly) -> BaseClass:
     """Theorem-2 trichotomy for the base a.
 
@@ -227,14 +214,14 @@ def classify_base(a: Poly) -> BaseClass:
     p = field.char
     idx = [i for i, c in enumerate(a.codes) if c]
     if all(i % p == 0 for i in idx):
-        b = Poly(field, _pth_root_codes(a.codes[::p], field))
-        assert _pth_power_poly(b) == a
+        b = pth_root_poly(a)
+        assert b ** p == a
         return BaseClass(tag="AllPrimesWieferich", witness=b)
     c = a.coeff(1)
     if c and all(i % p == 0 for i in idx if i != 1):
         shifted = a - Poly.monomial(field, 1, c)
-        b = Poly(field, _pth_root_codes(shifted.codes[::p], field))
-        assert _pth_power_poly(b) + Poly.monomial(field, 1, c) == a
+        b = pth_root_poly(shifted)
+        assert b ** p + Poly.monomial(field, 1, c) == a
         return BaseClass(tag="NoWieferichPrimes", witness=b, c=c)
     return BaseClass(tag="Generic")
 

@@ -36,7 +36,6 @@ from .gf import FieldElement
 from .irr import PrimeContext
 from .poly import (
     Poly,
-    divrem,
     embed,
     eval_poly,
     exact_div,
@@ -125,8 +124,9 @@ def delta_at_theta(a: Poly, ctx: PrimeContext, i: int) -> FieldElement:
     return eval_poly(delta(a, ctx, i), ctx.theta)
 
 
-def derivative_mod(a: Poly, prime: Poly, k: int) -> Poly:
-    """(da/dt) mod prime^k computed from a mod prime^(k+1)."""
-    r = divrem(a, prime ** (k + 1))[1]
-    return divrem(r.derivative(), prime ** k)[1]
+def derivative_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:
+    """(da/dt) mod P^k computed from a mod P^(k+1), through the
+    reducers of the context's chains mod P^(k+1) and P^k."""
+    r = ctx.chain(k + 1).red.reduce(a)
+    return ctx.chain(k).red.reduce(r.derivative())
 

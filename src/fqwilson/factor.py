@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import FqwilsonError
 from .gf import FieldElement
 from .irr import is_irreducible
-from .poly import ModReducer, Poly, exact_div, gcd
+from .poly import ModReducer, Poly, exact_div, gcd, pth_root_poly
 
 # Frobenius steps per distinct-degree gcd.  `benchmarks/mul_threshold.py
 # --ddf`, four or five runs on a 2-core Xeon, ms at block sizes 1 / 4 / 16:
@@ -85,13 +85,6 @@ class Factorization:
             out = out * self.cofactor
         return out
 
-    def degrees(self):
-        """Multiset of factor degrees as a sorted tuple, with multiplicity."""
-        out = []
-        for base, mult in self.factors:
-            out.extend([base.degree] * mult)
-        return tuple(sorted(out))
-
     def to_json(self):
         data = {
             "unit": self.unit.code,
@@ -102,20 +95,6 @@ class Factorization:
             data["cofactor_degree"] = self.cofactor.degree
             data["cofactor_irreducible"] = self.cofactor_irreducible
         return data
-
-
-def pth_root_poly(f: Poly) -> Poly:
-    """The g with g^p = f; requires f to be a p-th power."""
-    field = f.field
-    p = field.char
-    root = field.pth_root
-    out = []
-    for i, c in enumerate(f.codes):
-        if i % p == 0:
-            out.append(root(c))
-        elif c:
-            raise FqwilsonError(f"{f} is not a p-th power")
-    return Poly(field, out)
 
 
 def squarefree_decomposition(f: Poly):
@@ -246,7 +225,7 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
                 # trace map of the residue ring down to F_2
                 v = red.enter(u)
                 acc = v
-                m = d * _log2_order(field)
+                m = d * (field.order.bit_length() - 1)
                 for _ in range(m - 1):
                     v = red.pow(v, 2)
                     acc = red.sub(acc, v)  # in characteristic 2, - is +
@@ -295,15 +274,6 @@ def _half_norm_power(red: ModReducer, u: Poly, d: int) -> Poly:
             norm = red.mul(r, red.frobenius(norm))
             k += 1
     return red.leave(red.pow(norm, (red.field.order - 1) // 2))
-
-
-def _log2_order(field) -> int:
-    m = 0
-    o = field.order
-    while o > 1:
-        o >>= 1
-        m += 1
-    return m
 
 
 def _split(f: Poly, max_degree, seed: int):

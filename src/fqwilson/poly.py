@@ -54,6 +54,7 @@ from .errors import (
     CoefficientsNotInFixedField,
     DivisionByZero,
     FieldMismatch,
+    FqwilsonError,
     NotDivisible,
 )
 from .gf import Field, FieldElement
@@ -577,6 +578,20 @@ def q_power_expand(f: Poly, d: int, base_order=None) -> Poly:
     out = [0] * (n * big_q + 1)
     for i, c in enumerate(f.codes):
         out[i * big_q] = c
+    return Poly(field, out)
+
+
+def pth_root_poly(f: Poly) -> Poly:
+    """The g with g^p = f; requires f to be a p-th power."""
+    field = f.field
+    p = field.char
+    root = field.pth_root
+    out = []
+    for i, c in enumerate(f.codes):
+        if i % p == 0:
+            out.append(root(c))
+        elif c:
+            raise FqwilsonError(f"{f} is not a p-th power")
     return Poly(field, out)
 
 

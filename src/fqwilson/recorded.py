@@ -97,26 +97,26 @@ def q3d6_census(v, rec):
 
 def q3d6_wilson_sum(v, rep):
     """The theorem-5 report of degree 6 over F_3."""
-    v.check("wilson sum degree", rep.poly_degree, 360)
-    v.check("wilson sum factors", degree_multiset(rep.factor_degrees),
+    v.check("wilson sum degree", rep["poly_degree"], 360)
+    v.check("wilson sum factors", degree_multiset(rep["factor_degrees"]),
             "1^4x3 2x3 6x15 18x2 20x3 24x3 28x3")
     v.check("wilson sum degree-6 factor set size",
-            len(rep.degree_d_multiplicities), Q3D6_WILSON)
+            len(rep["degree_d_multiplicities"]), Q3D6_WILSON)
 
 
 def q3d6_perturbation(v, rep):
     """The full-mode theorem-7 report of degree 6 over F_3, for one c."""
-    c = rep.c
-    field = parse_field(rep.field_descriptor)
-    v.check(f"L_5-{c} degree", rep.L.poly_degree, 363)
-    v.check(f"L_5-{c} factors", degree_multiset(rep.L.factor_degrees),
+    c = rep["c"]
+    field = parse_field(rep["field"])
+    v.check(f"L_5-{c} degree", rep["L"]["poly_degree"], 363)
+    v.check(f"L_5-{c} factors", degree_multiset(rep["L"]["factor_degrees"]),
             "6^2x3 14x3 95x3")
     derivs = sorted({str(parse_poly(text, field).derivative())
-                     for text in rep.special_primes})
+                     for text in rep["special_primes"]})
     v.check(f"L_5-{c} degree-6 factor derivative", derivs,
             [{1: "2", 2: "1"}[c]])  # dP/dt = (-1)^5 c
     v.check(f"D_5 side multiplicities at c={c}",
-            sorted(rep.D.degree_d_multiplicities.values()),
+            sorted(rep["D"]["degree_d_multiplicities"].values()),
             [1] * Q3D6_SPECIAL_PER_C[c])
 
 

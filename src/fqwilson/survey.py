@@ -225,7 +225,7 @@ def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def,
         if wil and tables and p > 2:
             # the derivative of a residue mod P^(cap+2) pins the
             # derivative of L itself mod P^(cap+1)
-            ws = -derivative_mod(ctx.chain(cap + 2).L(d - 1), prime, cap + 1)
+            ws = -derivative_mod(ctx.chain(cap + 2).L(d - 1), ctx, cap + 1)
             row["wilson_sum"] = _capped_valuation(ws, prime, cap)
 
         dp = prime.derivative()
@@ -389,31 +389,19 @@ def perturbation_divisor_scan(field: Field, d: int, targets):
     return {"prime_count": n, "divisors": divisors}
 
 
-@dataclass
-class Theorem5Report:
-    """Factorization of -dL_(d-1)/dt checked against the Wilson set."""
-
-    field_descriptor: str
-    degree: int
-    poly_degree: int
-    wilson_primes: list
-    factor_degrees: list
-    degree_d_multiplicities: dict
-
-    def to_json(self):
-        return {
-            "field": self.field_descriptor,
-            "degree": self.degree,
-            "poly_degree": self.poly_degree,
-            "wilson_primes": list(self.wilson_primes),
-            "factor_degrees": [list(pair) for pair in self.factor_degrees],
-            "degree_d_multiplicities": dict(self.degree_d_multiplicities),
-        }
+def _factor_table(fac, d):
+    """The factor degrees of a factorization, as [degree, multiplicity]
+    pairs, and its degree-d primes by text with their multiplicities."""
+    return ([[base.degree, mult] for base, mult in fac.factors],
+            {str(base): mult for base, mult in fac.factors
+             if base.degree == d})
 
 
-def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
+def theorem5_report(field: Field, d: int, seed: int = 0) -> dict:
     """Factor the Wilson sum polynomial and match its degree-d primes
-    against the Wilson primes of degree d, multiplicity at least p-2."""
+    against the Wilson primes of degree d, multiplicity at least p-2.
+
+    Returns the report as its JSON payload."""
     from .factor import factorize  # a survey never factors
 
     p = field.char
@@ -423,13 +411,10 @@ def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
         raise ValueError("degree must be at least 2")
     cache = CarlitzCache(field)
     ws = cache.wilson_sum_poly(d)
-    fac = factorize(ws, seed=seed)
+    factor_degrees, degree_d = _factor_table(factorize(ws, seed=seed), d)
 
     wilson = {str(ctx.prime) for ctx in iter_monic_irreducibles(field, d)
               if _wilson_by_pattern(ctx.prime)}
-
-    degree_d = {str(base): mult for base, mult in fac.factors
-                if base.degree == d}
     if set(degree_d) != wilson:
         raise EquivalenceViolation(
             f"degree-{d} factors of the Wilson sum differ from the Wilson "
@@ -440,63 +425,14 @@ def theorem5_report(field: Field, d: int, seed: int = 0) -> Theorem5Report:
         raise EquivalenceViolation(
             f"Wilson-sum multiplicity below p-2 at {sorted(low)}"
         )
-    return Theorem5Report(
-        field_descriptor=field.descriptor(),
-        degree=d,
-        poly_degree=ws.degree,
-        wilson_primes=sorted(wilson),
-        factor_degrees=[[base.degree, mult] for base, mult in fac.factors],
-        degree_d_multiplicities=degree_d,
-    )
-
-
-@dataclass
-class PerturbationSide:
-    """One of the two perturbed Carlitz factorials in a theorem-7 report."""
-
-    kind: str
-    poly_degree: int
-    factor_degrees: list
-    degree_d_multiplicities: dict
-    cofactor_degree: object = None
-    cofactor_irreducible: object = None
-    note: str = ""
-
-    def to_json(self):
-        out = {
-            "kind": self.kind,
-            "poly_degree": self.poly_degree,
-            "factor_degrees": [list(pair) for pair in self.factor_degrees],
-            "degree_d_multiplicities": dict(self.degree_d_multiplicities),
-        }
-        if self.cofactor_degree is not None:
-            out["cofactor_degree"] = self.cofactor_degree
-            out["cofactor_irreducible"] = self.cofactor_irreducible
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-@dataclass
-class Theorem7Report:
-    field_descriptor: str
-    degree: int
-    c: int
-    mode: str
-    special_primes: list
-    L: PerturbationSide
-    D: PerturbationSide
-
-    def to_json(self):
-        return {
-            "field": self.field_descriptor,
-            "degree": self.degree,
-            "c": self.c,
-            "mode": self.mode,
-            "special_primes": list(self.special_primes),
-            "L": self.L.to_json(),
-            "D": self.D.to_json(),
-        }
+    return {
+        "field": field.descriptor(),
+        "degree": d,
+        "poly_degree": ws.degree,
+        "wilson_primes": sorted(wilson),
+        "factor_degrees": factor_degrees,
+        "degree_d_multiplicities": degree_d,
+    }
 
 
 def _check_theorem7_sides(field, d, special_texts, l_mults, d_mults):
@@ -516,7 +452,7 @@ def _check_theorem7_sides(field, d, special_texts, l_mults, d_mults):
 
 
 def theorem7_report(field: Field, d: int, c, mode: str = "full",
-                    max_degree=None, seed: int = 0) -> Theorem7Report:
+                    max_degree=None, seed: int = 0) -> dict:
     """Check that the degree-d primes dividing L_(d-1) - c and
     D_(d-1) + (-1)^d c are exactly those with derivative (-1)^(d-1) c,
     with multiplicity at least p-1 on the L side and exactly one on
@@ -525,7 +461,9 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
     full mode factorizes both perturbations completely.  partial mode
     trial-divides the L side up to max_degree and settles the degree-d
     questions for both sides by residue scans over the enumerated
-    primes, leaving the large cofactors untouched.
+    primes, leaving the large cofactors untouched.  Returns the report
+    as its JSON payload: one entry per side under "L" and "D", and in
+    partial mode a note on each and the L side's cofactor, if any.
     """
     from .factor import factorize, trial_division  # a survey never factors
 
@@ -534,33 +472,23 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
     c = c if isinstance(c, FieldElement) else field(c)
     if not c:
         raise ZeroC("c must be a nonzero field constant")
-    p = field.char
     q = field.order
-    special = special_primes_by_form(field, d, c)
-    special_texts = {str(f) for f in special}
+    special_texts = {str(f) for f in special_primes_by_form(field, d, c)}
     cache = CarlitzCache(field)
+    report = {"field": field.descriptor(), "degree": d, "c": c.code,
+              "mode": mode, "special_primes": sorted(special_texts)}
 
     if mode == "full":
-        sides = {}
-        for kind in ("L_minus_c", "D_plus_sign_c"):
+        for key, kind in (("L", "L_minus_c"), ("D", "D_plus_sign_c")):
             poly = cache.perturbation(kind, d, c)
-            fac = factorize(poly, seed=seed)
-            mults = {str(base): mult for base, mult in fac.factors
-                     if base.degree == d}
-            sides[kind] = PerturbationSide(
-                kind=kind,
-                poly_degree=poly.degree,
-                factor_degrees=[[b.degree, m] for b, m in fac.factors],
-                degree_d_multiplicities=mults,
-            )
+            factor_degrees, mults = _factor_table(factorize(poly, seed=seed), d)
+            report[key] = {"kind": kind, "poly_degree": poly.degree,
+                           "factor_degrees": factor_degrees,
+                           "degree_d_multiplicities": mults}
         _check_theorem7_sides(field, d, special_texts,
-                              sides["L_minus_c"].degree_d_multiplicities,
-                              sides["D_plus_sign_c"].degree_d_multiplicities)
-        return Theorem7Report(
-            field_descriptor=field.descriptor(), degree=d, c=c.code,
-            mode="full", special_primes=sorted(special_texts),
-            L=sides["L_minus_c"], D=sides["D_plus_sign_c"],
-        )
+                              report["L"]["degree_d_multiplicities"],
+                              report["D"]["degree_d_multiplicities"])
+        return report
 
     if mode != "partial":
         raise ValueError(f"unknown mode {mode!r}")
@@ -574,8 +502,7 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
 
     l_poly = cache.perturbation("L_minus_c", d, c)
     l_fac = trial_division(l_poly, max_degree, seed=seed)
-    l_mults = {str(base): mult for base, mult in l_fac.factors
-               if base.degree == d}
+    factor_degrees, l_mults = _factor_table(l_fac, d)
     if set(l_mults) != set(l_scan):
         raise EquivalenceViolation(
             f"trial division and residue scan disagree on the degree-{d} "
@@ -583,29 +510,21 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
         )
     _check_theorem7_sides(field, d, special_texts, l_mults, d_scan)
 
-    d_degree = (d - 1) * q ** (d - 1)
-    d_side = PerturbationSide(
-        kind="D_plus_sign_c",
-        poly_degree=d_degree,
-        factor_degrees=[[d, m] for _, m in sorted(d_scan.items())],
-        degree_d_multiplicities=d_scan,
-        note="degree-d divisors via residue scan; cofactor not factored",
-    )
-    l_side = PerturbationSide(
-        kind="L_minus_c",
-        poly_degree=l_poly.degree,
-        factor_degrees=[[b.degree, m] for b, m in l_fac.factors],
-        degree_d_multiplicities=l_mults,
-        cofactor_degree=(l_fac.cofactor.degree
-                         if l_fac.cofactor is not None else None),
-        cofactor_irreducible=l_fac.cofactor_irreducible,
-        note=f"trial division to degree {max_degree}",
-    )
-    return Theorem7Report(
-        field_descriptor=field.descriptor(), degree=d, c=c.code,
-        mode="partial", special_primes=sorted(special_texts),
-        L=l_side, D=d_side,
-    )
+    report["L"] = {"kind": "L_minus_c", "poly_degree": l_poly.degree,
+                   "factor_degrees": factor_degrees,
+                   "degree_d_multiplicities": l_mults,
+                   "note": f"trial division to degree {max_degree}"}
+    if l_fac.cofactor is not None:
+        report["L"]["cofactor_degree"] = l_fac.cofactor.degree
+        report["L"]["cofactor_irreducible"] = l_fac.cofactor_irreducible
+    report["D"] = {
+        "kind": "D_plus_sign_c",
+        "poly_degree": (d - 1) * q ** (d - 1),
+        "factor_degrees": [[d, m] for _, m in sorted(d_scan.items())],
+        "degree_d_multiplicities": d_scan,
+        "note": "degree-d divisors via residue scan; cofactor not factored",
+    }
+    return report
 
 
 # -- gcd scans ---------------------------------------------------------
@@ -649,13 +568,12 @@ def borisov_scan(field: Field, d_max: int) -> list:
         matched = {c: [] for c in range(1, q)}
         for e in _divisors(d):
             for prime, chain in _prime_chains(field, e, chains_by_degree):
-                red = chain.red
                 l_res = chain.L(d - 1)
                 for c in range(1, q):
                     if (l_res + FieldElement(field, c)).is_zero:
-                        # verify the hit divides both operands
-                        t = red.enter(Poly.t(field))
-                        if red.frobenius(t, d) != t:
+                        # verify the hit divides both operands: [d] is
+                        # one chain step past L_(d-1)
+                        if not chain.bracket(d).is_zero:
                             raise EquivalenceViolation(
                                 f"{prime} does not divide [{d}]"
                             )

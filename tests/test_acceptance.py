@@ -77,9 +77,9 @@ def test_criterion_03_perturbed_factorizations(capfd, q3d6_perturbations):
             recorded_checks(checks, recorded.q3d6_perturbation, rep)
             name = f"L_5-{c}"
             checks[f"{name}: {recorded.Q3D6_SPECIAL_PER_C[c]} special primes"] = \
-                len(rep.special_primes) == recorded.Q3D6_SPECIAL_PER_C[c]
+                len(rep["special_primes"]) == recorded.Q3D6_SPECIAL_PER_C[c]
             checks[f"{name} degree-6 factors match the special primes"] = \
-                sorted(rep.L.degree_d_multiplicities) == rep.special_primes
+                sorted(rep["L"]["degree_d_multiplicities"]) == rep["special_primes"]
         checks["under 2 minutes"] = elapsed < 120
     run_criterion(capfd, 3, body)
 
@@ -89,7 +89,7 @@ def test_criterion_04_wilson_sum_factorization(capfd, q3d6_wilson_sum, q3d6_reco
         rep = q3d6_wilson_sum
         recorded_checks(checks, recorded.q3d6_wilson_sum, rep)
         checks["degree-6 factors are the wilson primes"] = \
-            rep.wilson_primes == sorted(q3d6_record.wilson_primes)
+            rep["wilson_primes"] == sorted(q3d6_record.wilson_primes)
     run_criterion(capfd, 4, body)
 
 

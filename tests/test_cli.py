@@ -152,6 +152,26 @@ def test_theorem7_output(capsys):
     assert any(line.startswith("D_plus_sign_c: degree 18") for line in lines)
 
 
+@pytest.mark.parametrize("argv,call", [
+    (["theorem5", "--field", "3", "--degree", "3"],
+     lambda f: survey_module.theorem5_report(f, 3)),
+    (["theorem7", "--field", "3", "--degree", "3", "--c", "2"],
+     lambda f: survey_module.theorem7_report(f, 3, 2)),
+    (["theorem7", "--field", "3", "--degree", "3", "--c", "2",
+      "--mode", "partial", "--max-trial-degree", "3"],
+     lambda f: survey_module.theorem7_report(f, 3, 2, mode="partial",
+                                             max_degree=3)),
+    (["theorem7", "--field", "5", "--degree", "2", "--c", "1",
+      "--mode", "partial", "--max-trial-degree", "3"],
+     lambda f: survey_module.theorem7_report(f, 2, 1, mode="partial",
+                                             max_degree=3)),
+])
+def test_theorem_json_is_the_library_report(capsys, argv, call):
+    # the command prints the report the library returns, as it is
+    out, _ = run(capsys, argv + ["--json"])
+    assert out == fqwilson.canonical_json(call(parse_field(argv[2]))) + "\n"
+
+
 def test_scan_borisov_output(capsys):
     out, _ = run(capsys, ["scan", "borisov", "--field", "3",
                           "--max-degree", "4"])

@@ -180,8 +180,8 @@ def test_derivative_mod_determined_by_congruence_class():
         for _ in range(20):
             a = Poly(field, [rng.randrange(3) for _ in range(6)])
             b = a + lift * Poly(field, [rng.randrange(3) for _ in range(3)])
-            assert derivative_mod(a, ctx.prime, k) == derivative_mod(b, ctx.prime, k)
-            assert derivative_mod(a, ctx.prime, k) == \
+            assert derivative_mod(a, ctx, k) == derivative_mod(b, ctx, k)
+            assert derivative_mod(a, ctx, k) == \
                 divrem(a.derivative(), ctx.prime ** k)[1]
 
 

@@ -9,13 +9,12 @@ from fqwilson.factor import (
     distinct_degree_split,
     equal_degree_split,
     factorize,
-    pth_root_poly,
     squarefree_decomposition,
     trial_division,
 )
 from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import is_irreducible, iter_monic_irreducibles
-from fqwilson.poly import ModReducer, Poly, divrem, gcd, parse_poly
+from fqwilson.poly import ModReducer, Poly, divrem, gcd, parse_poly, pth_root_poly
 
 
 def monics(field, degree):
@@ -80,14 +79,6 @@ def test_factorize_seed_independent():
         f = f * ctx.prime
     results = [factorize(f, seed=s).to_json() for s in (0, 1, 2, 99)]
     assert all(r == results[0] for r in results)
-
-
-def test_degrees_multiset():
-    field = make_prime_field(2)
-    a = parse_poly("t^2+t+1", field)
-    b = parse_poly("t^3+t+1", field)
-    fac = factorize(a * a * b)
-    assert fac.degrees() == (2, 2, 3)
 
 
 def test_squarefree_decomposition():
@@ -197,7 +188,7 @@ def test_trial_division_partial_contract():
     # bound high enough to finish completely
     full = trial_division(f, 5)
     assert full.cofactor is None
-    assert full.degrees() == (2, 2, 3, 5)
+    assert full.factors == ((a, 2), (b, 1), (quint, 1))
 
 
 def test_trial_division_degree_bound_implies_irreducible_cofactor():

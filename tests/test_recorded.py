@@ -21,11 +21,12 @@ def wants(check, *objects):
 
 
 def test_recorded_values():
-    # stand-ins carry the attributes each check reads; only the recorded
-    # side of each comparison is asserted
+    # stand-ins carry the attributes (keys, for the theorem reports) each
+    # check reads; only the recorded side of each comparison is asserted
     rec = Stub(prime_count=0, special_primes={}, wilson_primes=[],
                suite_agreement=True, multiplicities={})
-    report = Stub(poly_degree=0, factor_degrees=[], degree_d_multiplicities={})
+    report = {"poly_degree": 0, "factor_degrees": [],
+              "degree_d_multiplicities": {}}
     fac = Stub(factors=[])
     assert wants(recorded.q3d6_census, rec) == [
         ("counts (primes, special, wilson)", (116, 6, 15)),
@@ -38,7 +39,8 @@ def test_recorded_values():
         ("wilson sum degree-6 factor set size", 15),
     ]
     for c, derivative in ((1, "2"), (2, "1")):
-        rep7 = Stub(c=c, field_descriptor="3", special_primes=[], L=report, D=report)
+        rep7 = {"c": c, "field": "3", "special_primes": [], "L": report,
+                "D": report}
         assert wants(recorded.q3d6_perturbation, rep7) == [
             (f"L_5-{c} degree", 363),
             (f"L_5-{c} factors", "6^2x3 14x3 95x3"),

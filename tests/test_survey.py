@@ -340,12 +340,11 @@ def test_special_primes_match_survey(q3d6_record):
 
 def test_theorem5_small_case():
     rep = theorem5_report(F3, 3)
-    assert rep.poly_degree == 9
-    assert rep.wilson_primes == AS_CUBICS
-    assert rep.factor_degrees == [[1, 1], [1, 1], [1, 1], [3, 1], [3, 1]]
-    assert rep.degree_d_multiplicities == {t: 1 for t in AS_CUBICS}
-    data = rep.to_json()
-    assert data["field"] == "3" and data["degree"] == 3
+    assert rep["poly_degree"] == 9
+    assert rep["wilson_primes"] == AS_CUBICS
+    assert rep["factor_degrees"] == [[1, 1], [1, 1], [1, 1], [3, 1], [3, 1]]
+    assert rep["degree_d_multiplicities"] == {t: 1 for t in AS_CUBICS}
+    assert rep["field"] == "3" and rep["degree"] == 3
     with pytest.raises(ValueError):
         theorem5_report(F2, 3)
     with pytest.raises(ValueError):
@@ -354,13 +353,13 @@ def test_theorem5_small_case():
 
 def test_theorem7_small_case():
     rep = theorem7_report(F3, 3, 2)
-    assert rep.mode == "full"
-    assert rep.special_primes == AS_CUBICS
-    assert rep.L.poly_degree == 12
-    assert rep.D.poly_degree == 18
+    assert rep["mode"] == "full"
+    assert rep["special_primes"] == AS_CUBICS
+    assert rep["L"]["poly_degree"] == 12
+    assert rep["D"]["poly_degree"] == 18
     for text in AS_CUBICS:
-        assert rep.L.degree_d_multiplicities[text] >= 2
-        assert rep.D.degree_d_multiplicities[text] == 1
+        assert rep["L"]["degree_d_multiplicities"][text] >= 2
+        assert rep["D"]["degree_d_multiplicities"][text] == 1
     with pytest.raises(ZeroC):
         theorem7_report(F3, 3, 0)
     with pytest.raises(ValueError):
@@ -371,15 +370,16 @@ def test_theorem7_partial_agrees_with_full(q3d6_perturbations):
     reports, _ = q3d6_perturbations
     partial = theorem7_report(F3, 6, 1, mode="partial", max_degree=14)
     full = reports[1]
-    assert partial.mode == "partial"
-    assert partial.special_primes == full.special_primes
-    assert partial.L.degree_d_multiplicities == full.L.degree_d_multiplicities
-    assert partial.D.degree_d_multiplicities == full.D.degree_d_multiplicities
-    assert partial.L.note == "trial division to degree 14"
-    assert "residue scan" in partial.D.note
+    assert partial["mode"] == "partial"
+    assert partial["special_primes"] == full["special_primes"]
+    for side in ("L", "D"):
+        assert partial[side]["degree_d_multiplicities"] == \
+            full[side]["degree_d_multiplicities"]
+    assert partial["L"]["note"] == "trial division to degree 14"
+    assert "residue scan" in partial["D"]["note"]
     # 363 minus three degree-6 factors squared minus three degree-14s
-    assert partial.L.cofactor_degree == 363 - 3 * 12 - 3 * 14
-    assert partial.L.cofactor_irreducible is False
+    assert partial["L"]["cofactor_degree"] == 363 - 3 * 12 - 3 * 14
+    assert partial["L"]["cofactor_irreducible"] is False
 
 
 def test_perturbation_divisor_scan_small():
