@@ -63,20 +63,22 @@ and a product with a reduction after each (what ModReducer.pow(x, 3)
 pays).
 
 The Frobenius sweep (--frob, in place of the others) times x -> x^q
-of a residue mod m over F_5, F_7, F_4 and F_9, the fields whose
-residue ring has no frobenius of its own: one step by the whole row
-table of t^q (a Composition), one build of that table
+of a residue mod m over F_5, F_7, F_4, F_9, F_25 and F_257, the fields
+whose residue ring has no frobenius of its own: one step by the whole
+row table of t^q (a Composition), one build of that table
 (ModReducer._frobenius_rows, through the ring's powers_of_t: q steps
-of t^(i+1) = t * t^i mod m per row, or over F_9 below degree 9 the
-powers of t^q, one product each),
-and one step by square-and-multiply (ModReducer.pow(x, q)), after
-checking that the table, pow and spreading x into x(t^q) then dividing
-give the same residue; the fifth column is the number of steps after
-which the table, build included, has cost less than pow.  It then
-times chains of k steps from a fresh reducer over F_5 at degrees up to
-2048 three ways: ModReducer.frobenius (pow steps until they have cost
-what the table would, then the table), pow alone, and the table built
-first.
+of t^(i+1) = t * t^i mod m per row, or where q > deg m, as over F_25
+at low degrees and F_257, the powers of t^q, one product each), and
+one step by square-and-multiply (ModReducer.pow(x, q)), after checking
+that the table, pow and spreading x into x(t^q) then dividing give the
+same residue.  Beside them it prints the build in pow steps (build /
+pow step), the ring's frobenius_rent (the pow steps a chain takes
+before it composes), and the steps after which the table, build
+included, has cost less than pow.  Fields on reduced Polys
+(poly._SchoolRing) stop at degree FROB_SCHOOL_MAX_DEG.  It then times
+chains of k steps from a fresh reducer over F_5 at degrees up to 2048
+three ways: ModReducer.frobenius (frobenius_rent pow steps, then the
+table), pow alone, and the table built first.
 
 The distinct-degree sweep (--ddf, in place of the others) times
 factor.distinct_degree_split on the squarefree parts of Carlitz
@@ -132,8 +134,12 @@ GF3_SHIFT_ADD_LENGTHS = (2, 4, 7, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 40,
 GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 160,
                       192, 256, 324, 512)
 GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
-FROB_FIELDS = ("5", "7", "4", "9")
-FROB_DEGREES = (4, 8, 12, 16, 24, 28, 32, 48, 64)
+FROB_FIELDS = ("5", "7", "4", "9", "25", "257")
+FROB_DEGREES = (4, 8, 12, 16, 24, 32, 48, 64, 128, 256, 512, 1024, 2048)
+# a pow step on reduced Polys (poly._SchoolRing) is schoolbook on Field
+# calls over F_4, F_9 and F_25 (14 ms at degree 64 over F_9), so the
+# fields on that ring stop at this degree
+FROB_SCHOOL_MAX_DEG = 128
 FROB_RESIDUES = 8  # residues stepped per timing sample
 # (modulus degree, chain lengths) of the F_5 chain part of --frob
 FROB_CHAINS = ((8, (4, 8)), (64, (4, 32)), (512, (4, 16, 256)),
@@ -471,6 +477,10 @@ def frob_sweep(rng, repeat):
         for n in FROB_DEGREES:
             m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
             red = ModReducer(m)
+            if isinstance(red._ring, poly._SchoolRing) and \
+                    n > FROB_SCHOOL_MAX_DEG:
+                continue
+            rent = red._ring.frobenius_rent
             table = Composition(red, rows=red._frobenius_rows())
             table.grow(n)
             xs = [red.enter(Poly(field, [rng.randrange(q) for _ in range(n)]))
@@ -494,7 +504,7 @@ def frob_sweep(rng, repeat):
             build = time_once(lambda: list(ModReducer(m)._frobenius_rows()),
                               (), repeat, 1)
             rows.append((q, n, step, build,
-                         time_once(pow_route, (), repeat, 1) / len(xs)))
+                         time_once(pow_route, (), repeat, 1) / len(xs), rent))
     return rows
 
 
@@ -537,11 +547,12 @@ def frob_chain_sweep(rng, repeat):
 
 def report_frob(rows, chains):
     print("x^q mod m  (field, modulus degree, row-table step us, table "
-          "build us, pow(x, q) step us, steps until the table has paid)")
-    for q, n, step, build, pw in rows:
+          "build us, pow(x, q) step us, build / pow step, frobenius_rent, "
+          "steps until the table has paid)")
+    for q, n, step, build, pw, rent in rows:
         paid = build / (pw - step) if pw > step else float("inf")
-        print(f"  F_{q:<3d} {n:5d}  {step * 1e6:9.2f}  {build * 1e6:9.2f}  "
-              f"{pw * 1e6:9.2f}  {paid:6.2f}")
+        print(f"  F_{q:<3d} {n:5d}  {step * 1e6:9.2f}  {build * 1e6:11.2f}  "
+              f"{pw * 1e6:9.2f}  {build / pw:6.2f}  {rent:4d}  {paid:6.2f}")
     print()
     print("chains of k steps x -> x^5 mod m over F_5 from a fresh reducer  "
           "(modulus degree, k, ms by frobenius, by pow alone, by the table "
@@ -734,9 +745,10 @@ def main(argv=None):
                     help="sweep the distinct-degree block size on Carlitz "
                          "quantities over F_2, F_3, F_4 and F_5 instead")
     ap.add_argument("--frob", action="store_true",
-                    help="sweep x -> x^q mod m over F_5, F_7, F_4 and F_9 "
-                         "at modulus degrees 4 to 64 instead: a row-table "
-                         "step, its build, and a pow(x, q) step; then F_5 "
+                    help="sweep x -> x^q mod m over F_5, F_7, F_4, F_9, "
+                         "F_25 and F_257 at modulus degrees 4 to 2048 "
+                         "instead: a row-table step, its build, a pow(x, q) "
+                         "step and the ring's frobenius_rent; then F_5 "
                          "chains of k steps at degrees 8 to 2048")
     ap.add_argument("--edf", action="store_true",
                     help="time the equal-degree split power u^((q^d-1)/2) "

@@ -243,15 +243,16 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
 # From `benchmarks/mul_threshold.py --edf` (2-core Xeon, best of 3, two
 # runs), ms by powmod / the norm from a fresh reducer / the norm again
 # on the same reducer, at bucket degree n:
-#   F_3 n=270 d=90   19-38 / 5.6-10 / 5.1-8.7
-#   F_3 n=300 d=5    2.0-2.3 / 2.0-2.2 / 1.0
-#   F_5 n=270 d=90   80-136 / 23-33 / 11-17
-#   F_5 n=300 d=10   12-15 / 17-25 / 2.6-4.5
-#   F_7 n=270 d=90   119-124 / 23-26 / 13
-#   F_9 n=90 d=30    568-706 / 117-122 / 76-112
-# Only a fresh reducer over F_5 or F_7 with d <= 10 at degree 300 loses,
-# by up to 60%: it buys the Frobenius row table (ModReducer.frobenius)
-# that its retries then use.
+#   F_3 n=270 d=90   15-16 / 5.2-5.4 / 4.7-5.0
+#   F_3 n=300 d=5    1.0-1.7 / 0.9-1.5 / 0.5-0.9
+#   F_5 n=270 d=90   28-29 / 15 / 8.3-8.4
+#   F_5 n=300 d=5    1.9-2.0 / 2.1-2.2 / 1.6-1.8
+#   F_5 n=300 d=10   3.6-3.9 / 4.0-5.1 / 1.5-1.9
+#   F_7 n=270 d=90   34-40 / 16-19 / 8.6-8.9
+#   F_9 n=90 d=30    484-491 / 98 / 74
+# A fresh reducer over F_5 or F_7 at degree 300 loses with d <= 10, by
+# 4-43%: its at most 9 Frobenius steps are within the frobenius_rent of
+# 13, so they are pow(x, q) steps and cost about as much as powmod.
 def _half_norm_power(red: ModReducer, u: Poly, d: int) -> Poly:
     """u^((q^d - 1)/2) mod the reducer's modulus, q odd.
 

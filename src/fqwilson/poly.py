@@ -43,9 +43,9 @@ oracle the tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import sys
-import time
 from array import array
 
 from . import _gf2
@@ -628,7 +628,7 @@ class _KronRing:
     """
 
     __slots__ = ("m", "p", "n", "lane", "bits", "_neg", "_top_at", "_low",
-                 "_mask", "_pn", "_barrett", "_rows", "_mu")
+                 "_mask", "_pn", "_barrett", "_rows", "_mu", "frobenius_rent")
 
     def __init__(self, modulus: Poly):
         self.m = modulus
@@ -644,6 +644,8 @@ class _KronRing:
         self._pn = _kron_pack([p] * n, width)
         self._barrett = n >= _BARRETT_MIN_DEG
         self._rows = self._mu = None
+        rent = math.isqrt(n // 2)
+        self.frobenius_rent = rent + (2 * rent * rent < n)
 
     def enter(self, codes) -> int:
         return self(_kron_pack(codes, self.lane[0]))
@@ -751,6 +753,7 @@ class _SchoolRing:
     """
 
     __slots__ = ("m", "n", "field")
+    frobenius_rent = 1
 
     def __init__(self, modulus: Poly):
         self.m = modulus
@@ -878,13 +881,16 @@ class ModReducer:
     no product and no division.  The rows come from powers_of_t(r, q).
     The n rows cost O(q n^2) to build and hold O(n^2), against
     O(log q) products per pow(r, q) step, so a chain much shorter than
-    the build must not pay for it: frobenius runs pow steps until they
-    have cost what the rest of the table would, then builds it.
-    `benchmarks/mul_threshold.py --frob` times a step against
-    pow(r, q), the build, and chains of both lengths.
+    the build must not pay for it.  Such a ring has frobenius_rent, the
+    build's cost counted in pow steps and worked out from the modulus
+    alone: ceil(sqrt(n/2)) on _KronRing, 1 on _SchoolRing.  frobenius
+    takes that many pow steps on a reducer before it composes, so which
+    route a step takes depends only on the input.
+    `benchmarks/mul_threshold.py --frob` prints the rent beside the
+    measured build / pow-step ratio, and times chains of both routes.
     """
 
-    __slots__ = ("modulus", "field", "_ring", "_frob", "_pow_s", "_rows_s")
+    __slots__ = ("modulus", "field", "_ring", "_frob", "_rent")
 
     def __init__(self, modulus: Poly):
         if modulus.is_zero:
@@ -895,9 +901,7 @@ class ModReducer:
         self.field = modulus.field
         self._ring = _residue_ring(modulus)
         self._frob = None
-        # time frobenius has spent on pow steps, and on the rows after
-        # the monomial ones
-        self._pow_s = self._rows_s = 0.0
+        self._rent = getattr(self._ring, "frobenius_rent", 0)  # pow steps left
 
     # -- residue form -------------------------------------------------
 
@@ -921,75 +925,59 @@ class ModReducer:
             raise ValueError("negative exponents are not supported mod a polynomial")
         return _power(self._ring, r, e)
 
-    # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of
-    # 5): at modulus degrees 4-64 a table step took 3-28 us over F_5 and
-    # F_7 against 13-180 us for pow(x, q) on the Kronecker residues, and
-    # 12-1,736 us against 41-13,857 us over F_4 and F_9; a build cost
-    # 1-6 pow steps over F_5 and F_7 and 1-2 over F_4 and F_9.  Chains
-    # from a fresh reducer over F_5, this route against pow alone and
-    # the table built first: degree 8, 4 steps, 0.10 against 0.09 and
-    # 0.06 ms; degree 64, 32 steps, 2.2 against 4.3 and 1.5 ms; degree
-    # 512, 16 steps, 24 against 23 and 32 ms; degree 2048, 4 steps, 42
-    # against 40 and 330 ms, and 64 steps, 490 against 385 and 473 ms.
+    # From `benchmarks/mul_threshold.py --frob` (2-core Xeon, best of 5,
+    # two runs): a table build cost 0.8-1.3 times frobenius_rent in
+    # pow(x, q) steps over F_5 at modulus degrees 16-2048, 0.7-1.0 times
+    # over F_7 at 16-1024 (0.4-0.5 at 2048, on four-byte lanes), 0.9-1.7
+    # steps over F_4 and F_9 at 4-128 and 1.9-2.4 over F_25 at 32-128;
+    # where the rows are products by t^q, 0.7-3.8 over F_25 at 4-24 and
+    # 1.2-14 over F_257 at 4-128.  Chains of k steps from a fresh reducer
+    # over F_5, ms by this route / pow alone / the table built first
+    # (medians of five runs):
+    #   n=8     k=4 0.05/0.04/0.03   k=8 0.05/0.06/0.03
+    #   n=64    k=4 0.36/0.36/0.39   k=32 1.1/2.0/0.70
+    #   n=512   k=4 3.0/3.1/13       k=16 11/11/16     k=256 85/162/79
+    #   n=2048  k=4 19/19/179        k=16 69/69/218    k=64 403/271/365
     def frobenius(self, r, k: int = 1):
         """r^(q^k), q the order of the coefficient field, as k steps
         x -> x^q.  Where the ring has a frobenius, each is one call of
-        it.  Elsewhere a step is the composition x -> x(t^q) by the row
-        table of t^q once its rows cover x's coefficients, and pow(x, q)
-        until then.  Each pow step also builds the next row (the first
-        also the monomial rows t^(qj), qj < deg m, which cost no step
-        and are not counted), and once the pow steps of this reducer
-        have taken as long as the missing rows would at the mean cost of
-        those built, the rest are built at once: rent, then buy.  A
-        chain shorter than the build (a bounded distinct-degree split
-        on a large modulus) so stays on pow, and no chain pays much
-        more than twice the cheaper route."""
+        it.  Elsewhere the first frobenius_rent steps on this reducer
+        are pow(x, q), and every later step is the composition
+        x -> x(t^q) through one Composition, which draws the rows
+        t^(qj) mod m as the residues need them: rent, then buy (Karlin,
+        Manasse, Rudolph & Sleator 1988).  With the rent at the build's
+        cost in steps, a chain shorter than the build (a bounded
+        distinct-degree split on a large modulus) stays on pow, and no
+        chain pays much more than twice the cheaper route."""
         step = getattr(self._ring, "frobenius", None)
         if step is not None:
             for _ in range(k):
                 r = step(r)
             return r
-        frob = self._frob
-        if frob is None:
-            frob = self._frob = Composition(self, rows=self._frobenius_rows())
+        rent = min(k, self._rent)
+        self._rent -= rent
         q = self.field.order
-        n = self.modulus.degree
-        first = self._monomial_rows()
-        leave = self._ring.leave
-        clock = time.perf_counter
-        for _ in range(k):
-            if len(leave(r)) <= len(frob.rows):
-                r = frob(r)
-                continue
-            start = clock()
+        for _ in range(rent):
             r = self.pow(r, q)
-            self._pow_s += clock() - start
-            if not frob.rows:
-                frob.grow(first)  # the free rows, with the set-up of the rows
-            start = clock()
-            frob.grow(1)
-            self._rows_s += clock() - start
-            built = len(frob.rows) - first
-            if self._pow_s * built >= self._rows_s * (n - len(frob.rows)):
-                frob.grow(n)
+        if rent < k:
+            frob = self._frob
+            if frob is None:
+                frob = self._frob = Composition(self, rows=self._frobenius_rows())
+            for _ in range(k - rent):
+                r = frob(r)
         return r
 
     def _frobenius_rows(self):
         """The rows t^(qj) mod m for j < deg m, as residues, yielded in
-        order: the first _monomial_rows() are the monomials t^(qj),
-        qj < deg m, and cost no step; each later row is the last times
-        t^q, by the ring's powers_of_t."""
+        order: the monomials t^(qj), qj < deg m, cost no step; each
+        later row is the last times t^q, by the ring's powers_of_t."""
         ring, q, n = self._ring, self.field.order, self.modulus.degree
-        first = self._monomial_rows()
+        first = -(-n // q)  # the monomial rows
         for j in range(first):
             r = ring.enter((0,) * (q * j) + (1,))
             yield r
         if first < n:
             yield from itertools.islice(ring.powers_of_t(r, q), 1, n - first + 1)
-
-    def _monomial_rows(self) -> int:
-        """The count of rows t^(qj) mod m that are monomials, qj < deg m."""
-        return -(-self.modulus.degree // self.field.order)
 
     # -- Poly-level wrappers ------------------------------------------
 

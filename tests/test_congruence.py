@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from fqwilson.congruence import (
 from fqwilson.errors import FieldMismatch, ZeroC
 from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import PrimeContext, iter_monic_irreducibles
-from fqwilson.poly import ModReducer, Poly, parse_poly
+from fqwilson.poly import Composition, ModReducer, Poly, parse_poly
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -193,6 +194,48 @@ def test_wilson_sweep_q5():
         found = sum(wilson_suite(c).holds
                     for c in iter_monic_irreducibles(F5, d))
         assert found == expect, d
+
+
+def _step_counts():
+    """(ModReducer.pow calls, Composition rows drawn) over a fixed
+    40-step F_5 Frobenius chain mod a degree-64 modulus and the Wilson
+    suites of the first three degree-4 F_5 primes."""
+    counts = [0, 0]
+    real_pow, real_grow = ModReducer.pow, Composition.grow
+
+    def counted_pow(self, r, e):
+        counts[0] += 1
+        return real_pow(self, r, e)
+
+    def counted_grow(self, count):
+        before = len(self.rows)
+        real_grow(self, count)
+        counts[1] += len(self.rows) - before
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ModReducer, "pow", counted_pow)
+        mp.setattr(Composition, "grow", counted_grow)
+        red = ModReducer(Poly(F5, [(3 * i + 1) % 5 for i in range(64)] + [1]))
+        red.frobenius(red.enter(Poly(F5, [i * i % 5 for i in range(64)])), 40)
+        for ctx in itertools.islice(iter_monic_irreducibles(F5, 4), 3):
+            wilson_suite(ctx)
+    return tuple(counts)
+
+
+def test_frobenius_step_counts_ignore_the_clock(monkeypatch):
+    # whether a Frobenius step is a pow or a composition by the row
+    # table is decided by the input alone, so a clock that jumps
+    # erratically changes no count
+    want = _step_counts()
+    jumps = itertools.cycle((1e-9, 5.0, 1e-6, 0.0, 30.0, 1e-3, 2.0))
+    now = [0.0]
+
+    def erratic():
+        now[0] += next(jumps)
+        return now[0]
+
+    monkeypatch.setattr(time, "perf_counter", erratic)
+    assert _step_counts() == want
 
 
 @pytest.mark.slow

@@ -1,8 +1,9 @@
 """Smoke test of benchmarks/mul_threshold.py.
 
-The sweeps behind _KRON_MIN_AREA, _BARRETT_MIN_DEG and the rent-then-buy
-constants of ModReducer.frobenius reach into private names of poly, so
-a refactor that renames them must fail here, not in the next sweep.
+The sweeps behind _KRON_MIN_AREA, _BARRETT_MIN_DEG and the rings'
+frobenius_rent (the pow steps ModReducer.frobenius takes before it
+composes) reach into private names of poly, so a refactor that renames
+them must fail here, not in the next sweep.
 """
 
 import importlib.util
@@ -35,10 +36,14 @@ def test_mul_threshold_kron_rings_and_frob_table(monkeypatch):
     # both routes on one product, checked against long division
     rows = bench.reduce_sweep(5, (m.degree,), random.Random(1), 1, 1)
     assert [row[0] for row in rows] == [m.degree]
-    # one --frob table over a Kronecker field and one over an extension
-    # field, checked against pow, frobenius and spreading then dividing
-    monkeypatch.setattr(bench, "FROB_FIELDS", ("5", "4"))
+    # one --frob table over a Kronecker field, one over an extension
+    # field and one with q > deg m (rows by products of t^q), checked
+    # against pow, frobenius and spreading then dividing; the last
+    # column is the ring's frobenius_rent, ceil(sqrt(6/2)) on Kronecker
+    # residues and 1 on reduced Polys
+    monkeypatch.setattr(bench, "FROB_FIELDS", ("5", "4", "257"))
     monkeypatch.setattr(bench, "FROB_DEGREES", (6,))
     monkeypatch.setattr(bench, "FROB_RESIDUES", 2)
     rows = bench.frob_sweep(random.Random(2), 1)
-    assert [row[:2] for row in rows] == [(5, 6), (4, 6)]
+    assert [row[:2] + row[-1:] for row in rows] == \
+        [(5, 6, 2), (4, 6, 1), (257, 6, 1)]

@@ -673,28 +673,35 @@ def test_frobenius_matches_powmod_property(case):
 
 
 @pytest.mark.parametrize("descriptor,n", [
-    ("5", 40), ("7", 9), ("9", 12), ("25", 5)])
-def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n):
-    # a chain starts on pow(x, q) and each such step adds at least one
-    # row to the table; a step composes only once the rows cover x, and
-    # rows beyond the first two wait until the pow steps have paid
+    ("5", 40), ("7", 9), ("9", 12), ("25", 5),
+    ("5", poly._BARRETT_MIN_DEG + 2)])
+def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n, monkeypatch):
+    # a chain pays its rent first: the reducer's first frobenius_rent
+    # steps make one pow(x, q) each and no row table; every later step
+    # composes by the rows of t^q, drawn as needed up to n, and makes no
+    # pow; the rent is ceil(sqrt(n/2)) on Kronecker residues, else 1
     field = parse_field(descriptor)
     q = field.order
     rng = random.Random(n)
     m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
     a = Poly(field, [rng.randrange(q) for _ in range(n)])
     red = ModReducer(m)
+    rent = red._ring.frobenius_rent
+    kron = isinstance(red._ring, poly._KronRing)
+    assert rent == (next(s for s in range(n + 1) if 2 * s * s >= n) if kron else 1)
+    pows = []
+    real_pow = ModReducer.pow
+    monkeypatch.setattr(ModReducer, "pow",
+                        lambda self, r, e: pows.append(e) or real_pow(self, r, e))
     x = red.enter(a)
-    for i in range(1, n + 1):
-        before = len(red._frob.rows) if red._frob else 0
-        covered = len(red.leave(x).codes) <= before
+    for i in range(1, n + 2):
+        pows.clear()
         x = red.frobenius(x)
+        paying = i <= rent
+        assert pows == ([q] if paying else [])
+        assert (red._frob is None) == paying
+        assert paying or len(red._frob.rows) <= n
         assert red.leave(x) == red.powmod(a, q ** i)
-        assert len(red._frob.rows) == before if covered else \
-            len(red._frob.rows) > before
-    red._frob.grow(n)
-    assert len(red._frob.rows) == n
-    assert red.leave(red.frobenius(x)) == red.powmod(a, q ** (n + 1))
 
 
 @pytest.mark.parametrize("descriptor,n", [
