@@ -106,7 +106,7 @@ def wieferich_suite(ctx: PrimeContext, a: Poly) -> ConditionSuite:
     prime = ctx.prime
     verdicts = {}
 
-    red = ctx.chain(2).red
+    red = ctx.reducer(2)
     ra = red.enter(a)
     verdicts["def"] = red.frobenius(ra, ctx.degree) == ra
 

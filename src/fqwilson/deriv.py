@@ -126,7 +126,7 @@ def delta_at_theta(a: Poly, ctx: PrimeContext, i: int) -> FieldElement:
 
 def derivative_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:
     """(da/dt) mod P^k computed from a mod P^(k+1), through the
-    reducers of the context's chains mod P^(k+1) and P^k."""
-    r = ctx.chain(k + 1).red.reduce(a)
-    return ctx.chain(k).red.reduce(r.derivative())
+    context's reducers mod P^(k+1) and P^k."""
+    r = ctx.reducer(k + 1).reduce(a)
+    return ctx.reducer(k).reduce(r.derivative())
 

@@ -18,8 +18,6 @@ complete factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FqwilsonError
 from .gf import FieldElement
 from .irr import is_irreducible
@@ -68,14 +66,38 @@ def _factor_key(f: Poly):
     return (f.degree, tuple(reversed(f.codes)))
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """A (possibly partial) factorization unit * prod(base^mult) * cofactor."""
+    """A (possibly partial) factorization unit * prod(base^mult) * cofactor.
 
-    unit: FieldElement
-    factors: tuple  # ((Poly, int), ...) monic bases, canonically sorted
-    cofactor: Poly = None
-    cofactor_irreducible: object = None  # True / False / "unchecked" / None
+    factors holds ((Poly, int), ...), monic bases canonically sorted;
+    cofactor_irreducible is True, False, "unchecked" or None.  Two
+    factorizations are equal when all four fields are.
+    """
+
+    __slots__ = ("unit", "factors", "cofactor", "cofactor_irreducible")
+
+    def __init__(self, unit: FieldElement, factors: tuple,
+                 cofactor: Poly = None, cofactor_irreducible=None):
+        self.unit = unit
+        self.factors = factors
+        self.cofactor = cofactor
+        self.cofactor_irreducible = cofactor_irreducible
+
+    def _fields(self):
+        return (self.unit, self.factors, self.cofactor,
+                self.cofactor_irreducible)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("Factorization(unit={!r}, factors={!r}, cofactor={!r}, "
+                "cofactor_irreducible={!r})".format(*self._fields()))
 
     def value(self) -> Poly:
         out = Poly.constant(self.unit.field, self.unit)

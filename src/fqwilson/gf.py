@@ -1,9 +1,11 @@
 """Finite fields F_p and tower extensions F_q = F_p[x]/(m).
 
 A Field is an immutable value object: a prime field, or an extension of
-another field by a monic irreducible modulus that is verified at
-construction.  Towers are capped at two extension levels above the
-prime field, which covers F_p <= F_q <= F_{q^d}.
+another field by a monic irreducible modulus.  make_extension verifies
+the modulus by Rabin's test; the residue field of a prime that the
+enumeration's sieve certified is built without it.  Towers are capped
+at two extension levels above the prime field, which covers
+F_p <= F_q <= F_{q^d}.
 
 Elements are identified by integer codes in [0, order): the base-p
 positional encoding of the recursive coefficient vector, least
@@ -547,7 +549,22 @@ def make_prime_field(p: int) -> Field:
 
 
 def make_extension(base: Field, modulus) -> Field:
-    """Extend base by a monic irreducible modulus (always verified)."""
+    """Extend base by a monic irreducible modulus, verified by Rabin's
+    test.  This is the route for a modulus from outside; a prime that
+    the enumeration's sieve has certified gets its residue field from
+    _extension, with no second test (irr.PrimeContext)."""
+    _check_modulus(base, modulus)
+    if modulus.degree > 1:
+        from .irr import is_irreducible
+
+        if not is_irreducible(modulus):
+            raise Reducible(f"modulus {modulus} is reducible")
+    return _extension(base, modulus)
+
+
+def _check_modulus(base: Field, modulus) -> None:
+    """Raise unless modulus is a monic polynomial of positive degree over
+    base and the extension stays within the tower cap."""
     if modulus.field != base:
         raise FieldMismatch("modulus must have coefficients in the base field")
     k = modulus.degree
@@ -557,16 +574,15 @@ def make_extension(base: Field, modulus) -> Field:
         raise NotMonic(f"modulus {modulus} is not monic")
     if base.height + 1 > _MAX_TOWER_HEIGHT:
         raise FieldMismatch("towers are capped at two extensions above the prime field")
-    if k > 1:
-        from .irr import is_irreducible
 
-        if not is_irreducible(modulus):
-            raise Reducible(f"modulus {modulus} is reducible")
+
+def _extension(base: Field, modulus) -> Field:
+    """base extended by a modulus known to be a monic prime."""
     return Field(
         char=base.char,
-        order=base.order ** k,
+        order=base.order ** modulus.degree,
         base=base,
-        degree=k,
+        degree=modulus.degree,
         modulus_codes=tuple(modulus.codes),
     )
 

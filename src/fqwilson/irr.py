@@ -1,12 +1,24 @@
-"""Irreducibility testing and enumeration of monic primes of F_q[t]."""
+"""Irreducibility testing and enumeration of monic primes of F_q[t].
+
+Rabin's test (is_irreducible) decides a polynomial from outside: a
+user's modulus, a factor to verify.  Enumeration tests no candidate
+on its own: iter_monic_irreducibles sieves the window of candidate
+indices that monic_polys walks (_sieve.py, compiled only by the
+commands that enumerate), and the primes it yields are certified, so
+their contexts run no second test.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .errors import NotMonic, Reducible
-from .gf import Field, FieldElement, _prime_factors, make_extension
+from .gf import (
+    Field,
+    FieldElement,
+    _check_modulus,
+    _extension,
+    _prime_factors,
+    make_extension,
+)
 from .poly import Composition, ModReducer, Poly, gcd
 
 _ROOT_SCAN_MAX_ORDER = 64
@@ -73,62 +85,93 @@ def is_irreducible(f: Poly) -> bool:
     return red.frobenius(h, n - done) == t
 
 
-@dataclass(frozen=True)
 class PrimeContext:
     """A monic prime with its residue field and Teichmuller generator.
 
     theta is the class of t in F_q[t]/(prime); the prime is its minimal
-    polynomial over F_q and norm = q^deg counts the residue field.
-    The context owns the arithmetic mod the prime's powers: chain(m) is
-    the one CarlitzChain mod prime^m, and its red the one ModReducer,
-    that every residue mod prime^m of the prime's work goes through.
+    polynomial over F_q and norm = q^deg counts the residue field.  The
+    residue field and theta are built on first read.
+
+    PrimeContext(prime) takes the caller's word that prime is a monic
+    prime, as the enumeration's sieve has shown, and runs no test;
+    for_prime verifies a prime from anywhere else.  The context owns
+    the arithmetic mod the prime's powers: reducer(m) is the one
+    ModReducer mod prime^m that every residue mod prime^m of the
+    prime's work goes through, and chain(m) the one CarlitzChain on
+    it.  Two contexts are equal when their primes are.
     """
 
-    prime: Poly
-    degree: int
-    residue_field: Field
-    theta: FieldElement
-    norm: int
-    # memos, m -> CarlitzChain mod prime^m and m -> frobenius(m); they
-    # take no part in equality, hashing or the repr
-    _chains: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _frobenius: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("prime", "degree", "norm", "_residue_field", "_theta",
+                 "_reducers", "_chains", "_frobenius")
+
+    def __init__(self, prime: Poly):
+        d = prime.degree
+        if d > 1:
+            # a residue field past the tower cap is refused up front,
+            # as make_extension refuses it
+            _check_modulus(prime.field, prime)
+        self.prime = prime
+        self.degree = d
+        self.norm = prime.field.order ** d
+        self._residue_field = self._theta = None
+        # memos, m -> ModReducer, CarlitzChain and frobenius(m) mod
+        # prime^m; they take no part in equality, hashing or the repr
+        self._reducers = {}
+        self._chains = {}
+        self._frobenius = {}
 
     @classmethod
     def for_prime(cls, prime: Poly) -> "PrimeContext":
+        """The context of a prime that nothing has certified: raises
+        NotMonic or Reducible unless prime is a monic prime."""
         if prime.is_zero or not prime.is_monic:
             raise NotMonic(f"{prime} is not a monic polynomial")
-        d = prime.degree
-        if d < 1:
+        if prime.degree < 1:
             raise Reducible("constants are not primes")
-        base = prime.field
-        if d == 1:
-            ext = base
-            theta = FieldElement(base, base.neg(prime.codes[0]))
-        else:
-            ext = make_extension(base, prime)
-            theta = FieldElement(ext, ext.gen_code)
-        return cls(
-            prime=prime,
-            degree=d,
-            residue_field=ext,
-            theta=theta,
-            norm=base.order ** d,
-        )
+        ctx = cls(prime)
+        if prime.degree > 1:
+            ctx._residue_field = make_extension(prime.field, prime)
+        return ctx
+
+    @property
+    def residue_field(self) -> Field:
+        ext = self._residue_field
+        if ext is None:
+            base = self.prime.field
+            ext = base if self.degree == 1 else _extension(base, self.prime)
+            self._residue_field = ext
+        return ext
+
+    @property
+    def theta(self) -> FieldElement:
+        theta = self._theta
+        if theta is None:
+            ext = self.residue_field
+            if self.degree == 1:
+                theta = FieldElement(ext, ext.neg(self.prime.codes[0]))
+            else:
+                theta = FieldElement(ext, ext.gen_code)
+            self._theta = theta
+        return theta
+
+    def reducer(self, m: int) -> ModReducer:
+        """The ModReducer mod prime^m, memoized per m."""
+        red = self._reducers.get(m)
+        if red is None:
+            red = self._reducers[m] = ModReducer(self.prime ** m)
+        return red
 
     def chain(self, m: int):
-        """The CarlitzChain mod prime^m, memoized per m."""
+        """The CarlitzChain on reducer(m), memoized per m."""
         hit = self._chains.get(m)
         if hit is None:
             from .carlitz import CarlitzChain  # carlitz imports this module
 
-            hit = self._chains[m] = CarlitzChain(ModReducer(self.prime ** m))
+            hit = self._chains[m] = CarlitzChain(self.reducer(m))
         return hit
 
     def frobenius(self, m: int):
-        """(chain(m).red, T = t^norm mod prime^m, the Composition
+        """(reducer(m), T = t^norm mod prime^m, the Composition
         a -> a(T) mod prime^m), memoized per m.
 
         T costs d Frobenius steps of t, d the degree; when T is already
@@ -137,7 +180,7 @@ class PrimeContext:
         """
         hit = self._frobenius.get(m)
         if hit is None:
-            red = self.chain(m).red
+            red = self.reducer(m)
             higher = [n for n in self._frobenius if n > m]
             if higher:
                 frob = red.enter(self._frobenius[min(higher)][1])
@@ -148,8 +191,27 @@ class PrimeContext:
                                         Composition(red, frob))
         return hit
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prime == other.prime
+
+    def __hash__(self):
+        return hash(self.prime)
+
     def __repr__(self):
         return f"PrimeContext({self.prime})"
+
+
+def _candidate(field: Field, d: int, index: int) -> Poly:
+    """The monic candidate of degree d at index sum c_i q^i."""
+    q = field.order
+    codes = []
+    for _ in range(d):
+        index, r = divmod(index, q)
+        codes.append(r)
+    codes.append(1)
+    return Poly(field, codes)
 
 
 def monic_polys(field: Field, d: int, start: int = 0, stop=None):
@@ -164,25 +226,22 @@ def monic_polys(field: Field, d: int, start: int = 0, stop=None):
     q = field.order
     hi = q ** d if stop is None else min(stop, q ** d)
     for index in range(start, hi):
-        codes = []
-        m = index
-        for _ in range(d):
-            m, r = divmod(m, q)
-            codes.append(r)
-        codes.append(1)
-        yield Poly(field, tuple(codes))
+        yield _candidate(field, d, index)
 
 
 def iter_monic_irreducibles(field: Field, d: int, start: int = 0, stop=None):
     """Yield PrimeContext for each monic prime of degree d, in
-    candidate-index order; [start, stop) restricts the index range."""
+    candidate-index order; [start, stop) restricts the index range.
+
+    Each window is sieved on its own (see _sieve.py), so its primes do
+    not depend on how a run splits its windows, and the sieve certifies
+    each prime it yields: its context runs no second test."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    for cand in monic_polys(field, d, start, stop):
-        if d > 1 and cand.codes[0] == 0:
-            continue  # constant term zero, divisible by t
-        if is_irreducible(cand):
-            yield PrimeContext.for_prime(cand)
+    from ._sieve import primes
+
+    for prime in primes(field, d, start, stop, {}):
+        yield PrimeContext(prime)
 
 
 def _moebius(n: int) -> int:

@@ -191,7 +191,7 @@ def artin_schreier_prime(v, p, m, extended=False):
     v.check(f"{name} mixed conditions all vanish",
             all(suite.verdicts[label] for label in MIXED_LABELS), True)
     if extended and p == 3:
-        red = ctx.chain(1).red
+        red = ctx.reducer(1)
         for order in (2, 3):
             exact = fermat_quotient_iter(t, ctx, order)
             ladder = fermat_quotient_iter(t, ctx, order, k=1)

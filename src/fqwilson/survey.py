@@ -354,7 +354,8 @@ def special_primes_by_form(field: Field, d: int, c) -> list:
     for b in monic_polys(field, d // p):
         cand = b ** p + lin
         if is_irreducible(cand):
-            if not is_special_wilson(PrimeContext.for_prime(cand), c):
+            # Rabin has just certified cand: its context runs no second test
+            if not is_special_wilson(PrimeContext(cand), c):
                 raise EquivalenceViolation(
                     f"form enumeration and derivative check disagree at {cand}"
                 )

@@ -102,6 +102,16 @@ def test_wilson_char2_definition_only():
         assert ctx._frobenius == {}
 
 
+def test_wilson_suite_builds_only_the_chain_it_extends():
+    # Q(t) mod P^2 needs T mod P^3, a reducer mod P^3 and no chain there;
+    # the definition's F_d is the one chain, mod P^2
+    for ctx in itertools.islice(iter_monic_irreducibles(F5, 4), 3):
+        assert wilson_suite(ctx).unanimous
+        assert sorted(ctx._chains) == [2]
+        assert sorted(ctx._reducers) == [2, 3]
+        assert ctx.chain(2).red is ctx.reducer(2) is ctx.frobenius(2)[0]
+
+
 def test_wilson_skip_def():
     for text in ("t^3+2*t+2", "t^3+t^2+2"):
         full = wilson_suite(ctx3(text))

@@ -74,15 +74,19 @@ def test_iteration_agrees_with_count_and_is_sorted():
 
 
 def test_iteration_windows_partition():
-    field = make_prime_field(2)
-    d = 5
-    total = field.order ** d
-    whole = [str(ctx.prime) for ctx in iter_monic_irreducibles(field, d)]
-    pieces = []
-    for lo in range(0, total, 7):
-        pieces.extend(str(ctx.prime) for ctx in
-                      iter_monic_irreducibles(field, d, lo, min(lo + 7, total)))
-    assert pieces == whole
+    # each window is sieved on its own; together they are the full run
+    for descriptor, d, step in [
+            ("2", 5, 7), ("2", 10, 97), ("3", 6, 50), ("4", 4, 33),
+            ("5", 4, 101), ("9", 3, 64), ("2", 1, 1), ("5", 2, 7)]:
+        field = parse_field(descriptor)
+        total = field.order ** d
+        whole = [str(ctx.prime) for ctx in iter_monic_irreducibles(field, d)]
+        assert len(whole) == count_irreducibles(field, d)
+        pieces = []
+        for lo in range(0, total, step):
+            pieces.extend(str(ctx.prime) for ctx in iter_monic_irreducibles(
+                field, d, lo, min(lo + step, total)))
+        assert pieces == whole, (descriptor, d, step)
 
 
 @pytest.mark.parametrize("q,d", [(2, 0), (2, 5), (3, 3), (4, 2)])
@@ -159,10 +163,19 @@ def test_prime_context_rejects_bad_input():
     field = make_prime_field(3)
     with pytest.raises(NotMonic):
         PrimeContext.for_prime(parse_poly("2*t+1", field))
+    with pytest.raises(NotMonic):
+        PrimeContext.for_prime(parse_poly("2*t^3+t+1", field))
+    with pytest.raises(NotMonic):
+        PrimeContext.for_prime(Poly.zero(field))
     with pytest.raises(Reducible):
         PrimeContext.for_prime(Poly.one(field))
     with pytest.raises(Reducible):
         PrimeContext.for_prime(parse_poly("t^2+2*t+1", field))
+    with pytest.raises(Reducible):
+        PrimeContext.for_prime(parse_poly("t^3+2*t", field))
+    f9 = parse_field("9")
+    with pytest.raises(Reducible):
+        PrimeContext.for_prime(Poly(f9, (0, 0, 1)))
 
 
 @pytest.mark.parametrize("descriptor,d", [("67", 2), ("67", 3), ("81", 2),
@@ -212,3 +225,81 @@ def test_is_irreducible_keeps_the_gcds_above_checkpoint_one(monkeypatch):
     f = parse_poly("t^6+t+2", make_prime_field(3))  # no root in F_3
     assert is_irreducible(f) == brute_irreducible(f)
     assert len(calls) == 2
+
+
+def _rabin_calls(monkeypatch):
+    calls = []
+    real = irr.is_irreducible
+    monkeypatch.setattr(irr, "is_irreducible",
+                        lambda f: calls.append(f) or real(f))
+    return calls
+
+
+def test_sieve_matches_rabin_on_random_windows():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fields = [parse_field(q) for q in ("2", "3", "4", "5", "9")]
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.sampled_from(fields), st.integers(1, 8),
+               st.floats(0, 1), st.integers(0, 700))
+    def check(field, d, where, length):
+        total = field.order ** d
+        start = int(where * total)
+        stop = start + length
+        got = [ctx.prime for ctx in iter_monic_irreducibles(field, d, start, stop)]
+        want = [f for f in monic_polys(field, d, start, stop) if is_irreducible(f)]
+        assert got == want
+
+    check()
+
+
+@pytest.mark.parametrize("descriptor,d,start,stop", [
+    ("3", 6, 0, None), ("4", 4, 13, 200), ("2", 11, 5, 1500)])
+def test_sieve_segments_join_up(descriptor, d, start, stop, monkeypatch):
+    # a window longer than a segment is marked one segment at a time
+    from fqwilson import _sieve
+
+    monkeypatch.setattr(_sieve, "_SIEVE_SEGMENT", 50)
+    field = parse_field(descriptor)
+    got = [ctx.prime for ctx in iter_monic_irreducibles(field, d, start, stop)]
+    assert got == [f for f in monic_polys(field, d, start, stop)
+                   if is_irreducible(f)]
+
+
+def test_full_sieve_proves_nothing_twice(monkeypatch):
+    # a full window needs no Rabin test, and its contexts build their
+    # residue fields without one
+    calls = _rabin_calls(monkeypatch)
+    field = parse_field("3")
+    ctxs = list(iter_monic_irreducibles(field, 5))
+    assert len(ctxs) == count_irreducibles(field, 5)
+    assert all(ctx.residue_field.order == 3 ** 5 for ctx in ctxs)
+    assert calls == []
+
+
+def test_sieve_on_a_short_window_rabin_tests_the_survivors(monkeypatch):
+    # over F_2 at degree 40 only the degrees with at most 64 primes (up
+    # to 9) sieve [0, 64), so the survivors still take Rabin's test
+    field = parse_field("2")
+    want = [f for f in monic_polys(field, 40, 0, 64) if is_irreducible(f)]
+    calls = _rabin_calls(monkeypatch)
+    got = [ctx.prime for ctx in iter_monic_irreducibles(field, 40, 0, 64)]
+    assert got == want
+    assert 0 < len(calls) < 16
+    assert all(f.codes[0] for f in calls)  # the prime t sieved the rest
+
+
+@pytest.mark.parametrize("descriptor,d", [("3", 1), ("3", 4), ("4", 3),
+                                          ("9", 2), ("625", 1)])
+def test_enumerated_contexts_equal_verified_ones(descriptor, d):
+    field = parse_field(descriptor)
+    for ctx in itertools.islice(iter_monic_irreducibles(field, d), 25):
+        checked = PrimeContext.for_prime(ctx.prime)
+        assert ctx == checked and hash(ctx) == hash(checked)
+        assert repr(ctx) == repr(checked) == f"PrimeContext({ctx.prime})"
+        assert ctx.residue_field == checked.residue_field
+        assert ctx.theta == checked.theta
+        assert (ctx.degree, ctx.norm) == (checked.degree, checked.norm)
+    a, b = itertools.islice(iter_monic_irreducibles(field, d), 2)
+    assert a != b and len({a, b, PrimeContext.for_prime(a.prime)}) == 2
