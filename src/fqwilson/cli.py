@@ -91,7 +91,7 @@ def cmd_primes_list(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .congruence import wieferich_suite, wilson_suite
+    from .congruence import holds, wieferich_suite, wilson_suite
 
     field = parse_field(args.field)
     prime = parse_poly(args.prime, field)
@@ -101,18 +101,19 @@ def cmd_check(args) -> int:
         suite = wieferich_suite(ctx, base)
     else:
         suite = wilson_suite(ctx, skip_def=args.skip_def)
+    verdicts = suite["verdicts"]
     lines = []
     if args.all_conditions:
-        for label in suite.verdicts:
-            lines.append(f"{label}: {_bool(suite.verdicts[label])}")
-    n = len(suite.verdicts)
-    summary = f"{args.kind}: {_bool(suite.holds)} ({n} condition"
+        for label, verdict in verdicts.items():
+            lines.append(f"{label}: {_bool(verdict)}")
+    n = len(verdicts)
+    summary = f"{args.kind}: {_bool(holds(suite))} ({n} condition"
     summary += "s" if n != 1 else ""
-    summary += ", unanimous)" if suite.unanimous else ")"
-    if suite.marker:
-        summary += f" [{suite.marker}]"
+    summary += ", unanimous)" if suite["unanimous"] else ")"
+    if "marker" in suite:
+        summary += f" [{suite['marker']}]"
     lines.append(summary)
-    _emit(args, suite.to_json(), lines)
+    _emit(args, suite, lines)
     return 0
 
 
@@ -122,12 +123,11 @@ def cmd_classify_base(args) -> int:
     field = parse_field(args.field)
     base = parse_poly(args.base, field)
     cls = classify_base(base)
-    lines = [f"class: {cls.tag}"]
-    if cls.tag == "AllPrimesWieferich":
-        lines.append(f"witness: b={cls.witness}")
-    elif cls.tag == "NoWieferichPrimes":
-        lines.append(f"witness: b={cls.witness} c={cls.c.code}")
-    _emit(args, cls.to_json(), lines)
+    lines = [f"class: {cls['tag']}"]
+    if "witness" in cls:
+        lines.append(f"witness: b={cls['witness']}"
+                     + (f" c={cls['c']}" if "c" in cls else ""))
+    _emit(args, cls, lines)
     return 0
 
 
@@ -183,8 +183,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    from .survey import (jsonl_document, persist, record_key, resume,
-                         skips_definition, survey_degree)
+    from .survey import (jsonl_document, made_with, persist, record_key,
+                         resume, skips_definition, survey_degree, validate)
 
     field = parse_field(args.field)
     seed = _resolve_seed(args)
@@ -199,17 +199,16 @@ def cmd_survey(args) -> int:
                 f"seed {seed}"
             )
         rec = stored.get(record_key(field.descriptor(), args.degree))
-        if rec is not None and not rec.made_with(
-                field, multiplicities=not args.no_multiplicities,
+        if rec is not None and not made_with(
+                rec, field, multiplicities=not args.no_multiplicities,
                 def_skipped=skips_definition(field, args.degree, args.budget)):
             rec = None
         if rec is not None:
-            rec.validate(field)
+            validate(rec, field)
     if rec is None:
         rec = survey_degree(
             field,
             args.degree,
-            seed=seed,
             jobs=args.jobs,
             full_suites=args.full_suites,
             def_budget=args.budget,
@@ -217,26 +216,26 @@ def cmd_survey(args) -> int:
         )
         if args.out:
             persist([rec], args.out, seed=seed, append=args.append)
+    wilson, special = rec["wilson_primes"], rec["special_primes"]
     lines = [
-        f"field {rec.field_descriptor} degree {rec.degree}: "
-        f"{rec.prime_count} primes",
-        f"wilson ({len(rec.wilson_primes)}): "
-        + (" ".join(rec.wilson_primes) if rec.wilson_primes else "-"),
+        f"field {rec['field']} degree {rec['degree']}: "
+        f"{rec['prime_count']} primes",
+        f"wilson ({len(wilson)}): " + (" ".join(wilson) if wilson else "-"),
     ]
-    for c in sorted(rec.special_primes):
-        primes = rec.special_primes[c]
+    # c keys are decimal text: c=10 sorts after c=9
+    for c in sorted(special, key=int):
+        primes = special[c]
         lines.append(f"special c={c} ({len(primes)}): "
                      + (" ".join(primes) if primes else "-"))
-    for table in sorted(rec.multiplicities):
-        entry = rec.multiplicities[table]
+    for table, entry in sorted(rec["multiplicities"].items()):
         if table == "wilson_sum":
             body = " ".join(f"{t}:{v}" for t, v in sorted(entry.items()))
             lines.append(f"mult wilson_sum: {body or '-'}")
         else:
-            for c in sorted(entry):
+            for c in sorted(entry, key=int):
                 body = " ".join(f"{t}:{v}" for t, v in sorted(entry[c].items()))
                 lines.append(f"mult {table} c={c}: {body or '-'}")
-    if rec.def_skipped:
+    if rec["def_skipped"]:
         lines.append("def condition skipped (bound)")
     if args.json:
         sys.stdout.write(jsonl_document([rec], seed))
@@ -318,17 +317,17 @@ def cmd_scan(args) -> int:
         findings = alt_gcd_conjecture_scan(field, args.max_degree)
     lines = []
     for f in findings:
-        entry = f"d={f.d}"
-        if f.c is not None:
-            entry += f" c={f.c}"
-        entry += f" gcd degree {f.gcd.degree}: {f.gcd}"
-        if f.violates_expectation:
+        entry = f"d={f['d']}"
+        if f["c"] is not None:
+            entry += f" c={f['c']}"
+        entry += f" gcd degree {f['gcd'].degree}: {f['gcd']}"
+        if f["violates_expectation"]:
             entry += "  [unexpected]"
         lines.append(entry)
+        f["gcd"] = str(f["gcd"])
     if not lines:
         lines = ["no nontrivial gcd found"]
-    payload = [f.to_json() for f in findings]
-    _emit(args, payload, lines)
+    _emit(args, findings, lines)
     return 0
 
 
@@ -345,7 +344,7 @@ def cmd_verify(args) -> int:
     v = recorded.Verifier()
     if args.case == "q3d6":
         field = parse_field("3")
-        recorded.q3d6_census(v, survey_degree(field, 6, seed=seed, jobs=args.jobs,
+        recorded.q3d6_census(v, survey_degree(field, 6, jobs=args.jobs,
                                               full_suites=True))
         recorded.q3d6_wilson_sum(v, theorem5_report(field, 6, seed=seed))
         for c in (1, 2):
@@ -353,12 +352,13 @@ def cmd_verify(args) -> int:
                 v, theorem7_report(field, 6, c, mode="full", seed=seed))
     elif args.case == "q2d14":
         field = parse_field("2")
-        rec = survey_degree(field, 14, seed=seed, jobs=args.jobs)
+        rec = survey_degree(field, 14, jobs=args.jobs)
         recorded.q2d14_census(v, rec)
         if args.extended:
             pert = CarlitzCache(field).perturbation("L_minus_c", 14, 1)
             fac = trial_division(pert, recorded.Q2D14_TRIAL_DEGREE, seed=seed)
-            recorded.l13_trial_division(v, pert, fac, rec.special_primes.get(1, []))
+            recorded.l13_trial_division(v, pert, fac,
+                                        rec["special_primes"].get("1", []))
             recorded.l13_remaining(v, fac, factorize(fac.cofactor, seed=seed))
     elif args.case == "artin-schreier":
         for p in (3, 5):

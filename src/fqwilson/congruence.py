@@ -7,11 +7,13 @@ equivalent conditions phrased through the three derivatives; the suites
 here evaluate every route independently and raise EquivalenceViolation
 if the routes ever disagree, so a disagreement is a loud bug signal
 rather than a quietly wrong answer.
+
+A suite and a base classification come back as their JSON payloads,
+the plain dicts that `check --json` and `classify-base --json` print;
+holds(suite) reads a suite's common verdict.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
@@ -26,56 +28,25 @@ WILSON_LABELS = (
 )
 
 
-@dataclass
-class ConditionSuite:
-    """Verdicts of every evaluated condition at one prime."""
-
-    context: PrimeContext
-    kind: str
-    verdicts: dict
-    base: Poly = None
-    skipped: tuple = ()
-    marker: str = ""
-
-    @property
-    def unanimous(self) -> bool:
-        return len(set(self.verdicts.values())) <= 1
-
-    @property
-    def holds(self) -> bool:
-        """The common verdict (callers check unanimity was asserted)."""
-        return next(iter(self.verdicts.values()))
-
-    def to_json(self):
-        out = {
-            "prime": str(self.context.prime),
-            "kind": self.kind,
-            "verdicts": dict(self.verdicts),
-            "unanimous": self.unanimous,
-            "skipped": list(self.skipped),
-        }
-        if self.base is not None:
-            out["base"] = str(self.base)
-        if self.marker:
-            out["marker"] = self.marker
-        return out
+def holds(suite) -> bool:
+    """The common verdict of a suite (its routes were found unanimous)."""
+    return next(iter(suite["verdicts"].values()))
 
 
-@dataclass
-class BaseClass:
-    """How a base polynomial sits relative to the p-th power forms."""
-
-    tag: str
-    witness: Poly = None
-    c: FieldElement = None
-
-    def to_json(self):
-        out = {"tag": self.tag}
-        if self.witness is not None:
-            out["witness"] = str(self.witness)
-        if self.c is not None:
-            out["c"] = self.c.code
-        return out
+def _suite(ctx, kind, verdicts, base=None, skipped=(), marker=""):
+    """A suite as its JSON payload; raises if its routes disagree."""
+    suite = {"prime": str(ctx.prime), "kind": kind, "verdicts": verdicts,
+             "unanimous": len(set(verdicts.values())) <= 1,
+             "skipped": list(skipped)}
+    if base is not None:
+        suite["base"] = str(base)
+    if marker:
+        suite["marker"] = marker
+    if not suite["unanimous"]:
+        raise EquivalenceViolation(
+            f"{kind} conditions disagree at {ctx.prime}: {verdicts}"
+        )
+    return suite
 
 
 def _is_zero_at_theta(f: Poly, ctx: PrimeContext) -> bool:
@@ -83,15 +54,7 @@ def _is_zero_at_theta(f: Poly, ctx: PrimeContext) -> bool:
     return val == ctx.residue_field(0)
 
 
-def _assert_unanimous(suite: ConditionSuite):
-    if not suite.unanimous:
-        split = {lab: v for lab, v in suite.verdicts.items()}
-        raise EquivalenceViolation(
-            f"{suite.kind} conditions disagree at {suite.context.prime}: {split}"
-        )
-
-
-def wieferich_suite(ctx: PrimeContext, a: Poly) -> ConditionSuite:
+def wieferich_suite(ctx: PrimeContext, a: Poly) -> dict:
     """All six a-Wieferich conditions, each by its own route.
 
     def   a^(q^d) = a mod P^2, by d Frobenius steps x -> x^q mod P^2
@@ -122,12 +85,10 @@ def wieferich_suite(ctx: PrimeContext, a: Poly) -> ConditionSuite:
 
     verdicts["iii"] = delta_at_theta(a, ctx, 1) == ctx.residue_field(0)
 
-    suite = ConditionSuite(context=ctx, kind="wieferich", verdicts=verdicts, base=a)
-    _assert_unanimous(suite)
-    return suite
+    return _suite(ctx, "wieferich", verdicts, base=a)
 
 
-def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
+def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> dict:
     """All fifteen Wilson conditions for p > 2; definition only for p = 2.
 
     The pure conditions:
@@ -152,8 +113,8 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
     if p == 2:
         verdicts = {"def": ctx.chain(2).F(ctx.degree) == -Poly.one(field)}
         skipped = tuple(lab for lab in WILSON_LABELS if lab != "def")
-        return ConditionSuite(context=ctx, kind="wilson", verdicts=verdicts,
-                              skipped=skipped, marker="definition-only")
+        return _suite(ctx, "wilson", verdicts, skipped=skipped,
+                      marker="definition-only")
 
     # Q(t) mod P^2 first: it memoizes T mod P^3, so Q(Q(t)) mod P
     # reduces that T rather than running d Frobenius steps of its own
@@ -193,14 +154,11 @@ def wilson_suite(ctx: PrimeContext, skip_def: bool = False) -> ConditionSuite:
     verdicts["ii-iii"] = eval_poly(fermat_quotient_mod(p1, ctx, 1), ctx.theta) == zero
     verdicts["iii-ii"] = delta_at_theta(qt, ctx, 1) == zero
 
-    suite = ConditionSuite(context=ctx, kind="wilson", verdicts=verdicts,
-                           skipped=skipped,
-                           marker="skipped (bound)" if skip_def else "")
-    _assert_unanimous(suite)
-    return suite
+    return _suite(ctx, "wilson", verdicts, skipped=skipped,
+                  marker="skipped (bound)" if skip_def else "")
 
 
-def classify_base(a: Poly) -> BaseClass:
+def classify_base(a: Poly) -> dict:
     """Theorem-2 trichotomy for the base a.
 
     a = b^p for some b           -> every prime is a-Wieferich
@@ -208,7 +166,9 @@ def classify_base(a: Poly) -> BaseClass:
     anything else                -> generic
     Coefficientwise p-th roots always exist in F_q, so the structural
     exponent test (nonzero coefficients only at multiples of p, with
-    exponent 1 allowed in the second form) is exact.
+    exponent 1 allowed in the second form) is exact.  Returns {"tag"},
+    plus the witness b as text and c as its code where the form has
+    them.
     """
     field = a.field
     p = field.char
@@ -216,14 +176,14 @@ def classify_base(a: Poly) -> BaseClass:
     if all(i % p == 0 for i in idx):
         b = pth_root_poly(a)
         assert b ** p == a
-        return BaseClass(tag="AllPrimesWieferich", witness=b)
+        return {"tag": "AllPrimesWieferich", "witness": str(b)}
     c = a.coeff(1)
     if c and all(i % p == 0 for i in idx if i != 1):
         shifted = a - Poly.monomial(field, 1, c)
         b = pth_root_poly(shifted)
         assert b ** p + Poly.monomial(field, 1, c) == a
-        return BaseClass(tag="NoWieferichPrimes", witness=b, c=c)
-    return BaseClass(tag="Generic")
+        return {"tag": "NoWieferichPrimes", "witness": str(b), "c": c.code}
+    return {"tag": "Generic"}
 
 
 def wilson_multiplicity(ctx: PrimeContext) -> int:

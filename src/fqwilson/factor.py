@@ -70,8 +70,7 @@ class Factorization:
     """A (possibly partial) factorization unit * prod(base^mult) * cofactor.
 
     factors holds ((Poly, int), ...), monic bases canonically sorted;
-    cofactor_irreducible is True, False, "unchecked" or None.  Two
-    factorizations are equal when all four fields are.
+    cofactor_irreducible is True, False, "unchecked" or None.
     """
 
     __slots__ = ("unit", "factors", "cofactor", "cofactor_irreducible")
@@ -82,22 +81,6 @@ class Factorization:
         self.factors = factors
         self.cofactor = cofactor
         self.cofactor_irreducible = cofactor_irreducible
-
-    def _fields(self):
-        return (self.unit, self.factors, self.cofactor,
-                self.cofactor_irreducible)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("Factorization(unit={!r}, factors={!r}, cofactor={!r}, "
-                "cofactor_irreducible={!r})".format(*self._fields()))
 
     def value(self) -> Poly:
         out = Poly.constant(self.unit.field, self.unit)

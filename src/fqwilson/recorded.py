@@ -7,7 +7,7 @@ report, a factorization) with the recorded values through a Verifier;
 
 from collections import Counter
 
-from .congruence import is_special_wilson, wilson_multiplicity, wilson_suite
+from .congruence import holds, is_special_wilson, wilson_multiplicity, wilson_suite
 from .deriv import MIXED_LABELS, delta, fermat_quotient, fermat_quotient_iter
 from .gf import parse_field
 from .irr import PrimeContext, is_irreducible
@@ -84,15 +84,16 @@ def degree_multiset(pairs) -> str:
 
 def q3d6_census(v, rec):
     """The full-suite survey record of degree 6 over F_3."""
-    special_total = sum(len(t) for t in rec.special_primes.values())
+    special = rec["special_primes"]
     v.check("counts (primes, special, wilson)",
-            (rec.prime_count, special_total, len(rec.wilson_primes)),
+            (rec["prime_count"], sum(len(t) for t in special.values()),
+             len(rec["wilson_primes"])),
             (116, 6, Q3D6_WILSON))
     v.check("special primes per c",
-            {c: len(t) for c, t in sorted(rec.special_primes.items())},
+            dict(sorted((int(c), len(t)) for c, t in special.items())),
             Q3D6_SPECIAL_PER_C)
     v.check("15-condition suites unanimous on every prime",
-            rec.suite_agreement, True)
+            rec["suite_agreement"], True)
 
 
 def q3d6_wilson_sum(v, rep):
@@ -122,11 +123,11 @@ def q3d6_perturbation(v, rep):
 
 def q2d14_census(v, rec):
     """The survey record of degree 14 over F_2."""
-    special = rec.special_primes.get(1, [])
-    v.check("counts (primes, special)", (rec.prime_count, len(special)),
+    special = rec["special_primes"].get("1", [])
+    v.check("counts (primes, special)", (rec["prime_count"], len(special)),
             (1161, Q2D14_SPECIAL))
     for side, table in (("L", "L_minus_c"), ("D", "D_plus_sign_c")):
-        mults = rec.multiplicities.get(table, {}).get(1, {})
+        mults = rec["multiplicities"].get(table, {}).get("1", {})
         v.check(f"{side}-side multiplicities", sorted(mults.values()),
                 [1] * Q2D14_SPECIAL)
 
@@ -167,7 +168,7 @@ def artin_schreier_prime(v, p, m, extended=False):
     ctx = PrimeContext.for_prime(prime)
     suite = wilson_suite(ctx)
     v.check(f"{name} wilson suite",
-            (suite.holds, suite.unanimous, len(suite.verdicts)),
+            (holds(suite), suite["unanimous"], len(suite["verdicts"])),
             (True, True, 15))
     v.check(f"{name} wilson multiplicity >= {p - 1}",
             wilson_multiplicity(ctx) >= p - 1, True)
@@ -189,7 +190,7 @@ def artin_schreier_prime(v, p, m, extended=False):
     v.check(f"{name} fermat quotient at theta",
             eval_poly(embed(q1, ext), ctx.theta) == ext.one, True)
     v.check(f"{name} mixed conditions all vanish",
-            all(suite.verdicts[label] for label in MIXED_LABELS), True)
+            all(suite["verdicts"][label] for label in MIXED_LABELS), True)
     if extended and p == 3:
         red = ctx.reducer(1)
         for order in (2, 3):

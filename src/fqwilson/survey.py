@@ -9,20 +9,23 @@ per prime instead of a division of astronomically large polynomials.
 A survey does all of a prime's work, its verdicts and its table rows,
 in one pass over the prime's context; the gcd scans keep each prime's
 chain for the whole range of degrees.
+
+Survey records, reports and scan findings are returned as the JSON
+objects the commands print and the JSONL lines hold, so there is no
+record class to mirror; validate and made_with read a record as such.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from dataclasses import dataclass, field as dc_field
 
 from . import __version__, canonical_json
 from .carlitz import CarlitzCache
 from .congruence import (
     _capped_valuation,
     coefficient_characterization,
+    holds,
     is_special_wilson,
     wilson_suite,
 )
@@ -47,6 +50,12 @@ SCHEMA = "fqwilson.survey/1"
 
 
 # -- survey records ----------------------------------------------------
+#
+# A survey record is the JSON object of its JSONL line: field, degree,
+# prime_count, wilson_primes, special_primes and the three multiplicity
+# tables by c, multiplicity_cap, suite_agreement and def_skipped.  As
+# in the file, the c keys of special_primes and of the L and D tables
+# are decimal text.
 
 
 def record_key(field_descriptor: str, degree: int) -> str:
@@ -54,126 +63,99 @@ def record_key(field_descriptor: str, degree: int) -> str:
     return f"{field_descriptor}|{degree}"
 
 
-@dataclass
-class SurveyRecord:
-    """Per-degree census: counts, Wilson and special primes, valuations."""
+def made_with(rec, field: Field, *, multiplicities: bool,
+              def_skipped: bool) -> bool:
+    """Whether survey_degree with these options yields the record.
 
-    field_descriptor: str
-    degree: int
-    prime_count: int
-    wilson_primes: list
-    special_primes: dict
-    multiplicities: dict
-    multiplicity_cap: int
-    suite_agreement: bool
-    def_skipped: bool = False
-    timing: dict = dc_field(default_factory=dict, compare=False)
+    Records store no options, so the tables decide: without
+    multiplicities (or below degree 2) all three are empty; with them
+    each special prime's c has an L and a D row and, for p > 2, each
+    Wilson prime has a wilson_sum entry.
+    """
+    if rec["def_skipped"] != def_skipped:
+        return False
+    specials, wilson = set(), set()
+    if multiplicities and rec["degree"] >= 2:
+        specials = {c for c, primes in rec["special_primes"].items() if primes}
+        if field.char > 2:
+            wilson = set(rec["wilson_primes"])
+    tables = rec["multiplicities"]
+    return (set(tables["L_minus_c"]) == specials
+            and set(tables["D_plus_sign_c"]) == specials
+            and set(tables["wilson_sum"]) == wilson)
 
-    @property
-    def key(self) -> str:
-        return record_key(self.field_descriptor, self.degree)
 
-    def made_with(self, field: Field, *, multiplicities: bool,
-                  def_skipped: bool) -> bool:
-        """Whether survey_degree with these options yields this record.
-
-        Records store no options, so the tables decide: without
-        multiplicities (or below degree 2) all three are empty; with
-        them each special prime's c has an L and a D row and, for
-        p > 2, each Wilson prime has a wilson_sum entry.
-        """
-        if self.def_skipped != def_skipped:
-            return False
-        specials, wilson = set(), set()
-        if multiplicities and self.degree >= 2:
-            specials = {c for c, primes in self.special_primes.items() if primes}
-            if field.char > 2:
-                wilson = set(self.wilson_primes)
-        tables = self.multiplicities
-        return (set(tables.get("L_minus_c", ())) == specials
-                and set(tables.get("D_plus_sign_c", ())) == specials
-                and set(tables.get("wilson_sum", ())) == wilson)
-
-    def validate(self, field: Field):
-        p = field.char
-        d = self.degree
-        if self.prime_count != count_irreducibles(field, d):
-            raise TheoremViolation(
-                f"prime count {self.prime_count} at degree {d} contradicts "
-                f"the Gauss enumeration formula"
-            )
-        if any(self.special_primes.values()) and d % p != 0 and d != 1:
-            raise TheoremViolation(
-                f"special primes found at degree {d} although p does not divide d"
-            )
-        if self.wilson_primes and d % p != 0 and (d - 1) % p != 0:
-            raise TheoremViolation(
-                f"Wilson primes found at degree {d} although p divides "
-                f"neither d nor d-1"
-            )
-
-    def to_json(self):
-        return {
-            "field": self.field_descriptor,
-            "degree": self.degree,
-            "prime_count": self.prime_count,
-            "wilson_primes": list(self.wilson_primes),
-            "special_primes": {str(c): list(v)
-                               for c, v in self.special_primes.items()},
-            "multiplicities": {
-                kind: ({str(c): dict(v) for c, v in table.items()}
-                       if kind != "wilson_sum" else dict(table))
-                for kind, table in self.multiplicities.items()
-            },
-            "multiplicity_cap": self.multiplicity_cap,
-            "suite_agreement": self.suite_agreement,
-            "def_skipped": self.def_skipped,
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "SurveyRecord":
-        mults = {}
-        for kind, table in obj["multiplicities"].items():
-            if kind == "wilson_sum":
-                mults[kind] = dict(table)
-            else:
-                mults[kind] = {int(c): dict(v) for c, v in table.items()}
-        return cls(
-            field_descriptor=obj["field"],
-            degree=obj["degree"],
-            prime_count=obj["prime_count"],
-            wilson_primes=list(obj["wilson_primes"]),
-            special_primes={int(c): list(v)
-                            for c, v in obj["special_primes"].items()},
-            multiplicities=mults,
-            multiplicity_cap=obj["multiplicity_cap"],
-            suite_agreement=obj["suite_agreement"],
-            def_skipped=obj["def_skipped"],
+def validate(rec, field: Field):
+    """Raise TheoremViolation if the record contradicts a theorem."""
+    p = field.char
+    d = rec["degree"]
+    if rec["prime_count"] != count_irreducibles(field, d):
+        raise TheoremViolation(
+            f"prime count {rec['prime_count']} at degree {d} contradicts "
+            f"the Gauss enumeration formula"
+        )
+    if any(rec["special_primes"].values()) and d % p != 0 and d != 1:
+        raise TheoremViolation(
+            f"special primes found at degree {d} although p does not divide d"
+        )
+    if rec["wilson_primes"] and d % p != 0 and (d - 1) % p != 0:
+        raise TheoremViolation(
+            f"Wilson primes found at degree {d} although p divides "
+            f"neither d nor d-1"
         )
 
 
-@dataclass
-class ScanFinding:
-    """One nontrivial gcd hit from a conjecture/theorem scan."""
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    kind: str
-    field_descriptor: str
-    q: int
-    d: int
-    c: object
-    gcd: Poly
-    violates_expectation: bool
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "field": self.field_descriptor,
-            "q": self.q,
-            "d": self.d,
-            "c": self.c,
-            "gcd": str(self.gcd),
-            "violates_expectation": self.violates_expectation,
-        }
+def _texts(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _valuations(v) -> bool:
+    return isinstance(v, dict) and all(_is_int(x) for x in v.values())
+
+
+def _by_c(v, entry_ok) -> bool:
+    return isinstance(v, dict) and all(
+        c.isdecimal() and c == str(int(c)) and entry_ok(x)
+        for c, x in v.items())
+
+
+def _tables(v) -> bool:
+    return (isinstance(v, dict)
+            and set(v) == {"L_minus_c", "D_plus_sign_c", "wilson_sum"}
+            and _by_c(v["L_minus_c"], _valuations)
+            and _by_c(v["D_plus_sign_c"], _valuations)
+            and _valuations(v["wilson_sum"]))
+
+
+# each record key, and the check its JSON value must pass
+_RECORD_SHAPE = {
+    "field": lambda v: isinstance(v, str),
+    "degree": _is_int,
+    "prime_count": _is_int,
+    "wilson_primes": _texts,
+    "special_primes": lambda v: _by_c(v, _texts),
+    "multiplicities": _tables,
+    "multiplicity_cap": _is_int,
+    "suite_agreement": lambda v: isinstance(v, bool),
+    "def_skipped": lambda v: isinstance(v, bool),
+}
+
+
+def _record_from_json(obj) -> dict:
+    """The record in a parsed JSONL line; ValueError names the first key
+    that is missing or has the wrong JSON type."""
+    if not isinstance(obj, dict):
+        raise ValueError("a record must be a JSON object")
+    for key, ok in _RECORD_SHAPE.items():
+        if key not in obj:
+            raise ValueError(f"record has no {key!r}")
+        if not ok(obj[key]):
+            raise ValueError(f"record {key!r} has the wrong type")
+    return {key: obj[key] for key in _RECORD_SHAPE}
 
 
 # -- degree sweep ------------------------------------------------------
@@ -204,7 +186,8 @@ def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def,
     all of each prime's work on its context: the Wilson verdict, the
     special-form check and, with multiplicities, the prime's valuations
     for the tables.  Returns plain data for easy merging: per prime a
-    dict of its text, verdict, special c (or None) and valuations."""
+    dict of its text, verdict, special c as text (or None) and
+    valuations."""
     field = parse_field(descriptor)
     p = field.char
     cap = p + 2
@@ -214,7 +197,7 @@ def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def,
     for ctx in iter_monic_irreducibles(field, d, start, stop):
         prime = ctx.prime
         if full_suites or p == 2:
-            wil = wilson_suite(ctx, skip_def=skip_def and p > 2).holds
+            wil = holds(wilson_suite(ctx, skip_def=skip_def and p > 2))
         else:
             wil = _wilson_by_pattern(prime)
             if not skip_def and (ctx.chain(2).F(d) == minus_one) != wil:
@@ -236,7 +219,7 @@ def _survey_chunk(descriptor, d, start, stop, full_suites, skip_def,
                 raise EquivalenceViolation(
                     f"derivative scan and special-form check disagree at {prime}"
                 )
-            row["special_c"] = c.code
+            row["special_c"] = str(c.code)  # the record's c key
             if tables:
                 for kind in ("L_minus_c", "D_plus_sign_c"):
                     row[kind] = _perturbation_valuation(ctx, kind, d, c, cap)
@@ -251,9 +234,9 @@ def skips_definition(field: Field, d: int, def_budget) -> bool:
             and field.char > 2)
 
 
-def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
+def survey_degree(field: Field, d: int, *, jobs: int = 1,
                   full_suites: bool = False, def_budget=None,
-                  multiplicities: bool = True) -> SurveyRecord:
+                  multiplicities: bool = True) -> dict:
     """Census of all monic primes of one degree.
 
     The Wilson verdict runs the fifteen-condition suite per prime when
@@ -267,8 +250,6 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
         raise ValueError("degree must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    t0 = time.perf_counter()
-    p = field.char
     skip_def = skips_definition(field, d, def_budget)
     descriptor = field.descriptor()
 
@@ -295,7 +276,7 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
                 rows.extend(fut.result())
 
     wilson = []
-    special = {c: [] for c in range(1, field.order)}
+    special = {str(c): [] for c in range(1, field.order)}
     tables = {"L_minus_c": {}, "D_plus_sign_c": {}, "wilson_sum": {}}
     for row in rows:
         text = row["text"]
@@ -309,19 +290,18 @@ def survey_degree(field: Field, d: int, *, seed: int = 0, jobs: int = 1,
             if kind in row:
                 tables[kind].setdefault(row["special_c"], {})[text] = row[kind]
 
-    record = SurveyRecord(
-        field_descriptor=descriptor,
-        degree=d,
-        prime_count=len(rows),
-        wilson_primes=wilson,
-        special_primes=special,
-        multiplicities=tables,
-        multiplicity_cap=p + 2,
-        suite_agreement=True,
-        def_skipped=skip_def,
-        timing={"total_s": time.perf_counter() - t0},
-    )
-    record.validate(field)
+    record = {
+        "field": descriptor,
+        "degree": d,
+        "prime_count": len(rows),
+        "wilson_primes": wilson,
+        "special_primes": special,
+        "multiplicities": tables,
+        "multiplicity_cap": field.char + 2,
+        "suite_agreement": True,
+        "def_skipped": skip_def,
+    }
+    validate(record, field)
     return record
 
 
@@ -544,11 +524,15 @@ def _prime_chains(field, e, chains_by_degree):
     return chains_by_degree[e]
 
 
-def _scan_gcd_product(field, matched):
+def _finding(kind, field, d, c, matched):
+    """One nontrivial gcd hit as its payload, save that the gcd, the
+    product of the matched primes, stays a Poly until it is printed."""
     g = Poly.one(field)
     for prime in matched:
         g = g * prime
-    return g
+    return {"kind": kind, "field": field.descriptor(), "q": field.order,
+            "d": d, "c": c, "gcd": g,
+            "violates_expectation": d % field.char != 0}
 
 
 def borisov_scan(field: Field, d_max: int) -> list:
@@ -582,17 +566,11 @@ def borisov_scan(field: Field, d_max: int) -> list:
         for c in range(1, q):
             if not matched[c]:
                 continue
-            finding = ScanFinding(
-                kind="borisov_gcd",
-                field_descriptor=field.descriptor(),
-                q=q, d=d, c=c,
-                gcd=_scan_gcd_product(field, matched[c]),
-                violates_expectation=(d % p != 0),
-            )
-            if finding.violates_expectation:
+            finding = _finding("borisov_gcd", field, d, c, matched[c])
+            if finding["violates_expectation"]:
                 raise TheoremViolation(
                     f"nontrivial gcd(L_{d-1}+{c}, [{d}]) over F{q} with "
-                    f"p = {p} not dividing d = {d}: {finding.gcd}"
+                    f"p = {p} not dividing d = {d}: {finding['gcd']}"
                 )
             findings.append(finding)
     return findings
@@ -611,7 +589,6 @@ def alt_gcd_conjecture_scan(field: Field, d_max: int) -> list:
         raise ValueError("the alternating-sum conjecture is posed for p > 2")
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    q = field.order
     chains_by_degree = {}
     findings = []
     for d in range(2, d_max + 1):
@@ -621,13 +598,8 @@ def alt_gcd_conjecture_scan(field: Field, d_max: int) -> list:
                 if chain.T(d - 1).is_zero:
                     matched.append(prime)
         if matched:
-            findings.append(ScanFinding(
-                kind="alt_gcd_conjecture",
-                field_descriptor=field.descriptor(),
-                q=q, d=d, c=None,
-                gcd=_scan_gcd_product(field, matched),
-                violates_expectation=(d % p != 0),
-            ))
+            findings.append(_finding("alt_gcd_conjecture", field, d, None,
+                                     matched))
     return findings
 
 
@@ -641,15 +613,14 @@ def _header(seed: int) -> dict:
 def jsonl_document(records, seed: int = 0) -> str:
     """The persisted form as one string: header line, then record lines."""
     lines = [canonical_json(_header(seed))]
-    lines.extend(canonical_json(rec.to_json()) for rec in records)
+    lines.extend(canonical_json(rec) for rec in records)
     return "\n".join(lines) + "\n"
 
 
 def persist(records, path, seed: int = 0, append: bool = False):
     """Write survey records as JSON lines under a versioned header.
 
-    Bytes are reproducible for a fixed seed and package version:
-    timing metadata never reaches the file.
+    Bytes are reproducible for a fixed seed and package version.
     """
     records = list(records)
     header = _header(seed)
@@ -662,16 +633,17 @@ def persist(records, path, seed: int = 0, append: bool = False):
             )
         with open(path, "a", encoding="utf-8") as fh:
             for rec in records:
-                fh.write(canonical_json(rec.to_json()) + "\n")
+                fh.write(canonical_json(rec) + "\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(jsonl_document(records, seed))
 
 
 def resume(path):
-    """(header, {record key: SurveyRecord}) from a persisted file.
+    """(header, {record key: record}) from a persisted file.
 
-    Any malformed line is reported by number as a schema mismatch;
+    Any malformed line, or a record missing a key or holding a value of
+    the wrong JSON type, is reported by number as a schema mismatch;
     callers skip keys already present instead of recomputing them.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -697,8 +669,8 @@ def resume(path):
         if not line.strip():
             continue
         try:
-            rec = SurveyRecord.from_json(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+            rec = _record_from_json(json.loads(line))
+        except ValueError as exc:
             raise SchemaVersionMismatch(f"line {n}: {exc}") from exc
-        records[rec.key] = rec
+        records[record_key(rec["field"], rec["degree"])] = rec
     return header, records

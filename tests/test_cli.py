@@ -132,6 +132,29 @@ def test_survey_human_output(capsys):
     )
 
 
+def test_survey_lists_c_in_numeric_order(capsys, monkeypatch):
+    # a record's c keys are decimal text; c=10 still prints after c=9
+    out, _ = run(capsys, ["survey", "--field", "11", "--degree", "2"])
+    assert out == ("field 11 degree 2: 55 primes\n"
+                   "wilson (0): -\n"
+                   + "".join(f"special c={c} (0): -\n" for c in range(1, 11))
+                   + "mult wilson_sum: -\n")
+
+    # the same order in the L and D tables, on a record made to hold them
+    rec = {"field": "11", "degree": 2, "prime_count": 55, "wilson_primes": [],
+           "special_primes": {"10": ["a"], "2": ["b"]},
+           "multiplicities": {"L_minus_c": {"10": {"a": 1}, "2": {"b": 2}},
+                              "D_plus_sign_c": {}, "wilson_sum": {}},
+           "multiplicity_cap": 13, "suite_agreement": True,
+           "def_skipped": False}
+    monkeypatch.setattr(survey_module, "survey_degree", lambda *a, **k: rec)
+    out, _ = run(capsys, ["survey", "--field", "11", "--degree", "2"])
+    assert out.splitlines()[2:] == ["special c=2 (1): b", "special c=10 (1): a",
+                                    "mult L_minus_c c=2: b:2",
+                                    "mult L_minus_c c=10: a:1",
+                                    "mult wilson_sum: -"]
+
+
 def test_theorem5_output(capsys):
     out, _ = run(capsys, ["theorem5", "--field", "3", "--degree", "3"])
     assert out == (
@@ -235,7 +258,7 @@ def test_import_leaves_recorded_unloaded():
 
 
 # the layers that factor and primes list never run, and dataclasses,
-# which only the surveys and reports use
+# which no command uses
 _UNUSED_BY_FACTOR = ("fqwilson.survey", "fqwilson.carlitz",
                      "fqwilson.congruence", "fqwilson.deriv",
                      "fqwilson.recorded", "dataclasses")
@@ -260,6 +283,29 @@ def test_factor_and_primes_leave_other_layers_unloaded(run_argv):
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("run_argv", [
+    ["theorem7", "--field", "3", "--degree", "3", "--c", "2"],
+    ["survey", "--field", "3", "--degree", "3", "--full-suites"],
+    ["check", "wilson", "--field", "3", "--prime", "t^3+2*t+2"],
+    ["classify-base", "--field", "3", "--base", "t^3+2*t"],
+    ["scan", "borisov", "--field", "3", "--max-degree", "3"],
+    ["verify", "paper", "--case", "artin-schreier"],
+], ids=["theorem7", "survey", "check-wilson", "classify-base",
+        "scan-borisov", "verify-artin-schreier"])
+def test_commands_leave_dataclasses_unloaded(run_argv):
+    # suites, base classes, scan findings and survey records are plain
+    # JSON payloads, so no command pays for importing dataclasses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    code = ("import sys, fqwilson.cli\n"
+            f"assert fqwilson.cli.main({run_argv!r}) == 0\n"
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("degree", ["0", "-1"])
@@ -415,6 +461,25 @@ def test_survey_append_and_seed_mismatch(capsys, tmp_path, monkeypatch):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("special_primes", []),
+    ("degree", "2"),
+])
+def test_survey_append_refuses_wrong_typed_record(tmp_path, key, value):
+    # a stored record of the wrong shape is a schema mismatch: exit 2
+    # with its line number, not a traceback
+    path = tmp_path / "sweep.jsonl"
+    argv = ["survey", "--field", "3", "--degree", "2", "--out", str(path)]
+    assert _cli_process(*argv).returncode == 0
+    header, line = path.read_text().splitlines()
+    rec = json.loads(line)
+    rec[key] = value
+    path.write_text(f"{header}\n{json.dumps(rec)}\n")
+    proc = _cli_process(*argv, "--append")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: line 2: record {key!r} has the wrong type\n"
+
+
 def test_seed_env_fallback_and_flag_priority(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CARLITZ_SEED", "5")
     path = tmp_path / "env.jsonl"
@@ -467,14 +532,15 @@ def test_verify_q3d9(capsys):
     assert "MISMATCH" not in out
 
 
-def test_verify_q3d6_and_q2d14(capsys, monkeypatch, q3d6_record, q2d14_record,
+def test_verify_q3d6_and_q2d14(capsys, monkeypatch, q3d6_census, q2d14_census,
                                q3d6_wilson_sum, q3d6_perturbations):
     # the census and the reports are the session fixtures the acceptance
     # gate checks, so only the composition of the verify cases runs here
-    def survey(field, d, *, seed, jobs, full_suites=False):
-        assert (seed, jobs) == (0, 1)
-        return {("3", 6, True): q3d6_record,
-                ("2", 14, False): q2d14_record}[field.descriptor(), d, full_suites]
+    def survey(field, d, *, jobs, full_suites=False):
+        assert jobs == 1
+        return {("3", 6, True): q3d6_census[0],
+                ("2", 14, False): q2d14_census[0]}[field.descriptor(), d,
+                                                   full_suites]
 
     def theorem5(field, d, seed):
         assert (field.descriptor(), d, seed) == ("3", 6, 0)

@@ -238,8 +238,8 @@ def test_mixed_labels_complete_and_wilson_linked():
     wilson = wilson_suite(PrimeContext.for_prime(parse_poly("t^3+2*t+2", field)))
     plain = wilson_suite(PrimeContext.for_prime(parse_poly("t^3+t^2+2", field)))
     for label in MIXED_LABELS:
-        assert wilson.verdicts[label], label
-        assert not plain.verdicts[label], label
+        assert wilson["verdicts"][label], label
+        assert not plain["verdicts"][label], label
 
 
 def test_field_mismatch_between_base_and_prime():

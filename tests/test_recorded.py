@@ -21,10 +21,10 @@ def wants(check, *objects):
 
 
 def test_recorded_values():
-    # stand-ins carry the attributes (keys, for the theorem reports) each
+    # stand-ins carry the keys (attributes, for the factorizations) each
     # check reads; only the recorded side of each comparison is asserted
-    rec = Stub(prime_count=0, special_primes={}, wilson_primes=[],
-               suite_agreement=True, multiplicities={})
+    rec = {"prime_count": 0, "special_primes": {}, "wilson_primes": [],
+           "suite_agreement": True, "multiplicities": {}}
     report = {"poly_degree": 0, "factor_degrees": [],
               "degree_d_multiplicities": {}}
     fac = Stub(factors=[])

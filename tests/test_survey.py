@@ -6,7 +6,7 @@ import pytest
 
 from fqwilson import survey
 from fqwilson.carlitz import CarlitzCache
-from fqwilson.congruence import wilson_suite
+from fqwilson.congruence import holds, wilson_suite
 from fqwilson.errors import (
     SchemaVersionMismatch,
     TheoremViolation,
@@ -16,7 +16,6 @@ from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import count_irreducibles, iter_monic_irreducibles
 from fqwilson.poly import Poly, gcd, parse_poly
 from fqwilson.survey import (
-    SurveyRecord,
     alt_gcd_conjecture_scan,
     borisov_scan,
     canonical_json,
@@ -28,6 +27,7 @@ from fqwilson.survey import (
     survey_degree,
     theorem5_report,
     theorem7_report,
+    validate,
 )
 
 F2 = make_prime_field(2)
@@ -43,19 +43,19 @@ AS_CUBICS = ["t^3+2*t+1", "t^3+2*t+2"]
 def test_survey_matches_direct_loop():
     for d in (1, 2, 3):
         rec = survey_degree(F3, d)
-        wilson, special = [], {c: [] for c in (1, 2)}
+        wilson, special = [], {"1": [], "2": []}
         for ctx in iter_monic_irreducibles(F3, d):
-            if wilson_suite(ctx).holds:
+            if holds(wilson_suite(ctx)):
                 wilson.append(str(ctx.prime))
             dp = ctx.prime.derivative()
             if dp.degree == 0:
                 e = dp.coeff(0)
                 c = (e if d % 2 else -e).code
-                special[c].append(str(ctx.prime))
-        assert rec.prime_count == count_irreducibles(F3, d)
-        assert rec.wilson_primes == wilson
-        assert rec.special_primes == special
-        assert rec.suite_agreement
+                special[str(c)].append(str(ctx.prime))
+        assert rec["prime_count"] == count_irreducibles(F3, d)
+        assert rec["wilson_primes"] == wilson
+        assert rec["special_primes"] == special
+        assert rec["suite_agreement"]
 
 
 def test_survey_full_suites_same_record():
@@ -65,33 +65,33 @@ def test_survey_full_suites_same_record():
 
 def test_survey_multiplicity_tables_q3_d3():
     rec = survey_degree(F3, 3)
-    assert rec.special_primes == {1: [], 2: AS_CUBICS}
-    assert rec.multiplicity_cap == 5
-    l_tab = rec.multiplicities["L_minus_c"][2]
-    d_tab = rec.multiplicities["D_plus_sign_c"][2]
-    ws_tab = rec.multiplicities["wilson_sum"]
+    assert rec["special_primes"] == {"1": [], "2": AS_CUBICS}
+    assert rec["multiplicity_cap"] == 5
+    l_tab = rec["multiplicities"]["L_minus_c"]["2"]
+    d_tab = rec["multiplicities"]["D_plus_sign_c"]["2"]
+    ws_tab = rec["multiplicities"]["wilson_sum"]
     for text in AS_CUBICS:
         assert l_tab[text] >= 2
         assert d_tab[text] == 1
         assert ws_tab[text] >= 1
-    assert set(ws_tab) == set(rec.wilson_primes)
+    assert set(ws_tab) == set(rec["wilson_primes"])
 
 
 def test_survey_without_multiplicities():
     rec = survey_degree(F3, 3, multiplicities=False)
-    assert rec.multiplicities == {
+    assert rec["multiplicities"] == {
         "L_minus_c": {}, "D_plus_sign_c": {}, "wilson_sum": {},
     }
 
 
 def test_survey_def_budget():
     cheap = survey_degree(F3, 3, def_budget=10)
-    assert cheap.def_skipped
-    assert cheap.wilson_primes == survey_degree(F3, 3).wilson_primes
+    assert cheap["def_skipped"]
+    assert cheap["wilson_primes"] == survey_degree(F3, 3)["wilson_primes"]
 
-    assert not survey_degree(F3, 3, def_budget=1000).def_skipped
+    assert not survey_degree(F3, 3, def_budget=1000)["def_skipped"]
     # characteristic 2 has only the definition, so it is never skipped
-    assert not survey_degree(F2, 3, def_budget=1).def_skipped
+    assert not survey_degree(F2, 3, def_budget=1)["def_skipped"]
 
 
 def test_survey_rejects_degree_zero():
@@ -102,8 +102,7 @@ def test_survey_rejects_degree_zero():
 def test_survey_jobs_deterministic():
     one = survey_degree(F3, 4, jobs=1)
     two = survey_degree(F3, 4, jobs=2)
-    assert one == two
-    assert canonical_json(one.to_json()) == canonical_json(two.to_json())
+    assert canonical_json(one) == canonical_json(two)
 
 
 def test_survey_jobs_capped_at_cpu_count(monkeypatch):
@@ -129,12 +128,12 @@ def test_survey_jobs_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 3)
-    want = canonical_json(survey_degree(F3, 4, jobs=1).to_json())
+    want = canonical_json(survey_degree(F3, 4, jobs=1))
     for jobs in (2, 3, 5000):
-        assert canonical_json(survey_degree(F3, 4, jobs=jobs).to_json()) == want
+        assert canonical_json(survey_degree(F3, 4, jobs=jobs)) == want
     assert pools == [2, 3, 3]
     monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
-    assert canonical_json(survey_degree(F3, 4, jobs=5000).to_json()) == want
+    assert canonical_json(survey_degree(F3, 4, jobs=5000)) == want
     assert pools == [2, 3, 3]  # an unknown CPU count runs in-process
 
 
@@ -157,12 +156,12 @@ def test_survey_chunks_through_a_real_pool(monkeypatch):
         return ProcessPoolExecutor(max_workers=1)
 
     want = survey_degree(F3, 6, full_suites=True)
-    assert all(want.multiplicities[kind] for kind in
+    assert all(want["multiplicities"][kind] for kind in
                ("L_minus_c", "D_plus_sign_c", "wilson_sum"))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", one_worker)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     got = survey_degree(F3, 6, jobs=2, full_suites=True)
-    assert canonical_json(got.to_json()) == canonical_json(want.to_json())
+    assert canonical_json(got) == canonical_json(want)
     assert pools == [2]
 
 
@@ -203,19 +202,19 @@ def test_survey_jobs_below_one_rejected(jobs):
 
 def test_validate_catches_tampering():
     rec = survey_degree(F3, 2)
-    rec.prime_count += 1
+    rec["prime_count"] += 1
     with pytest.raises(TheoremViolation):
-        rec.validate(F3)
+        validate(rec, F3)
 
     rec = survey_degree(F3, 2)
-    rec.special_primes[1] = ["t^2+1"]
+    rec["special_primes"]["1"] = ["t^2+1"]
     with pytest.raises(TheoremViolation):
-        rec.validate(F3)
+        validate(rec, F3)
 
     rec = survey_degree(F3, 5)
-    rec.wilson_primes = ["t^5+t+1"]
+    rec["wilson_primes"] = ["t^5+t+1"]
     with pytest.raises(TheoremViolation):
-        rec.validate(F3)
+        validate(rec, F3)
 
 
 SWEEP_GRID = (
@@ -232,7 +231,7 @@ def test_sweep_invariants(q, d):
     # no TheoremViolation and no EquivalenceViolation fired
     field = parse_field(str(q))
     rec = survey_degree(field, d)
-    assert rec.prime_count == count_irreducibles(field, d)
+    assert rec["prime_count"] == count_irreducibles(field, d)
 
 
 @pytest.mark.slow
@@ -240,7 +239,7 @@ def test_sweep_invariants(q, d):
 def test_sweep_invariants_f4_deep(d):
     field = parse_field("4")
     rec = survey_degree(field, d)
-    assert rec.prime_count == count_irreducibles(field, d)
+    assert rec["prime_count"] == count_irreducibles(field, d)
 
 
 def test_survey_over_a_tower_field():
@@ -249,21 +248,23 @@ def test_survey_over_a_tower_field():
     # degree would need residue fields above the tower height cap
     field = parse_field("4:t^2+t+1/t^2+t+2")
     rec = survey_degree(field, 1)
-    assert rec.field_descriptor == field.descriptor()
-    assert rec.prime_count == count_irreducibles(field, 1) == 16
+    assert rec["field"] == field.descriptor()
+    assert rec["prime_count"] == count_irreducibles(field, 1) == 16
 
 
 # ------------------------------------------------------------ persistence
 
 
-def test_record_round_trip():
-    for rec in (survey_degree(F3, 3), survey_degree(F2, 4)):
-        back = SurveyRecord.from_json(rec.to_json())
-        assert back == rec
-        assert back.key == rec.key
-        # JSON keys for c are strings, attributes are ints
-        assert all(isinstance(c, str) for c in rec.to_json()["special_primes"])
-        assert all(isinstance(c, int) for c in back.special_primes)
+def test_record_round_trip(tmp_path):
+    # a record is its JSONL line: it comes back from the file as it was
+    # written, under its key, its c keys decimal text
+    recs = [survey_degree(F3, 3), survey_degree(F2, 4)]
+    path = tmp_path / "survey.jsonl"
+    persist(recs, path)
+    _, loaded = resume(path)
+    assert loaded == {"3|3": recs[0], "2|4": recs[1]}
+    assert list(recs[0]["special_primes"]) == ["1", "2"]
+    assert list(recs[0]["multiplicities"]["L_minus_c"]) == ["2"]
 
 
 def test_persist_resume_append(tmp_path):
@@ -297,10 +298,12 @@ def test_resume_reports_line_numbers(tmp_path):
     persist([survey_degree(F3, 1), survey_degree(F3, 2)], path)
     lines = path.read_text().splitlines()
 
-    lines[2] = '{"broken": true}'
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaVersionMismatch, match="line 3:"):
-        resume(path)
+    for bad, message in (('{"broken": true}', "record has no 'field'"),
+                         ("[1]", "a record must be a JSON object"),
+                         ("{", "Expecting property name")):
+        path.write_text("\n".join(lines[:2] + [bad]) + "\n")
+        with pytest.raises(SchemaVersionMismatch, match=f"^line 3: {message}"):
+            resume(path)
 
     header = json.loads(lines[0])
     header["version"] = "0.0.0"
@@ -311,6 +314,39 @@ def test_resume_reports_line_numbers(tmp_path):
 
     path.write_text("")
     with pytest.raises(SchemaVersionMismatch, match="line 1"):
+        resume(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"special_primes": []},
+    {"degree": "2"},
+    {"degree": True},
+    {"prime_count": 8.0},
+    {"field": 3},
+    {"wilson_primes": [1]},
+    {"special_primes": {"01": [], "2": []}},
+    {"special_primes": {"x": []}},
+    {"special_primes": {"1": "t"}},
+    {"multiplicities": {"L_minus_c": {}, "D_plus_sign_c": {}}},
+    {"multiplicities": {"L_minus_c": {"2": {"t": "1"}}, "D_plus_sign_c": {},
+                        "wilson_sum": {}}},
+    {"multiplicities": {"L_minus_c": {}, "D_plus_sign_c": {},
+                        "wilson_sum": []}},
+    {"suite_agreement": 1},
+    {"def_skipped": None},
+    {"multiplicity_cap": "5"},
+])
+def test_resume_refuses_wrong_typed_records(tmp_path, change):
+    path = tmp_path / "survey.jsonl"
+    persist([survey_degree(F3, 1), survey_degree(F3, 2)], path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec.update(change)
+    lines[2] = canonical_json(rec)
+    path.write_text("\n".join(lines) + "\n")
+    (key,) = change
+    with pytest.raises(SchemaVersionMismatch,
+                       match=f"^line 3: record '{key}' has the wrong type$"):
         resume(path)
 
 
@@ -329,10 +365,11 @@ def test_special_primes_by_form():
         special_primes_by_form(F3, 3, 0)
 
 
-def test_special_primes_match_survey(q3d6_record):
+def test_special_primes_match_survey(q3d6_census):
+    rec, _ = q3d6_census
     for c in (1, 2):
         forms = [str(f) for f in special_primes_by_form(F3, 6, c)]
-        assert sorted(forms) == sorted(q3d6_record.special_primes[c])
+        assert sorted(forms) == sorted(rec["special_primes"][str(c)])
 
 
 # ------------------------------------------------------- theorem reports
@@ -400,38 +437,38 @@ def test_borisov_scan_q3():
     findings = borisov_scan(F3, 4)
     assert len(findings) == 1
     hit = findings[0]
-    assert (hit.d, hit.c) == (3, 1)
-    assert not hit.violates_expectation
-    assert str(hit.gcd) == "t^6+t^4+t^2+2"
+    assert (hit["d"], hit["c"]) == (3, 1)
+    assert not hit["violates_expectation"]
+    assert str(hit["gcd"]) == "t^6+t^4+t^2+2"
     # the reported gcd is the literal Euclid gcd of the two operands
     cache = CarlitzCache(F3)
     lit = gcd(cache.L(2) + Poly.one(F3), cache.bracket(3))
-    assert lit == hit.gcd
-    assert hit.gcd == parse_poly(AS_CUBICS[0], F3) * parse_poly(AS_CUBICS[1], F3)
+    assert lit == hit["gcd"]
+    assert hit["gcd"] == parse_poly(AS_CUBICS[0], F3) * parse_poly(AS_CUBICS[1], F3)
 
 
 def test_borisov_scan_q2():
     findings = borisov_scan(F2, 4)
-    assert [(f.d, f.c) for f in findings] == [(2, 1), (4, 1)]
+    assert [(f["d"], f["c"]) for f in findings] == [(2, 1), (4, 1)]
     cache = CarlitzCache(F2)
     for hit in findings:
-        assert not hit.violates_expectation
-        lit = gcd(cache.L(hit.d - 1) + Poly.one(F2), cache.bracket(hit.d))
-        assert lit == hit.gcd
+        assert not hit["violates_expectation"]
+        lit = gcd(cache.L(hit["d"] - 1) + Poly.one(F2), cache.bracket(hit["d"]))
+        assert lit == hit["gcd"]
 
 
 def test_alt_gcd_conjecture_scan():
     findings = alt_gcd_conjecture_scan(F3, 6)
-    assert [f.d for f in findings] == [6]
-    assert not findings[0].violates_expectation
+    assert [f["d"] for f in findings] == [6]
+    assert not findings[0]["violates_expectation"]
     # each reported gcd is the literal Euclid gcd of [d] and the exact
     # alternating sum 1 - [d-1] + [d-1][d-2] - ... +- L_(d-1)
     cache = CarlitzCache(F3)
     for hit in findings:
         alt = Poly.one(F3)
-        for m in range(1, hit.d):
+        for m in range(1, hit["d"]):
             alt = Poly.one(F3) - cache.bracket(m) * alt
-        assert gcd(cache.bracket(hit.d), alt) == hit.gcd
+        assert gcd(cache.bracket(hit["d"]), alt) == hit["gcd"]
     assert alt_gcd_conjecture_scan(F5, 4) == []
     with pytest.raises(ValueError):
         alt_gcd_conjecture_scan(F2, 4)
@@ -459,7 +496,7 @@ def test_append_recomputes_record_made_with_other_options(tmp_path, capsys,
     skipped = survey("--budget", "10", "--out", path, "--append")
     assert skipped == fresh + "def condition skipped (bound)\n"
     _, stored = resume(path)
-    assert stored["3|3"].def_skipped
+    assert stored["3|3"]["def_skipped"]
     # the latest record of each option set is reused, not appended again
     lines = len(open(path).read().splitlines())
     assert survey("--budget", "10", "--out", path, "--append") == skipped
