@@ -7,115 +7,29 @@ their product.  F_d = (-1)^d D_d / L_d plays the role of (N-1)! for a
 prime of degree d: the Wilson congruence asks whether F_d = -1 holds
 modulo the square of the prime rather than just the prime.
 
-CarlitzCache holds the exact quantities.  CarlitzChain holds the same
-quantities reduced by one ModReducer, as its residues (packed over F_2
+CarlitzChain holds them as residues of one ModReducer (packed over F_2
 and F_3): a single Frobenius chain x -> x^q, the reducer's frobenius,
 yields the brackets, and L, D and the alternating sums
 T_m = 1 - [m] T_(m-1) are folds over it, each extended lazily and at
 most once per index and turned into a Poly only when read;
-F_d = +-(D_0 ... D_(d-1))^(q-1) is one power of their product.  Every
-residue check in the package (the definition of Wilson primes, the
-multiplicities, the survey tables, the gcd scans) goes through the
-chain that irr.PrimeContext.chain keeps per power of the prime, so
-giant numerators are never formed when only a residue is needed;
-`carlitz compute --mod` builds its own chain.
+F_d = +-(D_0 ... D_(d-1))^(q-1) is one power of their product.
+CarlitzCache is the same chain over F_q[t] itself, with no modulus, so
+its values are exact.  Every residue check in the package (the
+definition of Wilson primes, the multiplicities, the survey tables,
+the gcd scans) goes through the chain that irr.PrimeContext.chain
+keeps per power of the prime, so giant numerators are never formed
+when only a residue is needed; `carlitz compute --mod` builds its own
+chain.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .errors import BoundExceeded, ZeroC
 from .gf import Field
 from .irr import monic_polys
-from .poly import DEGREE_GUARD, ModReducer, Poly, exact_div, q_power_expand
-
-
-class CarlitzCache:
-    """Memoized tower of brackets, factorials and lcm-quantities."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._brackets: dict[int, Poly] = {}
-        self._L: dict[int, Poly] = {0: Poly.one(field)}
-        self._D: dict[int, Poly] = {0: Poly.one(field)}
-
-    def bracket(self, n: int) -> Poly:
-        if n < 1:
-            raise ValueError("[n] is defined for n >= 1")
-        if n not in self._brackets:
-            q = self.field.order
-            if q ** n > DEGREE_GUARD:
-                raise BoundExceeded(f"[{n}] has degree {q}^{n} beyond the guard")
-            self._brackets[n] = Poly.monomial(self.field, q ** n) - Poly.t(self.field)
-        return self._brackets[n]
-
-    def L(self, n: int) -> Poly:
-        if n not in self._L:
-            self._L[n] = self.bracket(n) * self.L(n - 1)
-        return self._L[n]
-
-    def D(self, n: int) -> Poly:
-        if n not in self._D:
-            self._D[n] = self.bracket(n) * q_power_expand(self.D(n - 1), 1)
-        return self._D[n]
-
-    def F(self, d: int) -> Poly:
-        """(-1)^d D_d / L_d, exactly."""
-        out = exact_div(self.D(d), self.L(d))
-        if d % 2 and self.field.char != 2:
-            out = -out
-        return out
-
-    def F_brute(self, d: int) -> Poly:
-        """Literal product of all monic polynomials of degree < d,
-        raised to the q-1 and signed; the independent route to F_d."""
-        field = self.field
-        q = field.order
-        count = (q ** d - 1) // (q - 1)
-        if count > 1 << 20:
-            raise BoundExceeded(f"brute product over {count} polynomials refused")
-        prod = Poly.one(field)
-        for deg in range(d):
-            for f in monic_polys(field, deg):
-                prod = prod * f
-        out = prod ** (q - 1)
-        if count % 2 and field.char != 2:
-            out = -out
-        return out
-
-    def wilson_sum_poly(self, d: int) -> Poly:
-        """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
-
-        Each bracket has derivative -1, so the product rule collapses
-        the sum of cofactors into a single derivative.
-        """
-        return -self.L(d - 1).derivative()
-
-    def wilson_sum_via_quotients(self, d: int) -> Poly:
-        """The same sum formed literally, term by term."""
-        field = self.field
-        acc = Poly.zero(field)
-        ld = self.L(d - 1)
-        for i in range(1, d):
-            acc = acc + exact_div(ld, self.bracket(i))
-        return acc
-
-    def perturbation(self, kind: str, d: int, c) -> Poly:
-        """L_{d-1} - c or D_{d-1} + (-1)^d c, for nonzero c."""
-        return _perturbation(self, kind, d, c)
-
-
-def _perturbation(chain, kind: str, d: int, c) -> Poly:
-    # shared by CarlitzCache and CarlitzChain: it needs only L, D and field
-    field = chain.field
-    cc = field(c)
-    if cc.code == 0:
-        raise ZeroC("perturbations require a nonzero constant")
-    if kind == "L_minus_c":
-        return chain.L(d - 1) - Poly.constant(field, cc)
-    if kind == "D_plus_sign_c":
-        term = Poly.constant(field, cc if d % 2 == 0 else -cc)
-        return chain.D(d - 1) + term
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+from .poly import ModReducer, Poly, exact_div, q_power_expand
 
 
 class CarlitzChain:
@@ -200,5 +114,78 @@ class CarlitzChain:
 
     def perturbation(self, kind: str, d: int, c) -> Poly:
         """L_(d-1) - c or D_(d-1) + (-1)^d c, reduced, for nonzero c."""
+        field = self.field
+        cc = field(c)
+        if cc.code == 0:
+            raise ZeroC("perturbations require a nonzero constant")
+        if kind == "L_minus_c":
+            out = self.L(d - 1) - Poly.constant(field, cc)
+        elif kind == "D_plus_sign_c":
+            out = self.D(d - 1) + Poly.constant(field, cc if d % 2 == 0 else -cc)
+        else:
+            raise ValueError(f"unknown perturbation kind {kind!r}")
         # reduce again: a constant modulus reduces c itself
-        return self.red.reduce(_perturbation(self, kind, d, c))
+        return self.red.reduce(out)
+
+
+class _Exact:
+    """F_q[t] in the ModReducer interface that CarlitzChain runs on:
+    a residue is its Poly, nothing is reduced, and x -> x^q spreads
+    the exponents (q_power_expand), so the chain's values are exact.
+    The degree guard refuses what grows past it."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def enter(self, f: Poly) -> Poly:
+        return f
+
+    leave = reduce = enter
+    mul = staticmethod(operator.mul)
+    sub = staticmethod(operator.sub)
+    pow = staticmethod(operator.pow)
+
+    def frobenius(self, r: Poly, k: int = 1) -> Poly:
+        return q_power_expand(r, k)
+
+
+class CarlitzCache(CarlitzChain):
+    """The exact Carlitz quantities: the chain over F_q[t] itself, with
+    the Wilson sum and the literal oracles beside it."""
+
+    def __init__(self, field: Field):
+        super().__init__(_Exact(field))
+
+    def F_brute(self, d: int) -> Poly:
+        """Literal product of all monic polynomials of degree < d,
+        raised to the q-1 and signed; the independent route to F_d."""
+        field = self.field
+        q = field.order
+        count = (q ** d - 1) // (q - 1)
+        if count > 1 << 20:
+            raise BoundExceeded(f"brute product over {count} polynomials refused")
+        prod = Poly.one(field)
+        for deg in range(d):
+            for f in monic_polys(field, deg):
+                prod = prod * f
+        out = prod ** (q - 1)
+        if count % 2 and field.char != 2:
+            out = -out
+        return out
+
+    def wilson_sum_poly(self, d: int) -> Poly:
+        """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
+
+        Each bracket has derivative -1, so the product rule collapses
+        the sum of cofactors into a single derivative.
+        """
+        return -self.L(d - 1).derivative()
+
+    def wilson_sum_via_quotients(self, d: int) -> Poly:
+        """The same sum formed literally, term by term."""
+        field = self.field
+        acc = Poly.zero(field)
+        ld = self.L(d - 1)
+        for i in range(1, d):
+            acc = acc + exact_div(ld, self.bracket(i))
+        return acc

@@ -64,11 +64,12 @@ def _prime_for(a: Poly, ctx: PrimeContext) -> Poly:
 def fermat_quotient(a: Poly, ctx: PrimeContext) -> Poly:
     """(a^(q^d) - a) / P exactly, for a over F_q or the residue field.
 
-    Both fields are fixed by x -> x^(q^d), so the power is exponent
-    spreading by the norm q^d.
+    The power is exponent spreading by the norm q^d: the order q of
+    F_q raised to d, or the order of the residue field itself.
     """
     prime = _prime_for(a, ctx)
-    return exact_div(q_power_expand(a, 1, ctx.norm) - a, prime)
+    k = ctx.degree if a.field == ctx.prime.field else 1
+    return exact_div(q_power_expand(a, k) - a, prime)
 
 
 def fermat_quotient_mod(a: Poly, ctx: PrimeContext, k: int) -> Poly:

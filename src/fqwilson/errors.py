@@ -29,10 +29,6 @@ class FieldMismatch(FqwilsonError):
     """Operands belong to incompatible fields."""
 
 
-class CoefficientsNotInFixedField(FqwilsonError):
-    """Exponent scaling requires coefficients fixed by the Frobenius."""
-
-
 class BoundExceeded(FqwilsonError):
     """An exact computation was refused because it exceeds a guard."""
 

@@ -193,8 +193,6 @@ def distinct_degree_split(f: Poly, max_degree=None):
                     shrunk = ModReducer(f)
                     h = shrunk.enter(red.leave(h))
                     red = shrunk
-    if block:
-        f = flush(block, f, red)
     cofactor = None if f.degree == 0 else f
     return out, cofactor
 

@@ -21,20 +21,17 @@ from .gf import (
 )
 from .poly import Composition, ModReducer, Poly, gcd
 
-_ROOT_SCAN_MAX_ORDER = 64
-
 
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion: t^(q^n) = t mod f and no proper q^(n/r) fix.
 
-    Over fields of order at most _ROOT_SCAN_MAX_ORDER a scan for roots
-    in F_q runs first.  gcd(t^q - t, f) = 1 says exactly that f has no
-    root in F_q, so when the scan has run, the checkpoint n/r = 1 (r = n,
-    n prime) makes no gcd; over larger fields it does.  The Frobenius
-    chain h -> h^q runs in the residue form of f's ModReducer, so over
-    F_2 and F_3 it stays packed between the gcd checkpoints.
+    Each checkpoint n/r, r a prime factor of n, is decided by the
+    bracket gcd gcd(t^(q^(n/r)) - t, f), which is 1 exactly when f has
+    no prime factor of degree dividing n/r; at n/r = 1 that says f has
+    no root in F_q.  The Frobenius chain h -> h^q runs in the residue
+    form of f's ModReducer, so over F_2 and F_3 it stays packed between
+    the gcd checkpoints.
     """
-    field = f.field
     if f.is_zero:
         return False
     n = f.degree
@@ -44,42 +41,13 @@ def is_irreducible(f: Poly) -> bool:
         return True
     if f.codes[0] == 0:
         return False  # divisible by t
-    if not f.is_monic:
-        f = f.monic()
-    q = field.order
-    scanned = q <= _ROOT_SCAN_MAX_ORDER
-    if scanned:
-        # cheap linear-factor filter before the Frobenius chain
-        codes = f.codes
-        if field.is_prime_field:
-            # on plain ints: x^(p-1) = 1 for x != 0, so f(x) is Horner
-            # mod p over the sums of the codes in each exponent class
-            # mod p - 1 (at x = 1, the sum of all codes)
-            sums = [sum(codes[r::q - 1]) for r in range(q - 1)]
-            for x in range(1, q):
-                acc = 0
-                for s in reversed(sums):
-                    acc = (acc * x + s) % q
-                if acc == 0:
-                    return False
-        else:
-            mul = field.mul
-            add = field.add
-            for x in range(1, q):
-                acc = 0
-                for c in reversed(codes):
-                    acc = add(mul(acc, x), c)
-                if acc == 0:
-                    return False
     red = ModReducer(f)
-    t = red.enter(Poly.t(field))
+    t = red.enter(Poly.t(f.field))
     h = t
     done = 0
     for cp in sorted({n // r for r in _prime_factors(n)}):
         h = red.frobenius(h, cp - done)
         done = cp
-        if cp == 1 and scanned:
-            continue  # gcd(t^q - t, f) = 1 is what the root scan showed
         if gcd(red.leave(red.sub(h, t)), f).degree != 0:
             return False
     return red.frobenius(h, n - done) == t

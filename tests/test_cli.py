@@ -9,6 +9,7 @@ import fqwilson
 from fqwilson import survey as survey_module
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.cli import main
+from fqwilson.errors import EquivalenceViolation
 from fqwilson.gf import parse_field
 from fqwilson.poly import divrem, parse_poly
 from fqwilson.survey import resume
@@ -345,6 +346,34 @@ def test_negative_trial_degree_exits_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: trial division bound must be non-negative, got -3\n"
+
+
+def test_contradicted_stored_record_exits_1(tmp_path):
+    # a stored record that breaks a theorem is a broken invariant, not
+    # a usage error
+    path = str(tmp_path / "survey.jsonl")
+    argv = ("survey", "--field", "3", "--degree", "2", "--out", path)
+    assert _cli_process(*argv).returncode == 0
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace('"prime_count":3', '"prime_count":4'))
+    proc = _cli_process(*argv, "--append")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: prime count 4 at degree 2 contradicts the "
+                           "Gauss enumeration formula\n")
+
+
+def test_equivalence_violation_exits_1(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise EquivalenceViolation("two routes disagree")
+
+    monkeypatch.setattr(survey_module, "theorem5_report", disagree)
+    assert main(["theorem5", "--field", "3", "--degree", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: two routes disagree\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,19 +178,18 @@ def test_prime_context_rejects_bad_input():
         PrimeContext.for_prime(Poly(f9, (0, 0, 1)))
 
 
-@pytest.mark.parametrize("descriptor,d", [("67", 2), ("67", 3), ("81", 2),
-                                          ("81", 3)])
-def test_is_irreducible_without_root_scan_matches_brute_force(descriptor, d):
-    # q > _ROOT_SCAN_MAX_ORDER: no root scan runs, so the gcd at
-    # checkpoint n/r = 1 must; products of distinct linear factors pass
-    # t^(q^d) = t mod f and only that gcd rejects them
+@pytest.mark.parametrize("descriptor,d", [
+    (q, d) for q in ("2", "3", "4", "5", "9", "67", "81") for d in (2, 3)])
+def test_is_irreducible_checkpoint_one_matches_brute_force(descriptor, d):
+    # at a prime degree the one checkpoint is n/r = 1; products of
+    # distinct linear factors pass t^(q^d) = t mod f and only the
+    # bracket gcd gcd(t^q - t, f) rejects them
     field = parse_field(descriptor)
     q = field.order
-    assert q > irr._ROOT_SCAN_MAX_ORDER
     rng = random.Random(q * 10 + d)
     sample = [Poly(field, [rng.randrange(q) for _ in range(d)] + [1])
               for _ in range(30)]
-    for _ in range(10):
+    for _ in range(10 if d < q else 0):
         roots = rng.sample(range(1, q), d)
         f = Poly.one(field)
         for r in roots:
@@ -199,6 +198,17 @@ def test_is_irreducible_without_root_scan_matches_brute_force(descriptor, d):
     verdicts = [is_irreducible(f) for f in sample]
     assert verdicts == [brute_irreducible(f) for f in sample]
     assert True in verdicts and not any(verdicts[30:])
+
+
+def test_is_irreducible_early_exits_match_brute_force():
+    # constants, multiples of t and non-monic inputs leave before or
+    # without the Frobenius chain
+    field = make_prime_field(3)
+    cases = {"0": False, "2": False, "t^3+t^2": False, "2*t^2+2": True,
+             "2*t^3+2*t+2": False, "2*t^3+t+1": True}
+    for text, want in cases.items():
+        f = parse_poly(text, field)
+        assert is_irreducible(f) == brute_irreducible(f) == want, text
 
 
 def _count_gcds(monkeypatch):
@@ -210,13 +220,13 @@ def _count_gcds(monkeypatch):
 
 @pytest.mark.parametrize("d", [5, 7])
 def test_is_irreducible_count_matches_moebius_f3(d, monkeypatch):
-    # prime degree over F_3: the root scan runs, so the one checkpoint,
-    # n/r = 1, makes no gcd
+    # prime degree over F_3: the one checkpoint, n/r = 1, makes one gcd
+    # per candidate that t does not divide (2 * 3^(d-1) of them)
     calls = _count_gcds(monkeypatch)
     field = make_prime_field(3)
     found = sum(map(is_irreducible, monics(field, d)))
     assert found == count_irreducibles(field, d)
-    assert calls == []
+    assert len(calls) == {5: 162, 7: 1458}[d]
 
 
 def test_is_irreducible_keeps_the_gcds_above_checkpoint_one(monkeypatch):

@@ -305,6 +305,20 @@ def test_resume_reports_line_numbers(tmp_path):
         with pytest.raises(SchemaVersionMismatch, match=f"^line 3: {message}"):
             resume(path)
 
+    # a blank line between records is skipped
+    path.write_text("\n".join(lines) + "\n")
+    whole = resume(path)
+    assert len(whole[1]) == 2
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    assert resume(path) == whole
+
+    for bad, message in (("{", "Expecting property name"),
+                         ("[1]", "expected schema"),
+                         ('{"schema": "other/1"}', "expected schema")):
+        path.write_text("\n".join([bad] + lines[1:]) + "\n")
+        with pytest.raises(SchemaVersionMismatch, match=f"^line 1: {message}"):
+            resume(path)
+
     header = json.loads(lines[0])
     header["version"] = "0.0.0"
     lines[0] = canonical_json(header)
