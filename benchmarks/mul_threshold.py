@@ -95,7 +95,15 @@ square-and-multiply (ModReducer.powmod) and the Frobenius norm
 u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2
 (factor._half_norm_power), the latter once from a fresh reducer, as a
 bucket's first attempt pays, and once more on the same reducer, as a
-retry pays, after checking that the routes agree.
+retry pays, after checking that the routes agree.  Over F_2 and F_4
+it then times one trace attempt of a characteristic-2 split on a
+bucket m of degree n, the product of the first n/d monic primes of
+degree d (u + u^2 + ... + u^(2^(dk-1)) mod m for q = 2^k, then its gcd
+with m) on a warm reducer, after checking that the trace lies in the
+subring F_2 (it equals its own square): the draw of u alone
+(factor._draw, one block), the attempt on a fixed u and the attempt
+with its draw.  F_2 at n = 2046, d = 22 is the size of the bucket that
+[11]+1 leaves.
 
 Usage:
     python3 benchmarks/mul_threshold.py
@@ -109,6 +117,7 @@ Usage:
 """
 
 import argparse
+import itertools
 import random
 import time
 import timeit
@@ -118,7 +127,7 @@ from fqwilson.carlitz import CarlitzCache
 from fqwilson.gf import make_extension, make_prime_field, parse_field
 from fqwilson.irr import iter_monic_irreducibles
 from fqwilson.poly import (Composition, ModReducer, Poly, _kron_mul,
-                           _school_mul_prime, divrem)
+                           _school_mul_prime, divrem, gcd)
 
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
@@ -168,6 +177,11 @@ EDF_FIELDS = ("3", "5", "7", "9")
 # over F_9 a product is schoolbook on Field calls: one powmod at
 # n = 270, d = 90 takes about 17 s, so the sweep stops at this degree
 EDF_EXTENSION_MAX_DEG = 90
+# (field, bucket degree n, split degree d) of the trace part of --edf;
+# over F_4 the first primes of degree 20 take about 36 s to enumerate
+# (2-core Xeon), so its buckets stay at d <= 12
+EDF_TRACE_CASES = (("2", 2046, 22), ("2", 300, 10), ("2", 300, 30),
+                   ("4", 60, 10), ("4", 120, 12))
 
 
 def time_once(fn, args, repeat, number):
@@ -628,6 +642,47 @@ def edf_sweep(rng, repeat):
     return rows
 
 
+def edf_trace_sweep(rng, repeat):
+    """(q, n, d, draw s, attempt s without the draw, with it) per case."""
+    rows = []
+    for descriptor, n, d in EDF_TRACE_CASES:
+        field = parse_field(descriptor)
+        q = field.order
+        m = Poly.one(field)
+        for ctx in itertools.islice(iter_monic_irreducibles(field, d), n // d):
+            m = m * ctx.prime
+        red = ModReducer(m)
+        key = factor._draw_key(rng.randrange(1 << 32), b"edf")
+        steps = d * (q.bit_length() - 1)
+
+        def draw():
+            return Poly(field, factor._draw(key, 0, n, q))
+
+        def attempt(u):
+            return gcd(factor._trace(red, u, steps), m)
+
+        u = draw()  # the same u both attempts trace
+        tr = factor._trace(red, u, steps)
+        if ModReducer(m).powmod(tr, 2) != tr:
+            raise AssertionError(f"trace over F_{q} at degree {n}, d = {d} "
+                                 f"is not in F_2")
+
+        routes = (draw, lambda: attempt(u), lambda: attempt(draw()))
+        rows.append((q, n, d) + tuple(time_once(route, (), repeat, 1)
+                                      for route in routes))
+    return rows
+
+
+def report_edf_trace(rows):
+    print("trace attempt gcd(Tr u, m)  (field, bucket degree, d, ms by the "
+          "draw of u alone, the attempt on a fixed u, the attempt with its "
+          "draw)")
+    for q, n, d, draw, fixed, drawn in rows:
+        print(f"  F_{q:<3d} {n:5d} {d:4d}  {draw * 1e3:9.3f}  {fixed * 1e3:9.2f}  "
+              f"{drawn * 1e3:9.2f}")
+    print()
+
+
 def report_edf(rows):
     print("u^((q^d-1)/2) mod m  (field, bucket degree, d, ms by powmod, "
           "by the Frobenius norm from a fresh reducer, by the norm again "
@@ -753,11 +808,14 @@ def main(argv=None):
     ap.add_argument("--edf", action="store_true",
                     help="time the equal-degree split power u^((q^d-1)/2) "
                          "by powmod and by the Frobenius norm over F_3, F_5, "
-                         "F_7 and F_9 at bucket degrees 30 to 300 instead")
+                         "F_7 and F_9 at bucket degrees 30 to 300, then one "
+                         "trace attempt with and without its draw over F_2 "
+                         "and F_4, instead")
     args = ap.parse_args(argv)
 
     if args.edf:
         report_edf(edf_sweep(random.Random(args.seed), args.repeat))
+        report_edf_trace(edf_trace_sweep(random.Random(args.seed), args.repeat))
         return
 
     if args.frob:

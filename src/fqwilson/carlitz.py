@@ -112,6 +112,16 @@ class CarlitzChain:
             out = -out
         return out
 
+    def wilson_sum_poly(self, d: int) -> Poly:
+        """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
+
+        Each bracket has derivative -1, so the product rule collapses
+        the sum of cofactors into a single derivative.  It is exact on
+        CarlitzCache; on a chain mod m^2 it is the sum mod m once reduced
+        mod m, since (L + m^2 k)' = L' + m (2 m' k + m k').
+        """
+        return -self.L(d - 1).derivative()
+
     def perturbation(self, kind: str, d: int, c) -> Poly:
         """L_(d-1) - c or D_(d-1) + (-1)^d c, reduced, for nonzero c."""
         field = self.field
@@ -172,14 +182,6 @@ class CarlitzCache(CarlitzChain):
         if count % 2 and field.char != 2:
             out = -out
         return out
-
-    def wilson_sum_poly(self, d: int) -> Poly:
-        """-L_{d-1}', which equals the sum of L_{d-1}/[i] over i < d.
-
-        Each bracket has derivative -1, so the product rule collapses
-        the sum of cofactors into a single derivative.
-        """
-        return -self.L(d - 1).derivative()
 
     def wilson_sum_via_quotients(self, d: int) -> Poly:
         """The same sum formed literally, term by term."""

@@ -137,12 +137,14 @@ def cmd_carlitz(args) -> int:
     field = parse_field(args.field)
     what, n = args.what, args.n
     modulus = parse_poly(args.mod, field) if args.mod is not None else None
-    if modulus is None or what == "wilson-sum":
+    if modulus is None:
         source = CarlitzCache(field)
     else:
         # the exact values outgrow the degree guard long before their
-        # residues do, so they are reduced along the chain, not after
-        source = CarlitzChain(ModReducer(modulus))
+        # residues do, so they are reduced along the chain, not after;
+        # the Wilson sum mod m is fixed by L_(d-1) mod m^2
+        source = CarlitzChain(ModReducer(
+            modulus * modulus if what == "wilson-sum" else modulus))
     if what == "wilson-sum":
         value = source.wilson_sum_poly(n)
         if modulus is not None:
@@ -160,7 +162,8 @@ def cmd_carlitz(args) -> int:
         "degree": None if value.is_zero else value.degree,
         "poly": str(value),
     }
-    _emit(args, payload, [f"degree {value.degree}", str(value)])
+    _emit(args, payload, [f"degree {'-' if value.is_zero else value.degree}",
+                          str(value)])
     return 0
 
 

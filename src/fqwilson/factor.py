@@ -3,13 +3,23 @@
 The full pipeline is squarefree decomposition (Yun's algorithm with
 the characteristic-p p-th-root correction), distinct-degree splitting
 with blocked gcds, then Cantor-Zassenhaus equal-degree splitting with
-a deterministic random stream, so identical inputs and seeds always
-produce identical transcripts.  Over odd q a split attempt raises a
-random residue u to (q^d - 1)/2 as the Frobenius norm
-u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2 (von zur Gathen &
-Shoup): Frobenius steps in the reducer's residue form in place of a
-square-and-multiply power.  Over q = 2^k it takes the trace
-u + u^2 + ... + u^(2^(dk-1)) down to F_2 instead.  trial_division is
+deterministic random draws, so identical inputs and seeds always
+produce identical transcripts.  Each split attempt draws its random
+residue u as one block: a SHAKE-256 state that has absorbed the seed,
+the bucket and its degree is copied, absorbs the attempt number and is
+read once, one byte per code when q divides 256 and 8 bytes mod q
+otherwise.  The hash is CPython's built-in _sha3, so a split does not
+load OpenSSL.  (These block draws replaced a splitmix64 stream of one
+step per code; that changed, once, which splits a given seed takes,
+but not the factors.)  Over odd q a split attempt raises u to
+(q^d - 1)/2 as the Frobenius norm u * u^q * ... * u^(q^(d-1)) raised
+to (q - 1)/2 (von zur Gathen & Shoup): Frobenius steps in the
+reducer's residue form in place of a square-and-multiply power.  Over
+q = 2^k it takes the trace u + u^2 + ... + u^(2^(dk-1)) down to F_2
+instead.  No gcd(u, g) pre-check runs: a prime dividing u lands in
+gcd(Tr u, g) and stays out of gcd(N^((q-1)/2) - 1, g), so those draws
+split too.  factorize re-checks every prime by Rabin's test and
+multiplies the factors back by a product tree.  trial_division is
 the same pipeline with the distinct-degree scan capped at a degree
 bound: it stages out the primes of small degree only, which is how the
 large perturbed quantities are probed without paying for their
@@ -37,25 +47,33 @@ from .poly import ModReducer, Poly, exact_div, gcd, pth_root_poly
 _DDF_BLOCK = 4
 _COFACTOR_CHECK_MAX_DEG = 4096
 
-_M64 = (1 << 64) - 1
 
-
-def _rand_stream(seed: int, *tags: bytes):
-    """splitmix64 sequence with its state seeded by hashing the tags."""
-    import hashlib  # imported here: it loads OpenSSL, which only a split needs
-
-    h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(16, "big", signed=True))
+def _draw_key(seed: int, *tags: bytes):
+    """The shake_256 state that every draw of one split copies: the seed
+    and the tags absorbed once."""
+    try:
+        # the built-in module hashlib wraps, which does not load OpenSSL
+        from _sha3 import shake_256
+    except ImportError:
+        from hashlib import shake_256
+    key = shake_256(seed.to_bytes(16, "big", signed=True))
     for tag in tags:
-        h.update(b"\x00")
-        h.update(tag)
-    state = int.from_bytes(h.digest(), "big")
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _M64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        yield z ^ (z >> 31)
+        key.update(b"\x00" + tag)
+    return key
+
+
+def _draw(key, attempt: int, count: int, q: int):
+    """count codes in [0, q) for one split attempt: one block read from
+    the key with the attempt number absorbed.  When q divides 256 a code
+    is one byte taken mod q, exactly uniform; otherwise it is 8
+    big-endian bytes mod q, with a bias of order 2^-64."""
+    h = key.copy()
+    h.update(attempt.to_bytes(8, "big"))
+    if 256 % q == 0:
+        return h.digest(count).translate(bytes(range(q)) * (256 // q))
+    import struct
+
+    return tuple(x % q for x in struct.unpack(f">{count}Q", h.digest(8 * count)))
 
 
 def _poly_tag(f: Poly) -> bytes:
@@ -83,12 +101,17 @@ class Factorization:
         self.cofactor_irreducible = cofactor_irreducible
 
     def value(self) -> Poly:
-        out = Poly.constant(self.unit.field, self.unit)
-        for base, mult in self.factors:
-            out = out * base ** mult
+        """The product, multiplied back pairwise level by level."""
+        parts = [Poly.constant(self.unit.field, self.unit)]
+        parts += [base if mult == 1 else base ** mult for base, mult in self.factors]
         if self.cofactor is not None:
-            out = out * self.cofactor
-        return out
+            parts.append(self.cofactor)
+        while len(parts) > 1:
+            paired = [a * b for a, b in zip(parts[::2], parts[1::2])]
+            if len(parts) % 2:
+                paired.append(parts[-1])
+            parts = paired
+        return parts[0]
 
     def to_json(self):
         data = {
@@ -199,14 +222,19 @@ def distinct_degree_split(f: Poly, max_degree=None):
 
 def equal_degree_split(f: Poly, d: int, seed: int = 0):
     """All monic prime factors of f, where f is a monic squarefree
-    product of primes of one degree d.  Deterministic in (f, seed)."""
+    product of primes of one degree d.  Deterministic in (f, seed).
+
+    Each attempt draws a random residue u as one block (_draw) and
+    splits g by gcd(Tr u, g) over q = 2^k or gcd(N^((q-1)/2) - 1, g)
+    over odd q, with no gcd(u, g) pre-check."""
     field = f.field
     if f.degree == d:
         return [f]
     if f.degree % d:
         raise FqwilsonError(f"degree {f.degree} is not a multiple of {d}")
-    stream = _rand_stream(seed, b"edf", _poly_tag(f), d.to_bytes(4, "big"))
+    key = _draw_key(seed, b"edf", _poly_tag(f), d.to_bytes(4, "big"))
     q = field.order
+    attempt = 0
     out = []
     stack = [f]
     while stack:
@@ -215,32 +243,32 @@ def equal_degree_split(f: Poly, d: int, seed: int = 0):
             out.append(g)
             continue
         red = ModReducer(g)
-        split = None
-        while split is None:
-            u = Poly(field, tuple(next(stream) % q for _ in range(g.degree)))
+        while True:
+            u = Poly(field, _draw(key, attempt, g.degree, q))
+            attempt += 1
             if u.degree < 1:
                 continue
-            c = gcd(u, g)
-            if 0 < c.degree < g.degree:
-                split = c
-                break
             if field.char == 2:
-                # trace map of the residue ring down to F_2
-                v = red.enter(u)
-                acc = v
-                m = d * (field.order.bit_length() - 1)
-                for _ in range(m - 1):
-                    v = red.pow(v, 2)
-                    acc = red.sub(acc, v)  # in characteristic 2, - is +
-                cand = gcd(red.leave(acc), g)
+                split = gcd(_trace(red, u, d * (q.bit_length() - 1)), g)
             else:
-                cand = gcd(_half_norm_power(red, u, d) - Poly.one(field), g)
-            if 0 < cand.degree < g.degree:
-                split = cand
+                split = gcd(_half_norm_power(red, u, d) - Poly.one(field), g)
+            if 0 < split.degree < g.degree:
+                break
         stack.append(split)
         stack.append(exact_div(g, split))
     out.sort(key=_factor_key)
     return out
+
+
+def _trace(red: ModReducer, u: Poly, m: int) -> Poly:
+    """u + u^2 + u^4 + ... + u^(2^(m-1)) mod the reducer's modulus, the
+    trace of the residue ring down to F_2 when m = d * log2 q."""
+    v = red.enter(u)
+    acc = v
+    for _ in range(m - 1):
+        v = red.pow(v, 2)
+        acc = red.sub(acc, v)  # in characteristic 2, - is +
+    return red.leave(acc)
 
 
 # From `benchmarks/mul_threshold.py --edf` (2-core Xeon, best of 3, two

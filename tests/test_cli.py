@@ -43,17 +43,23 @@ def test_carlitz_bracket(capsys):
     assert out == "degree 2\nt^2+t\n"
 
 
-@pytest.mark.parametrize("q", [3, 4])
+# monic, square-carrying, non-monic and constant moduli per field
+_CARLITZ_MODULI = {2: ("t^2+1", "t^3+t+1", "1"),
+                   3: ("t^2+1", "2*t^2+1", "t^3", "2"),
+                   4: ("t^2+1", "2*t^2+1", "2*t^3+t", "2")}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_carlitz_mod_matches_exact_then_divrem(capsys, q):
-    # a monic, a non-monic and a constant modulus; every --what reduces
-    # to what the exact value leaves under divrem
+    # every --what reduces to what the exact value leaves under divrem;
+    # wilson-sum runs its chain mod m^2
     field = parse_field(str(q))
     cache = CarlitzCache(field)
     exact = {"bracket": cache.bracket, "L": cache.L, "D": cache.D,
              "F": cache.F, "wilson-sum": cache.wilson_sum_poly}
     for kind in ("L_minus_c", "D_plus_sign_c"):
         exact[kind] = lambda n, kind=kind: cache.perturbation(kind, n, 1)
-    for mod in ("t^2+1", "2*t^2+1", "2"):
+    for mod in _CARLITZ_MODULI[q]:
         modulus = parse_poly(mod, field)
         for n in range(1, 5):
             for what, value in exact.items():
@@ -64,12 +70,22 @@ def test_carlitz_mod_matches_exact_then_divrem(capsys, q):
                 else:
                     argv += ["--what", what]
                 want = divrem(value(n), modulus)[1]
+                degree = "-" if want.is_zero else want.degree
                 out, _ = run(capsys, argv)
-                assert out == f"degree {want.degree}\n{want}\n", " ".join(argv)
+                assert out == f"degree {degree}\n{want}\n", " ".join(argv)
     # [14] is beyond the degree guard, its residues are not
     out, _ = run(capsys, ["carlitz", "compute", "--field", "3", "--what", "L",
                           "--n", "14", "--mod", "t^2+1"])
-    assert out == "degree -inf\n0\n"  # t^2+1 divides [2]
+    assert out == "degree -\n0\n"  # t^2+1 divides [2]
+
+
+def test_carlitz_wilson_sum_mod_beyond_guard(capsys):
+    # the exact L_19 over F_2 has degree 524286, past the guard; its
+    # residue mod m^2 is all the sum mod m needs
+    out, _ = run(capsys, ["carlitz", "compute", "--field", "2",
+                          "--what", "wilson-sum", "--n", "20",
+                          "--mod", "t^3+t+1"])
+    assert out == "degree -\n0\n"  # (t^3+t+1)^6 divides L_19
 
 
 def test_check_wilson_all_conditions(capsys):
@@ -309,6 +325,32 @@ def test_commands_leave_dataclasses_unloaded(run_argv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("run_argv", [
+    ["factor", "--field", "2", "--poly", "t^64+t"],
+    ["factor", "--field", "257", "--poly", "t^6+3*t^2+5"],
+    ["factor", "--field", "4", "--poly", "t^16+t", "--max-trial-degree", "2"],
+    ["theorem7", "--field", "5", "--degree", "3", "--c", "1", "--mode", "full"],
+], ids=["factor-f2", "factor-f257", "factor-f4-trial", "theorem7"])
+def test_equal_degree_split_leaves_openssl_unloaded(run_argv):
+    # a split draws from the built-in shake_256, so a command that splits
+    # a bucket never loads hashlib's OpenSSL backend
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
+    code = ("import sys\n"
+            "preloaded = '_hashlib' in sys.modules\n"
+            "import fqwilson.cli, fqwilson.factor as factor\n"
+            "draws = []\n"
+            "real = factor._draw\n"
+            "factor._draw = lambda *a: draws.append(a) or real(*a)\n"
+            f"assert fqwilson.cli.main({run_argv!r}) == 0\n"
+            "assert draws\n"
+            "print(preloaded or '_hashlib' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_primes_list_nonpositive_degree_exits_2(degree):
     proc = _cli_process("primes", "list", "--field", "3", "--degree", degree)
@@ -445,7 +487,7 @@ def test_zero_result_json_is_strict(capsys):
             "--mod", "t"]
     data = json.loads(run(capsys, argv + ["--json"])[0], parse_constant=reject)
     assert data["degree"] is None and data["poly"] == "0"
-    assert run(capsys, argv)[0] == "degree -inf\n0\n"
+    assert run(capsys, argv)[0] == "degree -\n0\n"
 
 
 def test_survey_json_is_the_persisted_document(capsys, tmp_path):
