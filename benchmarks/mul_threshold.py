@@ -95,15 +95,13 @@ square-and-multiply (ModReducer.powmod) and the Frobenius norm
 u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2
 (factor._half_norm_power), the latter once from a fresh reducer, as a
 bucket's first attempt pays, and once more on the same reducer, as a
-retry pays, after checking that the routes agree.  Over F_2 and F_4
-it then times one trace attempt of a characteristic-2 split on a
-bucket m of degree n, the product of the first n/d monic primes of
-degree d (u + u^2 + ... + u^(2^(dk-1)) mod m for q = 2^k, then its gcd
-with m) on a warm reducer, after checking that the trace lies in the
-subring F_2 (it equals its own square): the draw of u alone
-(factor._draw, one block), the attempt on a fixed u and the attempt
-with its draw.  F_2 at n = 2046, d = 22 is the size of the bucket that
-[11]+1 leaves.
+retry pays, after checking that the routes agree.  It then times one
+trace attempt of the F_2 split on the bucket that [11]+1 leaves: m of
+degree 2046, the product of the first 93 monic primes of degree 22
+(u + u^2 + ... + u^(2^21) mod m, then its gcd with m) on a warm
+reducer, after checking that the trace lies in F_2 (it equals its own
+square): the draw of u alone (factor._draw, one block), the attempt on
+a fixed u and the attempt with its draw.
 
 Usage:
     python3 benchmarks/mul_threshold.py
@@ -177,11 +175,8 @@ EDF_FIELDS = ("3", "5", "7", "9")
 # over F_9 a product is schoolbook on Field calls: one powmod at
 # n = 270, d = 90 takes about 17 s, so the sweep stops at this degree
 EDF_EXTENSION_MAX_DEG = 90
-# (field, bucket degree n, split degree d) of the trace part of --edf;
-# over F_4 the first primes of degree 20 take about 36 s to enumerate
-# (2-core Xeon), so its buckets stay at d <= 12
-EDF_TRACE_CASES = (("2", 2046, 22), ("2", 300, 10), ("2", 300, 30),
-                   ("4", 60, 10), ("4", 120, 12))
+# (field, bucket degree n, split degree d) of the trace row of --edf
+EDF_TRACE_CASE = ("2", 2046, 22)
 
 
 def time_once(fn, args, repeat, number):
@@ -642,44 +637,39 @@ def edf_sweep(rng, repeat):
     return rows
 
 
-def edf_trace_sweep(rng, repeat):
-    """(q, n, d, draw s, attempt s without the draw, with it) per case."""
-    rows = []
-    for descriptor, n, d in EDF_TRACE_CASES:
-        field = parse_field(descriptor)
-        q = field.order
-        m = Poly.one(field)
-        for ctx in itertools.islice(iter_monic_irreducibles(field, d), n // d):
-            m = m * ctx.prime
-        red = ModReducer(m)
-        key = factor._draw_key(rng.randrange(1 << 32), b"edf")
-        steps = d * (q.bit_length() - 1)
+def edf_trace_row(rng, repeat):
+    """(q, n, d, draw s, attempt s without the draw, with it)."""
+    descriptor, n, d = EDF_TRACE_CASE
+    field = parse_field(descriptor)
+    q = field.order
+    m = Poly.one(field)
+    for ctx in itertools.islice(iter_monic_irreducibles(field, d), n // d):
+        m = m * ctx.prime
+    red = ModReducer(m)
+    key = factor._draw_key(rng.randrange(1 << 32), b"edf")
+    steps = d * (q.bit_length() - 1)
 
-        def draw():
-            return Poly(field, factor._draw(key, 0, n, q))
+    def draw():
+        return Poly(field, factor._draw(key, 0, n, q))
 
-        def attempt(u):
-            return gcd(factor._trace(red, u, steps), m)
+    def attempt(u):
+        return gcd(factor._trace(red, u, steps), m)
 
-        u = draw()  # the same u both attempts trace
-        tr = factor._trace(red, u, steps)
-        if ModReducer(m).powmod(tr, 2) != tr:
-            raise AssertionError(f"trace over F_{q} at degree {n}, d = {d} "
-                                 f"is not in F_2")
-
-        routes = (draw, lambda: attempt(u), lambda: attempt(draw()))
-        rows.append((q, n, d) + tuple(time_once(route, (), repeat, 1)
-                                      for route in routes))
-    return rows
+    u = draw()  # the same u both attempts trace
+    tr = factor._trace(red, u, steps)
+    if red.powmod(tr, 2) != tr:
+        raise AssertionError(f"trace over F_{q} at degree {n} is not in F_2")
+    routes = (draw, lambda: attempt(u), lambda: attempt(draw()))
+    return (q, n, d) + tuple(time_once(route, (), repeat, 1) for route in routes)
 
 
-def report_edf_trace(rows):
+def report_edf_trace(row):
+    q, n, d, draw, fixed, drawn = row
     print("trace attempt gcd(Tr u, m)  (field, bucket degree, d, ms by the "
           "draw of u alone, the attempt on a fixed u, the attempt with its "
           "draw)")
-    for q, n, d, draw, fixed, drawn in rows:
-        print(f"  F_{q:<3d} {n:5d} {d:4d}  {draw * 1e3:9.3f}  {fixed * 1e3:9.2f}  "
-              f"{drawn * 1e3:9.2f}")
+    print(f"  F_{q:<3d} {n:5d} {d:4d}  {draw * 1e3:9.3f}  {fixed * 1e3:9.2f}  "
+          f"{drawn * 1e3:9.2f}")
     print()
 
 
@@ -809,13 +799,13 @@ def main(argv=None):
                     help="time the equal-degree split power u^((q^d-1)/2) "
                          "by powmod and by the Frobenius norm over F_3, F_5, "
                          "F_7 and F_9 at bucket degrees 30 to 300, then one "
-                         "trace attempt with and without its draw over F_2 "
-                         "and F_4, instead")
+                         "F_2 trace attempt with and without its draw, "
+                         "instead")
     args = ap.parse_args(argv)
 
     if args.edf:
         report_edf(edf_sweep(random.Random(args.seed), args.repeat))
-        report_edf_trace(edf_trace_sweep(random.Random(args.seed), args.repeat))
+        report_edf_trace(edf_trace_row(random.Random(args.seed), args.repeat))
         return
 
     if args.frob:

@@ -7,23 +7,21 @@ deterministic random draws, so identical inputs and seeds always
 produce identical transcripts.  Each split attempt draws its random
 residue u as one block: a SHAKE-256 state that has absorbed the seed,
 the bucket and its degree is copied, absorbs the attempt number and is
-read once, one byte per code when q divides 256 and 8 bytes mod q
-otherwise.  The hash is CPython's built-in _sha3, so a split does not
-load OpenSSL.  (These block draws replaced a splitmix64 stream of one
-step per code; that changed, once, which splits a given seed takes,
-but not the factors.)  Over odd q a split attempt raises u to
-(q^d - 1)/2 as the Frobenius norm u * u^q * ... * u^(q^(d-1)) raised
-to (q - 1)/2 (von zur Gathen & Shoup): Frobenius steps in the
-reducer's residue form in place of a square-and-multiply power.  Over
-q = 2^k it takes the trace u + u^2 + ... + u^(2^(dk-1)) down to F_2
-instead.  No gcd(u, g) pre-check runs: a prime dividing u lands in
-gcd(Tr u, g) and stays out of gcd(N^((q-1)/2) - 1, g), so those draws
-split too.  factorize re-checks every prime by Rabin's test and
-multiplies the factors back by a product tree.  trial_division is
-the same pipeline with the distinct-degree scan capped at a degree
-bound: it stages out the primes of small degree only, which is how the
-large perturbed quantities are probed without paying for their
-complete factorizations.
+read once, 8 bytes mod q per code.  The hash is CPython's built-in
+_sha3, so a split does not load OpenSSL.  (These block draws replaced
+a splitmix64 stream of one step per code; that changed, once, which
+splits a given seed takes, but not the factors.)  Over odd q a split
+attempt raises u to (q^d - 1)/2 as the Frobenius norm
+u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2 (von zur Gathen &
+Shoup): Frobenius steps in the reducer's residue form in place of a
+square-and-multiply power.  Over q = 2^k it takes the trace
+u + u^2 + ... + u^(2^(dk-1)) down to F_2 instead.  No gcd(u, g)
+pre-check runs: a prime dividing u lands in gcd(Tr u, g) and stays
+out of gcd(N^((q-1)/2) - 1, g), so those draws split too.
+trial_division is the same pipeline with the distinct-degree scan
+capped at a degree bound: it stages out the primes of small degree
+only, which is how the large perturbed quantities are probed without
+paying for their complete factorizations.
 """
 
 from __future__ import annotations
@@ -64,15 +62,12 @@ def _draw_key(seed: int, *tags: bytes):
 
 def _draw(key, attempt: int, count: int, q: int):
     """count codes in [0, q) for one split attempt: one block read from
-    the key with the attempt number absorbed.  When q divides 256 a code
-    is one byte taken mod q, exactly uniform; otherwise it is 8
-    big-endian bytes mod q, with a bias of order 2^-64."""
-    h = key.copy()
-    h.update(attempt.to_bytes(8, "big"))
-    if 256 % q == 0:
-        return h.digest(count).translate(bytes(range(q)) * (256 // q))
+    the key with the attempt number absorbed, each code 8 big-endian
+    bytes mod q, with a bias of order 2^-64."""
     import struct
 
+    h = key.copy()
+    h.update(attempt.to_bytes(8, "big"))
     return tuple(x % q for x in struct.unpack(f">{count}Q", h.digest(8 * count)))
 
 
@@ -101,17 +96,12 @@ class Factorization:
         self.cofactor_irreducible = cofactor_irreducible
 
     def value(self) -> Poly:
-        """The product, multiplied back pairwise level by level."""
-        parts = [Poly.constant(self.unit.field, self.unit)]
-        parts += [base if mult == 1 else base ** mult for base, mult in self.factors]
+        out = Poly.constant(self.unit.field, self.unit)
+        for base, mult in self.factors:
+            out = out * base ** mult
         if self.cofactor is not None:
-            parts.append(self.cofactor)
-        while len(parts) > 1:
-            paired = [a * b for a, b in zip(parts[::2], parts[1::2])]
-            if len(parts) % 2:
-                paired.append(parts[-1])
-            parts = paired
-        return parts[0]
+            out = out * self.cofactor
+        return out
 
     def to_json(self):
         data = {

@@ -49,11 +49,10 @@ def test_mul_threshold_kron_rings_and_frob_table(monkeypatch):
         [(5, 6, 2), (4, 6, 1), (257, 6, 1)]
 
 
-def test_mul_threshold_edf_trace_rows(monkeypatch):
-    # the --edf trace rows reach into factor._draw_key, factor._draw and
+def test_mul_threshold_edf_trace_row(monkeypatch):
+    # the --edf trace row reaches into factor._draw_key, factor._draw and
     # factor._trace, and check the trace of a real bucket lies in F_2
     bench = _load_script()
-    monkeypatch.setattr(bench, "EDF_TRACE_CASES", (("2", 12, 3), ("4", 6, 2)))
-    rows = bench.edf_trace_sweep(random.Random(3), 1)
-    assert [row[:3] for row in rows] == [(2, 12, 3), (4, 6, 2)]
-    assert all(len(row) == 6 and min(row[3:]) > 0 for row in rows)
+    monkeypatch.setattr(bench, "EDF_TRACE_CASE", ("2", 12, 3))
+    row = bench.edf_trace_row(random.Random(3), 1)
+    assert row[:3] == (2, 12, 3) and len(row) == 6 and min(row[3:]) > 0
