@@ -400,8 +400,9 @@ def gf3_reduce_sweep(rng, repeat):
     rows = []
     for n in GF3_REDUCE_DEGREES:
         m = _gf3.pack([rng.randrange(3) for _ in range(n)] + [1])
-        squares = [_gf3.sqr(_gf3.pack([rng.randrange(3) for _ in range(n)]))
-                   for _ in range(n)]
+        operands = [_gf3.pack([rng.randrange(3) for _ in range(n)])
+                    for _ in range(n)]
+        squares = [_gf3.mul(a, a) for a in operands]
         want = [_gf3.mod_(x, m) for x in squares]
         for barrett in (False, True):
             reduce = gf3_reducer(m, barrett)
@@ -456,9 +457,9 @@ def gf3_frobenius_sweep(rng, repeat):
 
         def sqr_mul_route():
             for x in xs:
-                reduce(_gf3.mul(reduce(_gf3.sqr(x)), x))
+                reduce(_gf3.mul(reduce(_gf3.mul(x, x)), x))
 
-        if any(reduce.frobenius(x) != reduce(_gf3.mul(_gf3.sqr(x), x))
+        if any(reduce.frobenius(x) != reduce(_gf3.mul(_gf3.mul(x, x), x))
                or reduce.frobenius(x) != _gf3.mod_(
                    (_gf3._spread(x[0]), _gf3._spread(x[1])), m)
                for x in xs):

@@ -130,17 +130,6 @@ def mul(a, b):
                    la + lb - 1, width)
 
 
-def sqr(a):
-    """a^2: shifts and adds up to _SHIFT_ADD_MAX_LEN coefficients, one
-    spread and an int square above that."""
-    la = max(a[0].bit_length(), a[1].bit_length())
-    if la <= _SHIFT_ADD_MAX_LEN:
-        return _shift_add(a, a)
-    width = _lane_width(la)
-    lanes = _lanes(_codes(a), width)
-    return _unlane(lanes * lanes, 2 * la - 1, width)
-
-
 def _shift_add(a, b):
     """a * b as b * t^i added for each coefficient 1 of a and subtracted
     for each 2."""
@@ -416,7 +405,7 @@ class Reducer:
         return self(mul(a, b))
 
     def sqr(self, a):
-        return self(sqr(a))
+        return self(mul(a, a))
 
     sub = staticmethod(sub)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
-from .gf import FieldElement
 from .irr import PrimeContext
 from .poly import Poly, divrem, embed, eval_poly, pth_root_poly
 
@@ -216,7 +215,7 @@ def is_special_wilson(ctx: PrimeContext, c) -> bool:
     P = a^p + (-1)^(d-1) c t.  The two must agree for every input.
     """
     field = ctx.prime.field
-    c = field(c) if not isinstance(c, FieldElement) else c
+    c = field(c)
     if c == field(0):
         raise ZeroC("c must be a nonzero field constant")
     target = -c if (ctx.degree - 1) % 2 else c

@@ -8,9 +8,7 @@ produce identical transcripts.  Each split attempt draws its random
 residue u as one block: a SHAKE-256 state that has absorbed the seed,
 the bucket and its degree is copied, absorbs the attempt number and is
 read once, 8 bytes mod q per code.  The hash is CPython's built-in
-_sha3, so a split does not load OpenSSL.  (These block draws replaced
-a splitmix64 stream of one step per code; that changed, once, which
-splits a given seed takes, but not the factors.)  Over odd q a split
+_sha3, so a split does not load OpenSSL.  Over odd q a split
 attempt raises u to (q^d - 1)/2 as the Frobenius norm
 u * u^q * ... * u^(q^(d-1)) raised to (q - 1)/2 (von zur Gathen &
 Shoup): Frobenius steps in the reducer's residue form in place of a

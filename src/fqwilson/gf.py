@@ -30,19 +30,18 @@ are within a factor of two of the build cost: benchmarks/mul_threshold.py
 measures one _ext_mul at 2-6 times the build cost per element over
 F_625 and F_2187.  The primitive element is the first of x + c, then
 x^2 + bx + c, ... that passes the test g^((q-1)/r) != 1 for each prime
-r | q-1 (powers by _ext_mul).  Over a prime base the exp walk then
-multiplies by it in plain-int digits (for x + c, one shift and fold
-per step); towers walk by _ext_mul.  _ext_mul and the digit-wise
-_digit_add/_digit_neg stay as the slow oracle the tests compare the
-tables against.  Before the tables exist, a product by the generator
-of an extension of a prime field (evaluation and synthetic division
-at theta) is mul_gen, the same shift and fold, through multiplier; it
-counts toward the trigger as mul does.
+r | q-1.  Over a prime base the exp walk then multiplies by it in
+plain-int digits (for x + c, one shift and fold per step); towers walk
+by _ext_mul.  _ext_mul and the digit-wise _digit_add/_digit_neg stay
+as the slow oracle the tests compare the tables against.  Before the
+tables exist, mul takes a product by the generator x of an extension
+of a prime field (evaluation and synthetic division at theta) as one
+shift and fold of the digits, counted toward the trigger like any
+other slow product.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotMonic, NotPrime, Reducible
@@ -60,6 +59,7 @@ class Field:
     __slots__ = (
         "char", "order", "base", "degree", "modulus_codes",
         "_fold_rows", "height", "_countdown", "_exp", "_log", "_zech", "_half",
+        "_x",
     )
 
     def __init__(self, char, order, base, degree, modulus_codes):
@@ -79,6 +79,10 @@ class Field:
             self._countdown = -1
         self._exp = self._log = self._zech = None
         self._half = 0
+        # the code of x where mul shifts and folds for a product by it;
+        # -1, which is no code, elsewhere
+        prime_base = base is not None and base.base is None
+        self._x = base.order if prime_base and degree > 1 else -1
 
     # -- identity -----------------------------------------------------
 
@@ -234,22 +238,11 @@ class Field:
         if self._countdown == 0:
             self._build_tables()
             return self._exp[self._log[a] + self._log[b]]
-        return self._ext_mul(a, b)
-
-    def mul_gen(self, a: int) -> int:
-        """a * gen_code, for an extension of a prime field.  It counts
-        toward the log tables exactly as mul(a, gen_code) does, so they
-        are built after the same products.  Where mul would run
-        _ext_mul (the oracle), the digits shift up by one and the top
-        digit c, which leaves as c * x^k, folds back as c times x^k mod
-        the modulus."""
-        g = self.gen_code
-        if a < 2 or g < 2 or self._log is not None or self._countdown == 1:
-            return self.mul(a, g)
-        self._countdown -= 1
+        if b != self._x:
+            return self._ext_mul(a, b)
+        # a * x: the digits shift up by one, and the top digit c, which
+        # leaves as c * x^k, folds back as c times x^k mod the modulus
         p = self.char
-        if self.degree == 1:
-            return a * g % p
         shifted = a * p
         if shifted < self.order:
             return shifted
@@ -261,17 +254,6 @@ class Field:
             out += (s + top * f) % p * weight
             weight *= p
         return out
-
-    def multiplier(self, c: int):
-        """The map a -> a * c: mul_gen when c is the generator of an
-        extension of a prime field that has no log tables yet, else
-        mul with c bound (a lookup once the tables exist).  Both count
-        toward the tables alike."""
-        base = self.base
-        if (base is not None and base.is_prime_field and self._log is None
-                and c == self.gen_code):
-            return self.mul_gen
-        return functools.partial(self.mul, c)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -330,21 +312,14 @@ class Field:
             pos *= bo
         return out
 
-    def _ext_pow(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._ext_mul(result, a)
-            e >>= 1
-            if e:
-                a = self._ext_mul(a, a)
-        return result
-
     def _is_primitive(self, g: int) -> bool:
         n = self.order - 1
-        return all(self._ext_pow(g, n // r) != 1 for r in _prime_factors(n))
+        return all(self.pow(g, n // r) != 1 for r in _prime_factors(n))
 
     def _build_tables(self):
+        # the countdown is spent, so the products of the primitive-element
+        # search count nothing and cannot start a second build
+        self._countdown = -1
         n = self.order - 1
         g = next(g for g in self._generator_candidates() if self._is_primitive(g))
         if self.base.is_prime_field:

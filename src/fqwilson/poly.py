@@ -280,7 +280,7 @@ class Poly:
             if p < 256 and len(a) * len(b) >= _KRON_MIN_AREA:
                 return Poly(field, _kron_mul(a, b, p))
             return Poly(field, _school_mul_prime(a, b, p))
-        return Poly(field, _school_mul_generic(a, b, field))
+        return Poly(field, _school_mul_field(a, b, field))
 
     __rmul__ = __mul__
 
@@ -344,7 +344,7 @@ def _school_mul_prime(a, b, p):
     return tuple(c % p for c in out)
 
 
-def _school_mul_generic(a, b, field):
+def _school_mul_field(a, b, field):
     if len(a) > len(b):
         a, b = b, a
     mul = field.mul
@@ -521,11 +521,10 @@ def eval_poly(f: Poly, x) -> FieldElement:
     if isinstance(x, int):
         x = f.field(x)
     ef = _eval_field(f, x)
-    times = ef.multiplier(x.code)
-    add = ef.add
+    mul, add, x = ef.mul, ef.add, x.code
     acc = 0
     for c in reversed(f.codes):
-        acc = add(times(acc), c)
+        acc = add(mul(acc, x), c)
     return FieldElement(ef, acc)
 
 
@@ -540,13 +539,12 @@ def synth_div(f: Poly, x):
     ef = _eval_field(f, x)
     if f.is_zero:
         return Poly.zero(ef), ef.zero
-    times = ef.multiplier(x.code)
-    add = ef.add
+    mul, add, x = ef.mul, ef.add, x.code
     out = [0] * (len(f.codes) - 1)
     acc = f.codes[-1]
     for i in range(len(f.codes) - 2, -1, -1):
         out[i] = acc
-        acc = add(times(acc), f.codes[i])
+        acc = add(mul(acc, x), f.codes[i])
     return Poly(ef, out), FieldElement(ef, acc)
 
 

@@ -316,7 +316,7 @@ def special_primes_by_form(field: Field, d: int, c) -> list:
     hence to be a p-th power; so d = p deg b and the enumeration is
     complete.  When p does not divide d there is nothing to scan.
     """
-    c = c if isinstance(c, FieldElement) else field(c)
+    c = field(c)
     if not c:
         raise ZeroC("c must be a nonzero field constant")
     p = field.char
@@ -353,8 +353,7 @@ def perturbation_divisor_scan(field: Field, d: int, targets):
     at p+2.  Returns {"prime_count": n, "divisors": {(kind, c_code):
     {prime text: valuation}}}.
     """
-    targets = [(kind, field(c) if not isinstance(c, FieldElement) else c)
-               for kind, c in targets]
+    targets = [(kind, field(c)) for kind, c in targets]
     for _, c in targets:
         if not c:
             raise ZeroC("c must be a nonzero field constant")
@@ -450,7 +449,7 @@ def theorem7_report(field: Field, d: int, c, mode: str = "full",
 
     if d < 2:
         raise ValueError("degree must be at least 2")
-    c = c if isinstance(c, FieldElement) else field(c)
+    c = field(c)
     if not c:
         raise ZeroC("c must be a nonzero field constant")
     q = field.order

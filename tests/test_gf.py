@@ -241,6 +241,17 @@ def test_table_fields_cover_each_build_route():
     assert fields["F_81 over F_9, tower"].order == 81
 
 
+def ext_pow(field, a, e):
+    """a^e by square-and-multiply on _ext_mul, the oracle of pow."""
+    result = 1
+    while e:
+        if e & 1:
+            result = field._ext_mul(result, a)
+        e >>= 1
+        a = field._ext_mul(a, a)
+    return result
+
+
 def check_against_oracle(field, elements, pairs):
     n = field.order - 1
     for a in elements:
@@ -253,8 +264,8 @@ def check_against_oracle(field, elements, pairs):
         inv = field.inv(a)
         assert field._ext_mul(a, inv) == 1
         for e in (0, 1, 2, 5, n - 1, n, n + 3):
-            assert field.pow(a, e) == field._ext_pow(a, e)
-            assert field.pow(a, -e) == field._ext_pow(inv, e)
+            assert field.pow(a, e) == ext_pow(field, a, e)
+            assert field.pow(a, -e) == ext_pow(field, inv, e)
     for a, b in pairs:
         assert field.mul(a, b) == (field._ext_mul(a, b) if a and b else 0)
         if field.char == 2:
@@ -317,37 +328,49 @@ MUL_GEN_FIELDS = {
 
 @pytest.mark.parametrize("label", MUL_GEN_FIELDS)
 def test_mul_gen_matches_ext_mul_exhaustive(label):
-    # the shift and fold on every element, in a field that never builds
-    # tables (as those above the size cap)
+    # mul(a, x) on every element, in a field that never builds tables
+    # (as those above the size cap)
     slow = MUL_GEN_FIELDS[label]()
     slow._countdown = -1
     g = slow.gen_code
-    assert [slow.mul_gen(a) for a in range(slow.order)] == \
+    assert [slow.mul(a, g) for a in range(slow.order)] == \
         [slow._ext_mul(a, g) for a in range(slow.order)]
     assert slow._log is None
-    # mul_gen counts toward the tables as mul(a, g) does, so a twin that
-    # runs mul builds them at the same product; every element twice,
-    # the second pass on the tables
+    # a product by x counts toward the tables as any other does, so a
+    # twin multiplying by h builds them at the same product; every
+    # element twice, the second pass on the tables
     field, twin = MUL_GEN_FIELDS[label](), MUL_GEN_FIELDS[label]()
-    assert field.multiplier(g) == field.mul_gen
+    h = g + 1 if g + 1 < field.order else 2
     for a in list(range(field.order)) * 2:
-        assert field.mul_gen(a) == twin.mul(a, g) == slow._ext_mul(a, g)
+        assert field.mul(a, g) == slow._ext_mul(a, g)
+        assert twin.mul(a, h) == slow._ext_mul(a, h)
         assert field._countdown == twin._countdown
         assert (field._log is None) == (twin._log is None)
     assert field._log is not None
-    times = field.multiplier(g)  # with tables, the lookup
-    assert times != field.mul_gen
-    assert all(times(a) == slow._ext_mul(a, g) for a in range(field.order))
-    other = slow.multiplier(g + 1 if g + 1 < slow.order else 1)
-    assert all(other(a) == slow._ext_mul(a, other.args[0]) for a in range(slow.order))
 
 
-def test_multiplier_keeps_mul_over_towers():
-    tower = quadratic_tower(parse_field("4"))
+def test_mul_by_generator_over_towers():
+    # a tower's generator takes _ext_mul, then the tables
+    f4 = parse_field("4")
+    slow, tower = quadratic_tower(f4), quadratic_tower(f4)
+    slow._countdown = -1
     g = tower.gen_code
-    times = tower.multiplier(g)
-    assert times != tower.mul_gen
-    assert all(times(a) == tower._ext_mul(a, g) for a in range(tower.order))
+    for field in (slow, tower):
+        assert all(field.mul(a, g) == slow._ext_mul(a, g)
+                   for a in range(field.order))
+    assert slow._log is None and tower._log is not None
+
+
+@pytest.mark.parametrize("descriptor", ["27", "625"])
+def test_products_by_theta_build_tables_on_the_trigger(descriptor):
+    # fed only products by x, a fresh field builds its tables on product
+    # order // _TABLE_TRIGGER (6 of F_27, 156 of F_625)
+    field = parse_field(descriptor)
+    x = field.gen_code
+    trigger = field.order // _TABLE_TRIGGER
+    for n, a in enumerate(range(2, trigger + 2), 1):
+        assert field.mul(a, x) == field._ext_mul(a, x)
+        assert (field._log is not None) == (n == trigger)
 
 
 def test_tables_wait_for_the_trigger():
@@ -371,7 +394,7 @@ def test_prime_fields_and_fields_above_the_cap_build_no_tables():
     for _ in range(big.order // _TABLE_TRIGGER + 1):
         a = big.mul(a, g)
     assert big._log is None
-    assert a == big._ext_pow(g, big.order // _TABLE_TRIGGER + 1)
+    assert a == ext_pow(big, g, big.order // _TABLE_TRIGGER + 1)
     f3 = make_prime_field(3)
     for _ in range(10):
         f3.mul(2, 2)

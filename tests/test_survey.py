@@ -6,8 +6,9 @@ import pytest
 
 from fqwilson import survey
 from fqwilson.carlitz import CarlitzCache
-from fqwilson.congruence import holds, wilson_suite
+from fqwilson.congruence import holds, is_special_wilson, wilson_suite
 from fqwilson.errors import (
+    FieldMismatch,
     SchemaVersionMismatch,
     TheoremViolation,
     ZeroC,
@@ -442,6 +443,22 @@ def test_perturbation_divisor_scan_small():
     assert all(v == 1 for v in scan["divisors"][("D_plus_sign_c", 2)].values())
     with pytest.raises(ZeroC):
         perturbation_divisor_scan(F3, 3, [("L_minus_c", 0)])
+
+
+def test_constants_are_read_in_the_field():
+    # c goes through field(c): an element of F_3 or of a subfield is
+    # taken, one of an unrelated field raises
+    f9 = parse_field("9")
+    assert special_primes_by_form(f9, 3, F3(2)) == \
+        special_primes_by_form(f9, 3, f9(2)) != []
+    ctx = next(iter_monic_irreducibles(F3, 3))
+    c = F5(1)
+    for call in (lambda: special_primes_by_form(F3, 1, c),
+                 lambda: perturbation_divisor_scan(F3, 3, [("L_minus_c", c)]),
+                 lambda: theorem7_report(F3, 3, c),
+                 lambda: is_special_wilson(ctx, c)):
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 # ------------------------------------------------------------- gcd scans
