@@ -5,12 +5,12 @@ their log/antilog tables.
 Poly.__mul__ switches from schoolbook to Kronecker substitution once
 the operands' coefficient products, len(a) * len(b), reach
 _KRON_MIN_AREA, and ModReducer over F_p, 5 <= p < 256, whose residues
-are Kronecker-packed ints (poly._KronRing), switches from folding a
+are Kronecker-packed ints (_gfp._KronRing), switches from folding a
 product by the rows t^j mod m to Barrett division on the lanes once the
 modulus degree reaches _BARRETT_MIN_DEG.  This script times each pair of
 kernels head to head on random dense operands over a few odd prime
 fields and reports the first size from which the faster kernel keeps
-winning, so the constants in poly.py can be re-checked after
+winning, so the constants in poly.py and _gfp.py can be re-checked after
 interpreter, hardware or kernel changes.  The product sweep times
 balanced halves of each combined length and 1 x k and 4 x k shapes,
 and reports the crossover in coefficient products per lane width.
@@ -75,7 +75,7 @@ same residue.  Beside them it prints the build in pow steps (build /
 pow step), the ring's frobenius_rent (the pow steps a chain takes
 before it composes), and the steps after which the table, build
 included, has cost less than pow.  Fields on reduced Polys
-(poly._SchoolRing) stop at degree FROB_SCHOOL_MAX_DEG.  It then times
+(_ext._SchoolRing) stop at degree FROB_SCHOOL_MAX_DEG.  It then times
 chains of k steps from a fresh reducer over F_5 at degrees up to 2048
 three ways: ModReducer.frobenius (frobenius_rent pow steps, then the
 table), pow alone, and the table built first.
@@ -120,12 +120,12 @@ import random
 import time
 import timeit
 
-from fqwilson import _gf2, _gf3, factor, gf, poly
+from fqwilson import _ext, _gf2, _gf3, _gfp, factor, gf, poly
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.gf import make_extension, make_prime_field, parse_field
 from fqwilson.irr import iter_monic_irreducibles
-from fqwilson.poly import (Composition, ModReducer, Poly, _kron_mul,
-                           _school_mul_prime, divrem, gcd)
+from fqwilson._gfp import _kron_mul, _school_mul_prime
+from fqwilson.poly import Composition, ModReducer, Poly, divrem, gcd
 
 REDUCE_DEGREES = range(8, 161, 8)  # modulus degrees of the reduction sweep
 TABLE_FIELDS = ((3, 2), (5, 4), (3, 7))  # F_9, F_625, F_2187
@@ -143,7 +143,7 @@ GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 160,
 GF3_FROBENIUS_DEGREES = (7, 14, 21, 28, 35, 48, 64, 96, 128, 192, 256, 324)
 FROB_FIELDS = ("5", "7", "4", "9", "25", "257")
 FROB_DEGREES = (4, 8, 12, 16, 24, 32, 48, 64, 128, 256, 512, 1024, 2048)
-# a pow step on reduced Polys (poly._SchoolRing) is schoolbook on Field
+# a pow step on reduced Polys (_ext._SchoolRing) is schoolbook on Field
 # calls over F_4, F_9 and F_25 (14 ms at degree 64 over F_9), so the
 # fields on that ring stop at this degree
 FROB_SCHOOL_MAX_DEG = 128
@@ -215,7 +215,7 @@ def report_mul(p, families):
         print(f"mul, char {p}, {family}  (shorter x longer length, lane "
               f"bytes, schoolbook us, kronecker us)")
         for short, long, school, kron in rows:
-            width = poly._kron_lane(short, p)[0]
+            width = _gfp._kron_lane(short, p)[0]
             by_width.setdefault(width, []).append((short * long, school, kron))
             mark = "  <-- kronecker wins" if kron < school else ""
             print(f"  {short:4d} x {long:<4d} {width:2d}  {school * 1e6:9.2f}  "
@@ -231,12 +231,12 @@ def report_mul(p, families):
 
 def kron_ring(modulus, barrett):
     """The _KronRing of a ModReducer forced onto Barrett or the fold."""
-    saved = poly._BARRETT_MIN_DEG
-    poly._BARRETT_MIN_DEG = 0 if barrett else modulus.degree + 1
+    saved = _gfp._BARRETT_MIN_DEG
+    _gfp._BARRETT_MIN_DEG = 0 if barrett else modulus.degree + 1
     try:
         return ModReducer(modulus)._ring
     finally:
-        poly._BARRETT_MIN_DEG = saved
+        _gfp._BARRETT_MIN_DEG = saved
 
 
 def reduce_sweep(p, degrees, rng, repeat, number):
@@ -487,7 +487,7 @@ def frob_sweep(rng, repeat):
         for n in FROB_DEGREES:
             m = Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
             red = ModReducer(m)
-            if isinstance(red._ring, poly._SchoolRing) and \
+            if isinstance(red._ring, _ext._SchoolRing) and \
                     n > FROB_SCHOOL_MAX_DEG:
                 continue
             rent = red._ring.frobenius_rent
@@ -722,7 +722,7 @@ def table_sweep(p, k, rng, repeat, pairs=2000):
         for _ in range(repeat):
             fresh = make_extension(base, prime)
             t0 = time.perf_counter()
-            fresh._build_tables()
+            _ext._build_tables(fresh)
             builds.append(time.perf_counter() - t0)
         build_s += min(builds) / (field.order - 1)
     return mul_s / len(primes), build_s / len(primes)
@@ -866,7 +866,7 @@ def main(argv=None):
             report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
                                           args.number))
     print(f"poly._KRON_MIN_AREA = {poly._KRON_MIN_AREA}")
-    print(f"poly._BARRETT_MIN_DEG = {poly._BARRETT_MIN_DEG}")
+    print(f"_gfp._BARRETT_MIN_DEG = {_gfp._BARRETT_MIN_DEG}")
     print()
     rng = random.Random(args.seed)
     report_tables([(p ** k, *table_sweep(p, k, rng, args.repeat))

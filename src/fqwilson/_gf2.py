@@ -18,8 +18,6 @@ runs the same remainder loop inline, and mod_ stays as its oracle.
 Residues mod a fixed modulus are TableReducer's.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator

@@ -35,8 +35,6 @@ _BARRETT_MIN_DEG and times the Frobenius step against spreading then
 reducing, and against a squaring and a product.
 """
 
-from __future__ import annotations
-
 # From `benchmarks/mul_threshold.py --gf3` (three runs, 2-core Xeon):
 # n Barrett reductions with their set-up overtook n row-table folds with
 # the table's build between modulus degrees 28 and 32 (0.84-0.92 of

@@ -18,8 +18,6 @@ window's; when that leaves a degree out, the survivors are
 Rabin-tested.  The rule reads q, d and the window alone.
 """
 
-from __future__ import annotations
-
 from . import irr
 from .errors import EquivalenceViolation
 from .gf import Field

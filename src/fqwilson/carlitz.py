@@ -22,8 +22,6 @@ when only a residue is needed; `carlitz compute --mod` builds its own
 chain.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .errors import BoundExceeded, ZeroC

@@ -38,9 +38,9 @@ from .irr import PrimeContext, count_irreducibles, iter_monic_irreducibles
 from .irr import is_irreducible  # noqa: F401  (perfbench/tests looks it up here)
 from .poly import ModReducer, divrem, parse_poly
 
-# The survey, Carlitz and congruence layers (and deriv, which congruence
-# pulls in) are imported inside the commands that run them, so factor
-# and primes list never compile them.
+# The survey, report, Carlitz and congruence layers (and deriv, which
+# congruence pulls in) are imported inside the commands that run them,
+# so factor and primes list never compile them.
 
 
 def _resolve_seed(args) -> int:
@@ -249,7 +249,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_theorem5(args) -> int:
-    from .survey import theorem5_report
+    from .reports import theorem5_report
 
     field = parse_field(args.field)
     rep = theorem5_report(field, args.degree, seed=_resolve_seed(args))
@@ -272,8 +272,11 @@ def _theorem5_lines(rep):
 
 
 def cmd_theorem7(args) -> int:
-    from .survey import theorem7_report
+    from .reports import theorem7_report
 
+    if args.mode == "partial" and (args.max_trial_degree is None
+                                   or args.max_trial_degree < args.degree):
+        raise ValueError("partial mode needs --max-trial-degree >= --degree")
     field = parse_field(args.field)
     rep = theorem7_report(
         field,
@@ -311,7 +314,7 @@ def _theorem7_lines(rep):
 
 
 def cmd_scan(args) -> int:
-    from .survey import alt_gcd_conjecture_scan, borisov_scan
+    from .reports import alt_gcd_conjecture_scan, borisov_scan
 
     field = parse_field(args.field)
     if args.kind == "borisov":
@@ -340,8 +343,9 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     from . import recorded  # imported here: most commands never read it
     from .carlitz import CarlitzCache
-    from .survey import (perturbation_divisor_scan, special_primes_by_form,
-                         survey_degree, theorem5_report, theorem7_report)
+    from .reports import (perturbation_divisor_scan, special_primes_by_form,
+                          theorem5_report, theorem7_report)
+    from .survey import survey_degree
 
     seed = _resolve_seed(args)
     v = recorded.Verifier()

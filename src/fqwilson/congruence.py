@@ -13,8 +13,6 @@ the plain dicts that `check --json` and `classify-base --json` print;
 holds(suite) reads a suite's common verdict.
 """
 
-from __future__ import annotations
-
 from .deriv import delta, delta_at_theta, fermat_quotient_mod
 from .errors import EquivalenceViolation, FieldMismatch, ZeroC
 from .irr import PrimeContext
@@ -253,3 +251,22 @@ def _capped_valuation(f_mod: Poly, prime: Poly, cap: int) -> int:
     if f_mod.is_zero:
         return cap
     return min(valuation(f_mod, prime), cap)
+
+
+def _wilson_by_pattern(prime: Poly) -> bool:
+    """Wilson for p > 2 by the second derivative, cross-checked against
+    the coefficient pattern."""
+    wil = prime.derivative().derivative().is_zero
+    if wil != coefficient_characterization(prime):
+        raise EquivalenceViolation(
+            f"second-derivative and coefficient routes disagree at {prime}"
+        )
+    return wil
+
+
+def _perturbation_valuation(ctx: PrimeContext, kind: str, d: int, c,
+                            cap: int) -> int:
+    """The prime's valuation in a perturbation, capped at cap, from the
+    perturbation's residue mod prime^(cap+1)."""
+    return _capped_valuation(ctx.chain(cap + 1).perturbation(kind, d, c),
+                             ctx.prime, cap)

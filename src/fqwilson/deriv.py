@@ -27,8 +27,6 @@ on two identities:
       Q(a) = sum_j x^j Q(a_j), and no product in E is formed.
 """
 
-from __future__ import annotations
-
 from itertools import zip_longest
 
 from .errors import FieldMismatch

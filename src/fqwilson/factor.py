@@ -22,8 +22,6 @@ only, which is how the large perturbed quantities are probed without
 paying for their complete factorizations.
 """
 
-from __future__ import annotations
-
 from .errors import FqwilsonError
 from .gf import FieldElement
 from .irr import is_irreducible

@@ -28,21 +28,14 @@ trigger keeps fields that do little arithmetic (most residue fields of
 a survey) from paying for tables, and by then the slow products spent
 are within a factor of two of the build cost: benchmarks/mul_threshold.py
 measures one _ext_mul at 2-6 times the build cost per element over
-F_625 and F_2187.  The primitive element is the first of x + c, then
-x^2 + bx + c, ... that passes the test g^((q-1)/r) != 1 for each prime
-r | q-1.  Over a prime base the exp walk then multiplies by it in
-plain-int digits (for x + c, one shift and fold per step); towers walk
-by _ext_mul.  _ext_mul and the digit-wise _digit_add/_digit_neg stay
-as the slow oracle the tests compare the tables against.  Before the
-tables exist, mul takes a product by the generator x of an extension
-of a prime field (evaluation and synthetic division at theta) as one
-shift and fold of the digits, counted toward the trigger like any
-other slow product.
+F_625 and F_2187.  The build, run once per field, lives in _ext.py,
+which is imported at the first build.  _ext_mul and the digit-wise
+_digit_add/_digit_neg stay as the slow oracle the tests compare the
+tables against.  Before the tables exist, mul takes a product by the
+generator x of an extension of a prime field (evaluation and synthetic
+division at theta) as one shift and fold of the digits, counted toward
+the trigger like any other slow product.
 """
-
-from __future__ import annotations
-
-import operator
 
 from .errors import DivisionByZero, FieldMismatch, NotMonic, NotPrime, Reducible
 
@@ -51,6 +44,13 @@ _TABLE_TRIGGER = 4  # build tables after order // 4 slow multiplications
 _MAX_TOWER_HEIGHT = 2
 
 _prime_field_cache: dict[int, "Field"] = {}
+_ext = None  # the table build, set by _load_ext at the first build
+
+
+def _load_ext():
+    global _ext
+    from . import _ext
+    return _ext
 
 
 class Field:
@@ -236,7 +236,7 @@ class Field:
             return a
         self._countdown -= 1
         if self._countdown == 0:
-            self._build_tables()
+            (_ext or _load_ext())._build_tables(self)
             return self._exp[self._log[a] + self._log[b]]
         if b != self._x:
             return self._ext_mul(a, b)
@@ -311,69 +311,6 @@ class Field:
             out += base.neg(da) * pos
             pos *= bo
         return out
-
-    def _is_primitive(self, g: int) -> bool:
-        n = self.order - 1
-        return all(self.pow(g, n // r) != 1 for r in _prime_factors(n))
-
-    def _build_tables(self):
-        # the countdown is spent, so the products of the primitive-element
-        # search count nothing and cannot start a second build
-        self._countdown = -1
-        n = self.order - 1
-        g = next(g for g in self._generator_candidates() if self._is_primitive(g))
-        if self.base.is_prime_field:
-            exp = self._walk_digits(g)
-        else:
-            exp = [1]
-            for _ in range(n - 1):
-                exp.append(self._ext_mul(exp[-1], g))
-        log = [-1] * self.order  # log[0] is never read as a logarithm
-        for i, v in enumerate(exp):
-            log[v] = i
-        if self.char != 2:
-            # 1 + alpha^i: add one to the lowest base-p digit of the code
-            p = self.char
-            zech = [log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp]
-            # doubled, so any index in (-2n, 2n) lands on its residue mod n
-            self._zech = zech + zech
-            self._half = n // 2
-        self._exp = exp + exp
-        self._log = log
-
-    def _generator_candidates(self):
-        # x + c, x^2 + b*x + c, ... first: a scalar multiple a*h gets the
-        # same verdict as h whenever base.order - 1 divides every
-        # (q - 1)/r, so trying it mostly repeats a test; then every code
-        b = self.base.order
-        for j in range(1, self.degree):
-            yield from range(b ** j, 2 * b ** j)
-        yield from range(1, self.order)
-
-    def _walk_digits(self, g: int) -> list[int]:
-        # [g^0, ..., g^(q-2)] over a prime base in plain-int digits:
-        # v*g by Horner over the digits of g, each step a shift of the
-        # digits plus top times x^k (one of the precomputed folds); for
-        # g = x + c that is one shift-fold plus c times the old digits
-        p = self.char
-        row = self._fold()[0] if self.degree > 1 else ()
-        folds = [[t * r for r in row] for t in range(p)]
-        weights = [p ** i for i in range(self.degree)]
-        gd = self.digits(g)
-        while not gd[-1]:
-            gd.pop()
-        high = gd.pop()
-        v = [1] + [0] * (self.degree - 1)
-        exp = []
-        for _ in range(self.order - 1):
-            exp.append(sum(map(operator.mul, v, weights)))
-            acc = v if high == 1 else [high * d % p for d in v]
-            for c in reversed(gd):
-                # zip stops at k: the top digit leaves the shift
-                acc = [(s + f + c * d) % p
-                       for s, f, d in zip([0, *acc], folds[acc[-1]], v)]
-            v = acc
-        return exp
 
     def _fold(self):
         # rows[j] holds the coefficients of x^(k+j) reduced mod the modulus

@@ -8,8 +8,6 @@ commands that enumerate), and the primes it yields are certified, so
 their contexts run no second test.
 """
 
-from __future__ import annotations
-
 from .errors import NotMonic, Reducible
 from .gf import (
     Field,
@@ -98,7 +96,10 @@ class PrimeContext:
             raise Reducible("constants are not primes")
         ctx = cls(prime)
         if prime.degree > 1:
-            ctx._residue_field = make_extension(prime.field, prime)
+            try:
+                ctx._residue_field = make_extension(prime.field, prime)
+            except Reducible:
+                raise Reducible(f"prime {prime} is reducible") from None
         return ctx
 
     @property

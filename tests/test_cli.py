@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import fqwilson
-from fqwilson import survey as survey_module
+from fqwilson import reports, survey as survey_module
 from fqwilson.carlitz import CarlitzCache
 from fqwilson.cli import main
 from fqwilson.errors import EquivalenceViolation
@@ -289,17 +289,41 @@ _UNUSED_BY_FACTOR = ("fqwilson.survey", "fqwilson.carlitz",
 def test_factor_and_primes_leave_other_layers_unloaded(run_argv):
     # start-up compiles only what factor and primes list run; the other
     # layers load inside the commands that use them
+    assert _loaded_after(run_argv, _UNUSED_BY_FACTOR) == "[]"
+
+
+def _loaded_after(run_argv, modules):
+    """Which of modules a fresh process holds after importing the CLI
+    and running run_argv (if not None) through cli.main."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fqwilson.__file__))
     code = "import sys, fqwilson.cli\n"
     if run_argv is not None:
         code += f"assert fqwilson.cli.main({run_argv!r}) == 0\n"
-    code += (f"print(sorted(m for m in {_UNUSED_BY_FACTOR!r} "
-             f"if m in sys.modules))")
+    code += f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+# A small version of each perfbench workload (and the bare import), with
+# the package modules it must not compile: the odd-p kernels (_gfp) and
+# the extension-field code (_ext) stay off the F_2 path, theorem7 at a
+# degree p does not divide compiles no sweep, congruence or deriv, an
+# F_3 survey no extension-field code, and no sweep the theorem reports.
+@pytest.mark.parametrize("run_argv,unused", [
+    (None, ("_gfp", "_ext")),
+    (["factor", "--field", "2", "--poly", "t^64+t+1", "--json"],
+     ("_gfp", "_ext")),
+    (["theorem7", "--field", "3", "--degree", "4", "--c", "1", "--json"],
+     ("survey", "congruence", "deriv", "_ext")),
+    (["survey", "--field", "3", "--degree", "4", "--json"], ("_ext", "reports")),
+    (["survey", "--field", "5", "--degree", "2", "--full-suites", "--json"],
+     ("reports",)),
+], ids=["import", "factor-q2", "t7-q3", "survey-q3", "survey-q5-full"])
+def test_workloads_leave_unused_modules_unloaded(run_argv, unused):
+    assert _loaded_after(run_argv, [f"fqwilson.{m}" for m in unused]) == "[]"
 
 
 @pytest.mark.parametrize("run_argv", [
@@ -382,6 +406,29 @@ def test_malformed_poly_names_bad_term_and_exits_2(text, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bound", [[], ["--max-trial-degree", "3"]],
+                         ids=["missing", "below-degree"])
+def test_theorem7_partial_names_the_trial_degree_flag(bound):
+    proc = _cli_process("theorem7", "--field", "4", "--degree", "4", "--c", "3",
+                        "--mode", "partial", *bound)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: partial mode needs --max-trial-degree >= "
+                           "--degree\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("wieferich", "--field", "25", "--prime", "t^2+t+2", "--base", "t",
+     "--all-conditions"),
+    ("wilson", "--field", "3", "--prime", "t^2+t+1"),
+], ids=["wieferich-f25", "wilson-f3"])
+def test_check_reducible_prime_names_the_prime(argv):
+    proc = _cli_process("check", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: prime {argv[4]} is reducible\n"
+
+
 def test_negative_trial_degree_exits_2():
     proc = _cli_process("factor", "--field", "3", "--poly", "t^4+t+2",
                         "--max-trial-degree", "-3")
@@ -411,7 +458,7 @@ def test_equivalence_violation_exits_1(capsys, monkeypatch):
     def disagree(*args, **kwargs):
         raise EquivalenceViolation("two routes disagree")
 
-    monkeypatch.setattr(survey_module, "theorem5_report", disagree)
+    monkeypatch.setattr(reports, "theorem5_report", disagree)
     assert main(["theorem5", "--field", "3", "--degree", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -622,8 +669,8 @@ def test_verify_q3d6_and_q2d14(capsys, monkeypatch, q3d6_census, q2d14_census,
         return q3d6_perturbations[0][c]
 
     monkeypatch.setattr(survey_module, "survey_degree", survey)
-    monkeypatch.setattr(survey_module, "theorem5_report", theorem5)
-    monkeypatch.setattr(survey_module, "theorem7_report", theorem7)
+    monkeypatch.setattr(reports, "theorem5_report", theorem5)
+    monkeypatch.setattr(reports, "theorem7_report", theorem7)
     out, _ = run(capsys, ["verify", "paper", "--case", "q3d6"])
     assert out == (
         "case q3d6\n"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fqwilson import _gf3, factor, poly
+from fqwilson import _gf3, _gfp, factor
 from fqwilson.errors import FqwilsonError
 from fqwilson.factor import (
     distinct_degree_split,
@@ -175,7 +175,7 @@ _HALF_NORM_CASES = {
     "7": ("7", 6),
     "9": ("9", 4),
     "25": ("25", 5),
-    "11-barrett": ("11", poly._BARRETT_MIN_DEG + 1),
+    "11-barrett": ("11", _gfp._BARRETT_MIN_DEG + 1),
 }
 
 

@@ -2,7 +2,7 @@
 
 The sweeps behind _KRON_MIN_AREA, _BARRETT_MIN_DEG and the rings'
 frobenius_rent (the pow steps ModReducer.frobenius takes before it
-composes) reach into private names of poly, so a refactor that renames
+composes) reach into private names of poly and _gfp, so a refactor that renames
 them must fail here, not in the next sweep.
 """
 
@@ -10,7 +10,7 @@ import importlib.util
 import pathlib
 import random
 
-from fqwilson import poly
+from fqwilson import _gfp
 from fqwilson.gf import make_prime_field
 from fqwilson.poly import Poly
 
@@ -28,10 +28,10 @@ def test_mul_threshold_kron_rings_and_frob_table(monkeypatch):
     bench = _load_script()
     field = make_prime_field(5)
     m = Poly(field, (2, 0, 1, 4, 0, 3, 1, 1, 0, 2, 0, 0, 1))
-    saved = poly._BARRETT_MIN_DEG
+    saved = _gfp._BARRETT_MIN_DEG
     fold, barrett = bench.kron_ring(m, False), bench.kron_ring(m, True)
-    assert poly._BARRETT_MIN_DEG == saved
-    assert type(fold) is type(barrett) is poly._KronRing
+    assert _gfp._BARRETT_MIN_DEG == saved
+    assert type(fold) is type(barrett) is _gfp._KronRing
     assert (fold._barrett, barrett._barrett) == (False, True)
     # both routes on one product, checked against long division
     rows = bench.reduce_sweep(5, (m.degree,), random.Random(1), 1, 1)

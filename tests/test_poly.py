@@ -5,19 +5,21 @@ from array import array
 
 import pytest
 
-from fqwilson import _gf2, _gf3, poly
+from fqwilson import _ext, _gf2, _gf3, _gfp, poly
 from fqwilson.errors import DivisionByZero, FieldMismatch, NotDivisible
 from fqwilson.gf import default_modulus, make_extension, make_prime_field, parse_field
-from fqwilson.poly import (
-    Composition,
-    ModReducer,
-    Poly,
-    _divrem_field,
+from fqwilson._ext import _divrem_field
+from fqwilson._gfp import (
     _divrem_prime,
     _kron_lane,
     _kron_mul,
     _kron_unpack,
     _school_mul_prime,
+)
+from fqwilson.poly import (
+    Composition,
+    ModReducer,
+    Poly,
     divrem,
     embed,
     eval_poly,
@@ -266,7 +268,7 @@ def test_embed_eval_consistency():
 
 def test_mod_reducer_matches_plain_reduction():
     rng = random.Random(13)
-    barrett = poly._BARRETT_MIN_DEG
+    barrett = _gfp._BARRETT_MIN_DEG
     # F_3 degrees span the plane Barrett switch-over; F_2 runs the packed
     # reducer; F_5, F_7 and F_251 the Kronecker residues on both sides of
     # _BARRETT_MIN_DEG; F_257 the Poly residues
@@ -294,7 +296,7 @@ def test_mod_reducer_matches_plain_reduction():
             naive = (naive * base) % m
         assert red.powmod(base, e) == naive
         assert red.powmod(base, 0) == Poly.one(field)
-    kron, school = poly._KronRing, poly._SchoolRing
+    kron, school = _gfp._KronRing, _ext._SchoolRing
     assert {(5, kron, False), (5, kron, True), (7, kron, False),
             (7, kron, True), (251, kron, False), (251, kron, True),
             (257, school, None)} <= modes
@@ -325,7 +327,7 @@ def test_kron_unpack_matches_percent_per_lane():
 # Barrett route
 _KRON_EDGES = sorted({
     (5, lane_edge(1, 5)), (5, lane_edge(1, 5) + 1), (7, 8), (61, 5),
-    (251, 23), (251, poly._BARRETT_MIN_DEG - 1),
+    (251, 23), (251, _gfp._BARRETT_MIN_DEG - 1),
     (37, lane_edge(2, 37)), (37, lane_edge(2, 37) + 1)})
 
 
@@ -349,8 +351,8 @@ def test_kron_residues_match_divrem_property(p, n):
             return divrem(f, m)[1]
 
         red = ModReducer(m)
-        assert type(red._ring) is poly._KronRing
-        assert red._ring.lane == poly._kron_lane(max(n, p + 1), p)
+        assert type(red._ring) is _gfp._KronRing
+        assert red._ring.lane == _gfp._kron_lane(max(n, p + 1), p)
         r, s = red.enter(a), red.enter(b)
         assert red.leave(r) == mod(a)
         assert red.leave(red.mul(r, s)) == mod(a * b)
@@ -569,7 +571,7 @@ def _mod_reducers():
     rng = random.Random(31)
     f4 = make_extension(make_prime_field(2), default_modulus(2, 2))
     f2, f3, f5, f7 = (make_prime_field(p) for p in (2, 3, 5, 7))
-    barrett = poly._BARRETT_MIN_DEG
+    barrett = _gfp._BARRETT_MIN_DEG
     for field, deg in ((f3, 4), (f5, 3), (f3, _gf3._BARRETT_MIN_DEG + 2),
                        (f5, barrett + 6), (f7, barrett + 2), (f2, 5), (f4, 3)):
         red = ModReducer(rand_poly(field, deg, rng).monic())
@@ -589,9 +591,9 @@ def test_powmod_product_count(monkeypatch):
     # left-to-right: one squaring and one product for e = 3; the packed
     # kernels count their own products, the school ring its reductions
     calls = []
-    for owner, name in ((poly._SchoolRing, "__call__"), (_gf2, "sqr"), (_gf2, "mul"),
+    for owner, name in ((_ext._SchoolRing, "__call__"), (_gf2, "sqr"), (_gf2, "mul"),
                         (_gf3.Reducer, "sqr"), (_gf3.Reducer, "mul"),
-                        (poly._KronRing, "sqr"), (poly._KronRing, "mul")):
+                        (_gfp._KronRing, "sqr"), (_gfp._KronRing, "mul")):
         orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, _name=name):
@@ -602,7 +604,7 @@ def test_powmod_product_count(monkeypatch):
     modes = set()
     for red, a in _mod_reducers():
         ring = type(red._ring)
-        packed = ring is not poly._SchoolRing
+        packed = ring is not _ext._SchoolRing
         modes.add((red.field.order, ring))
         calls.clear()
         red.powmod(a, 3)
@@ -616,8 +618,8 @@ def test_powmod_product_count(monkeypatch):
             assert calls.count("sqr") == 9 and calls.count("mul") == 4
         products = len(calls) - (not packed)
         assert products == 13
-    assert {(2, _gf2.TableReducer), (3, _gf3.Reducer), (5, poly._KronRing),
-            (7, poly._KronRing), (4, poly._SchoolRing)} <= modes
+    assert {(2, _gf2.TableReducer), (3, _gf3.Reducer), (5, _gfp._KronRing),
+            (7, _gfp._KronRing), (4, _ext._SchoolRing)} <= modes
 
 
 # moduli degrees on both sides of the GF(2) table and the F_3 Barrett
@@ -628,7 +630,7 @@ _FROBENIUS_CASES = {
     "3-mod": ("3", _gf3._BARRETT_MIN_DEG - 4),
     "3-barrett": ("3", _gf3._BARRETT_MIN_DEG + 3),
     "5": ("5", 7),
-    "5-barrett": ("5", poly._BARRETT_MIN_DEG + 4),
+    "5-barrett": ("5", _gfp._BARRETT_MIN_DEG + 4),
     "5-linear": ("5", 1),
     "7": ("7", 6),
     "4": ("4", 6),
@@ -674,7 +676,7 @@ def test_frobenius_matches_powmod_property(case):
 
 @pytest.mark.parametrize("descriptor,n", [
     ("5", 40), ("7", 9), ("9", 12), ("25", 5),
-    ("5", poly._BARRETT_MIN_DEG + 2)])
+    ("5", _gfp._BARRETT_MIN_DEG + 2)])
 def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n, monkeypatch):
     # a chain pays its rent first: the reducer's first frobenius_rent
     # steps make one pow(x, q) each and no row table; every later step
@@ -687,7 +689,7 @@ def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n, monkeypatch):
     a = Poly(field, [rng.randrange(q) for _ in range(n)])
     red = ModReducer(m)
     rent = red._ring.frobenius_rent
-    kron = isinstance(red._ring, poly._KronRing)
+    kron = isinstance(red._ring, _gfp._KronRing)
     assert rent == (next(s for s in range(n + 1) if 2 * s * s >= n) if kron else 1)
     pows = []
     real_pow = ModReducer.pow
@@ -707,7 +709,7 @@ def test_frobenius_chain_builds_rows_as_it_pays(descriptor, n, monkeypatch):
 @pytest.mark.parametrize("descriptor,n", [
     ("2", 9), ("2", _gf2._TABLE_MIN_DEG + 2), ("3", 8),
     ("3", _gf3._BARRETT_MIN_DEG + 2), ("5", 6), ("7", 26),
-    ("7", poly._BARRETT_MIN_DEG + 2), ("4", 5), ("9", 4), ("257", 3)])
+    ("7", _gfp._BARRETT_MIN_DEG + 2), ("4", 5), ("9", 4), ("257", 3)])
 def test_composition_matches_horner(descriptor, n):
     # r(T) mod m by the row table, growing its rows on demand, against
     # Horner's rule with a reduction after each product; r is taken
@@ -935,7 +937,7 @@ def test_barrett_reduce_matches_long_division_property(p):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     field = make_prime_field(p)
-    lo = poly._BARRETT_MIN_DEG
+    lo = _gfp._BARRETT_MIN_DEG
     modulus = st.integers(lo, lo + 40).flatmap(
         lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)).map(
         lambda c: tuple(c) + (1,))
@@ -944,7 +946,7 @@ def test_barrett_reduce_matches_long_division_property(p):
     @hyp.given(modulus, _codes(st, p, 200))
     def check(m, a):
         red = ModReducer(Poly(field, m))
-        assert type(red._ring) is poly._KronRing and red._ring._barrett
+        assert type(red._ring) is _gfp._KronRing and red._ring._barrett
         expected = _divrem_prime(a, m, p)[1] if len(a) >= len(m) else a
         assert red.reduce(Poly(field, a)) == Poly(field, expected)
 
