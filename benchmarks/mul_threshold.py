@@ -8,19 +8,20 @@ _KRON_MIN_AREA, and ModReducer over F_p, 5 <= p < 256, whose residues
 are Kronecker-packed ints (_gfp._KronRing), switches from folding a
 product by the rows t^j mod m to Barrett division on the lanes once the
 modulus degree reaches _BARRETT_MIN_DEG.  This script times each pair of
-kernels head to head on random dense operands over a few odd prime
-fields and reports the first size from which the faster kernel keeps
-winning, so the constants in poly.py and _gfp.py can be re-checked after
-interpreter, hardware or kernel changes.  The product sweep times
-balanced halves of each combined length and 1 x k and 4 x k shapes,
-and reports the crossover in coefficient products per lane width.
+kernels head to head on random dense operands over a few prime fields
+F_p, p >= 5, and reports the first size from which the faster kernel
+keeps winning, so the constants in poly.py and _gfp.py can be
+re-checked after interpreter, hardware or kernel changes.  The product
+sweep times balanced halves of each combined length and 1 x k and
+4 x k shapes, and reports the crossover in coefficient products per
+lane width.
 The reduction sweep reduces the packed product of two random residues
 mod a monic modulus of degree n by the fold and by Barrett, after
 checking both against long division, and prints next to them the
 school long division (divrem) of the same product as a Poly, the route
 these residues replaced, and the set-up of each packed route (its rows
-or mu, with one reduction); it skips characteristic 3, whose
-ModReducer runs on the _gf3 planes.
+or mu, with one reduction).  F_3 has neither sweep: its products and
+residues run on the _gf3 planes, which --gf3 sweeps.
 
 The extension-field sweep times one slow product (Field._ext_mul) and
 one full table build (primitive-element search, exp walk, log and Zech
@@ -39,13 +40,9 @@ build plus n table reductions (what a Rabin test or a Frobenius chain
 of n squarings pays); each dividend is the square of a random residue.
 _gf2.TableReducer uses the table from modulus degree _gf2._TABLE_MIN_DEG.
 
-The F_3 sweeps (--gf3, in place of the others) time the product on the
-two bit planes (_gf3.mul) against _kron_mul on code tuples at equal
-operand lengths, once on packed operands, as ModReducer's F_3 ring
-multiplies, and once with packing and unpacking included, as a Poly
-product would pay; Poly.__mul__ over F_3 keeps _kron_mul unless the
-second column wins.  Next they time the two plane products against
-each other, shift-add (_gf3._shift_add) and the lane product, on
+The F_3 sweeps (--gf3, in place of the others) time the two products
+on the bit planes against each other, shift-add (_gf3._shift_add) and
+the lane product, on
 operands of n and n or 8n coefficients: _gf3.mul shifts and adds while
 the shorter operand has at most _gf3._SHIFT_ADD_MAX_LEN coefficients.
 Then, for each modulus degree n, they time n reductions by the row-table
@@ -105,7 +102,7 @@ a fixed u and the attempt with its draw.
 
 Usage:
     python3 benchmarks/mul_threshold.py
-    python3 benchmarks/mul_threshold.py --chars 3 101 --max-len 256
+    python3 benchmarks/mul_threshold.py --chars 5 101 --max-len 256
     python3 benchmarks/mul_threshold.py --chars   # extension fields only
     python3 benchmarks/mul_threshold.py --gf2
     python3 benchmarks/mul_threshold.py --gf3
@@ -134,8 +131,6 @@ GF2_BITS = (16, 24, 32, 48, 64, 96, 128, 256, 512, 768, 1024, 1536, 2048, 3072,
             4096, 6144, 8192, 12288, 16384)
 GF2_REDUCE_DEGREES = (8, 12, 16, 24, 32, 40, 48, 64, 96, 128, 192, 256, 512,
                       1024, 2048)
-GF3_LENGTHS = (4, 8, 14, 20, 32, 48, 63, 64, 96, 128, 192, 256, 384, 512, 1024,
-               2048)
 GF3_SHIFT_ADD_LENGTHS = (2, 4, 7, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 40,
                          48, 64)
 GF3_REDUCE_DEGREES = (4, 7, 14, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128, 160,
@@ -338,24 +333,6 @@ def gf2_reduce_sweep(rng, repeat, trinomial):
         # per reduction, the table's build spread over its n uses
         rows.append((n, time_once(run, (False,), repeat, 1) / n,
                      time_once(run, (True,), repeat, 1) / n))
-    return rows
-
-
-def gf3_mul_sweep(rng, repeat, number):
-    rows = []
-    for n in GF3_LENGTHS:
-        a, b = (tuple(rng.randrange(3) for _ in range(n - 1)) + (rng.randrange(1, 3),)
-                for _ in range(2))
-        pa, pb = _gf3.pack(a), _gf3.pack(b)
-        if _gf3.unpack(_gf3.mul(pa, pb)) != _kron_mul(a, b, 3):
-            raise AssertionError(f"F_3 products disagree at length {n}")
-
-        def converted():
-            return _gf3.unpack(_gf3.mul(_gf3.pack(a), _gf3.pack(b)))
-
-        rows.append((n, time_once(_kron_mul, (a, b, 3), repeat, number),
-                     time_once(_gf3.mul, (pa, pb), repeat, number),
-                     time_once(converted, (), repeat, number)))
     return rows
 
 
@@ -684,23 +661,6 @@ def report_edf(rows):
     print()
 
 
-def report_gf3_mul(rows):
-    print("mul, F_3  (length per operand, kronecker us, planes us, "
-          "planes with pack/unpack us)")
-    for n, kron, planes, converted in rows:
-        mark = "  <-- planes win" if planes < kron else ""
-        if converted < kron:
-            mark += ", also with conversion"
-        print(f"  {n:5d}  {kron * 1e6:9.2f}  {planes * 1e6:9.2f}  "
-              f"{converted * 1e6:9.2f}{mark}")
-    for title, col in (("packed", 2), ("with conversion", 3)):
-        cross = first_crossover([(row[0], row[1], row[col]) for row in rows])
-        where = "no stable crossover in range" if cross is None else \
-            f"stable crossover at length ~{cross}"
-        print(f"  planes {title}: {where}")
-    print()
-
-
 def table_sweep(p, k, rng, repeat, pairs=2000):
     """(mean _ext_mul seconds, mean build seconds per element) over the
     first TABLE_MODULI residue fields of order p^k."""
@@ -762,8 +722,9 @@ def report(title, size, rows, winner, loser="schoolbook"):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--chars", type=int, nargs="*", default=[3, 5, 7, 251],
-                    help="prime characteristics to sweep (default: 3 5 7 251)")
+    ap.add_argument("--chars", type=int, nargs="*", default=[5, 7, 251],
+                    help="prime characteristics to sweep, each in [5, 255] "
+                         "(default: 5 7 251)")
     ap.add_argument("--max-len", type=int, default=192,
                     help="largest combined length of the balanced shapes, "
                          "and longer length of the 1 x k and 4 x k ones "
@@ -780,9 +741,7 @@ def main(argv=None):
                          "reductions by moduli of degree 8 to 2048 instead; "
                          "product samples hold --number / 20 products")
     ap.add_argument("--gf3", action="store_true",
-                    help="sweep F_3 plane products against _kron_mul from "
-                         "length 4 to 2048 (samples of --number / 20 "
-                         "products), shift-add against lane products at "
+                    help="sweep F_3 shift-add against lane products at "
                          "shorter lengths 2 to 64, row-table and Barrett "
                          "reductions by moduli of degree 4 to 512 and "
                          "Frobenius steps x^3 mod m at degree 7 to 324 "
@@ -819,11 +778,6 @@ def main(argv=None):
         return
 
     if args.gf3:
-        report_gf3_mul(gf3_mul_sweep(random.Random(args.seed), args.repeat,
-                                     max(1, args.number // 20)))
-        print(f"_gf3._LANE8_MAX_LEN = {_gf3._LANE8_MAX_LEN} (8-bit lanes "
-              f"below it, 16-bit lanes from it)")
-        print()
         for times in (1, 8):
             report(f"mul, F_3 planes, n x {times}n", "shorter length",
                    gf3_shift_add_sweep(random.Random(args.seed), args.repeat,
@@ -856,15 +810,14 @@ def main(argv=None):
     lengths = sorted({1, 2, 3, 4, 6, 8, 12}
                      | set(range(args.step, args.max_len + 1, args.step)))
     for p in args.chars:
-        if p < 3 or p >= 256:
-            ap.error(f"char {p} outside the Kronecker dispatch range [3, 255]")
+        if p < 5 or p >= 256:
+            ap.error(f"char {p} outside the Kronecker dispatch range [5, 255]")
         rng = random.Random(args.seed)
         report_mul(p, {family: mul_sweep(p, shapes, rng, args.repeat,
                                          args.number)
                        for family, shapes in mul_shapes(lengths).items()})
-        if p != 3:  # F_3 reduces on the _gf3 planes: see --gf3
-            report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
-                                          args.number))
+        report_reduce(p, reduce_sweep(p, REDUCE_DEGREES, rng, args.repeat,
+                                      args.number))
     print(f"poly._KRON_MIN_AREA = {poly._KRON_MIN_AREA}")
     print(f"_gfp._BARRETT_MIN_DEG = {_gfp._BARRETT_MIN_DEG}")
     print()

@@ -1,16 +1,14 @@
-"""Polynomial kernels over odd prime fields, on plain int lists.
+"""Polynomial kernels over F_p, p >= 5, on plain int lists.
 
-poly loads this module at its first use, a product over an odd prime
-field or a division or residue ring over F_p, p >= 5, so F_2 runs never
-compile it.  The kernels make no per-coefficient Field call: Kronecker
-packing spreads the codes into lanes of 1, 2, 4 or 8 bytes, unpacking
-reduces one-byte lanes mod p in bulk by bytes.translate, and long
-division (_divrem_prime) subtracts whole rows and reduces a slot mod p
-only when it becomes the leading term.  Over F_3, _divrem_prime stays
-only as the oracle the tests compare the planes against, while Poly
-products keep _kron_mul: with packing and unpacking paid, the plane
-product wins only from about 1,024 coefficients per operand
-(`benchmarks/mul_threshold.py --gf3`).
+poly loads this module at its first use, a product, division or
+residue ring over F_p, p >= 5, so F_2 and F_3 runs never compile it
+(F_3 has the planes of _gf3).  The kernels make no per-coefficient
+Field call: Kronecker packing spreads the codes into lanes of 1, 2, 4
+or 8 bytes, unpacking reduces one-byte lanes mod p in bulk by
+bytes.translate, and long division (_divrem_prime) subtracts whole rows
+and reduces a slot mod p only when it becomes the leading term.  The
+kernels take any prime p < 256, so the tests use _school_mul_prime and
+_divrem_prime at p = 2 and 3 as oracles for the packed kernels.
 """
 
 import itertools

@@ -258,12 +258,12 @@ def cmd_theorem5(args) -> int:
 
 
 def _theorem5_lines(rep):
-    from . import recorded  # imported here: most commands never read it
+    from .reports import degree_multiset
 
     d = rep["degree"]
     return [
         f"wilson sum, degree {d}: polynomial degree {rep['poly_degree']}",
-        f"factors: {recorded.degree_multiset(rep['factor_degrees'])}",
+        f"factors: {degree_multiset(rep['factor_degrees'])}",
         f"degree-{d} factors = wilson primes "
         f"({len(rep['wilson_primes'])}), multiplicities "
         + " ".join(f"{t}:{m}" for t, m in
@@ -291,7 +291,7 @@ def cmd_theorem7(args) -> int:
 
 
 def _theorem7_lines(rep):
-    from . import recorded  # imported here: most commands never read it
+    from .reports import degree_multiset
 
     d, special = rep["degree"], rep["special_primes"]
     lines = [
@@ -301,7 +301,7 @@ def _theorem7_lines(rep):
     ]
     for side in (rep["L"], rep["D"]):
         entry = f"{side['kind']}: degree {side['poly_degree']}, " \
-                f"factors {recorded.degree_multiset(side['factor_degrees']) or '-'}"
+                f"factors {degree_multiset(side['factor_degrees']) or '-'}"
         if "cofactor_degree" in side:
             entry += f", cofactor degree {side['cofactor_degree']}"
         lines.append(entry)

@@ -3,9 +3,9 @@
 A Field is an immutable value object: a prime field, or an extension of
 another field by a monic irreducible modulus.  make_extension verifies
 the modulus by Rabin's test; the residue field of a prime that the
-enumeration's sieve certified is built without it.  Towers are capped
-at two extension levels above the prime field, which covers
-F_p <= F_q <= F_{q^d}.
+enumeration's sieve certified is built without it.  Towers take any
+number of levels, so the residue fields F_{q^d} of primes over a
+tower F_q are towers one level higher.
 
 Elements are identified by integer codes in [0, order): the base-p
 positional encoding of the recursive coefficient vector, least
@@ -41,7 +41,6 @@ from .errors import DivisionByZero, FieldMismatch, NotMonic, NotPrime, Reducible
 
 _TABLE_MAX_ORDER = 1 << 16  # larger fields stay on _ext_mul
 _TABLE_TRIGGER = 4  # build tables after order // 4 slow multiplications
-_MAX_TOWER_HEIGHT = 2
 
 _prime_field_cache: dict[int, "Field"] = {}
 _ext = None  # the table build, set by _load_ext at the first build
@@ -58,7 +57,7 @@ class Field:
 
     __slots__ = (
         "char", "order", "base", "degree", "modulus_codes",
-        "_fold_rows", "height", "_countdown", "_exp", "_log", "_zech", "_half",
+        "_fold_rows", "_countdown", "_exp", "_log", "_zech", "_half",
         "_x",
     )
 
@@ -70,7 +69,6 @@ class Field:
         self.degree = degree
         self.modulus_codes = modulus_codes
         self._fold_rows = None
-        self.height = 0 if base is None else base.height + 1
         # slow multiplications left before the tables pay for themselves;
         # fields without tables start below zero and never reach it
         if base is not None and order <= _TABLE_MAX_ORDER:
@@ -172,10 +170,6 @@ class Field:
         if self.degree == 1:
             return self.base.neg(self.modulus_codes[0])
         return self.base.order
-
-    def elements(self):
-        for code in range(self.order):
-            yield FieldElement(self, code)
 
     # -- code-level arithmetic ----------------------------------------
 
@@ -465,18 +459,6 @@ def make_extension(base: Field, modulus) -> Field:
     test.  This is the route for a modulus from outside; a prime that
     the enumeration's sieve has certified gets its residue field from
     _extension, with no second test (irr.PrimeContext)."""
-    _check_modulus(base, modulus)
-    if modulus.degree > 1:
-        from .irr import is_irreducible
-
-        if not is_irreducible(modulus):
-            raise Reducible(f"modulus {modulus} is reducible")
-    return _extension(base, modulus)
-
-
-def _check_modulus(base: Field, modulus) -> None:
-    """Raise unless modulus is a monic polynomial of positive degree over
-    base and the extension stays within the tower cap."""
     if modulus.field != base:
         raise FieldMismatch("modulus must have coefficients in the base field")
     k = modulus.degree
@@ -484,8 +466,12 @@ def _check_modulus(base: Field, modulus) -> None:
         raise NotMonic("modulus must have degree at least 1")
     if modulus.lead_code != 1:
         raise NotMonic(f"modulus {modulus} is not monic")
-    if base.height + 1 > _MAX_TOWER_HEIGHT:
-        raise FieldMismatch("towers are capped at two extensions above the prime field")
+    if k > 1:
+        from .irr import is_irreducible
+
+        if not is_irreducible(modulus):
+            raise Reducible(f"modulus {modulus} is reducible")
+    return _extension(base, modulus)
 
 
 def _extension(base: Field, modulus) -> Field:

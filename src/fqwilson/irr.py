@@ -12,7 +12,6 @@ from .errors import NotMonic, Reducible
 from .gf import (
     Field,
     FieldElement,
-    _check_modulus,
     _extension,
     _prime_factors,
     make_extension,
@@ -72,10 +71,6 @@ class PrimeContext:
 
     def __init__(self, prime: Poly):
         d = prime.degree
-        if d > 1:
-            # a residue field past the tower cap is refused up front,
-            # as make_extension refuses it
-            _check_modulus(prime.field, prime)
         self.prime = prime
         self.degree = d
         self.norm = prime.field.order ** d

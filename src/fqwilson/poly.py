@@ -6,10 +6,11 @@ is structural.  The zero polynomial has an empty tuple and degree
 NEG_INF.
 
 Multiplication dispatches on the coefficient field: packed-int
-carry-less arithmetic over F_2, Kronecker substitution into machine
-integers for other small prime fields once the operands have enough
-coefficient products to beat schoolbook, and generic schoolbook over
-extension fields (whose polynomials stay short in this package).
+carry-less arithmetic over F_2, the bit planes of _gf3 over F_3,
+Kronecker substitution into machine integers for other small prime
+fields once the operands have enough coefficient products to beat
+schoolbook, and generic schoolbook over extension fields (whose
+polynomials stay short in this package).
 
 ModReducer is the residue ring F_q[t]/(m), on one residue-ring kernel
 per field behind one interface (see its docstring).  A Frobenius or
@@ -20,17 +21,17 @@ for every step and leaves once.
 Over F_2 a Poly keeps its tuple form and crosses into the packed
 kernels through _gf2.pack/_gf2.unpack; addition is one XOR of packed
 ints and negation is the identity.  Over F_3 it likewise keeps its
-tuple form, and divrem and gcd cross into _gf3's planes (the positions
-of the 1s and of the 2s) through _gf3.pack/_gf3.unpack; _gf3 is
-imported at the first F_3 division, gcd or residue ring, so other
-fields never compile it.
+tuple form, and products, divrem and gcd cross into _gf3's planes (the
+positions of the 1s and of the 2s) through _gf3.pack/_gf3.unpack; _gf3
+is imported at the first F_3 product, division, gcd or residue ring,
+so other fields never compile it.
 
 Over odd prime fields addition and negation reduce each coefficient
-inline.  The other kernels over odd prime fields, on plain int lists,
-live in _gfp.py (Kronecker products, long division and _KronRing), and
-the schoolbook kernels over extension fields in _ext.py (with
+inline.  The other kernels over F_p, p >= 5, on plain int lists, live
+in _gfp.py (Kronecker products, long division and _KronRing), and the
+schoolbook kernels over extension fields in _ext.py (with
 _SchoolRing).  Like _gf3, each is imported at its first use, so an F_2
-run compiles neither.
+or F_3 run compiles neither.
 """
 
 import itertools
@@ -49,17 +50,16 @@ DEGREE_GUARD = 1 << 18
 # Schoolbook costs a step per coefficient product, Kronecker a fixed
 # cost (larger on lanes wider than a byte, which unpack by % per lane)
 # plus a little per coefficient, so the cutover is a count of
-# coefficient products, len(a) * len(b), not a length (1 x 512 over F_3:
-# 91 us by schoolbook, 18 by Kronecker).  The product sweep of
-# `benchmarks/mul_threshold.py` (three runs, 2-core Xeon; balanced,
-# 1 x k and 4 x k shapes) put it at 3-16 products on one-byte lanes over
-# F_3, F_5 and F_7 (4 in five of nine), and over F_251 at 16-32 on
-# four-byte lanes and 48-168 on two-byte lanes (1 x k only).  One
-# cutover serves every lane width: the workloads multiply over F_3 and
-# F_5, where lanes widen only from 4,096 and 256 products.
+# coefficient products, len(a) * len(b), not a length.  The product
+# sweep of `benchmarks/mul_threshold.py` (three runs, 2-core Xeon;
+# balanced, 1 x k and 4 x k shapes) put it at 3-16 products on one-byte
+# lanes over F_5 and F_7, and over F_251 at 16-32 on four-byte lanes and
+# 48-168 on two-byte lanes (1 x k only).  One cutover serves every lane
+# width: the workloads multiply over F_5, where lanes widen only from
+# 256 products.  No F_3 product comes here; they run on _gf3's planes.
 _KRON_MIN_AREA = 4  # coefficient products from which Kronecker wins
 # the kernel modules, each set by its _load_* at its first use: the F_3
-# planes, the odd prime fields' int-list kernels and the extension fields'
+# planes, the int-list kernels over F_p, p >= 5, and the extension fields'
 _gf3 = _gfp = _ext = None
 
 
@@ -256,6 +256,9 @@ class Poly:
         if field.is_prime_field:
             if field.char == 2:
                 return Poly(field, _gf2.unpack(_gf2.mul(_gf2.pack(a), _gf2.pack(b))))
+            if field.char == 3:
+                planes = _gf3 or _load_gf3()
+                return Poly(field, planes.unpack(planes.mul(planes.pack(a), planes.pack(b))))
             p = field.char
             kernels = _gfp or _load_gfp()
             if p < 256 and len(a) * len(b) >= _KRON_MIN_AREA:

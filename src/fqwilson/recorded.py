@@ -5,13 +5,12 @@ report, a factorization) with the recorded values through a Verifier;
 `verify paper` and the acceptance tests make the same comparisons.
 """
 
-from collections import Counter
-
 from .congruence import holds, is_special_wilson, wilson_multiplicity, wilson_suite
 from .deriv import MIXED_LABELS, delta, fermat_quotient, fermat_quotient_iter
 from .gf import parse_field
 from .irr import PrimeContext, is_irreducible
 from .poly import Poly, embed, eval_poly, parse_poly
+from .reports import degree_multiset
 
 # recorded values that more than one check, or a caller, reads
 Q3D6_SPECIAL_PER_C = {1: 3, 2: 3}  # special primes of degree 6 over F_3, by c
@@ -70,16 +69,6 @@ def _jsonable(v):
     if isinstance(v, (bool, int, str)) or v is None:
         return v
     return str(v)
-
-
-def degree_multiset(pairs) -> str:
-    """Render [(degree, mult), ...] as e.g. '1^4x3 6x15 18x2'."""
-    cnt = Counter((int(d), int(m)) for d, m in pairs)
-    parts = []
-    for (deg, mult), n in sorted(cnt.items()):
-        stem = str(deg) if mult == 1 else f"{deg}^{mult}"
-        parts.append(f"{stem}x{n}")
-    return " ".join(parts)
 
 
 def q3d6_census(v, rec):

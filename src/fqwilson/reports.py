@@ -5,6 +5,8 @@ and it imports congruence (with deriv) only where a report checks a
 prime by a congruence route.
 """
 
+from collections import Counter
+
 from .carlitz import CarlitzCache
 from .errors import EquivalenceViolation, TheoremViolation, ZeroC
 from .factor import factorize, trial_division
@@ -84,6 +86,16 @@ def _factor_table(fac, d):
     return ([[base.degree, mult] for base, mult in fac.factors],
             {str(base): mult for base, mult in fac.factors
              if base.degree == d})
+
+
+def degree_multiset(pairs) -> str:
+    """Render [(degree, mult), ...] as e.g. '1^4x3 6x15 18x2'."""
+    cnt = Counter((int(d), int(m)) for d, m in pairs)
+    parts = []
+    for (deg, mult), n in sorted(cnt.items()):
+        stem = str(deg) if mult == 1 else f"{deg}^{mult}"
+        parts.append(f"{stem}x{n}")
+    return " ".join(parts)
 
 
 def theorem5_report(field: Field, d: int, seed: int = 0) -> dict:

@@ -8,8 +8,7 @@ which costs O(d) modular multiplications per prime instead of a
 division of astronomically large polynomials.  A survey does all of a
 prime's work, its verdicts and its table rows, in one pass over the
 prime's context.  The theorem reports and the gcd scans live in
-reports.py, which a sweep never compiles; they stay importable from
-here.
+reports.py, which a sweep never compiles.
 
 Survey records are returned as the JSON objects the commands print and
 the JSONL lines hold, so there is no record class to mirror; validate
@@ -30,15 +29,6 @@ from .irr import is_irreducible  # noqa: F401  (perfbench/tests looks it up here
 from .poly import Poly
 
 SCHEMA = "fqwilson.survey/1"
-
-
-def __getattr__(name):
-    if name in ("special_primes_by_form", "perturbation_divisor_scan",
-                "theorem5_report", "theorem7_report", "borisov_scan",
-                "alt_gcd_conjecture_scan"):
-        from . import reports
-        return getattr(reports, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- survey records ----------------------------------------------------

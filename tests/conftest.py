@@ -4,7 +4,8 @@ import pytest
 
 from fqwilson.gf import default_modulus, make_extension, make_prime_field
 from fqwilson.poly import ModReducer
-from fqwilson.survey import survey_degree, theorem5_report, theorem7_report
+from fqwilson.reports import theorem5_report, theorem7_report
+from fqwilson.survey import survey_degree
 
 try:
     from hypothesis import settings

@@ -25,7 +25,7 @@ from fqwilson.factor import factorize, trial_division
 from fqwilson.gf import parse_field
 from fqwilson.irr import count_irreducibles, iter_monic_irreducibles
 from fqwilson.poly import ModReducer, Poly, divrem
-from fqwilson.survey import (
+from fqwilson.reports import (
     borisov_scan,
     perturbation_divisor_scan,
     special_primes_by_form,

@@ -110,6 +110,16 @@ def test_check_wilson_char2_marker(capsys):
     assert out == "wilson: false (1 condition, unanimous) [definition-only]\n"
 
 
+def test_check_wilson_over_a_two_level_tower(capsys):
+    # F_81 over F_9: the prime's residue field F_6561 is a third level
+    out, _ = run(capsys, ["check", "wilson", "--field", "9:t^2+1/t^2+t+3",
+                          "--prime", "t^2+11", "--all-conditions"])
+    lines = out.splitlines()
+    assert lines[-1] == "wilson: false (15 conditions, unanimous)"
+    assert len(lines) == 16
+    assert all(line.endswith(": false") for line in lines[:-1])
+
+
 def test_check_wieferich(capsys):
     out, _ = run(capsys, ["check", "wieferich", "--field", "3",
                           "--prime", "t^2+1", "--base", "t^3"])
@@ -194,17 +204,17 @@ def test_theorem7_output(capsys):
 
 @pytest.mark.parametrize("argv,call", [
     (["theorem5", "--field", "3", "--degree", "3"],
-     lambda f: survey_module.theorem5_report(f, 3)),
+     lambda f: reports.theorem5_report(f, 3)),
     (["theorem7", "--field", "3", "--degree", "3", "--c", "2"],
-     lambda f: survey_module.theorem7_report(f, 3, 2)),
+     lambda f: reports.theorem7_report(f, 3, 2)),
     (["theorem7", "--field", "3", "--degree", "3", "--c", "2",
       "--mode", "partial", "--max-trial-degree", "3"],
-     lambda f: survey_module.theorem7_report(f, 3, 2, mode="partial",
-                                             max_degree=3)),
+     lambda f: reports.theorem7_report(f, 3, 2, mode="partial",
+                                        max_degree=3)),
     (["theorem7", "--field", "5", "--degree", "2", "--c", "1",
       "--mode", "partial", "--max-trial-degree", "3"],
-     lambda f: survey_module.theorem7_report(f, 2, 1, mode="partial",
-                                             max_degree=3)),
+     lambda f: reports.theorem7_report(f, 2, 1, mode="partial",
+                                        max_degree=3)),
 ])
 def test_theorem_json_is_the_library_report(capsys, argv, call):
     # the command prints the report the library returns, as it is
@@ -308,20 +318,26 @@ def _loaded_after(run_argv, modules):
 
 
 # A small version of each perfbench workload (and the bare import), with
-# the package modules it must not compile: the odd-p kernels (_gfp) and
-# the extension-field code (_ext) stay off the F_2 path, theorem7 at a
-# degree p does not divide compiles no sweep, congruence or deriv, an
-# F_3 survey no extension-field code, and no sweep the theorem reports.
+# the package modules it must not compile: the kernels over F_p, p >= 5
+# (_gfp), stay off the F_2 and F_3 paths and the extension-field code
+# (_ext) off the F_2 path, theorem7 at a degree p does not divide
+# compiles no sweep, congruence or deriv (nor, in text mode, the
+# recorded values), an F_3 survey no extension-field code, and no sweep
+# the theorem reports.
 @pytest.mark.parametrize("run_argv,unused", [
     (None, ("_gfp", "_ext")),
     (["factor", "--field", "2", "--poly", "t^64+t+1", "--json"],
      ("_gfp", "_ext")),
     (["theorem7", "--field", "3", "--degree", "4", "--c", "1", "--json"],
-     ("survey", "congruence", "deriv", "_ext")),
-    (["survey", "--field", "3", "--degree", "4", "--json"], ("_ext", "reports")),
+     ("survey", "congruence", "deriv", "_ext", "_gfp")),
+    (["theorem7", "--field", "3", "--degree", "4", "--c", "1"],
+     ("survey", "recorded", "congruence", "deriv", "_ext", "_gfp")),
+    (["survey", "--field", "3", "--degree", "4", "--json"],
+     ("_ext", "reports", "_gfp")),
     (["survey", "--field", "5", "--degree", "2", "--full-suites", "--json"],
      ("reports",)),
-], ids=["import", "factor-q2", "t7-q3", "survey-q3", "survey-q5-full"])
+], ids=["import", "factor-q2", "t7-q3", "t7-q3-text", "survey-q3",
+        "survey-q5-full"])
 def test_workloads_leave_unused_modules_unloaded(run_argv, unused):
     assert _loaded_after(run_argv, [f"fqwilson.{m}" for m in unused]) == "[]"
 
@@ -713,7 +729,8 @@ def test_verify_json_payload(capsys):
 FUZZ_FIELDS = ("2", "3", "4", "5", "9", "2^2", "4:t^2+t+1", "4/t^2+t+2",
                "4:t^2+t+1/t^2+t+2", "9/t^2+t+3")
 # not a prime power, a bad exponent, a bad or reducible modulus, a
-# modulus on a prime field, empty parts, a tower above the height cap
+# modulus on a prime field, empty parts, a third tower level whose
+# modulus is reducible over F_16
 MALFORMED_FIELDS = (
     "6", "1", "0", "-3", "2^0", "2^-1", "6^2", "x", "", "4:t^3+t+1",
     "4:t^2+1", "3:t^2+1", "4/t+1", "4/t^2+1", "4/", "/t^2+t+2", "4:",

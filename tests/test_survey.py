@@ -16,18 +16,20 @@ from fqwilson.errors import (
 from fqwilson.gf import make_prime_field, parse_field
 from fqwilson.irr import count_irreducibles, iter_monic_irreducibles
 from fqwilson.poly import Poly, gcd, parse_poly
-from fqwilson.survey import (
+from fqwilson.reports import (
     alt_gcd_conjecture_scan,
     borisov_scan,
+    perturbation_divisor_scan,
+    special_primes_by_form,
+    theorem5_report,
+    theorem7_report,
+)
+from fqwilson.survey import (
     canonical_json,
     jsonl_document,
     persist,
-    perturbation_divisor_scan,
     resume,
-    special_primes_by_form,
     survey_degree,
-    theorem5_report,
-    theorem7_report,
     validate,
 )
 
@@ -245,12 +247,13 @@ def test_sweep_invariants_f4_deep(d):
 
 def test_survey_over_a_tower_field():
     # each survey chunk re-parses the field from its descriptor, which
-    # for F_16 over F_4 is the tower form base/modulus; primes of higher
-    # degree would need residue fields above the tower height cap
+    # for F_16 over F_4 is the tower form base/modulus; at degree 2 each
+    # prime's residue field F_256 is a third tower level
     field = parse_field("4:t^2+t+1/t^2+t+2")
-    rec = survey_degree(field, 1)
-    assert rec["field"] == field.descriptor()
-    assert rec["prime_count"] == count_irreducibles(field, 1) == 16
+    for d, count in ((1, 16), (2, 120)):
+        rec = survey_degree(field, d)
+        assert rec["field"] == field.descriptor()
+        assert rec["prime_count"] == count_irreducibles(field, d) == count
 
 
 # ------------------------------------------------------------ persistence
